@@ -41,6 +41,12 @@ for bench in codecs hierarchy recovery scheme_ops; do
     cargo test -q --release -p cppc-bench --bench "$bench" > /dev/null
 done
 
+echo "== benchmark tests (perfbench, reduced-size workloads)"
+# The benchmark is its own cargo workspace; its tests run each
+# workload at reduced size, check outputs, and pin metric names and
+# units to BENCHMARK.json.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== campaign scaling (thread determinism; advisory speedup)"
 # The binary asserts tally identity across thread counts itself. The
 # speedup assertion only applies where the host could actually run the

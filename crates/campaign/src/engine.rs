@@ -12,7 +12,8 @@
 //!   never in completion order. The merged result is therefore
 //!   bit-identical whether the campaign ran on 1 thread or 64.
 //! * **Interruptibility.** With a [`CheckpointPolicy`], completed
-//!   shards are periodically serialized to a JSON checkpoint; a
+//!   shards are serialized to a JSON checkpoint on a wall-clock
+//!   cadence and once more when the run ends or is interrupted; a
 //!   resumed campaign re-executes only the missing shards and merges
 //!   to the identical final result.
 //! * **Panic containment.** A panicking experiment poisons only its
@@ -25,6 +26,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use crate::checkpoint::{
     load_checkpoint, write_checkpoint, CampaignIdentity, CheckpointError, Persist,
@@ -213,21 +215,27 @@ impl CampaignConfig {
 pub struct CheckpointPolicy {
     /// Checkpoint file path.
     pub path: PathBuf,
-    /// Write the file after every `every_shards` executed shards (and
-    /// always once at the end).
-    pub every_shards: u64,
+    /// Minimum wall-clock time between periodic writes: a shard that
+    /// completes once `every` has passed since the last write triggers
+    /// the next one. [`Duration::ZERO`] writes after every shard. The
+    /// final write (run complete or interrupted) happens regardless.
+    ///
+    /// Each write is a create + write + rename, whose cost is mostly
+    /// file-system latency rather than serialisation, so a time bound
+    /// keeps a campaign of many short shards from paying it per shard.
+    pub every: Duration,
     /// Load previously completed shards from `path` before running.
     pub resume: bool,
 }
 
 impl CheckpointPolicy {
-    /// Checkpoints to `path` every 16 shards, resuming if the file
-    /// already exists.
+    /// Checkpoints to `path` at most once a second (plus the final
+    /// write), resuming if the file already exists.
     #[must_use]
     pub fn new(path: impl Into<PathBuf>) -> Self {
         CheckpointPolicy {
             path: path.into(),
-            every_shards: 16,
+            every: Duration::from_secs(1),
             resume: true,
         }
     }
@@ -486,18 +494,17 @@ where
     } else {
         Vec::new()
     };
-    let mut since_save = 0u64;
+    let mut last_save = Instant::now();
     let mut io_error: Option<std::io::Error> = None;
     let report = {
         let mut save = |slots: &[Option<A>], finished: bool| {
-            since_save += 1;
-            if finished || since_save >= policy.every_shards {
-                since_save = 0;
+            if finished || last_save.elapsed() >= policy.every {
                 let _ckpt_span = crate::obs::CHECKPOINT_WRITE.start();
                 crate::obs::CHECKPOINT_WRITES.inc();
                 if let Err(e) = write_checkpoint(&policy.path, identity, slots) {
                     io_error.get_or_insert(e);
                 }
+                last_save = Instant::now();
             }
         };
         run_impl(
@@ -560,28 +567,34 @@ where
     std::thread::scope(|scope| {
         let (tx, rx) = mpsc::channel::<WorkerMsg<A>>();
         let queue = &queue;
-        for worker in 0..workers {
+        let exec = &exec;
+        // Runs `worker`'s next shard; `None` once no shard is left for it
+        // (its own deque and every deque it may steal from are dry) or
+        // the run is interrupted.
+        let run_next = move |worker: usize| -> Option<WorkerMsg<A>> {
+            if interrupt.is_some_and(|f| f.load(Ordering::Acquire)) {
+                return None;
+            }
+            let shard = queue.next(worker)?;
+            let (lo, hi) = cfg.shard_bounds(shard);
+            let _shard_span = crate::obs::SHARD_LATENCY.start();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let mut acc = A::default();
+                exec.run_range(cfg.seed, lo, hi, &mut acc);
+                acc
+            }));
+            Some(match outcome {
+                Ok(acc) => WorkerMsg::Done { shard, acc },
+                Err(payload) => WorkerMsg::Failed {
+                    shard,
+                    message: panic_message(payload.as_ref()),
+                },
+            })
+        };
+        for worker in 1..workers {
             let tx = tx.clone();
-            let exec = &exec;
             scope.spawn(move || {
-                while !interrupt.is_some_and(|f| f.load(Ordering::Acquire)) {
-                    let Some(shard) = queue.next(worker) else {
-                        break;
-                    };
-                    let (lo, hi) = cfg.shard_bounds(shard);
-                    let _shard_span = crate::obs::SHARD_LATENCY.start();
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        let mut acc = A::default();
-                        exec.run_range(cfg.seed, lo, hi, &mut acc);
-                        acc
-                    }));
-                    let msg = match outcome {
-                        Ok(acc) => WorkerMsg::Done { shard, acc },
-                        Err(payload) => WorkerMsg::Failed {
-                            shard,
-                            message: panic_message(payload.as_ref()),
-                        },
-                    };
+                while let Some(msg) = run_next(worker) {
                     if tx.send(msg).is_err() {
                         break;
                     }
@@ -596,7 +609,7 @@ where
         }
         drop(tx);
 
-        for msg in rx {
+        let mut handle = |msg: WorkerMsg<A>| {
             match msg {
                 WorkerMsg::Done { shard, acc } => {
                     let (lo, hi) = cfg.shard_bounds(shard);
@@ -626,6 +639,22 @@ where
                 save(&slots, false);
             }
             on_progress(&tracker.snapshot());
+        };
+        // The calling thread is worker 0: between its own shards it folds
+        // in whatever the other workers finished meanwhile.
+        while let Some(msg) = run_next(0) {
+            handle(msg);
+            while let Ok(msg) = rx.try_recv() {
+                handle(msg);
+            }
+        }
+        // Spill worker 0's spans as the other workers do: the calling
+        // thread (a daemon job, a CLI run) may outlive the campaign by
+        // far, and its thread-exit spill would come too late for a
+        // snapshot taken from another thread.
+        cppc_obs::flush();
+        for msg in rx {
+            handle(msg);
         }
     });
 
@@ -783,7 +812,7 @@ mod tests {
         let cfg = CampaignConfig::new(0xAB, 500).shard_size(16);
         let policy = CheckpointPolicy {
             path: path.clone(),
-            every_shards: 1,
+            every: Duration::ZERO,
             resume: true,
         };
 
@@ -805,6 +834,86 @@ mod tests {
         let oneshot = run::<XorDigest, _>(&cfg, digest_experiment);
         assert_eq!(resumed.result, oneshot.result);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A fresh checkpoint path in a per-test scratch directory.
+    fn cadence_path(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("cppc_engine_cadence_{test}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("ckpt.json")
+    }
+
+    /// Runs a 20-shard campaign under `every`, recording whether the
+    /// checkpoint file existed at each progress callback.
+    fn file_seen_per_callback(path: &std::path::Path, every: Duration) -> Vec<bool> {
+        let policy = CheckpointPolicy {
+            path: path.to_path_buf(),
+            every,
+            resume: false,
+        };
+        let mut seen = Vec::new();
+        let report = run_resumable::<XorDigest, _, _>(
+            &CampaignConfig::new(0xCAD, 320).shard_size(16),
+            &policy,
+            digest_experiment,
+            |_| seen.push(path.exists()),
+        )
+        .unwrap();
+        assert!(report.is_complete());
+        assert_eq!(seen.len(), 20);
+        seen
+    }
+
+    #[test]
+    fn long_cadence_writes_only_the_final_checkpoint() {
+        let path = cadence_path("long");
+        let seen = file_seen_per_callback(&path, Duration::from_secs(3600));
+        assert!(
+            seen.iter().all(|&exists| !exists),
+            "no periodic write may land within the hour: {seen:?}"
+        );
+        assert!(path.exists(), "the final write is unconditional");
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn zero_cadence_writes_after_every_shard() {
+        let path = cadence_path("zero");
+        let seen = file_seen_per_callback(&path, Duration::ZERO);
+        assert!(seen.iter().all(|&exists| exists), "{seen:?}");
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn interrupt_always_leaves_a_resumable_checkpoint() {
+        let path = cadence_path("interrupt");
+        let cfg = CampaignConfig::new(0xAB, 500).shard_size(16);
+        let policy = CheckpointPolicy {
+            path: path.clone(),
+            every: Duration::from_secs(3600),
+            resume: true,
+        };
+        let partial = run_resumable::<XorDigest, _, _>(
+            &cfg.clone().stop_after_shards(5),
+            &policy,
+            digest_experiment,
+            |_| {},
+        )
+        .unwrap();
+        assert!(!partial.is_complete());
+        assert!(
+            path.exists(),
+            "an interrupted run must leave its checkpoint"
+        );
+        let resumed =
+            run_resumable::<XorDigest, _, _>(&cfg, &policy, digest_experiment, |_| {}).unwrap();
+        assert_eq!(resumed.resumed_shards, 5);
+        assert_eq!(
+            resumed.result,
+            run::<XorDigest, _>(&cfg, digest_experiment).result
+        );
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]

@@ -67,8 +67,10 @@ COMMANDS:
                                   and checkpoints are bit-identical at
                                   any batch size)
                  --checkpoint <path>  periodic checkpoint file
-                 --checkpoint-every <n>  shards between checkpoint
-                                  writes (default 16)
+                 --checkpoint-every-ms <ms>  minimum time between
+                                  periodic checkpoint writes; 0 writes
+                                  after every shard (default 1000; the
+                                  final write always happens)
                  --resume true|false  resume from checkpoint (default true)
                  --json           print only the result document on
                                   stdout (matches a serve job's result)
@@ -163,8 +165,10 @@ COMMANDS:
                                   127.0.0.1:7070
                  --queue-cap <n>  admission bound (default 64)
                  --max-threads <n> worker-thread governor (default: CPUs)
-                 --checkpoint-every <n> shards between checkpoints
-                                  (default 4)
+                 --checkpoint-every-ms <ms> minimum time between a
+                                  job's periodic checkpoint writes; 0
+                                  writes after every shard (default
+                                  1000)
   submit       submit a job to a daemon; prints the job id
                  --kind/--trials/--seed/--threads/--shard-size/--batch
                  and the kind-specific flags, exactly as `campaign`
@@ -315,11 +319,12 @@ fn pct(n: u64, t: &OutcomeTally) -> f64 {
     n as f64 / t.total() as f64 * 100.0
 }
 
-/// How an engine campaign checkpoints: where, how often (in shards),
-/// and whether an existing file is resumed from.
+/// How an engine campaign checkpoints: where, how often (minimum
+/// wall-clock time between periodic writes), and whether an existing
+/// file is resumed from.
 struct CheckpointArgs<'a> {
     path: Option<&'a str>,
-    every_shards: u64,
+    every: std::time::Duration,
     resume: bool,
 }
 
@@ -327,7 +332,7 @@ impl<'a> CheckpointArgs<'a> {
     fn from_args(args: &'a ParsedArgs) -> Result<Self, Box<dyn Error>> {
         Ok(CheckpointArgs {
             path: args.get("checkpoint"),
-            every_shards: args.get_parsed("checkpoint-every", 16)?,
+            every: std::time::Duration::from_millis(args.get_parsed("checkpoint-every-ms", 1000)?),
             resume: args.get_parsed("resume", true)?,
         })
     }
@@ -371,7 +376,7 @@ where
         Some(path) => {
             let mut policy = CheckpointPolicy::new(path);
             policy.resume = ckpt.resume;
-            policy.every_shards = ckpt.every_shards.max(1);
+            policy.every = ckpt.every;
             cppc_campaign::run_resumable_exec(cfg, &policy, exec, on_progress)?
         }
         None => cppc_campaign::run_with_progress_exec(cfg, exec, on_progress),

@@ -36,7 +36,7 @@ const COMMAND_OPTIONS: &[(&str, &[&str])] = &[
             "shard-size",
             "batch",
             "checkpoint",
-            "checkpoint-every",
+            "checkpoint-every-ms",
             "resume",
             "json",
             "config",
@@ -100,7 +100,7 @@ const COMMAND_OPTIONS: &[(&str, &[&str])] = &[
             "tcp",
             "queue-cap",
             "max-threads",
-            "checkpoint-every",
+            "checkpoint-every-ms",
         ],
     ),
     (
@@ -254,6 +254,23 @@ mod tests {
                 COMMAND_OPTIONS.iter().any(|(name, _)| *name == cmd),
                 "missing COMMAND_OPTIONS entry for '{cmd}'"
             );
+        }
+    }
+
+    #[test]
+    fn checkpoint_cadence_flag_is_in_milliseconds_only() {
+        // The shard-count flag is gone: a stale `--checkpoint-every 4`
+        // must fail instead of being read as 4 ms.
+        for cmd in ["campaign", "serve"] {
+            let (_, allowed) = COMMAND_OPTIONS
+                .iter()
+                .find(|(name, _)| *name == cmd)
+                .unwrap();
+            let stale = ParsedArgs::parse(words(&[cmd, "--checkpoint-every", "4"])).unwrap();
+            let err = stale.reject_unknown(allowed).unwrap_err();
+            assert!(err.to_string().contains("--checkpoint-every"), "{err}");
+            let ms = ParsedArgs::parse(words(&[cmd, "--checkpoint-every-ms", "250"])).unwrap();
+            assert!(ms.reject_unknown(allowed).is_ok());
         }
     }
 

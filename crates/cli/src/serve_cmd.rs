@@ -11,6 +11,7 @@
 
 use std::error::Error;
 use std::path::Path;
+use std::time::Duration;
 
 use cppc_campaign::json::Json;
 use cppc_serve::{Client, JobId, JobKind, JobSpec, Priority, ServerConfig};
@@ -35,8 +36,9 @@ pub fn serve_daemon(args: &ParsedArgs) -> CliResult {
     cfg.tcp_addr = args.get("tcp").map(ToString::to_string);
     cfg.queue_cap = args.get_parsed("queue-cap", cfg.queue_cap)?;
     cfg.max_threads = args.get_parsed("max-threads", cfg.max_threads)?;
-    cfg.checkpoint_every_shards =
-        args.get_parsed("checkpoint-every", cfg.checkpoint_every_shards)?;
+    let default_ms = u64::try_from(cfg.checkpoint_every.as_millis()).unwrap_or(u64::MAX);
+    cfg.checkpoint_every =
+        Duration::from_millis(args.get_parsed("checkpoint-every-ms", default_ms)?);
     if cfg.queue_cap == 0 || cfg.max_threads == 0 {
         return Err("--queue-cap and --max-threads must be positive".into());
     }

@@ -13,6 +13,7 @@
 
 use std::path::Path;
 use std::sync::atomic::AtomicBool;
+use std::time::Duration;
 
 use cppc_bench::experiments::{
     inject_experiment, inject_geometry, load_trace, parse_config, parse_fault, parse_scheme,
@@ -52,21 +53,22 @@ pub enum RunEnd {
 /// Runs `spec` to one of its three ends.
 ///
 /// `ckpt_path` is the job's checkpoint file (created on first write,
-/// resumed from when present), `every_shards` the checkpoint cadence,
+/// resumed from when present), `every` the minimum wall-clock time
+/// between periodic checkpoint writes ([`CheckpointPolicy::every`]),
 /// `threads` the governor's grant, `interrupt` the cooperative stop
 /// flag, and `on_progress` receives the engine's live [`Progress`]
 /// snapshots.
 pub fn execute(
     spec: &JobSpec,
     ckpt_path: &Path,
-    every_shards: u64,
+    every: Duration,
     threads: usize,
     interrupt: Option<&AtomicBool>,
     on_progress: impl FnMut(&Progress),
 ) -> RunEnd {
     let policy = CheckpointPolicy {
         path: ckpt_path.to_path_buf(),
-        every_shards: every_shards.max(1),
+        every,
         resume: true,
     };
     let cfg = spec.campaign_config(threads);
@@ -287,6 +289,9 @@ mod tests {
     use crate::job::JobSpec;
     use std::sync::atomic::Ordering;
 
+    /// The daemon's default cadence; these tests only check results.
+    const CADENCE: Duration = Duration::from_secs(1);
+
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("cppc_serve_runner_tests");
         std::fs::create_dir_all(&dir).unwrap();
@@ -301,7 +306,7 @@ mod tests {
             shard_size: 8,
             ..JobSpec::new(JobKind::Sleep { millis: 0 }, 96, 0xABCD)
         };
-        let end = execute(&spec, &path, 4, 1, None, |_| {});
+        let end = execute(&spec, &path, CADENCE, 1, None, |_| {});
         let direct: OutcomeTally =
             cppc_campaign::run(&spec.campaign_config(1), sleep_experiment(0)).result;
         assert_eq!(
@@ -323,13 +328,13 @@ mod tests {
         };
         // Interrupt as soon as the first progress snapshot arrives.
         let flag = AtomicBool::new(false);
-        let end = execute(&spec, &path, 1, 1, Some(&flag), |_| {
+        let end = execute(&spec, &path, Duration::ZERO, 1, Some(&flag), |_| {
             flag.store(true, Ordering::Release);
         });
         assert_eq!(end, RunEnd::Interrupted);
         assert!(path.exists(), "interruption must leave a checkpoint");
         // Resume to completion and compare with an uninterrupted run.
-        let resumed = execute(&spec, &path, 4, 1, None, |_| {});
+        let resumed = execute(&spec, &path, CADENCE, 1, None, |_| {});
         let direct: OutcomeTally =
             cppc_campaign::run(&spec.campaign_config(1), sleep_experiment(1)).result;
         assert_eq!(
@@ -350,7 +355,7 @@ mod tests {
         // A pre-raised flag must yield `Interrupted` without running a
         // single configuration (so cancel/shutdown is prompt).
         let flag = AtomicBool::new(true);
-        let end = execute(&spec, &ckpt, 4, 1, Some(&flag), |_| {});
+        let end = execute(&spec, &ckpt, CADENCE, 1, Some(&flag), |_| {});
         assert_eq!(end, RunEnd::Interrupted);
         assert!(
             !ckpt_dir.exists() || std::fs::read_dir(&ckpt_dir).unwrap().next().is_none(),
@@ -358,7 +363,7 @@ mod tests {
         );
         // Resume to completion: the result is the sweep document for
         // the quick tier with the job's trials/seed substituted in.
-        let end = execute(&spec, &ckpt, 4, 2, None, |_| {});
+        let end = execute(&spec, &ckpt, CADENCE, 2, None, |_| {});
         let mut sweep = cppc_explore::SweepSpec::quick_tier();
         sweep.trials = 2;
         sweep.campaign_seed = 0xE87A;
@@ -399,7 +404,7 @@ mod tests {
                 0xABCD,
             )
         };
-        let end = execute(&spec, &ckpt, 4, 2, None, |_| {});
+        let end = execute(&spec, &ckpt, CADENCE, 2, None, |_| {});
         let direct: OutcomeTally =
             cppc_campaign::run(&spec.campaign_config(1), trace_experiment(&trace)).result;
         assert_eq!(
@@ -422,7 +427,7 @@ mod tests {
             8,
             1,
         );
-        match execute(&spec, &ckpt, 4, 1, None, |_| {}) {
+        match execute(&spec, &ckpt, CADENCE, 1, None, |_| {}) {
             RunEnd::Failed { error } => assert!(error.contains("cannot open"), "{error}"),
             other => panic!("expected Failed, got {other:?}"),
         }
@@ -433,7 +438,7 @@ mod tests {
         let path = tmp("corrupt.json");
         std::fs::write(&path, "{not json").unwrap();
         let spec = JobSpec::new(JobKind::Sleep { millis: 0 }, 16, 1);
-        match execute(&spec, &path, 4, 1, None, |_| {}) {
+        match execute(&spec, &path, CADENCE, 1, None, |_| {}) {
             RunEnd::Failed { error } => assert!(error.contains("malformed"), "{error}"),
             other => panic!("expected Failed, got {other:?}"),
         }
@@ -453,7 +458,7 @@ mod tests {
             200,
             0xCA7,
         );
-        let RunEnd::Complete { result } = execute(&spec, &path, 8, 1, None, |_| {}) else {
+        let RunEnd::Complete { result } = execute(&spec, &path, CADENCE, 1, None, |_| {}) else {
             panic!("montecarlo job should complete")
         };
         assert_eq!(result.get("n").and_then(Json::as_u64), Some(200));
@@ -464,7 +469,8 @@ mod tests {
         assert!(mttf.is_finite() && mttf > 0.0);
         // Re-running reproduces the document bit for bit.
         let _ = std::fs::remove_file(&path);
-        let RunEnd::Complete { result: again } = execute(&spec, &path, 8, 1, None, |_| {}) else {
+        let RunEnd::Complete { result: again } = execute(&spec, &path, CADENCE, 1, None, |_| {})
+        else {
             panic!("montecarlo rerun should complete")
         };
         assert_eq!(again, result);

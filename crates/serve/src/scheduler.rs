@@ -348,9 +348,11 @@ mod tests {
         let s = Scheduler::new(16, 2);
         s.submit(1, "a", Priority::Normal, 64).unwrap();
         assert_eq!(s.try_next().unwrap().threads, 2);
+        // Demand 0 means every CPU of this host, clamped to the cap.
+        let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
         let s0 = Scheduler::new(16, 2);
         s0.submit(1, "a", Priority::Normal, 0).unwrap();
-        assert_eq!(s0.try_next().unwrap().threads, 1);
+        assert_eq!(s0.try_next().unwrap().threads, cpus.min(2));
     }
 
     #[test]

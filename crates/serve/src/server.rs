@@ -21,7 +21,7 @@ use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -37,8 +37,12 @@ use crate::store::JobStore;
 
 /// How often blocked loops re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(20);
-/// Cadence of `watch` progress lines.
+/// Cadence of `watch` progress lines while a job's state holds still;
+/// a state change is reported as soon as it happens.
 const WATCH_TICK: Duration = Duration::from_millis(50);
+/// Longest request line (newline included) a connection may send;
+/// a longer one gets an error response and the connection closes.
+const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -54,13 +58,15 @@ pub struct ServerConfig {
     pub queue_cap: usize,
     /// Governor bound on total worker threads across running jobs.
     pub max_threads: usize,
-    /// Checkpoint cadence for every job (shards between writes).
-    pub checkpoint_every_shards: u64,
+    /// Checkpoint cadence for every job: the minimum wall-clock time
+    /// between periodic writes (`Duration::ZERO` = after every shard).
+    /// A job's final and interrupt checkpoints are written regardless.
+    pub checkpoint_every: Duration,
 }
 
 impl ServerConfig {
     /// Defaults: queue of 64, threads = hardware parallelism,
-    /// checkpoint every 4 shards, no TCP.
+    /// checkpoint at most once a second, no TCP.
     #[must_use]
     pub fn new(data_dir: impl Into<PathBuf>, socket_path: impl Into<PathBuf>) -> Self {
         ServerConfig {
@@ -69,7 +75,7 @@ impl ServerConfig {
             tcp_addr: None,
             queue_cap: 64,
             max_threads: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
-            checkpoint_every_shards: 4,
+            checkpoint_every: Duration::from_secs(1),
         }
     }
 }
@@ -102,6 +108,9 @@ struct Shared {
     store: JobStore,
     sched: Scheduler,
     jobs: Mutex<HashMap<JobId, JobEntry>>,
+    /// Paired with `jobs`: notified on every job state transition and
+    /// on shutdown, so `watch` reports each change as it happens.
+    state_changed: Condvar,
     next_id: AtomicU64,
     shutdown: AtomicBool,
 }
@@ -125,6 +134,17 @@ impl Shared {
                 entry.interrupt.store(true, Ordering::SeqCst);
             }
         }
+        self.state_changed.notify_all();
+    }
+
+    /// Moves `record` to `state`, journals it and wakes every `watch`.
+    /// The caller holds the `jobs` lock `record` lives under, so a
+    /// watcher cannot miss the change between checking and waiting.
+    fn transition(&self, record: &mut JobRecord, state: JobState) -> Result<(), String> {
+        record.transition(state)?;
+        self.persist_or_log(record);
+        self.state_changed.notify_all();
+        Ok(())
     }
 
     fn persist_or_log(&self, record: &JobRecord) {
@@ -164,6 +184,7 @@ pub fn serve(cfg: ServerConfig) -> io::Result<()> {
         store,
         sched,
         jobs: Mutex::new(HashMap::new()),
+        state_changed: Condvar::new(),
         next_id: AtomicU64::new(1),
         shutdown: AtomicBool::new(false),
     });
@@ -258,12 +279,14 @@ fn run_job(shared: &Arc<Shared>, grant: Grant) {
             shared.sched.release(grant.threads);
             return;
         };
-        if entry.record.transition(JobState::Running).is_err() {
+        if shared
+            .transition(&mut entry.record, JobState::Running)
+            .is_err()
+        {
             // Cancelled between grant and dispatch.
             shared.sched.release(grant.threads);
             return;
         }
-        shared.persist_or_log(&entry.record);
         (
             entry.record.spec.clone(),
             Arc::clone(&entry.interrupt),
@@ -276,7 +299,7 @@ fn run_job(shared: &Arc<Shared>, grant: Grant) {
     let end = crate::runner::execute(
         &spec,
         &shared.store.checkpoint_path(grant.id),
-        shared.cfg.checkpoint_every_shards,
+        shared.cfg.checkpoint_every,
         grant.threads,
         Some(&interrupt),
         |p| *progress.lock().expect("progress lock") = Some(p.clone()),
@@ -313,11 +336,9 @@ fn run_job(shared: &Arc<Shared>, grant: Grant) {
 }
 
 fn finish(shared: &Arc<Shared>, record: &mut JobRecord, state: JobState) {
-    if let Err(e) = record.transition(state) {
+    if let Err(e) = shared.transition(record, state) {
         eprintln!("serve: {e}");
-        return;
     }
-    shared.persist_or_log(record);
 }
 
 /// Accepts connections from a nonblocking listener until shutdown,
@@ -377,20 +398,40 @@ impl SetReadTimeout for std::net::TcpStream {
 
 /// Serves one connection: a loop of request lines, each answered on
 /// the same stream. Read timeouts keep the loop responsive to
-/// shutdown; any I/O error simply ends the connection.
+/// shutdown; any I/O error simply ends the connection, and so does a
+/// line longer than [`MAX_REQUEST_LINE`] (after an error response).
 fn handle_connection<S: Read + Write + SetReadTimeout>(shared: &Arc<Shared>, stream: S) {
     // Accepted sockets can inherit the listener's nonblocking mode.
     if stream.set_blocking().is_err() || stream.set_read_timeout_(Some(POLL * 10)).is_err() {
         return;
     }
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        // A partial line survives read timeouts, so bound the whole
+        // line, not each read: one byte past the cap rejects it.
+        let room = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => return,
+            Ok(_) if line.len() > MAX_REQUEST_LINE => {
+                obs::REQUESTS.inc();
+                let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+                let _ = write_json(reader.get_mut(), &error_response(&message, None));
+                return;
+            }
             Ok(_) => {
-                let request = line.trim();
-                if !request.is_empty() && handle_line(shared, request, &mut reader).is_err() {
+                let handled = match std::str::from_utf8(&line).map(str::trim) {
+                    Ok("") => Ok(()),
+                    Ok(request) => handle_line(shared, request, &mut reader),
+                    Err(_) => {
+                        obs::REQUESTS.inc();
+                        write_json(
+                            reader.get_mut(),
+                            &error_response("request is not UTF-8", None),
+                        )
+                    }
+                };
+                if handled.is_err() {
                     return;
                 }
                 line.clear();
@@ -582,11 +623,9 @@ fn cancel(shared: &Arc<Shared>, id: JobId) -> Json {
     match entry.record.state {
         JobState::Queued => {
             if shared.sched.remove(id) {
-                entry
-                    .record
-                    .transition(JobState::Cancelled)
+                shared
+                    .transition(&mut entry.record, JobState::Cancelled)
                     .expect("queued->cancelled");
-                shared.persist_or_log(&entry.record);
                 shared.store.remove_checkpoint(id);
                 obs::JOBS_CANCELLED.inc();
                 ok_response(vec![("state".into(), Json::Str("cancelled".into()))])
@@ -624,19 +663,35 @@ fn list(shared: &Arc<Shared>, tenant: Option<&str>) -> Json {
 
 /// Streams `{"event":"progress",...}` lines until the job is terminal
 /// (or the daemon shuts down), then one `{"event":"end",...}` line.
+///
+/// The first line reports the current state. After that a line goes
+/// out as soon as the state changes, and every [`WATCH_TICK`] while it
+/// holds (live progress of a running job).
 fn watch<W: Write>(shared: &Arc<Shared>, id: JobId, out: &mut W) -> io::Result<()> {
     obs::WATCH_STREAMS.inc();
+    let mut reported: Option<JobState> = None;
     loop {
         enum Tick {
             Progress(Json),
             End(Json),
         }
         let tick = {
-            let jobs = shared.jobs.lock().expect("jobs lock");
+            let mut jobs = shared.jobs.lock().expect("jobs lock");
+            if let Some(last) = reported {
+                jobs = shared
+                    .state_changed
+                    .wait_timeout_while(jobs, WATCH_TICK, |jobs| {
+                        !shared.shutting_down()
+                            && jobs.get(&id).is_some_and(|e| e.record.state == last)
+                    })
+                    .expect("jobs lock")
+                    .0;
+            }
             let Some(entry) = jobs.get(&id) else {
                 return write_json(out, &error_response(&format!("unknown job {id}"), None));
             };
             let state = entry.record.state;
+            reported = Some(state);
             if state.is_terminal() {
                 let mut fields = vec![
                     ("event".to_string(), Json::Str("end".into())),
@@ -673,6 +728,5 @@ fn watch<W: Write>(shared: &Arc<Shared>, id: JobId, out: &mut W) -> io::Result<(
             Tick::End(doc) => return write_json(out, &doc),
             Tick::Progress(doc) => write_json(out, &doc)?,
         }
-        std::thread::sleep(WATCH_TICK);
     }
 }

@@ -79,7 +79,7 @@ fn interrupted_campaign_resumes_to_the_uninterrupted_report() {
     let experiment = |rng: &mut StdRng, trial: u64| stream_sensitive(rng, trial);
     let base_cfg = CampaignConfig::new(0x00AB_5E17, 500).threads(2);
     let mut policy = CheckpointPolicy::new(&path);
-    policy.every_shards = 1; // checkpoint after every shard
+    policy.every = std::time::Duration::ZERO; // checkpoint after every shard
 
     // Uninterrupted reference.
     let full: OutcomeTally = cppc::campaign::run(&base_cfg, experiment).result;

@@ -277,7 +277,7 @@ fn checkpoint_bytes_match_golden() {
     let _ = std::fs::remove_file(&path);
     let cfg = Campaign::new(0xC0DE).config(500).threads(2);
     let mut policy = CheckpointPolicy::new(&path);
-    policy.every_shards = 1;
+    policy.every = std::time::Duration::ZERO;
     let experiment = mbe_experiment(solid_square());
     let report = run_resumable::<OutcomeTally, _, _>(&cfg, &policy, experiment, |_| {}).unwrap();
     assert!(report.is_complete());

@@ -189,7 +189,7 @@ where
     let _ = std::fs::remove_file(&path);
     let policy = CheckpointPolicy {
         path: path.clone(),
-        every_shards: 1,
+        every: std::time::Duration::ZERO,
         resume: false,
     };
     let report = run_resumable::<OutcomeTally, _, _>(&cfg(threads), &policy, experiment, |_| {})

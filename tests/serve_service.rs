@@ -5,7 +5,10 @@
 //! bit-identical tally of a direct engine run, and a full queue
 //! rejects new work without disturbing running jobs.
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -34,7 +37,7 @@ impl Daemon {
         let mut cfg = ServerConfig::new(dir.join("data"), &socket);
         cfg.queue_cap = queue_cap;
         cfg.max_threads = max_threads;
-        cfg.checkpoint_every_shards = 1;
+        cfg.checkpoint_every = Duration::ZERO;
         let handle = thread::spawn(move || serve(cfg));
         Daemon { socket, handle }
     }
@@ -221,5 +224,90 @@ fn high_priority_overtakes_normal_backlog() {
             "unexpected state {state}"
         );
     }
+    daemon.stop();
+}
+
+#[test]
+fn watch_reports_each_end_as_it_happens() {
+    let dir = scratch("watch_latency");
+    let daemon = Daemon::start(&dir, 8, 1);
+    let mut client = daemon.client();
+    // A watch that only looked at its jobs on a 50 ms tick would need
+    // at least 20 x 50 ms here.
+    let started = Instant::now();
+    for seed in 0..20 {
+        let id = client
+            .submit("alice", Priority::Normal, sleep_spec(0, 1, seed, 1))
+            .unwrap();
+        let end = client.watch(id, |_| {}).unwrap();
+        assert_eq!(end.get("state").and_then(Json::as_str), Some("done"));
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "20 watched jobs took {elapsed:?}"
+    );
+    daemon.stop();
+}
+
+#[test]
+fn cancelling_a_watched_queued_job_ends_the_watch() {
+    let dir = scratch("cancel_watched");
+    let daemon = Daemon::start(&dir, 8, 1);
+    let mut client = daemon.client();
+    // Pins the single worker so the next job stays queued.
+    let running = client
+        .submit("alice", Priority::Normal, sleep_spec(50, 40, 1, 4))
+        .unwrap();
+    wait_running(&mut client, running);
+    let queued = client
+        .submit("bob", Priority::Normal, sleep_spec(0, 8, 2, 4))
+        .unwrap();
+
+    let (first_state, opened) = mpsc::channel();
+    let mut watcher = daemon.client();
+    let watch = thread::spawn(move || {
+        watcher.watch(queued, |event| {
+            let state = event.get("state").and_then(Json::as_str).unwrap_or("?");
+            let _ = first_state.send(state.to_string());
+        })
+    });
+    // The watch is open once its first event arrives.
+    assert_eq!(opened.recv().unwrap(), "queued");
+    client.cancel(queued).unwrap();
+    let end = watch.join().unwrap().unwrap();
+    assert_eq!(end.get("state").and_then(Json::as_str), Some("cancelled"));
+
+    client.cancel(running).unwrap();
+    daemon.stop();
+}
+
+#[test]
+fn over_long_request_line_is_refused_and_the_daemon_lives_on() {
+    let dir = scratch("long_line");
+    let daemon = Daemon::start(&dir, 8, 1);
+    drop(daemon.client());
+
+    let mut stream = UnixStream::connect(&daemon.socket).unwrap();
+    let mut line = vec![b'x'; 2 << 20];
+    line.push(b'\n');
+    // The daemon stops reading at its cap and closes the connection,
+    // so the tail of this write may fail with a broken pipe.
+    let _ = stream.write_all(&line);
+    let mut reader = BufReader::new(stream);
+    let mut response = String::new();
+    reader.read_line(&mut response).unwrap();
+    let doc = Json::parse(response.trim()).unwrap();
+    assert_eq!(doc.get("ok"), Some(&Json::Bool(false)));
+    let error = doc.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("exceeds"), "{error}");
+    let mut rest = Vec::new();
+    assert_eq!(
+        reader.read_to_end(&mut rest).unwrap(),
+        0,
+        "connection closes"
+    );
+
+    assert!(daemon.client().list(None).unwrap().is_empty());
     daemon.stop();
 }

@@ -89,13 +89,13 @@ fn checkpoint_path(name: &str) -> std::path::PathBuf {
 fn warm_checkpoint_bytes_match_cold_checkpoint_bytes() {
     let cfg = Campaign::new(SEED).config(500).threads(2);
     let mut policy = CheckpointPolicy::new(checkpoint_path("warm.ckpt"));
-    policy.every_shards = 1;
+    policy.every = std::time::Duration::ZERO;
     let report = run_resumable::<OutcomeTally, _, _>(&cfg, &policy, experiment, |_| {}).unwrap();
     assert!(report.is_complete());
     let warm_bytes = std::fs::read(&policy.path).unwrap();
 
     let mut cold_policy = CheckpointPolicy::new(checkpoint_path("cold.ckpt"));
-    cold_policy.every_shards = 1;
+    cold_policy.every = std::time::Duration::ZERO;
     let report =
         run_resumable::<OutcomeTally, _, _>(&cfg, &cold_policy, experiment_cold, |_| {}).unwrap();
     assert!(report.is_complete());
@@ -118,7 +118,7 @@ fn interrupted_warm_campaign_resumes_to_cold_result() {
 
     // Reference: one uninterrupted cold run.
     let mut cold_policy = CheckpointPolicy::new(checkpoint_path("resume_cold.ckpt"));
-    cold_policy.every_shards = 1;
+    cold_policy.every = std::time::Duration::ZERO;
     let cold_report =
         run_resumable::<OutcomeTally, _, _>(&cfg, &cold_policy, experiment_cold, |_| {}).unwrap();
     assert!(cold_report.is_complete());
@@ -126,7 +126,7 @@ fn interrupted_warm_campaign_resumes_to_cold_result() {
 
     // Warm run, interrupted after 3 shards...
     let mut policy = CheckpointPolicy::new(checkpoint_path("resume_warm.ckpt"));
-    policy.every_shards = 1;
+    policy.every = std::time::Duration::ZERO;
     let partial = run_resumable::<OutcomeTally, _, _>(
         &cfg.clone().stop_after_shards(3),
         &policy,
