@@ -153,10 +153,10 @@ git diff --exit-code -- docs/METRICS.md || {
 }
 
 echo "== serve smoke (daemon round-trip + kill-and-restart resume)"
-# Exercises the job service across a real process boundary: submit an
-# mbe campaign, watch it to completion, and require the result document
-# to be byte-identical to a direct `campaign --json` run of the same
-# spec. Then interrupt a second job with a graceful shutdown, restart
+# Exercises the job service across a real process boundary: submit
+# mbe, scheme and montecarlo campaigns, watch each to completion, and
+# require every result document to be byte-identical to a direct
+# `campaign --json` run of the same spec. Then interrupt a second job with a graceful shutdown, restart
 # the daemon on the same data dir, and require the resumed job to merge
 # to the same bytes as its own direct run.
 CLI=target/release/cppc-cli
@@ -175,6 +175,26 @@ JOB=$("$CLI" submit --socket "$SOCK" --kind mbe \
     > "$SERVE_TMP/direct.json" 2> /dev/null
 cmp "$SERVE_TMP/served.json" "$SERVE_TMP/direct.json" || {
     echo "service result diverged from direct campaign run" >&2; exit 1
+}
+# The same gate for a scheme-zoo campaign and a Monte Carlo MTTF run:
+# `submit --watch` prints the served result document on stdout.
+"$CLI" submit --socket "$SOCK" --kind scheme --scheme secded-interleaved \
+    --trials 300 --seed 4242 --shard-size 16 --watch \
+    > "$SERVE_TMP/served_scheme.json" 2> /dev/null
+"$CLI" campaign --kind scheme --scheme secded-interleaved \
+    --trials 300 --seed 4242 --shard-size 16 --json \
+    > "$SERVE_TMP/direct_scheme.json" 2> /dev/null
+cmp "$SERVE_TMP/served_scheme.json" "$SERVE_TMP/direct_scheme.json" || {
+    echo "served scheme job diverged from direct campaign run" >&2; exit 1
+}
+"$CLI" submit --socket "$SOCK" --kind montecarlo --rate 30 --domains 4 \
+    --tavg 0.002 --trials 5000 --seed 99 --threads 2 --watch \
+    > "$SERVE_TMP/served_mc.json" 2> /dev/null
+"$CLI" campaign --kind montecarlo --rate 30 --domains 4 --tavg 0.002 \
+    --trials 5000 --seed 99 --json \
+    > "$SERVE_TMP/direct_mc.json" 2> /dev/null
+cmp "$SERVE_TMP/served_mc.json" "$SERVE_TMP/direct_mc.json" || {
+    echo "served montecarlo job diverged from direct campaign run" >&2; exit 1
 }
 # Kill-and-restart: a slow job suspended by a graceful shutdown must
 # resume on restart and still match its direct run bit for bit.

@@ -67,9 +67,8 @@ pub fn trial_rng(campaign_seed: u64, trial: u64) -> StdRng {
 /// observationally identical to the per-trial loop at any thread
 /// count, shard size or batch width.
 ///
-/// Closures keep working through [`PerTrial`]; the `*_exec` entry
-/// points ([`run_exec`], [`run_resumable_interruptible_exec`], …)
-/// accept any executor.
+/// Closures keep working through [`PerTrial`]; [`run_exec`] and
+/// [`run_with`] accept any executor.
 pub trait TrialExec<A: Accumulator>: Sync {
     /// Runs trials `lo..hi` (derived from `seed`) into `acc`.
     fn run_range(&self, seed: u64, lo: u64, hi: u64, acc: &mut A);
@@ -344,13 +343,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs a campaign without checkpointing.
+/// Runs a campaign to completion with no checkpoint, interrupt or
+/// progress reporting.
 pub fn run<A, F>(cfg: &CampaignConfig, experiment: F) -> CampaignReport<A>
 where
     A: Accumulator,
     F: Fn(&mut StdRng, u64) -> A::Item + Sync,
 {
-    run_with_progress(cfg, experiment, |_| {})
+    run_exec(cfg, PerTrial(experiment))
 }
 
 /// [`run`] with an explicit [`TrialExec`] range executor.
@@ -362,132 +362,70 @@ where
     run_impl(cfg, &exec, Vec::new(), None, None, &mut |_| {})
 }
 
-/// Runs a campaign, reporting [`Progress`] after every shard.
-pub fn run_with_progress<A, F, P>(
-    cfg: &CampaignConfig,
-    experiment: F,
-    mut on_progress: P,
-) -> CampaignReport<A>
-where
-    A: Accumulator,
-    F: Fn(&mut StdRng, u64) -> A::Item + Sync,
-    P: FnMut(&Progress),
-{
-    run_impl(
-        cfg,
-        &PerTrial(experiment),
-        Vec::new(),
-        None,
-        None,
-        &mut on_progress,
-    )
+/// What a [`run_with`] campaign does besides running: checkpoint,
+/// stop on an interrupt flag, report progress. Every field is
+/// optional; `RunOpts::default()` is a plain [`run_exec`].
+#[derive(Default)]
+pub struct RunOpts<'a> {
+    /// Checkpoint (and, with [`CheckpointPolicy::resume`], resume from)
+    /// this file.
+    pub checkpoint: Option<&'a CheckpointPolicy>,
+    /// Cooperative stop flag. When another thread sets it (a service's
+    /// shutdown or cancel path), workers stop taking new shards,
+    /// already-running shards finish, and the final checkpoint covers
+    /// everything completed so far. The report is then not
+    /// [`CampaignReport::is_complete`]; a later resumed run merges to
+    /// the bit-identical result an uninterrupted run produces.
+    pub interrupt: Option<&'a AtomicBool>,
+    /// Receives a [`Progress`] snapshot after every executed or failed
+    /// shard (never for shards restored from the checkpoint).
+    pub progress: Option<&'a mut dyn FnMut(&Progress)>,
 }
 
-/// [`run_with_progress`] with an explicit [`TrialExec`] range executor.
-pub fn run_with_progress_exec<A, E, P>(
-    cfg: &CampaignConfig,
-    exec: E,
-    mut on_progress: P,
-) -> CampaignReport<A>
-where
-    A: Accumulator,
-    E: TrialExec<A>,
-    P: FnMut(&Progress),
-{
-    run_impl(cfg, &exec, Vec::new(), None, None, &mut on_progress)
+impl<'a> RunOpts<'a> {
+    /// Checkpoints under `policy`; no interrupt, no progress.
+    #[must_use]
+    pub fn checkpointed(policy: &'a CheckpointPolicy) -> Self {
+        RunOpts {
+            checkpoint: Some(policy),
+            ..RunOpts::default()
+        }
+    }
 }
 
-/// Runs a campaign with checkpoint/resume.
+/// Runs a campaign under [`RunOpts`].
 ///
-/// With `policy.resume`, previously completed shards are loaded from
-/// `policy.path` and only the remainder executes; the merged result is
-/// identical to an uninterrupted run.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError`] when the checkpoint file exists but is
-/// malformed or belongs to a different campaign.
-pub fn run_resumable<A, F, P>(
-    cfg: &CampaignConfig,
-    policy: &CheckpointPolicy,
-    experiment: F,
-    on_progress: P,
-) -> Result<CampaignReport<A>, CheckpointError>
-where
-    A: Accumulator + Persist,
-    F: Fn(&mut StdRng, u64) -> A::Item + Sync,
-    P: FnMut(&Progress),
-{
-    run_resumable_interruptible(cfg, policy, None, experiment, on_progress)
-}
-
-/// [`run_resumable`] with an explicit [`TrialExec`] range executor.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError`] when the checkpoint file exists but is
-/// malformed or belongs to a different campaign.
-pub fn run_resumable_exec<A, E, P>(
-    cfg: &CampaignConfig,
-    policy: &CheckpointPolicy,
-    exec: E,
-    on_progress: P,
-) -> Result<CampaignReport<A>, CheckpointError>
-where
-    A: Accumulator + Persist,
-    E: TrialExec<A>,
-    P: FnMut(&Progress),
-{
-    run_resumable_interruptible_exec(cfg, policy, None, exec, on_progress)
-}
-
-/// [`run_resumable`] with a cooperative interrupt flag.
-///
-/// When `interrupt` is set (by another thread — a service's shutdown or
-/// cancel path), workers stop taking new shards, already-running shards
-/// finish, and a final checkpoint is written covering everything
-/// completed so far. The returned report has
-/// [`CampaignReport::is_complete`] `false`; a later resumed run merges
-/// to the bit-identical final result an uninterrupted run produces.
+/// With a checkpoint whose policy resumes, previously completed shards
+/// are loaded from its path and only the remainder executes; the
+/// merged result is identical to an uninterrupted run.
 ///
 /// # Errors
 ///
 /// Returns [`CheckpointError`] when the checkpoint file exists but is
 /// malformed, belongs to a different campaign, or cannot be written.
-pub fn run_resumable_interruptible<A, F, P>(
+pub fn run_with<A, E>(
     cfg: &CampaignConfig,
-    policy: &CheckpointPolicy,
-    interrupt: Option<&AtomicBool>,
-    experiment: F,
-    on_progress: P,
-) -> Result<CampaignReport<A>, CheckpointError>
-where
-    A: Accumulator + Persist,
-    F: Fn(&mut StdRng, u64) -> A::Item + Sync,
-    P: FnMut(&Progress),
-{
-    run_resumable_interruptible_exec(cfg, policy, interrupt, PerTrial(experiment), on_progress)
-}
-
-/// [`run_resumable_interruptible`] with an explicit [`TrialExec`]
-/// range executor.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError`] when the checkpoint file exists but is
-/// malformed, belongs to a different campaign, or cannot be written.
-pub fn run_resumable_interruptible_exec<A, E, P>(
-    cfg: &CampaignConfig,
-    policy: &CheckpointPolicy,
-    interrupt: Option<&AtomicBool>,
-    exec: E,
-    mut on_progress: P,
+    exec: &E,
+    opts: RunOpts<'_>,
 ) -> Result<CampaignReport<A>, CheckpointError>
 where
     A: Accumulator + Persist,
     E: TrialExec<A>,
-    P: FnMut(&Progress),
 {
+    let on_progress: &mut dyn FnMut(&Progress) = match opts.progress {
+        Some(p) => p,
+        None => &mut |_| {},
+    };
+    let Some(policy) = opts.checkpoint else {
+        return Ok(run_impl(
+            cfg,
+            exec,
+            Vec::new(),
+            None,
+            opts.interrupt,
+            on_progress,
+        ));
+    };
     let identity = cfg.identity();
     let preloaded = if policy.resume {
         load_checkpoint::<A>(&policy.path, identity)?
@@ -509,11 +447,11 @@ where
         };
         run_impl(
             cfg,
-            &exec,
+            exec,
             preloaded,
             Some(&mut save),
-            interrupt,
-            &mut on_progress,
+            opts.interrupt,
+            on_progress,
         )
     };
     match io_error {
@@ -534,7 +472,7 @@ fn run_impl<A, E, P>(
 where
     A: Accumulator,
     E: TrialExec<A>,
-    P: FnMut(&Progress),
+    P: FnMut(&Progress) + ?Sized,
 {
     let total_shards = cfg.total_shards();
     let mut slots: Vec<Option<A>> = (0..total_shards).map(|_| None).collect();
@@ -815,20 +753,20 @@ mod tests {
             every: Duration::ZERO,
             resume: true,
         };
+        let exec = PerTrial(digest_experiment);
 
         // Interrupt after ~7 shards.
-        let partial = run_resumable::<XorDigest, _, _>(
+        let partial: CampaignReport<XorDigest> = run_with(
             &cfg.clone().stop_after_shards(7),
-            &policy,
-            digest_experiment,
-            |_| {},
+            &exec,
+            RunOpts::checkpointed(&policy),
         )
         .unwrap();
         assert!(!partial.is_complete());
 
         // Resume and compare with an uninterrupted run.
-        let resumed =
-            run_resumable::<XorDigest, _, _>(&cfg, &policy, digest_experiment, |_| {}).unwrap();
+        let resumed: CampaignReport<XorDigest> =
+            run_with(&cfg, &exec, RunOpts::checkpointed(&policy)).unwrap();
         assert!(resumed.is_complete());
         assert!(resumed.resumed_shards >= 7);
         let oneshot = run::<XorDigest, _>(&cfg, digest_experiment);
@@ -853,11 +791,14 @@ mod tests {
             resume: false,
         };
         let mut seen = Vec::new();
-        let report = run_resumable::<XorDigest, _, _>(
+        let report: CampaignReport<XorDigest> = run_with(
             &CampaignConfig::new(0xCAD, 320).shard_size(16),
-            &policy,
-            digest_experiment,
-            |_| seen.push(path.exists()),
+            &PerTrial(digest_experiment),
+            RunOpts {
+                checkpoint: Some(&policy),
+                progress: Some(&mut |_| seen.push(path.exists())),
+                ..RunOpts::default()
+            },
         )
         .unwrap();
         assert!(report.is_complete());
@@ -894,11 +835,11 @@ mod tests {
             every: Duration::from_secs(3600),
             resume: true,
         };
-        let partial = run_resumable::<XorDigest, _, _>(
+        let exec = PerTrial(digest_experiment);
+        let partial: CampaignReport<XorDigest> = run_with(
             &cfg.clone().stop_after_shards(5),
-            &policy,
-            digest_experiment,
-            |_| {},
+            &exec,
+            RunOpts::checkpointed(&policy),
         )
         .unwrap();
         assert!(!partial.is_complete());
@@ -906,8 +847,8 @@ mod tests {
             path.exists(),
             "an interrupted run must leave its checkpoint"
         );
-        let resumed =
-            run_resumable::<XorDigest, _, _>(&cfg, &policy, digest_experiment, |_| {}).unwrap();
+        let resumed: CampaignReport<XorDigest> =
+            run_with(&cfg, &exec, RunOpts::checkpointed(&policy)).unwrap();
         assert_eq!(resumed.resumed_shards, 5);
         assert_eq!(
             resumed.result,
@@ -920,16 +861,20 @@ mod tests {
     fn progress_reports_flow() {
         let mut snapshots = 0u64;
         let mut last_done = 0u64;
-        let report = run_with_progress::<XorDigest, _, _>(
+        let report: CampaignReport<XorDigest> = run_with(
             &CampaignConfig::new(9, 200).shard_size(50),
-            digest_experiment,
-            |p| {
-                snapshots += 1;
-                assert!(p.trials_done >= last_done);
-                last_done = p.trials_done;
-                assert_eq!(p.trials_total, 200);
+            &PerTrial(digest_experiment),
+            RunOpts {
+                progress: Some(&mut |p| {
+                    snapshots += 1;
+                    assert!(p.trials_done >= last_done);
+                    last_done = p.trials_done;
+                    assert_eq!(p.trials_total, 200);
+                }),
+                ..RunOpts::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(snapshots, 4);
         assert_eq!(last_done, 200);
         assert!(report.is_complete());
@@ -947,11 +892,15 @@ mod tests {
     #[test]
     fn counters_surface_in_progress() {
         let mut seen = Vec::new();
-        let _ = run_with_progress::<XorDigest, _, _>(
+        let _: CampaignReport<XorDigest> = run_with(
             &CampaignConfig::new(2, 64).shard_size(64),
-            digest_experiment,
-            |p| seen = p.counters.clone(),
-        );
+            &PerTrial(digest_experiment),
+            RunOpts {
+                progress: Some(&mut |p| seen = p.counters.clone()),
+                ..RunOpts::default()
+            },
+        )
+        .unwrap();
         assert_eq!(seen, vec![("trials", 64)]);
     }
 }

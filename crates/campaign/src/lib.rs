@@ -60,10 +60,8 @@ pub mod snapshot;
 
 pub use checkpoint::{CampaignIdentity, CheckpointError, Persist};
 pub use engine::{
-    run, run_exec, run_resumable, run_resumable_exec, run_resumable_interruptible,
-    run_resumable_interruptible_exec, run_with_progress, run_with_progress_exec, trial_rng,
-    trial_seed, Accumulator, CampaignConfig, CampaignReport, CheckpointPolicy, FailedShard,
-    PerTrial, TrialExec, DEFAULT_SHARD_SIZE,
+    run, run_exec, run_with, trial_rng, trial_seed, Accumulator, CampaignConfig, CampaignReport,
+    CheckpointPolicy, FailedShard, PerTrial, RunOpts, TrialExec, DEFAULT_SHARD_SIZE,
 };
 pub use metrics::Progress;
 pub use snapshot::WarmPool;

@@ -2,28 +2,26 @@
 
 use std::error::Error;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
-use cppc_bench::experiments::{
-    inject_experiment, inject_geometry, parse_config, parse_fault, parse_scheme, scheme_experiment,
-    sleep_experiment,
-};
+use cppc_bench::experiments::{inject_experiment, inject_geometry, parse_config, parse_fault};
 use cppc_cache_sim::geometry::CacheGeometry;
 use cppc_cache_sim::replacement::ReplacementPolicy;
-use cppc_campaign::rng::rngs::StdRng;
-use cppc_campaign::{
-    Accumulator, CampaignConfig, CampaignReport, CheckpointPolicy, Persist, Progress,
-};
+use cppc_campaign::json::Json;
+use cppc_campaign::{CampaignConfig, CampaignReport, CheckpointPolicy, Persist, Progress, RunOpts};
 use cppc_core::CppcConfig;
 use cppc_energy::scheme::{AccessCounts, ProtectionKind, SchemeEnergy};
 use cppc_energy::tech::TechnologyNode;
 use cppc_energy::AreaModel;
 use cppc_fault::campaign::{Campaign, OutcomeTally};
 use cppc_fault::model::FaultModel;
+use cppc_reliability::montecarlo::analytic_mttf_hours;
 use cppc_reliability::mttf::{
     aliasing_vulnerable_bits, mttf_aliasing_years, mttf_cppc_years, mttf_one_dim_parity_years,
     mttf_secded_years,
 };
 use cppc_reliability::{ReliabilityParams, SeuRate};
+use cppc_serve::runner::RunEnd;
 use cppc_timing::{L1Scheme, MachineConfig, TimingModel};
 use cppc_workloads::spec2000_profiles;
 
@@ -51,7 +49,7 @@ COMMANDS:
   campaign     run a campaign through the parallel deterministic engine
                (bit-identical results at any thread count; live metrics
                on stderr)
-                 --kind inject|scheme|montecarlo|mbe|sleep|trace
+                 --kind inject|scheme|montecarlo|mbe|sleep|trace|explore
                                   (default inject)
                  --scheme cppc|parity1d|secded-interleaved|parity2d|
                           silent-write-ecc|harp-odecc
@@ -77,7 +75,9 @@ COMMANDS:
                  inject and scheme kinds also take --config/--fault;
                  montecarlo --rate/--domains/--tavg; sleep --sleep-ms;
                  trace --trace <file> (text or binary trace to replay
-                 per trial; see docs/TRACES.md)
+                 per trial; see docs/TRACES.md); explore --quick (the
+                 28-config tier; --trials/--seed set each config's
+                 campaign)
   mttf         print the analytical MTTF table
                  --level l1|l2    evaluation point (default l1)
                  --fit <f>        SEU rate, FIT/bit (default 0.001)
@@ -292,133 +292,12 @@ pub fn inject(args: &ParsedArgs) -> CliResult {
         Campaign::new(0xC11).run(trials, inject_experiment(inject_geometry(), config, fault));
 
     println!("campaign: {trials} trials");
-    println!(
-        "corrected: {:>6}  ({:.1}%)",
-        tally.corrected,
-        pct(tally.corrected, &tally)
-    );
-    println!(
-        "DUE:       {:>6}  ({:.1}%)",
-        tally.due,
-        pct(tally.due, &tally)
-    );
-    println!(
-        "SDC:       {:>6}  ({:.1}%)",
-        tally.sdc,
-        pct(tally.sdc, &tally)
-    );
-    println!(
-        "masked:    {:>6}  ({:.1}%)",
-        tally.masked,
-        pct(tally.masked, &tally)
-    );
+    print_tally(&tally);
     Ok(())
 }
 
-fn pct(n: u64, t: &OutcomeTally) -> f64 {
-    n as f64 / t.total() as f64 * 100.0
-}
-
-/// How an engine campaign checkpoints: where, how often (minimum
-/// wall-clock time between periodic writes), and whether an existing
-/// file is resumed from.
-struct CheckpointArgs<'a> {
-    path: Option<&'a str>,
-    every: std::time::Duration,
-    resume: bool,
-}
-
-impl<'a> CheckpointArgs<'a> {
-    fn from_args(args: &'a ParsedArgs) -> Result<Self, Box<dyn Error>> {
-        Ok(CheckpointArgs {
-            path: args.get("checkpoint"),
-            every: std::time::Duration::from_millis(args.get_parsed("checkpoint-every-ms", 1000)?),
-            resume: args.get_parsed("resume", true)?,
-        })
-    }
-}
-
-/// Runs one engine campaign, printing throttled live metrics to stderr
-/// and checkpointing/resuming when `--checkpoint` is given.
-fn run_engine_campaign<A, F>(
-    cfg: &CampaignConfig,
-    ckpt: &CheckpointArgs,
-    experiment: F,
-) -> Result<CampaignReport<A>, Box<dyn Error>>
-where
-    A: Accumulator + Persist,
-    F: Fn(&mut StdRng, u64) -> A::Item + Sync,
-{
-    run_engine_campaign_exec(cfg, ckpt, cppc_campaign::PerTrial(experiment))
-}
-
-/// [`run_engine_campaign`] over an explicit range executor (the batched
-/// mbe path goes through here directly).
-fn run_engine_campaign_exec<A, E>(
-    cfg: &CampaignConfig,
-    ckpt: &CheckpointArgs,
-    exec: E,
-) -> Result<CampaignReport<A>, Box<dyn Error>>
-where
-    A: Accumulator + Persist,
-    E: cppc_campaign::TrialExec<A>,
-{
-    let mut last_print: Option<std::time::Instant> = None;
-    let on_progress = move |p: &Progress| {
-        let done = p.shards_done == p.shards_total;
-        let due = last_print.is_none_or(|t| t.elapsed().as_millis() >= 500);
-        if done || due {
-            eprintln!("  {}", p.summary_line());
-            last_print = Some(std::time::Instant::now());
-        }
-    };
-    let report = match ckpt.path {
-        Some(path) => {
-            let mut policy = CheckpointPolicy::new(path);
-            policy.resume = ckpt.resume;
-            policy.every = ckpt.every;
-            cppc_campaign::run_resumable_exec(cfg, &policy, exec, on_progress)?
-        }
-        None => cppc_campaign::run_with_progress_exec(cfg, exec, on_progress),
-    };
-    for failed in &report.failed {
-        eprintln!(
-            "  shard {} FAILED (trials {}..{}, first seed {:#x}): {}",
-            failed.shard, failed.trial_lo, failed.trial_hi, failed.first_trial_seed, failed.message
-        );
-    }
-    Ok(report)
-}
-
-/// Prints the post-run shard summary (stderr in `--json` mode, where
-/// stdout carries only the result document).
-fn shard_summary<A: Accumulator>(report: &CampaignReport<A>, json: bool) {
-    let line = format!(
-        "{} shards ({} resumed, {} failed) in {:.2}s",
-        report.completed_shards,
-        report.resumed_shards,
-        report.failed.len(),
-        report.elapsed_secs
-    );
-    if json {
-        eprintln!("{line}");
-    } else {
-        println!("{line}");
-    }
-}
-
-fn print_tally(report: &CampaignReport<OutcomeTally>, json: bool) {
-    shard_summary(report, json);
-    let tally = &report.result;
-    if json {
-        // Exactly the service's result document for the same spec —
-        // the CI smoke gate diffs the two byte for byte.
-        println!(
-            "{}",
-            cppc_serve::runner::tally_result_json(tally).to_string_compact()
-        );
-        return;
-    }
+/// The human-readable outcome breakdown of a tally.
+fn print_tally(tally: &OutcomeTally) {
     println!(
         "corrected: {:>6}  ({:.1}%)",
         tally.corrected,
@@ -441,120 +320,107 @@ fn print_tally(report: &CampaignReport<OutcomeTally>, json: bool) {
     );
 }
 
-/// `campaign`
-pub fn campaign(args: &ParsedArgs) -> CliResult {
-    // `--scheme <name>` alone selects the scheme-zoo campaign.
-    let default_kind = if args.get("scheme").is_some() {
-        "scheme"
-    } else {
-        "inject"
-    };
-    let kind = args.get_or("kind", default_kind);
-    let threads: usize = args.get_parsed("threads", 0)?; // 0 = all CPUs
-    let trials: u64 = args.get_parsed("trials", 2000)?;
-    let seed: u64 = args.get_parsed("seed", 0xC11)?;
-    let shard_size: u64 = args.get_parsed("shard-size", cppc_campaign::DEFAULT_SHARD_SIZE)?;
-    let batch: usize = args.get_parsed("batch", 1)?;
-    let json = args.get_flag("json");
-    let ckpt = CheckpointArgs::from_args(args)?;
+fn pct(n: u64, t: &OutcomeTally) -> f64 {
+    n as f64 / t.total() as f64 * 100.0
+}
 
-    let cfg = CampaignConfig::new(seed, trials)
-        .threads(threads)
-        .shard_size(shard_size);
-    let banner = format!(
-        "campaign: kind={kind}  trials={trials}  seed={seed:#x}  threads={}  checkpoint={}",
+/// `campaign` — builds the same [`JobSpec`](cppc_serve::JobSpec) as
+/// `submit` and runs it in process through the daemon's executor
+/// ([`cppc_serve::runner::execute`]), printing throttled live metrics
+/// to stderr and checkpointing/resuming when `--checkpoint` is given.
+pub fn campaign(args: &ParsedArgs) -> CliResult {
+    let spec = crate::serve_cmd::spec_from_args(args, 0)?; // 0 = all CPUs
+    let json = args.get_flag("json");
+    let every = Duration::from_millis(args.get_parsed("checkpoint-every-ms", 1000)?);
+    let resume = args.get_parsed("resume", true)?;
+    let policy = args.get("checkpoint").map(|path| CheckpointPolicy {
+        path: path.into(),
+        every,
+        resume,
+    });
+    // In `--json` mode stdout carries only the result document.
+    let say = |line: &str| {
+        if json {
+            eprintln!("{line}");
+        } else {
+            println!("{line}");
+        }
+    };
+    let cfg = spec.campaign_config(spec.threads);
+    say(&format!(
+        "campaign: kind={}  trials={}  seed={:#x}  threads={}  checkpoint={}",
+        spec.kind.name(),
+        spec.trials,
+        spec.seed,
         cfg.resolved_threads(),
-        ckpt.path.unwrap_or("none"),
+        args.get("checkpoint").unwrap_or("none"),
+    ));
+
+    let resumable = policy.as_ref().is_some_and(|p| p.resume && p.path.exists());
+    let started = Instant::now();
+    // (shards done, resumed, failed, elapsed seconds) of the last
+    // progress snapshot.
+    let mut shards = None;
+    let mut last_print: Option<Instant> = None;
+    let end = cppc_serve::runner::execute(
+        &spec,
+        spec.threads,
+        RunOpts {
+            checkpoint: policy.as_ref(),
+            interrupt: None,
+            progress: Some(&mut |p: &Progress| {
+                let due = last_print.is_none_or(|t| t.elapsed().as_millis() >= 500);
+                if p.shards_done == p.shards_total || due {
+                    eprintln!("  {}", p.summary_line());
+                    last_print = Some(Instant::now());
+                }
+                shards = Some((
+                    p.shards_done,
+                    p.shards_resumed,
+                    p.shards_failed,
+                    p.elapsed_secs,
+                ));
+            }),
+        },
     );
-    if json {
-        eprintln!("{banner}");
-    } else {
-        println!("{banner}");
+    // A run that finds every shard in its checkpoint executes nothing
+    // and so reports no progress; its summary comes from the spec.
+    if shards.is_none() && resumable && matches!(end, RunEnd::Complete { .. }) {
+        let total = cfg.total_shards();
+        shards = Some((total, total, 0, started.elapsed().as_secs_f64()));
+    }
+    if let Some((done, resumed, failed, secs)) = shards {
+        say(&format!(
+            "{done} shards ({resumed} resumed, {failed} failed) in {secs:.2}s"
+        ));
     }
 
-    match kind {
-        "inject" => {
-            let config = parse_config(args.get_or("config", "paper"))?;
-            let fault = parse_fault(args.get_or("fault", "4x4"))?;
-            let report: CampaignReport<OutcomeTally> = run_engine_campaign(
-                &cfg,
-                &ckpt,
-                inject_experiment(inject_geometry(), config, fault),
-            )?;
-            print_tally(&report, json);
-        }
-        "scheme" => {
-            let scheme = parse_scheme(args.get_or("scheme", "cppc"))?;
-            let config = parse_config(args.get_or("config", "paper"))?;
-            let fault = parse_fault(args.get_or("fault", "4x4"))?;
-            let report: CampaignReport<OutcomeTally> =
-                run_engine_campaign(&cfg, &ckpt, scheme_experiment(scheme, config, fault))?;
-            print_tally(&report, json);
-        }
-        "mbe" => {
-            // `--batch > 1` routes through the cross-trial batched
-            // executor; results are bit-identical to `--batch 1`.
-            let report: CampaignReport<OutcomeTally> =
-                run_engine_campaign_exec(&cfg, &ckpt, cppc_bench::mbe::MbeBatchExec::solid(batch))?;
-            print_tally(&report, json);
-        }
-        "sleep" => {
-            let millis: u64 = args.get_parsed("sleep-ms", 0)?;
-            let report: CampaignReport<OutcomeTally> =
-                run_engine_campaign(&cfg, &ckpt, sleep_experiment(millis))?;
-            print_tally(&report, json);
-        }
-        "trace" => {
-            use cppc_bench::experiments::{load_trace, trace_experiment};
-            let path = args
-                .get("trace")
-                .ok_or("--kind trace requires --trace <file>")?;
-            let trace = load_trace(path)?;
-            let report: CampaignReport<OutcomeTally> =
-                run_engine_campaign(&cfg, &ckpt, trace_experiment(&trace))?;
-            print_tally(&report, json);
-        }
-        "montecarlo" => {
-            use cppc_reliability::montecarlo::{
-                analytic_mttf_hours, simulate_trial_into, MonteCarloAccumulator, MonteCarloConfig,
-            };
-            let mc_cfg = MonteCarloConfig {
-                faults_per_hour: args.get_parsed("rate", 40.0)?,
-                domains: args.get_parsed("domains", 8)?,
-                tavg_hours: args.get_parsed("tavg", 0.0004)?,
-                trials: u32::try_from(trials).map_err(|_| "too many trials for montecarlo")?,
-            };
-            // Same closure shape as the service runner (scratch reuse),
-            // so a job's exact result document matches `--json` here.
-            std::thread_local! {
-                static LAST_FAULT: std::cell::RefCell<Vec<f64>> =
-                    const { std::cell::RefCell::new(Vec::new()) };
-            }
-            let report: CampaignReport<MonteCarloAccumulator> =
-                run_engine_campaign(&cfg, &ckpt, |rng: &mut StdRng, _trial| {
-                    LAST_FAULT.with(|s| simulate_trial_into(&mc_cfg, rng, &mut s.borrow_mut()))
-                })?;
-            shard_summary(&report, json);
-            if json {
-                println!(
-                    "{}",
-                    cppc_serve::runner::montecarlo_result_json(&report.result).to_string_compact()
-                );
-            } else {
-                let mc = report.result.finish();
-                println!(
-                    "  simulated: {:.2} h  (+/- {:.2})",
-                    mc.mttf_hours, mc.std_error_hours
-                );
-                println!("  analytic:  {:.2} h", analytic_mttf_hours(&mc_cfg));
-            }
-        }
-        other => {
-            return Err(format!(
-                "unknown kind '{other}' (use inject|scheme|montecarlo|mbe|sleep|trace)"
-            )
-            .into())
-        }
+    let result = match end {
+        RunEnd::Complete { result } => result,
+        RunEnd::Failed { error } => return Err(error.into()),
+        RunEnd::Interrupted => return Err("campaign interrupted".into()),
+    };
+    if json {
+        // Exactly the service's result document for the same spec —
+        // the CI smoke gate diffs the two byte for byte.
+        println!("{}", result.to_string_compact());
+    } else if let Some(mc) = cppc_serve::runner::montecarlo_config(&spec) {
+        let hours = |key| {
+            result
+                .get(key)
+                .and_then(Json::as_f64_bits)
+                .unwrap_or(f64::NAN)
+        };
+        println!(
+            "  simulated: {:.2} h  (+/- {:.2})",
+            hours("mttf_hours"),
+            hours("std_error_hours")
+        );
+        println!("  analytic:  {:.2} h", analytic_mttf_hours(&mc));
+    } else if let Some(tally) = OutcomeTally::from_json(&result) {
+        print_tally(&tally);
+    } else {
+        println!("{}", result.to_string_compact());
     }
     Ok(())
 }

@@ -46,6 +46,7 @@ const COMMAND_OPTIONS: &[(&str, &[&str])] = &[
             "tavg",
             "sleep-ms",
             "trace",
+            "quick",
         ],
     ),
     ("mttf", &["level", "fit", "avf"]),
@@ -295,12 +296,146 @@ mod tests {
 
     #[test]
     fn campaign_and_submit_accept_trace_kind_flags() {
+        const SPEC_FLAGS: &[&str] = &[
+            "kind",
+            "scheme",
+            "trials",
+            "seed",
+            "threads",
+            "shard-size",
+            "batch",
+            "config",
+            "fault",
+            "rate",
+            "domains",
+            "tavg",
+            "sleep-ms",
+            "trace",
+            "quick",
+        ];
         for cmd in ["campaign", "submit"] {
             let (_, allowed) = COMMAND_OPTIONS
                 .iter()
                 .find(|(name, _)| *name == cmd)
                 .unwrap();
-            assert!(allowed.contains(&"trace"), "'{cmd}' lacks --trace");
+            for flag in SPEC_FLAGS {
+                assert!(allowed.contains(flag), "'{cmd}' lacks --{flag}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_kind_parses_into_a_spec_that_roundtrips_the_wire() {
+        use cppc_campaign::json::Json;
+        use cppc_serve::JobSpec;
+
+        let kinds: &[&[&str]] = &[
+            &[
+                "--kind",
+                "inject",
+                "--config",
+                "two-pairs",
+                "--fault",
+                "8x8",
+            ],
+            &[
+                "--kind",
+                "scheme",
+                "--scheme",
+                "secded-interleaved",
+                "--fault",
+                "single",
+            ],
+            &[
+                "--kind",
+                "montecarlo",
+                "--rate",
+                "30.5",
+                "--domains",
+                "4",
+                "--tavg",
+                "0.002",
+            ],
+            &["--kind", "mbe", "--batch", "64"],
+            &["--kind", "sleep", "--sleep-ms", "7"],
+            &["--kind", "trace", "--trace", "/data/gcc.cppct"],
+            &["--kind", "explore", "--quick"],
+        ];
+        let mut names = Vec::new();
+        for flags in kinds {
+            let mut argv = words(&[
+                "campaign",
+                "--trials",
+                "96",
+                "--seed",
+                "5",
+                "--shard-size",
+                "8",
+            ]);
+            argv.extend(words(flags));
+            let args = ParsedArgs::parse(argv).unwrap();
+            let spec = serve_cmd::spec_from_args(&args, 0).unwrap();
+            assert_eq!((spec.trials, spec.seed, spec.shard_size), (96, 5, 8));
+            let wire = Json::parse(&spec.to_json().to_string_compact()).unwrap();
+            assert_eq!(JobSpec::from_json(&wire).unwrap(), spec, "{flags:?}");
+            names.push(spec.kind.name());
+        }
+        assert_eq!(
+            names,
+            [
+                "inject",
+                "scheme",
+                "montecarlo",
+                "mbe",
+                "sleep",
+                "trace",
+                "explore"
+            ]
+        );
+
+        let unknown = ParsedArgs::parse(words(&["campaign", "--kind", "nope"])).unwrap();
+        let err = serve_cmd::spec_from_args(&unknown, 0)
+            .unwrap_err()
+            .to_string();
+        for name in names {
+            assert!(
+                err.contains(name),
+                "unknown-kind error omits '{name}': {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn spec_defaults_differ_only_in_threads() {
+        let args = ParsedArgs::parse(words(&["campaign", "--kind", "mbe"])).unwrap();
+        let direct = serve_cmd::spec_from_args(&args, 0).unwrap();
+        let submitted = serve_cmd::spec_from_args(&args, 1).unwrap();
+        assert_eq!((direct.threads, submitted.threads), (0, 1));
+        assert_eq!(
+            cppc_serve::JobSpec {
+                threads: 0,
+                ..submitted
+            },
+            direct
+        );
+    }
+
+    #[test]
+    fn campaign_and_submit_reject_the_same_bad_specs() {
+        for bad in [
+            &["--kind", "montecarlo", "--rate", "0"][..],
+            &["--kind", "montecarlo", "--tavg", "-1"],
+            &["--kind", "inject", "--config", "nine-pairs"],
+            &["--kind", "scheme", "--scheme", "hamming"],
+            &["--fault", "3x3"],
+            &["--trials", "0"],
+        ] {
+            let mut argv = words(&["campaign"]);
+            argv.extend(words(bad));
+            let args = ParsedArgs::parse(argv).unwrap();
+            let direct = serve_cmd::spec_from_args(&args, 0).unwrap_err().to_string();
+            let submitted = serve_cmd::spec_from_args(&args, 1).unwrap_err().to_string();
+            assert_eq!(direct, submitted, "{bad:?}");
         }
     }
 }

@@ -75,11 +75,14 @@ fn job_id(args: &ParsedArgs) -> Result<JobId, Box<dyn Error>> {
     Ok(args.get_parsed("id", 0)?)
 }
 
-/// Builds a [`JobSpec`] from the same `--kind`-keyed flags that
-/// `cppc-cli campaign` takes, validating before anything hits the wire.
-fn spec_from_args(args: &ParsedArgs) -> Result<JobSpec, Box<dyn Error>> {
-    // `--scheme <name>` alone selects the scheme-zoo campaign, exactly
-    // as `cppc-cli campaign` does.
+/// Builds a [`JobSpec`] from the `--kind`-keyed flags `campaign` and
+/// `submit` share, validating before anything runs or hits the wire.
+/// `default_threads` is the caller's `--threads` default.
+pub(crate) fn spec_from_args(
+    args: &ParsedArgs,
+    default_threads: usize,
+) -> Result<JobSpec, Box<dyn Error>> {
+    // `--scheme <name>` alone selects the scheme-zoo campaign.
     let default_kind = if args.get("scheme").is_some() {
         "scheme"
     } else {
@@ -129,9 +132,9 @@ fn spec_from_args(args: &ParsedArgs) -> Result<JobSpec, Box<dyn Error>> {
         args.get_parsed("trials", 2000)?,
         args.get_parsed("seed", 0xC11)?,
     );
-    // `--threads 0` resolves to every CPU on the daemon's host, not
-    // the submitting one.
-    spec.threads = args.get_parsed("threads", 1)?;
+    // `--threads 0` resolves to every CPU on the executing host (the
+    // daemon's, for a submitted job).
+    spec.threads = args.get_parsed("threads", default_threads)?;
     spec.shard_size = args.get_parsed("shard-size", spec.shard_size)?;
     spec.batch = args.get_parsed("batch", spec.batch)?;
     spec.validate()?;
@@ -141,7 +144,7 @@ fn spec_from_args(args: &ParsedArgs) -> Result<JobSpec, Box<dyn Error>> {
 /// `submit` — prints the new job id to stdout (`--watch` then streams
 /// it like `watch` does).
 pub fn submit(args: &ParsedArgs) -> CliResult {
-    let spec = spec_from_args(args)?;
+    let spec = spec_from_args(args, 1)?;
     let tenant = args.get_or("tenant", "default");
     let priority = Priority::parse(args.get_or("priority", "normal"))?;
     let mut client = connect(args)?;

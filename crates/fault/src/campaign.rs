@@ -167,7 +167,7 @@ impl Campaign {
 
     /// The engine configuration equivalent to this campaign — the entry
     /// point for checkpointed / metered runs through
-    /// [`cppc_campaign::run_resumable`].
+    /// [`cppc_campaign::run_with`].
     #[must_use]
     pub fn config(&self, trials: u64) -> CampaignConfig {
         CampaignConfig::new(self.seed, trials)

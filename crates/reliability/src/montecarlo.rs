@@ -200,7 +200,7 @@ fn validate(cfg: &MonteCarloConfig) {
 }
 
 /// The engine configuration for this estimation — entry point for
-/// checkpointed runs via [`cppc_campaign::run_resumable`].
+/// checkpointed runs via [`cppc_campaign::run_with`].
 #[must_use]
 pub fn campaign_config(cfg: &MonteCarloConfig, seed: u64) -> CampaignConfig {
     CampaignConfig::new(seed, u64::from(cfg.trials))

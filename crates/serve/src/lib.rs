@@ -15,9 +15,9 @@
 //!   `--data-dir` (atomic writes, restart recovery);
 //! - [`scheduler`] — two priority lanes, per-tenant round-robin fair
 //!   share, backpressure at the admission bound, a thread governor;
-//! - [`runner`] — executes one job on
-//!   [`cppc_campaign::run_resumable_interruptible`] with cooperative
-//!   interruption;
+//! - [`runner`] — executes one spec on [`cppc_campaign::run_with`]
+//!   with checkpointing and cooperative interruption; `cppc-cli
+//!   campaign` runs its direct campaigns through the same function;
 //! - [`protocol`] — the wire requests/responses;
 //! - [`server`] — listeners, connection handlers, the dispatch loop,
 //!   graceful shutdown;
@@ -28,8 +28,8 @@
 //! interrupted by a daemon restart resumes from its checkpoint and
 //! merges to the **bit-identical** final tally that a direct
 //! `cppc-cli campaign` run of the same spec produces, at any thread
-//! count — the experiment bodies are shared
-//! ([`cppc_bench::experiments`]), the per-trial RNG streams are
+//! count — both run [`runner::execute`] on the shared experiment
+//! bodies ([`cppc_bench::experiments`]), the per-trial RNG streams are
 //! derived from `(seed, trial)` alone, and merges happen in shard
 //! order.
 

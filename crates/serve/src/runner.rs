@@ -1,30 +1,27 @@
-//! Executes one job's campaign on the engine, with checkpointing and
-//! cooperative interruption.
+//! Executes one campaign spec on the engine: the single place a
+//! [`JobKind`] meets its experiment body.
 //!
-//! The runner is where a [`JobSpec`] meets
-//! [`cppc_campaign::run_resumable_interruptible`]: it resolves the
-//! spec's kind to its experiment body (the same bodies
-//! `cppc-cli campaign` uses, from [`cppc_bench::experiments`]), runs
-//! under the job's checkpoint file, and reports one of three ends. An
+//! The runner is where a [`JobSpec`] meets [`cppc_campaign::run_with`]:
+//! it resolves the spec's kind to its experiment body (from
+//! [`cppc_bench::experiments`]), runs it under the caller's
+//! [`RunOpts`] and reports one of three ends. Both the daemon (with the
+//! job's checkpoint file and interrupt flag) and `cppc-cli campaign`
+//! (with an optional `--checkpoint`) call [`execute`], so a served
+//! result and a direct run are the same function of the spec. An
 //! `Interrupted` end means the engine drained in-flight shards and
 //! wrote a final checkpoint — the caller decides whether that was a
 //! cancel (terminal) or a shutdown suspension (the job stays `running`
 //! in the journal and resumes bit-identically on restart).
-
-use std::path::Path;
-use std::sync::atomic::AtomicBool;
-use std::time::Duration;
 
 use cppc_bench::experiments::{
     inject_experiment, inject_geometry, load_trace, parse_config, parse_fault, parse_scheme,
     scheme_experiment, sleep_experiment, trace_experiment,
 };
 use cppc_campaign::json::Json;
-use cppc_campaign::metrics::Progress;
 use cppc_campaign::rng::rngs::StdRng;
 use cppc_campaign::{
-    run_resumable_interruptible, run_resumable_interruptible_exec, Accumulator, CampaignReport,
-    CheckpointError, CheckpointPolicy, Persist,
+    run_with, Accumulator, CampaignConfig, CampaignReport, CheckpointError, PerTrial, Persist,
+    RunOpts, TrialExec,
 };
 use cppc_fault::campaign::{Outcome, OutcomeTally};
 use cppc_reliability::montecarlo::{simulate_trial_into, MonteCarloAccumulator, MonteCarloConfig};
@@ -50,27 +47,17 @@ pub enum RunEnd {
     },
 }
 
-/// Runs `spec` to one of its three ends.
+/// Runs `spec` on `threads` workers (`0` = every CPU) to one of its
+/// three ends.
 ///
-/// `ckpt_path` is the job's checkpoint file (created on first write,
-/// resumed from when present), `every` the minimum wall-clock time
-/// between periodic checkpoint writes ([`CheckpointPolicy::every`]),
-/// `threads` the governor's grant, `interrupt` the cooperative stop
-/// flag, and `on_progress` receives the engine's live [`Progress`]
-/// snapshots.
-pub fn execute(
-    spec: &JobSpec,
-    ckpt_path: &Path,
-    every: Duration,
-    threads: usize,
-    interrupt: Option<&AtomicBool>,
-    on_progress: impl FnMut(&Progress),
-) -> RunEnd {
-    let policy = CheckpointPolicy {
-        path: ckpt_path.to_path_buf(),
-        every,
-        resume: true,
-    };
+/// `opts` carries the optional checkpoint policy (created on first
+/// write, resumed from when present and the policy resumes), the
+/// cooperative stop flag and the receiver of the engine's live
+/// progress snapshots. An `explore` spec runs its own sweep driver:
+/// the checkpoint *path* becomes the base name of a sibling directory
+/// holding one digest-keyed file per configuration, which it always
+/// resumes from.
+pub fn execute(spec: &JobSpec, threads: usize, opts: RunOpts<'_>) -> RunEnd {
     let cfg = spec.campaign_config(threads);
     match &spec.kind {
         JobKind::Inject { config, fault } => {
@@ -79,15 +66,10 @@ pub fn execute(
                     error: "spec no longer parses (config/fault)".into(),
                 };
             };
-            finish::<OutcomeTally>(
-                run_resumable_interruptible(
-                    &cfg,
-                    &policy,
-                    interrupt,
-                    inject_experiment(inject_geometry(), config, fault),
-                    on_progress,
-                ),
-                tally_result_json,
+            tally(
+                &cfg,
+                &PerTrial(inject_experiment(inject_geometry(), config, fault)),
+                opts,
             )
         }
         JobKind::Scheme {
@@ -104,40 +86,21 @@ pub fn execute(
                     error: "spec no longer parses (scheme/config/fault)".into(),
                 };
             };
-            finish::<OutcomeTally>(
-                run_resumable_interruptible(
-                    &cfg,
-                    &policy,
-                    interrupt,
-                    scheme_experiment(scheme, config, fault),
-                    on_progress,
-                ),
-                tally_result_json,
+            tally(
+                &cfg,
+                &PerTrial(scheme_experiment(scheme, config, fault)),
+                opts,
             )
         }
         // The batched executor is bit-identical to the per-trial path
         // at any batch size, so checkpoints written by older daemons
         // (or by `--batch 1` runs) resume seamlessly through it.
-        JobKind::Mbe => finish::<OutcomeTally>(
-            run_resumable_interruptible_exec(
-                &cfg,
-                &policy,
-                interrupt,
-                cppc_bench::mbe::MbeBatchExec::solid(spec.batch),
-                on_progress,
-            ),
-            tally_result_json,
+        JobKind::Mbe => tally(
+            &cfg,
+            &cppc_bench::mbe::MbeBatchExec::solid(spec.batch),
+            opts,
         ),
-        JobKind::Sleep { millis } => finish::<OutcomeTally>(
-            run_resumable_interruptible(
-                &cfg,
-                &policy,
-                interrupt,
-                sleep_experiment(*millis),
-                on_progress,
-            ),
-            tally_result_json,
-        ),
+        JobKind::Sleep { millis } => tally(&cfg, &PerTrial(sleep_experiment(*millis)), opts),
         JobKind::Trace { path } => {
             // Load (and pre-decode) once; the experiment replays the
             // immutable batch per trial on every worker thread.
@@ -145,24 +108,13 @@ pub fn execute(
                 Ok(trace) => trace,
                 Err(error) => return RunEnd::Failed { error },
             };
-            finish::<OutcomeTally>(
-                run_resumable_interruptible(
-                    &cfg,
-                    &policy,
-                    interrupt,
-                    trace_experiment(&trace),
-                    on_progress,
-                ),
-                tally_result_json,
-            )
+            tally(&cfg, &PerTrial(trace_experiment(&trace)), opts)
         }
         // The sweep has its own parallel driver and per-config
-        // checkpoint store, so it bypasses the shard engine: the job's
-        // checkpoint *path* is reused as the base name of a sibling
-        // directory holding one digest-keyed file per configuration,
-        // which gives the same suspend/resume contract (interrupt →
-        // `Interrupted`, restart resumes bit-identically from the
-        // completed configs).
+        // checkpoint store, so it bypasses the shard engine; the
+        // per-config files give the same suspend/resume contract
+        // (interrupt → `Interrupted`, a rerun resumes bit-identically
+        // from the completed configs).
         JobKind::Explore { quick } => {
             let mut sweep = if *quick {
                 cppc_explore::SweepSpec::quick_tier()
@@ -171,11 +123,13 @@ pub fn execute(
             };
             sweep.trials = spec.trials;
             sweep.campaign_seed = spec.seed;
-            let opts = cppc_explore::SweepOptions {
+            let sweep_opts = cppc_explore::SweepOptions {
                 threads,
-                checkpoint_dir: Some(ckpt_path.with_extension("explore.d")),
+                checkpoint_dir: opts
+                    .checkpoint
+                    .map(|policy| policy.path.with_extension("explore.d")),
             };
-            match cppc_explore::run_sweep(&sweep, &opts, interrupt) {
+            match cppc_explore::run_sweep(&sweep, &sweep_opts, opts.interrupt) {
                 Err(error) => RunEnd::Failed { error },
                 Ok(cppc_explore::SweepOutcome::Interrupted { .. }) => RunEnd::Interrupted,
                 Ok(cppc_explore::SweepOutcome::Complete(points)) => RunEnd::Complete {
@@ -183,37 +137,42 @@ pub fn execute(
                 },
             }
         }
-        JobKind::MonteCarlo {
-            rate,
-            domains,
-            tavg,
-        } => {
-            let mc = MonteCarloConfig {
-                faults_per_hour: *rate,
-                domains: *domains as usize,
-                tavg_hours: *tavg,
-                trials: spec.trials as u32,
-            };
+        JobKind::MonteCarlo { .. } => {
+            let mc = montecarlo_config(spec).expect("a montecarlo spec has a model");
             std::thread_local! {
                 static LAST_FAULT: std::cell::RefCell<Vec<f64>> =
                     const { std::cell::RefCell::new(Vec::new()) };
             }
-            finish::<MonteCarloAccumulator>(
-                run_resumable_interruptible(
-                    &cfg,
-                    &policy,
-                    interrupt,
-                    move |rng: &mut StdRng, _trial| {
-                        LAST_FAULT.with(|scratch| {
-                            simulate_trial_into(&mc, rng, &mut scratch.borrow_mut())
-                        })
-                    },
-                    on_progress,
-                ),
-                montecarlo_result_json,
-            )
+            let exec = PerTrial(move |rng: &mut StdRng, _trial| {
+                LAST_FAULT.with(|scratch| simulate_trial_into(&mc, rng, &mut scratch.borrow_mut()))
+            });
+            finish(run_with(&cfg, &exec, opts), montecarlo_result_json)
         }
     }
+}
+
+/// The Monte Carlo model a `montecarlo` spec runs (`None` for every
+/// other kind).
+#[must_use]
+pub fn montecarlo_config(spec: &JobSpec) -> Option<MonteCarloConfig> {
+    match spec.kind {
+        JobKind::MonteCarlo {
+            rate,
+            domains,
+            tavg,
+        } => Some(MonteCarloConfig {
+            faults_per_hour: rate,
+            domains: domains as usize,
+            tavg_hours: tavg,
+            trials: spec.trials as u32,
+        }),
+        _ => None,
+    }
+}
+
+/// Runs an outcome-tally campaign and renders its result document.
+fn tally<E: TrialExec<OutcomeTally>>(cfg: &CampaignConfig, exec: &E, opts: RunOpts<'_>) -> RunEnd {
+    finish(run_with(cfg, exec, opts), tally_result_json)
 }
 
 fn finish<A: Accumulator + Persist>(
@@ -287,10 +246,38 @@ pub fn synthetic_outcome(rng: &mut StdRng, trial: u64) -> Outcome {
 mod tests {
     use super::*;
     use crate::job::JobSpec;
-    use std::sync::atomic::Ordering;
+    use cppc_campaign::{CheckpointPolicy, FailedShard, Progress};
+    use std::path::Path;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
     /// The daemon's default cadence; these tests only check results.
     const CADENCE: Duration = Duration::from_secs(1);
+
+    /// [`execute`] under a resuming checkpoint at `path`.
+    fn execute_at(
+        spec: &JobSpec,
+        path: &Path,
+        every: Duration,
+        threads: usize,
+        interrupt: Option<&AtomicBool>,
+        mut progress: impl FnMut(&Progress),
+    ) -> RunEnd {
+        let policy = CheckpointPolicy {
+            path: path.to_path_buf(),
+            every,
+            resume: true,
+        };
+        execute(
+            spec,
+            threads,
+            RunOpts {
+                checkpoint: Some(&policy),
+                interrupt,
+                progress: Some(&mut progress),
+            },
+        )
+    }
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("cppc_serve_runner_tests");
@@ -306,7 +293,7 @@ mod tests {
             shard_size: 8,
             ..JobSpec::new(JobKind::Sleep { millis: 0 }, 96, 0xABCD)
         };
-        let end = execute(&spec, &path, CADENCE, 1, None, |_| {});
+        let end = execute_at(&spec, &path, CADENCE, 1, None, |_| {});
         let direct: OutcomeTally =
             cppc_campaign::run(&spec.campaign_config(1), sleep_experiment(0)).result;
         assert_eq!(
@@ -328,13 +315,13 @@ mod tests {
         };
         // Interrupt as soon as the first progress snapshot arrives.
         let flag = AtomicBool::new(false);
-        let end = execute(&spec, &path, Duration::ZERO, 1, Some(&flag), |_| {
+        let end = execute_at(&spec, &path, Duration::ZERO, 1, Some(&flag), |_| {
             flag.store(true, Ordering::Release);
         });
         assert_eq!(end, RunEnd::Interrupted);
         assert!(path.exists(), "interruption must leave a checkpoint");
         // Resume to completion and compare with an uninterrupted run.
-        let resumed = execute(&spec, &path, CADENCE, 1, None, |_| {});
+        let resumed = execute_at(&spec, &path, CADENCE, 1, None, |_| {});
         let direct: OutcomeTally =
             cppc_campaign::run(&spec.campaign_config(1), sleep_experiment(1)).result;
         assert_eq!(
@@ -355,7 +342,7 @@ mod tests {
         // A pre-raised flag must yield `Interrupted` without running a
         // single configuration (so cancel/shutdown is prompt).
         let flag = AtomicBool::new(true);
-        let end = execute(&spec, &ckpt, CADENCE, 1, Some(&flag), |_| {});
+        let end = execute_at(&spec, &ckpt, CADENCE, 1, Some(&flag), |_| {});
         assert_eq!(end, RunEnd::Interrupted);
         assert!(
             !ckpt_dir.exists() || std::fs::read_dir(&ckpt_dir).unwrap().next().is_none(),
@@ -363,7 +350,7 @@ mod tests {
         );
         // Resume to completion: the result is the sweep document for
         // the quick tier with the job's trials/seed substituted in.
-        let end = execute(&spec, &ckpt, CADENCE, 2, None, |_| {});
+        let end = execute_at(&spec, &ckpt, CADENCE, 2, None, |_| {});
         let mut sweep = cppc_explore::SweepSpec::quick_tier();
         sweep.trials = 2;
         sweep.campaign_seed = 0xE87A;
@@ -404,7 +391,7 @@ mod tests {
                 0xABCD,
             )
         };
-        let end = execute(&spec, &ckpt, CADENCE, 2, None, |_| {});
+        let end = execute_at(&spec, &ckpt, CADENCE, 2, None, |_| {});
         let direct: OutcomeTally =
             cppc_campaign::run(&spec.campaign_config(1), trace_experiment(&trace)).result;
         assert_eq!(
@@ -427,7 +414,7 @@ mod tests {
             8,
             1,
         );
-        match execute(&spec, &ckpt, CADENCE, 1, None, |_| {}) {
+        match execute_at(&spec, &ckpt, CADENCE, 1, None, |_| {}) {
             RunEnd::Failed { error } => assert!(error.contains("cannot open"), "{error}"),
             other => panic!("expected Failed, got {other:?}"),
         }
@@ -438,7 +425,7 @@ mod tests {
         let path = tmp("corrupt.json");
         std::fs::write(&path, "{not json").unwrap();
         let spec = JobSpec::new(JobKind::Sleep { millis: 0 }, 16, 1);
-        match execute(&spec, &path, CADENCE, 1, None, |_| {}) {
+        match execute_at(&spec, &path, CADENCE, 1, None, |_| {}) {
             RunEnd::Failed { error } => assert!(error.contains("malformed"), "{error}"),
             other => panic!("expected Failed, got {other:?}"),
         }
@@ -458,7 +445,7 @@ mod tests {
             200,
             0xCA7,
         );
-        let RunEnd::Complete { result } = execute(&spec, &path, CADENCE, 1, None, |_| {}) else {
+        let RunEnd::Complete { result } = execute_at(&spec, &path, CADENCE, 1, None, |_| {}) else {
             panic!("montecarlo job should complete")
         };
         assert_eq!(result.get("n").and_then(Json::as_u64), Some(200));
@@ -469,11 +456,53 @@ mod tests {
         assert!(mttf.is_finite() && mttf > 0.0);
         // Re-running reproduces the document bit for bit.
         let _ = std::fs::remove_file(&path);
-        let RunEnd::Complete { result: again } = execute(&spec, &path, CADENCE, 1, None, |_| {})
+        let RunEnd::Complete { result: again } = execute_at(&spec, &path, CADENCE, 1, None, |_| {})
         else {
             panic!("montecarlo rerun should complete")
         };
         assert_eq!(again, result);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_failed_shard_fails_the_run_and_names_the_shard() {
+        let report = CampaignReport {
+            result: OutcomeTally::default(),
+            trials_merged: 56,
+            total_shards: 8,
+            completed_shards: 8,
+            resumed_shards: 0,
+            failed: vec![FailedShard {
+                shard: 3,
+                trial_lo: 24,
+                trial_hi: 32,
+                first_trial_seed: cppc_campaign::trial_seed(1, 24),
+                message: "boom".into(),
+            }],
+            elapsed_secs: 0.0,
+        };
+        match finish(Ok(report), tally_result_json) {
+            RunEnd::Failed { error } => {
+                assert_eq!(error, "shard 3 (trials 24..32) panicked: boom");
+            }
+            other => panic!("expected Failed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn direct_run_needs_no_checkpoint() {
+        let spec = JobSpec {
+            shard_size: 8,
+            ..JobSpec::new(JobKind::Sleep { millis: 0 }, 40, 0xD1EC)
+        };
+        let end = execute(&spec, 2, RunOpts::default());
+        let direct: OutcomeTally =
+            cppc_campaign::run(&spec.campaign_config(1), sleep_experiment(0)).result;
+        assert_eq!(
+            end,
+            RunEnd::Complete {
+                result: tally_result_json(&direct)
+            }
+        );
     }
 }

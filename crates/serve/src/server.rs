@@ -27,6 +27,7 @@ use std::time::{Duration, Instant};
 
 use cppc_campaign::json::Json;
 use cppc_campaign::metrics::Progress;
+use cppc_campaign::{CheckpointPolicy, RunOpts};
 
 use crate::job::{JobId, JobRecord, JobState, Priority};
 use crate::obs;
@@ -296,13 +297,19 @@ fn run_job(shared: &Arc<Shared>, grant: Grant) {
     };
 
     let started = Instant::now();
+    let policy = CheckpointPolicy {
+        path: shared.store.checkpoint_path(grant.id),
+        every: shared.cfg.checkpoint_every,
+        resume: true,
+    };
     let end = crate::runner::execute(
         &spec,
-        &shared.store.checkpoint_path(grant.id),
-        shared.cfg.checkpoint_every,
         grant.threads,
-        Some(&interrupt),
-        |p| *progress.lock().expect("progress lock") = Some(p.clone()),
+        RunOpts {
+            checkpoint: Some(&policy),
+            interrupt: Some(&interrupt),
+            progress: Some(&mut |p| *progress.lock().expect("progress lock") = Some(p.clone())),
+        },
     );
     obs::JOB_LATENCY.record_ns(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
 

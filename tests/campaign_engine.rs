@@ -3,7 +3,9 @@
 
 use cppc::campaign::json::Json;
 use cppc::campaign::rng::{rngs::StdRng, RngExt};
-use cppc::campaign::{run_resumable, Accumulator, CampaignConfig, CheckpointPolicy, Persist};
+use cppc::campaign::{
+    run_with, Accumulator, CampaignConfig, CheckpointPolicy, PerTrial, Persist, RunOpts,
+};
 use cppc::fault::campaign::{Campaign, Outcome, OutcomeTally};
 use cppc::reliability::montecarlo::{simulate_double_fault_mttf_parallel, MonteCarloConfig};
 
@@ -86,15 +88,23 @@ fn interrupted_campaign_resumes_to_the_uninterrupted_report() {
 
     // Interrupt after 3 shards...
     let partial_cfg = base_cfg.clone().stop_after_shards(3);
-    let partial: OutcomeTally = run_resumable(&partial_cfg, &policy, experiment, |_| {})
-        .expect("checkpointed run")
-        .result;
+    let partial: OutcomeTally = run_with(
+        &partial_cfg,
+        &PerTrial(experiment),
+        RunOpts::checkpointed(&policy),
+    )
+    .expect("checkpointed run")
+    .result;
     assert!(partial.total() < full.total(), "stop budget must interrupt");
     assert!(path.exists(), "checkpoint file must be written");
 
     // ...then resume to completion.
-    let resumed = run_resumable::<OutcomeTally, _, _>(&base_cfg, &policy, experiment, |_| {})
-        .expect("resumed run");
+    let resumed = run_with::<OutcomeTally, _>(
+        &base_cfg,
+        &PerTrial(experiment),
+        RunOpts::checkpointed(&policy),
+    )
+    .expect("resumed run");
     assert!(
         resumed.resumed_shards >= 3,
         "must restore checkpointed shards"
@@ -117,12 +127,17 @@ fn checkpoint_rejects_mismatched_campaign() {
     let experiment = |rng: &mut StdRng, trial: u64| stream_sensitive(rng, trial);
     let policy = CheckpointPolicy::new(&path);
     let cfg = CampaignConfig::new(1, 200).threads(1).stop_after_shards(1);
-    run_resumable::<OutcomeTally, _, _>(&cfg, &policy, experiment, |_| {}).expect("first run");
+    run_with::<OutcomeTally, _>(&cfg, &PerTrial(experiment), RunOpts::checkpointed(&policy))
+        .expect("first run");
 
     // A different seed is a different campaign: the stale checkpoint
     // must be rejected, not silently merged.
     let other = CampaignConfig::new(2, 200).threads(1);
-    let err = run_resumable::<OutcomeTally, _, _>(&other, &policy, experiment, |_| {});
+    let err = run_with::<OutcomeTally, _>(
+        &other,
+        &PerTrial(experiment),
+        RunOpts::checkpointed(&policy),
+    );
     assert!(err.is_err(), "identity mismatch must be an error");
     let _ = std::fs::remove_file(&path);
 }
@@ -137,7 +152,8 @@ fn valid_checkpoint(name: &str) -> (std::path::PathBuf, Vec<u8>) {
     let cfg = CampaignConfig::new(0xBAD_F00D, 200)
         .threads(1)
         .stop_after_shards(1);
-    run_resumable::<OutcomeTally, _, _>(&cfg, &policy, experiment, |_| {}).expect("seed run");
+    run_with::<OutcomeTally, _>(&cfg, &PerTrial(experiment), RunOpts::checkpointed(&policy))
+        .expect("seed run");
     let bytes = std::fs::read(&path).expect("checkpoint on disk");
     (path, bytes)
 }
@@ -146,7 +162,7 @@ fn resume_with(path: &std::path::Path) -> Result<(), String> {
     let experiment = |rng: &mut StdRng, trial: u64| stream_sensitive(rng, trial);
     let policy = CheckpointPolicy::new(path);
     let cfg = CampaignConfig::new(0xBAD_F00D, 200).threads(1);
-    run_resumable::<OutcomeTally, _, _>(&cfg, &policy, experiment, |_| {})
+    run_with::<OutcomeTally, _>(&cfg, &PerTrial(experiment), RunOpts::checkpointed(&policy))
         .map(|_| ())
         .map_err(|e| e.to_string())
 }

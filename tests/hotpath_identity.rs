@@ -19,7 +19,7 @@ use cppc::timing::MachineConfig;
 use cppc::workloads::BenchmarkProfile;
 use cppc_campaign::rng::rngs::StdRng;
 use cppc_campaign::rng::{RngExt, SeedableRng};
-use cppc_campaign::{run_resumable, CheckpointPolicy};
+use cppc_campaign::{run_with, CheckpointPolicy, PerTrial, RunOpts};
 use cppc_fault::campaign::OutcomeTally;
 use cppc_workloads::{spec2000_profiles, TraceGenerator};
 
@@ -279,7 +279,9 @@ fn checkpoint_bytes_match_golden() {
     let mut policy = CheckpointPolicy::new(&path);
     policy.every = std::time::Duration::ZERO;
     let experiment = mbe_experiment(solid_square());
-    let report = run_resumable::<OutcomeTally, _, _>(&cfg, &policy, experiment, |_| {}).unwrap();
+    let report =
+        run_with::<OutcomeTally, _>(&cfg, &PerTrial(experiment), RunOpts::checkpointed(&policy))
+            .unwrap();
     assert!(report.is_complete());
     let bytes = std::fs::read(&path).unwrap();
     assert_eq!(bytes.len(), 450);

@@ -20,7 +20,7 @@ use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_campaign::rng::rngs::StdRng;
 use cppc_campaign::rng::{RngExt, SeedableRng};
-use cppc_campaign::{run, run_resumable, CampaignConfig, CheckpointPolicy};
+use cppc_campaign::{run, run_with, CampaignConfig, CheckpointPolicy, PerTrial, RunOpts};
 use cppc_core::baselines::{OneDimParityCache, SecdedCache, TwoDimParityCache};
 use cppc_core::{CppcCache, CppcConfig, SchemeKind};
 use cppc_fault::campaign::{Outcome, OutcomeTally};
@@ -179,7 +179,7 @@ fn tmp(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-/// Runs one experiment body through `run_resumable` (fresh checkpoint
+/// Runs one experiment body through `run_with` (fresh checkpoint
 /// file) and returns the tally plus the final checkpoint bytes.
 fn run_checkpointed<F>(label: &str, threads: usize, experiment: F) -> (OutcomeTally, Vec<u8>)
 where
@@ -192,8 +192,12 @@ where
         every: std::time::Duration::ZERO,
         resume: false,
     };
-    let report = run_resumable::<OutcomeTally, _, _>(&cfg(threads), &policy, experiment, |_| {})
-        .expect("campaign completes");
+    let report = run_with::<OutcomeTally, _>(
+        &cfg(threads),
+        &PerTrial(experiment),
+        RunOpts::checkpointed(&policy),
+    )
+    .expect("campaign completes");
     assert!(report.is_complete());
     let bytes = std::fs::read(&path).expect("final checkpoint written");
     let _ = std::fs::remove_file(&path);

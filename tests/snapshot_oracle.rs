@@ -17,7 +17,7 @@ use cppc_bench::mbe::{
     SPARSE_MODEL,
 };
 use cppc_campaign::rng::rngs::StdRng;
-use cppc_campaign::{run_resumable, trial_rng, CheckpointPolicy};
+use cppc_campaign::{run_with, trial_rng, CheckpointPolicy, PerTrial, RunOpts};
 use cppc_fault::model::FaultModel;
 
 /// Trial-by-trial equality: for every campaign trial index, the warm
@@ -90,14 +90,20 @@ fn warm_checkpoint_bytes_match_cold_checkpoint_bytes() {
     let cfg = Campaign::new(SEED).config(500).threads(2);
     let mut policy = CheckpointPolicy::new(checkpoint_path("warm.ckpt"));
     policy.every = std::time::Duration::ZERO;
-    let report = run_resumable::<OutcomeTally, _, _>(&cfg, &policy, experiment, |_| {}).unwrap();
+    let report =
+        run_with::<OutcomeTally, _>(&cfg, &PerTrial(experiment), RunOpts::checkpointed(&policy))
+            .unwrap();
     assert!(report.is_complete());
     let warm_bytes = std::fs::read(&policy.path).unwrap();
 
     let mut cold_policy = CheckpointPolicy::new(checkpoint_path("cold.ckpt"));
     cold_policy.every = std::time::Duration::ZERO;
-    let report =
-        run_resumable::<OutcomeTally, _, _>(&cfg, &cold_policy, experiment_cold, |_| {}).unwrap();
+    let report = run_with::<OutcomeTally, _>(
+        &cfg,
+        &PerTrial(experiment_cold),
+        RunOpts::checkpointed(&cold_policy),
+    )
+    .unwrap();
     assert!(report.is_complete());
     let cold_bytes = std::fs::read(&cold_policy.path).unwrap();
 
@@ -119,19 +125,22 @@ fn interrupted_warm_campaign_resumes_to_cold_result() {
     // Reference: one uninterrupted cold run.
     let mut cold_policy = CheckpointPolicy::new(checkpoint_path("resume_cold.ckpt"));
     cold_policy.every = std::time::Duration::ZERO;
-    let cold_report =
-        run_resumable::<OutcomeTally, _, _>(&cfg, &cold_policy, experiment_cold, |_| {}).unwrap();
+    let cold_report = run_with::<OutcomeTally, _>(
+        &cfg,
+        &PerTrial(experiment_cold),
+        RunOpts::checkpointed(&cold_policy),
+    )
+    .unwrap();
     assert!(cold_report.is_complete());
     let cold_bytes = std::fs::read(&cold_policy.path).unwrap();
 
     // Warm run, interrupted after 3 shards...
     let mut policy = CheckpointPolicy::new(checkpoint_path("resume_warm.ckpt"));
     policy.every = std::time::Duration::ZERO;
-    let partial = run_resumable::<OutcomeTally, _, _>(
+    let partial = run_with::<OutcomeTally, _>(
         &cfg.clone().stop_after_shards(3),
-        &policy,
-        experiment,
-        |_| {},
+        &PerTrial(experiment),
+        RunOpts::checkpointed(&policy),
     )
     .unwrap();
     assert!(
@@ -140,7 +149,9 @@ fn interrupted_warm_campaign_resumes_to_cold_result() {
     );
 
     // ...then resumed to completion (policy.resume defaults to true).
-    let resumed = run_resumable::<OutcomeTally, _, _>(&cfg, &policy, experiment, |_| {}).unwrap();
+    let resumed =
+        run_with::<OutcomeTally, _>(&cfg, &PerTrial(experiment), RunOpts::checkpointed(&policy))
+            .unwrap();
     assert!(resumed.is_complete());
     let warm_bytes = std::fs::read(&policy.path).unwrap();
 
