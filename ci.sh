@@ -105,52 +105,19 @@ echo "== repro golden gates (fast tier)"
 # docs/results/ (see docs/RESULTS.md).
 cargo run -q --release -p cppc-cli --bin cppc-cli -- repro --check
 
-echo "== docs/RESULTS.md freshness"
-# The book is a pure function of the committed docs/results/*.json, so
-# re-rendering (no simulation) must be a no-op on a clean tree.
-cargo run -q --release -p cppc-cli --bin cppc-cli -- repro --render > /dev/null
-git diff --exit-code -- docs/RESULTS.md || {
-    echo "docs/RESULTS.md is stale: regenerate with" \
-         "'cargo run --release -p cppc-cli -- repro --render'" \
-         "(or 'repro --all --threads 1' after changing results)" >&2
-    exit 1
-}
-
-echo "== docs/SCHEMES.md freshness"
-# The scheme catalog is a pure function of the SchemeDescriptors in
-# code plus the committed scheme_comparison document, so regenerating
-# (no simulation) must be a no-op on a clean tree.
-cargo run -q -p cppc-cli --bin schemes-md > docs/SCHEMES.md
-git diff --exit-code -- docs/SCHEMES.md || {
-    echo "docs/SCHEMES.md is stale: regenerate with" \
-         "'cargo run -p cppc-cli --bin schemes-md > docs/SCHEMES.md'" >&2
-    exit 1
-}
-
 echo "== explore quick-tier gate (committed frontier matches the code)"
 # Re-runs the quick-tier design-space sweep and fails if the committed
 # docs/results/explore_quick.json differs byte-for-byte from what the
 # models produce (or if the frontier degenerates to CPPC-only points).
 cargo run -q --release -p cppc-cli --bin cppc-cli -- explore --quick --check
 
-echo "== docs/EXPLORER.md freshness"
-# The explorer book is a pure function of the committed
-# docs/results/explore_*.json documents, so re-rendering (no
-# simulation) must be a no-op on a clean tree.
-cargo run -q --release -p cppc-cli --bin explorer-md > docs/EXPLORER.md
-git diff --exit-code -- docs/EXPLORER.md || {
-    echo "docs/EXPLORER.md is stale: regenerate with" \
-         "'cargo run --release -p cppc-cli --bin explorer-md > docs/EXPLORER.md'" >&2
-    exit 1
-}
-
-echo "== docs/METRICS.md freshness"
-cargo run -q -p cppc-cli --bin metrics-md > docs/METRICS.md
-git diff --exit-code -- docs/METRICS.md || {
-    echo "docs/METRICS.md is stale: regenerate with" \
-         "'cargo run -p cppc-cli --bin metrics-md > docs/METRICS.md'" >&2
-    exit 1
-}
+echo "== generated docs freshness"
+# docs/{RESULTS,SCHEMES,EXPLORER,METRICS}.md are pure functions of the
+# code and the committed docs/results/*.json documents; re-rendering
+# them in memory (no simulation) must match the committed bytes. Fails
+# naming each stale file; regenerate with
+# 'cargo run --release -p cppc-cli -- docs'.
+cargo run -q --release -p cppc-cli --bin cppc-cli -- docs --check
 
 echo "== serve smoke (daemon round-trip + kill-and-restart resume)"
 # Exercises the job service across a real process boundary: submit

@@ -17,7 +17,7 @@ use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_campaign::rng::rngs::StdRng;
 use cppc_campaign::rng::{RngExt, SeedableRng};
-use cppc_core::{CppcCache, CppcConfig, SchemeKind};
+use cppc_core::{CppcCache, CppcConfig, ProtectionScheme, SchemeKind};
 use cppc_fault::campaign::Outcome;
 use cppc_fault::model::{FaultGenerator, FaultModel};
 use cppc_workloads::SharedTrace;
@@ -85,8 +85,8 @@ pub fn inject_geometry() -> CacheGeometry {
     CacheGeometry::new(2048, 2, 32).expect("valid geometry")
 }
 
-/// The fault-injection experiment shared by `cppc-cli inject`,
-/// `cppc-cli campaign --kind inject` and `inject` service jobs: fill
+/// The fault-injection experiment shared by `cppc-cli campaign --kind
+/// inject`, `inject` service jobs and `cppc-cli stats`: fill
 /// way 0 of a small L1 CPPC with known values, strike it with one
 /// sampled fault pattern, run recovery and classify the outcome.
 pub fn inject_experiment(
@@ -144,10 +144,26 @@ pub fn scheme_experiment(
     config: CppcConfig,
     fault: FaultModel,
 ) -> impl Fn(&mut StdRng, u64) -> Outcome + Sync {
+    built_experiment(
+        move |geo| kind.build(geo, config).expect("validated config"),
+        fault,
+    )
+}
+
+/// [`scheme_experiment`]'s protocol over any scheme `build` makes from
+/// [`inject_geometry`], including variants outside the zoo's paper
+/// configurations (the coverage matrix's eight-row 2D parity).
+pub fn built_experiment<B>(
+    build: B,
+    fault: FaultModel,
+) -> impl Fn(&mut StdRng, u64) -> Outcome + Sync
+where
+    B: Fn(CacheGeometry) -> Box<dyn ProtectionScheme> + Sync,
+{
     move |rng, trial| {
         let geo = inject_geometry();
         let mut mem = MainMemory::new();
-        let mut scheme = kind.build(geo, config).expect("validated config");
+        let mut scheme = build(geo);
         let mut fill = StdRng::seed_from_u64(trial);
         let mut truth = Vec::new();
         for set in 0..geo.num_sets() {

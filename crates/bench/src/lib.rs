@@ -1,9 +1,12 @@
-//! Shared harness code for the table/figure reproduction binaries.
+//! Shared experiment code: the bodies the `cppc-repro` paper artifacts,
+//! the campaign kinds and the benchmarks run.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (see `DESIGN.md` for the index); this library holds the pieces
-//! they share: the functional simulation runner, the evaluation
-//! defaults and small table-printing helpers.
+//! The paper's tables and figures are `cppc-repro` artifacts (see
+//! `EXPERIMENTS.md`); the binaries in `src/bin/` are the BENCH gates
+//! and the §7 exploration/ablation studies. This library holds what
+//! they share: the functional simulation runner, the experiment
+//! bodies ([`experiments`], [`mbe`]), the evaluation defaults and small
+//! table-printing helpers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,8 +27,8 @@ use cppc_workloads::{BenchmarkProfile, SharedTrace};
 /// with the `CPPC_BENCH_OPS` environment variable.
 pub const DEFAULT_MEMOPS: usize = 300_000;
 
-/// Seed shared by all figure binaries so every scheme sees the same
-/// access stream.
+/// Seed shared by the figure artifacts and exploration binaries so
+/// every scheme sees the same access stream.
 pub const EVAL_SEED: u64 = 0x15CA_2011;
 
 /// Trace length, honouring `CPPC_BENCH_OPS`.

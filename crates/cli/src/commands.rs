@@ -4,7 +4,7 @@ use std::error::Error;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use cppc_bench::experiments::{inject_experiment, inject_geometry, parse_config, parse_fault};
+use cppc_bench::experiments::{inject_experiment, inject_geometry};
 use cppc_cache_sim::geometry::CacheGeometry;
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_campaign::json::Json;
@@ -13,7 +13,7 @@ use cppc_core::CppcConfig;
 use cppc_energy::scheme::{AccessCounts, ProtectionKind, SchemeEnergy};
 use cppc_energy::tech::TechnologyNode;
 use cppc_energy::AreaModel;
-use cppc_fault::campaign::{Campaign, OutcomeTally};
+use cppc_fault::campaign::OutcomeTally;
 use cppc_fault::model::FaultModel;
 use cppc_reliability::montecarlo::analytic_mttf_hours;
 use cppc_reliability::mttf::{
@@ -42,10 +42,6 @@ COMMANDS:
                  --bench <name>   benchmark (default gcc)
                  --ops <n>        memory operations (default 200000)
                  --seed <n>       trace seed (default 42)
-  inject       run a fault-injection campaign on an L1 CPPC
-                 --config basic|paper|two-pairs|eight-pairs (default paper)
-                 --fault single|2xvert|8xhoriz|4x4|8x8 (default 4x4)
-                 --trials <n>     campaign size (default 400)
   campaign     run a campaign through the parallel deterministic engine
                (bit-identical results at any thread count; live metrics
                on stderr)
@@ -72,8 +68,14 @@ COMMANDS:
                  --resume true|false  resume from checkpoint (default true)
                  --json           print only the result document on
                                   stdout (matches a serve job's result)
-                 inject and scheme kinds also take --config/--fault;
-                 montecarlo --rate/--domains/--tavg; sleep --sleep-ms;
+                 inject and scheme kinds also take
+                   --config basic|paper|two-pairs|eight-pairs
+                                  (default paper)
+                   --fault single|2xvert|8xhoriz|4x4|8x8 (default 4x4);
+                 montecarlo (accelerated double-fault MTTF, simulated
+                 vs analytic) takes --rate <faults/h> (default 40),
+                 --domains <n> (default 8) and --tavg <hours> (default
+                 0.0004); sleep --sleep-ms;
                  trace --trace <file> (text or binary trace to replay
                  per trial; see docs/TRACES.md); explore --quick (the
                  28-config tier; --trials/--seed set each config's
@@ -104,11 +106,6 @@ COMMANDS:
                    streaming binary reader (binary traces)
                  --in <path>      trace file
                  --reps <n>       best-of repetitions (default 3)
-  montecarlo   validate the MTTF model at accelerated rates
-                 --rate <f>       faults/hour over dirty bits (default 40)
-                 --domains <n>    protection domains (default 8)
-                 --tavg <f>       window, hours (default 0.0004)
-                 --trials <n>     trials (default 3000)
   coherence    multiprocessor CPPC read-before-write sweep
                  --cores <n>      cores (default 4)
                  --ops <n>        total ops (default 100000)
@@ -119,8 +116,6 @@ COMMANDS:
                  --check          gate against committed goldens, write
                                   nothing; non-zero exit on violation
                  --update-goldens re-bless goldens with fresh values
-                 --render         re-render docs/RESULTS.md from the
-                                  committed JSON, no simulation
                  --threads <n>    workers, 0 = all CPUs (default 1)
                  --quick          scaled-down trial counts (tests only;
                                   never mix with committed goldens)
@@ -133,8 +128,6 @@ COMMANDS:
                  --check          re-run the tier and require byte
                                   identity with the committed
                                   docs/results/explore_<tier>.json
-                 --render         re-render docs/EXPLORER.md from the
-                                  committed JSONs, no simulation
                  --threads <n>    workers across configs, 0 = all CPUs
                                   (default 0); bytes identical at any
                                   thread count
@@ -147,6 +140,11 @@ COMMANDS:
                  --out <path>     write the document here instead of
                                   docs/results/explore_<tier>.json
                  --root <path>    repo root (default .)
+  docs         re-render docs/{{RESULTS,SCHEMES,EXPLORER,METRICS}}.md
+               from the code and the committed docs/results/*.json (no
+               simulation; run from the repo root)
+                 --check          write nothing; exit non-zero naming
+                                  every stale file
   stats        run a workload + mini campaign, then print the live
                metrics registry (see docs/METRICS.md)
                  --bench <name>   benchmark (default gcc)
@@ -282,20 +280,6 @@ pub fn simulate(args: &ParsedArgs) -> CliResult {
     Ok(())
 }
 
-/// `inject`
-pub fn inject(args: &ParsedArgs) -> CliResult {
-    let config = parse_config(args.get_or("config", "paper"))?;
-    let fault = parse_fault(args.get_or("fault", "4x4"))?;
-    let trials: u64 = args.get_parsed("trials", 400)?;
-
-    let tally: OutcomeTally =
-        Campaign::new(0xC11).run(trials, inject_experiment(inject_geometry(), config, fault));
-
-    println!("campaign: {trials} trials");
-    print_tally(&tally);
-    Ok(())
-}
-
 /// The human-readable outcome breakdown of a tally.
 fn print_tally(tally: &OutcomeTally) {
     println!(
@@ -346,13 +330,12 @@ pub fn campaign(args: &ParsedArgs) -> CliResult {
             println!("{line}");
         }
     };
-    let cfg = spec.campaign_config(spec.threads);
     say(&format!(
         "campaign: kind={}  trials={}  seed={:#x}  threads={}  checkpoint={}",
         spec.kind.name(),
         spec.trials,
         spec.seed,
-        cfg.resolved_threads(),
+        cppc_serve::runner::resolved_threads(&spec, spec.threads),
         args.get("checkpoint").unwrap_or("none"),
     ));
 
@@ -386,7 +369,7 @@ pub fn campaign(args: &ParsedArgs) -> CliResult {
     // A run that finds every shard in its checkpoint executes nothing
     // and so reports no progress; its summary comes from the spec.
     if shards.is_none() && resumable && matches!(end, RunEnd::Complete { .. }) {
-        let total = cfg.total_shards();
+        let total = spec.campaign_config(spec.threads).total_shards();
         shards = Some((total, total, 0, started.elapsed().as_secs_f64()));
     }
     if let Some((done, resumed, failed, secs)) = shards {
@@ -411,12 +394,18 @@ pub fn campaign(args: &ParsedArgs) -> CliResult {
                 .and_then(Json::as_f64_bits)
                 .unwrap_or(f64::NAN)
         };
+        let analytic = analytic_mttf_hours(&mc);
         println!(
             "  simulated: {:.2} h  (+/- {:.2})",
             hours("mttf_hours"),
             hours("std_error_hours")
         );
-        println!("  analytic:  {:.2} h", analytic_mttf_hours(&mc));
+        println!("  analytic:  {analytic:.2} h");
+        println!(
+            "  deviation: {:+.1}%   mean faults absorbed per failure: {:.1}",
+            (hours("mttf_hours") / analytic - 1.0) * 100.0,
+            hours("mean_faults_to_failure")
+        );
     } else if let Some(tally) = OutcomeTally::from_json(&result) {
         print_tally(&tally);
     } else {
@@ -652,33 +641,6 @@ pub fn trace_bench(args: &ParsedArgs) -> CliResult {
     Ok(())
 }
 
-/// `montecarlo`
-pub fn montecarlo(args: &ParsedArgs) -> CliResult {
-    use cppc_reliability::montecarlo::{
-        analytic_mttf_hours, simulate_double_fault_mttf, MonteCarloConfig,
-    };
-    let cfg = MonteCarloConfig {
-        faults_per_hour: args.get_parsed("rate", 40.0)?,
-        domains: args.get_parsed("domains", 8)?,
-        tavg_hours: args.get_parsed("tavg", 0.0004)?,
-        trials: args.get_parsed("trials", 3000)?,
-    };
-    let mc = simulate_double_fault_mttf(&cfg, 0xCA7);
-    let analytic = analytic_mttf_hours(&cfg);
-    println!("accelerated double-fault MTTF ({} trials):", cfg.trials);
-    println!(
-        "  simulated: {:.2} h  (+/- {:.2})",
-        mc.mttf_hours, mc.std_error_hours
-    );
-    println!("  analytic:  {analytic:.2} h");
-    println!(
-        "  deviation: {:+.1}%   mean faults absorbed per failure: {:.1}",
-        (mc.mttf_hours / analytic - 1.0) * 100.0,
-        mc.mean_faults_to_failure
-    );
-    Ok(())
-}
-
 /// `coherence`
 pub fn coherence(args: &ParsedArgs) -> CliResult {
     use cppc_coherence::{CppcCoherentSystem, SharedTraceGenerator};
@@ -765,15 +727,8 @@ pub fn repro(args: &ParsedArgs) -> CliResult {
     let root = PathBuf::from(args.get_or("root", "."));
     let check = args.get_flag("check");
     let update_goldens = args.get_flag("update-goldens");
-    let render = args.get_flag("render");
     if check && update_goldens {
         return Err("--check and --update-goldens are mutually exclusive".into());
-    }
-
-    if render {
-        cppc_repro::write_book(&root)?;
-        println!("rendered {}", cppc_repro::book_path(&root).display());
-        return Ok(());
     }
 
     let cfg = RunConfig {
@@ -825,35 +780,15 @@ pub fn repro(args: &ParsedArgs) -> CliResult {
         return Err(format!("{} golden-gate violation(s)", failures.len()).into());
     }
 
-    cppc_repro::write_book(&root)?;
-    println!("wrote {}", cppc_repro::book_path(&root).display());
+    for path in crate::docs::write_all(&root)? {
+        println!("wrote {}", path.display());
+    }
     Ok(())
 }
 
 /// Path of a tier's committed sweep document.
-fn explore_json_path(root: &std::path::Path, tier: &str) -> PathBuf {
-    root.join("docs")
-        .join("results")
-        .join(format!("explore_{tier}.json"))
-}
-
-/// Loads a committed sweep document, if present and well-formed.
-fn explore_doc(root: &std::path::Path, tier: &str) -> Option<cppc_campaign::json::Json> {
-    let text = std::fs::read_to_string(explore_json_path(root, tier)).ok()?;
-    cppc_campaign::json::Json::parse(&text).ok()
-}
-
-/// Re-renders `docs/EXPLORER.md` from the committed tier documents.
-fn write_explorer_book(root: &std::path::Path) -> Result<PathBuf, Box<dyn Error>> {
-    let quick = explore_doc(root, "quick");
-    let full = explore_doc(root, "full");
-    let path = root.join("docs").join("EXPLORER.md");
-    std::fs::write(
-        &path,
-        cppc_explore::doc::render(quick.as_ref(), full.as_ref()),
-    )
-    .map_err(|e| format!("write {}: {e}", path.display()))?;
-    Ok(path)
+pub(crate) fn explore_json_path(root: &std::path::Path, tier: &str) -> PathBuf {
+    cppc_repro::results_dir(root).join(format!("explore_{tier}.json"))
 }
 
 /// Splits a comma-separated filter list.
@@ -875,11 +810,6 @@ pub fn explore(args: &ParsedArgs) -> CliResult {
     let root = PathBuf::from(args.get_or("root", "."));
     let quick = args.get_flag("quick");
     let check = args.get_flag("check");
-    if args.get_flag("render") {
-        let path = write_explorer_book(&root)?;
-        println!("rendered {}", path.display());
-        return Ok(());
-    }
 
     let mut spec = if quick {
         SweepSpec::quick_tier()
@@ -973,37 +903,46 @@ pub fn explore(args: &ParsedArgs) -> CliResult {
         summary("frontier_non_cppc"),
         summary("dominated"),
     );
-    // A canonical tier write refreshes the book; side studies (--out)
+    // A canonical tier write refreshes the books; side studies (--out)
     // leave the committed documents alone.
     if args.get("out").is_none() {
-        let book = write_explorer_book(&root)?;
-        println!("rendered {}", book.display());
+        for book in crate::docs::write_all(&root)? {
+            println!("wrote {}", book.display());
+        }
     }
     Ok(())
 }
 
 /// Registers every instrumented subsystem's metric groups, so describe
-/// mode and snapshots list them even before any activity. Kept in sync
-/// with the `metrics-md` generator binary.
+/// mode, snapshots and `docs/METRICS.md` list them even before any
+/// activity. The reference ([`metrics_reference`]) works with `obs` off
+/// too: it lists metadata only.
 pub fn register_all_metrics() {
     cppc_cache_sim::obs::register_metrics();
     cppc_workloads::obs::register_metrics();
     cppc_core::obs::register_metrics();
     cppc_timing::obs::register_metrics();
     cppc_campaign::obs::register_metrics();
+    cppc_campaign::snapshot::register_metrics();
     cppc_repro::obs::register_metrics();
     cppc_serve::obs::register_metrics();
     cppc_bench::obs::register_metrics();
     cppc_explore::obs::register_metrics();
 }
 
+/// The metrics reference: `stats --describe` and `docs/METRICS.md`.
+pub fn metrics_reference() -> String {
+    register_all_metrics();
+    cppc_obs::reference_markdown()
+}
+
 /// `stats`
 pub fn stats(args: &ParsedArgs) -> CliResult {
-    register_all_metrics();
     if args.get_parsed("describe", false)? {
-        print!("{}", cppc_obs::reference_markdown());
+        print!("{}", metrics_reference());
         return Ok(());
     }
+    register_all_metrics();
 
     let bench = args.get_or("bench", "gcc");
     let ops: usize = args.get_parsed("ops", 200_000)?;

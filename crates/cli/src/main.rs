@@ -3,17 +3,19 @@
 //! ```console
 //! $ cppc-cli help
 //! $ cppc-cli simulate --bench mcf --ops 200000
-//! $ cppc-cli inject --config paper --fault 4x4 --trials 500
+//! $ cppc-cli campaign --kind inject --config paper --fault 4x4 --trials 500
 //! $ cppc-cli mttf --level l1
 //! $ cppc-cli sweep --what pairs
 //! $ cppc-cli benchmarks
 //! $ cppc-cli repro --all --threads 1
+//! $ cppc-cli docs --check
 //! $ cppc-cli serve --data-dir /var/lib/cppc --socket /tmp/cppc.sock
 //! $ cppc-cli submit --kind mbe --trials 2000 --watch
 //! ```
 
 mod args;
 mod commands;
+mod docs;
 mod serve_cmd;
 
 use args::ParsedArgs;
@@ -24,7 +26,6 @@ use args::ParsedArgs;
 const COMMAND_OPTIONS: &[(&str, &[&str])] = &[
     ("benchmarks", &[]),
     ("simulate", &["bench", "ops", "seed"]),
-    ("inject", &["config", "fault", "trials"]),
     (
         "campaign",
         &[
@@ -58,7 +59,6 @@ const COMMAND_OPTIONS: &[(&str, &[&str])] = &[
     ("trace convert", &["in", "out", "from", "to"]),
     ("trace info", &["in"]),
     ("trace bench", &["in", "reps"]),
-    ("montecarlo", &["rate", "domains", "tavg", "trials"]),
     ("coherence", &["cores", "ops"]),
     (
         "repro",
@@ -67,7 +67,6 @@ const COMMAND_OPTIONS: &[(&str, &[&str])] = &[
             "all",
             "check",
             "update-goldens",
-            "render",
             "threads",
             "quick",
             "root",
@@ -78,7 +77,6 @@ const COMMAND_OPTIONS: &[(&str, &[&str])] = &[
         &[
             "quick",
             "check",
-            "render",
             "threads",
             "checkpoint-dir",
             "include",
@@ -87,6 +85,7 @@ const COMMAND_OPTIONS: &[(&str, &[&str])] = &[
             "root",
         ],
     ),
+    ("docs", &["check"]),
     (
         "stats",
         &[
@@ -181,7 +180,6 @@ fn main() {
         }
         "benchmarks" => commands::benchmarks(),
         "simulate" => commands::simulate(&parsed),
-        "inject" => commands::inject(&parsed),
         "campaign" => commands::campaign(&parsed),
         "mttf" => commands::mttf(&parsed),
         "sweep" => commands::sweep(&parsed),
@@ -189,10 +187,10 @@ fn main() {
         "trace convert" => commands::trace_convert(&parsed),
         "trace info" => commands::trace_info(&parsed),
         "trace bench" => commands::trace_bench(&parsed),
-        "montecarlo" => commands::montecarlo(&parsed),
         "coherence" => commands::coherence(&parsed),
         "repro" => commands::repro(&parsed),
         "explore" => commands::explore(&parsed),
+        "docs" => docs::docs(&parsed),
         "stats" => commands::stats(&parsed),
         "serve" => serve_cmd::serve_daemon(&parsed),
         "submit" => serve_cmd::submit(&parsed),
@@ -403,6 +401,18 @@ mod tests {
                 "unknown-kind error omits '{name}': {err}"
             );
         }
+    }
+
+    #[test]
+    fn seed_accepts_the_hex_form_the_banner_prints() {
+        let spec = |seed: &str| {
+            let args = ParsedArgs::parse(words(&["campaign", "--seed", seed])).unwrap();
+            serve_cmd::spec_from_args(&args, 0)
+        };
+        assert_eq!(spec("0xc11").unwrap(), spec("3089").unwrap());
+        assert_eq!(spec("0XC11").unwrap().seed, 3089);
+        let err = spec("0xzz").unwrap_err().to_string();
+        assert!(err.contains("'0xzz' for --seed"), "{err}");
     }
 
     #[test]

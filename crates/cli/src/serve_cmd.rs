@@ -16,7 +16,7 @@ use std::time::Duration;
 use cppc_campaign::json::Json;
 use cppc_serve::{Client, JobId, JobKind, JobSpec, Priority, ServerConfig};
 
-use crate::args::ParsedArgs;
+use crate::args::{ArgsError, ParsedArgs};
 
 type CliResult = Result<(), Box<dyn Error>>;
 
@@ -127,11 +127,7 @@ pub(crate) fn spec_from_args(
             .into())
         }
     };
-    let mut spec = JobSpec::new(
-        kind,
-        args.get_parsed("trials", 2000)?,
-        args.get_parsed("seed", 0xC11)?,
-    );
+    let mut spec = JobSpec::new(kind, args.get_parsed("trials", 2000)?, seed_arg(args)?);
     // `--threads 0` resolves to every CPU on the executing host (the
     // daemon's, for a submitted job).
     spec.threads = args.get_parsed("threads", default_threads)?;
@@ -139,6 +135,21 @@ pub(crate) fn spec_from_args(
     spec.batch = args.get_parsed("batch", spec.batch)?;
     spec.validate()?;
     Ok(spec)
+}
+
+/// `--seed` in decimal or in the `0x…` hex form the campaign banner
+/// prints (default `0xC11`).
+fn seed_arg(args: &ParsedArgs) -> Result<u64, ArgsError> {
+    let hex = args
+        .get("seed")
+        .and_then(|v| v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")));
+    match hex {
+        None => args.get_parsed("seed", 0xC11),
+        Some(digits) => u64::from_str_radix(digits, 16).map_err(|_| ArgsError::BadValue {
+            option: "seed".into(),
+            value: args.get_or("seed", "").into(),
+        }),
+    }
 }
 
 /// `submit` — prints the new job id to stdout (`--watch` then streams

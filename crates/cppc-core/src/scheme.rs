@@ -30,9 +30,8 @@
 //!   [`ProtectionScheme::cache_stats`] the generic traffic counters
 //!   the area/energy models consume.
 //! * **self-description** — [`ProtectionScheme::descriptor`] returns
-//!   static name/geometry/overhead metadata; the `schemes-md`
-//!   generator renders `docs/SCHEMES.md` from exactly these
-//!   descriptors.
+//!   static name/geometry/overhead metadata; `cppc-cli docs` renders
+//!   `docs/SCHEMES.md` from exactly these descriptors.
 //!
 //! The four ported schemes (`cppc`, `parity1d`, `secded-interleaved`,
 //! `parity2d`) reproduce the historical baked-in campaign closures
@@ -109,8 +108,8 @@ impl From<crate::baselines::UnrecoverableFault> for SchemeFault {
     }
 }
 
-/// Static self-description of one protection scheme: the metadata the
-/// `schemes-md` generator renders into `docs/SCHEMES.md`.
+/// Static self-description of one protection scheme: the metadata
+/// `cppc-cli docs` renders into `docs/SCHEMES.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchemeDescriptor {
     /// The selector name (`cppc-cli campaign --scheme <name>`).
@@ -695,8 +694,19 @@ impl Parity2dScheme {
     /// evaluated configuration).
     #[must_use]
     pub fn new(geo: CacheGeometry, policy: ReplacementPolicy) -> Self {
+        Self::with_vertical_rows(geo, 1, policy)
+    }
+
+    /// Builds the cache with `vertical_rows` vertical parity rows (the
+    /// coverage matrix also runs an eight-row variant).
+    #[must_use]
+    pub fn with_vertical_rows(
+        geo: CacheGeometry,
+        vertical_rows: usize,
+        policy: ReplacementPolicy,
+    ) -> Self {
         Parity2dScheme {
-            inner: TwoDimParityCache::new(geo, 1, policy),
+            inner: TwoDimParityCache::new(geo, vertical_rows, policy),
         }
     }
 }

@@ -206,7 +206,7 @@ const GUIDE: &str = "\
 # Design-space explorer
 
 <!-- GENERATED FILE, do not edit. Regenerate with\n     \
-`cargo run -p cppc-cli --bin explorer-md > docs/EXPLORER.md`. -->
+`cargo run --release -p cppc-cli -- docs`. -->
 
 The paper evaluates CPPC at a handful of hand-picked configurations;
 `cppc-cli explore` (crate `cppc-explore`, ROADMAP item 4) sweeps the
@@ -276,7 +276,7 @@ rates.
 $ cppc-cli explore --quick              # 28-config CI tier -> docs/results/explore_quick.json
 $ cppc-cli explore                      # 432-config full tier -> docs/results/explore_full.json
 $ cppc-cli explore --quick --check      # CI gate: re-run, require byte-identity
-$ cppc-cli explore --render             # re-render this file from committed JSONs
+$ cppc-cli docs                         # re-render this file from committed JSONs
 $ cppc-cli explore --threads 8 --checkpoint-dir /tmp/sweep.d   # parallel + resumable
 $ cppc-cli explore --include cppc/ --out /tmp/cppc_only.json   # filtered side study
 $ cppc-cli submit --kind explore --quick --watch               # through the daemon

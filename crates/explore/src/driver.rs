@@ -34,6 +34,23 @@ pub struct SweepOptions {
     pub checkpoint_dir: Option<PathBuf>,
 }
 
+impl SweepOptions {
+    /// The worker threads [`run_sweep`] starts for a sweep of `configs`
+    /// configurations: `threads` (0 resolving to every available core),
+    /// never more than there are configurations and never fewer than
+    /// one.
+    #[must_use]
+    pub fn workers(&self, configs: usize) -> usize {
+        if self.threads == 0 {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        } else {
+            self.threads
+        }
+        .min(configs)
+        .max(1)
+    }
+}
+
 /// What a sweep run produced.
 #[derive(Debug)]
 pub enum SweepOutcome {
@@ -133,13 +150,7 @@ pub fn run_sweep(
         }
     }
 
-    let threads = if opts.threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        opts.threads
-    }
-    .min(configs.len())
-    .max(1);
+    let threads = opts.workers(configs.len());
 
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);

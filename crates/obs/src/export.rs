@@ -212,8 +212,8 @@ pub fn reference_markdown() -> String {
     let mut out = String::new();
     out.push_str("# Metrics reference\n\n");
     out.push_str(
-        "Generated from the `cppc-obs` registry by `cargo run -p cppc-cli --bin \
-         metrics-md` — **do not edit by hand**; CI regenerates this file and fails \
+        "Generated from the `cppc-obs` registry by `cargo run --release -p cppc-cli \
+         -- docs` — **do not edit by hand**; CI regenerates this file and fails \
          if it drifts from the code. Every metric is declared next to the code it \
          instruments via `cppc_obs::metrics!`, which makes the name, unit and doc \
          string below mandatory at compile time.\n\n",

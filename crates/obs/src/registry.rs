@@ -7,7 +7,8 @@
 //! [`MetricGroup`] holding the metadata; the group self-registers into
 //! the process-wide registry the first time any of the crate's
 //! instrumentation runs (or when [`MetricGroup::register`] is called
-//! explicitly, as the exporters and the `metrics-md` generator do).
+//! explicitly, as the exporters and the `cppc-cli docs` renderer of
+//! `docs/METRICS.md` do).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 #[cfg(feature = "enabled")]

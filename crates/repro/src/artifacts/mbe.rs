@@ -6,21 +6,22 @@
 //! silent corruption anywhere, the 8x8 solid square unrecoverable with
 //! one register pair but corrected with two, and SECDED+interleaving
 //! correcting everything inside its 8-wide budget.
+//!
+//! Every row runs [`built_experiment`], the fill, strike and classify
+//! protocol behind `cppc-cli campaign --scheme`; `tests/scheme_equivalence.rs`
+//! pins each row to the historical per-scheme campaign bodies.
 
+use cppc_bench::experiments::built_experiment;
 use cppc_cache_sim::geometry::CacheGeometry;
-use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
-use cppc_campaign::rng::rngs::StdRng;
-use cppc_campaign::rng::{RngExt, SeedableRng};
-use cppc_core::baselines::{OneDimParityCache, SecdedCache, TwoDimParityCache};
-use cppc_core::{CppcCache, CppcConfig};
-use cppc_fault::campaign::{Campaign, Outcome, OutcomeTally};
-use cppc_fault::model::{FaultGenerator, FaultModel};
+use cppc_core::scheme::Parity2dScheme;
+use cppc_core::{CppcConfig, ProtectionScheme, SchemeKind};
+use cppc_fault::campaign::{Campaign, OutcomeTally};
+use cppc_fault::model::FaultModel;
 
 use crate::artifact::{Artifact, ArtifactOutput, MetricValue, RunConfig, Table, Tier, Tolerance};
 
-/// Campaign seed (shared with the historical `mbe_coverage` binary so
-/// tallies stay comparable).
+/// Campaign seed.
 const SEED: u64 = 0xC0DE;
 /// Trials per (scheme, fault) cell.
 const TRIALS: u64 = 200;
@@ -70,26 +71,9 @@ pub fn artifact() -> Artifact {
     }
 }
 
-fn geometry() -> CacheGeometry {
-    CacheGeometry::new(2048, 2, 32).unwrap()
-}
-
-/// Ground truth: addresses of way-0 rows and their stored values.
-fn oracle(seed: u64) -> Vec<(u64, u64)> {
-    let geo = geometry();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let rows = geo.num_sets() * geo.words_per_block();
-    (0..rows)
-        .map(|row| {
-            let set = row / geo.words_per_block();
-            let word = row % geo.words_per_block();
-            let addr = geo.address_of(0, set) + (word * 8) as u64;
-            (addr, rng.random())
-        })
-        .collect()
-}
-
-fn fault_models() -> Vec<(&'static str, FaultModel)> {
+/// The matrix's fault classes, in table order.
+#[must_use]
+pub fn fault_models() -> Vec<(&'static str, FaultModel)> {
     vec![
         ("single bit", FaultModel::TemporalSingleBit),
         ("2-bit vertical", FaultModel::VerticalStripe { rows: 2 }),
@@ -121,171 +105,52 @@ fn fault_models() -> Vec<(&'static str, FaultModel)> {
     ]
 }
 
-fn run_cppc(config: CppcConfig, model: FaultModel, trials: u64, threads: usize) -> OutcomeTally {
-    Campaign::new(SEED).run_parallel(trials, threads, move |rng, trial| {
-        let mut mem = MainMemory::new();
-        let mut cache = CppcCache::new_l1(geometry(), config, ReplacementPolicy::Lru).unwrap();
-        let truth = oracle(trial);
-        for &(addr, v) in &truth {
-            cache.store_word(addr, v, &mut mem).unwrap();
-        }
-        let rows = cache.layout().num_rows() / 2; // way-0 rows only
-        let mut generator = FaultGenerator::new(rows, rng.random());
-        let pattern = generator.sample(model);
-        if cache.inject(&pattern) == 0 {
-            return Outcome::Masked;
-        }
-        match cache.recover_all(&mut mem) {
-            Err(_) => Outcome::DetectedUnrecoverable,
-            Ok(_) => {
-                for &(addr, v) in &truth {
-                    if cache.peek_word(addr) != Some(v) {
-                        return Outcome::SilentCorruption;
-                    }
-                }
-                Outcome::Corrected
-            }
-        }
-    })
-}
+/// A matrix row's protection scheme, built over the campaign geometry.
+pub type SchemeBuilder = fn(CacheGeometry) -> Box<dyn ProtectionScheme>;
 
-fn run_parity(model: FaultModel, trials: u64, threads: usize) -> OutcomeTally {
-    Campaign::new(SEED).run_parallel(trials, threads, move |rng, trial| {
-        let mut mem = MainMemory::new();
-        let mut cache = OneDimParityCache::new(geometry(), 8, ReplacementPolicy::Lru);
-        let truth = oracle(trial);
-        for &(addr, v) in &truth {
-            cache.store_word(addr, v, &mut mem);
-        }
-        let rows = cache.layout().num_rows() / 2;
-        let mut generator = FaultGenerator::new(rows, rng.random());
-        let pattern = generator.sample(model);
-        if cache.inject(&pattern) == 0 {
-            return Outcome::Masked;
-        }
-        for &(addr, v) in &truth {
-            match cache.load_word(addr, &mut mem) {
-                Err(_) => return Outcome::DetectedUnrecoverable,
-                Ok(got) if got != v => return Outcome::SilentCorruption,
-                Ok(_) => {}
-            }
-        }
-        // Every flipped bit was hidden by even flips per parity group:
-        // harmless this time — masked by parity blindness.
-        Outcome::Masked
-    })
-}
-
-fn run_secded(model: FaultModel, trials: u64, threads: usize) -> OutcomeTally {
-    Campaign::new(SEED).run_parallel(trials, threads, move |rng, trial| {
-        let mut mem = MainMemory::new();
-        let mut cache = SecdedCache::new(geometry(), true, ReplacementPolicy::Lru);
-        let truth = oracle(trial);
-        for &(addr, v) in &truth {
-            cache.store_word(addr, v, &mut mem);
-        }
-        let logical_rows = cache.layout().num_rows() / 2;
-        // Translate the fault model into a physical strike on the
-        // interleaved array (8 logical rows per physical row).
-        let (rows, cols) = match model {
-            FaultModel::TemporalSingleBit | FaultModel::TemporalMultiBit { .. } => (1, 1),
-            FaultModel::VerticalStripe { rows } => (rows, 1),
-            FaultModel::HorizontalBurst { cols } => (1, cols),
-            FaultModel::SpatialSquare { rows, cols, .. } => (rows, cols),
-        };
-        let physical_rows = logical_rows / 8;
-        let prows = rows.div_ceil(8).max(1).min(physical_rows);
-        let row0 = rng.random_range(0..=(physical_rows - prows));
-        let col0 = rng.random_range(0..=(512 - cols));
-        let flips = cache.inject_spatial(row0, col0, prows, cols);
-        if flips.is_empty() {
-            return Outcome::Masked;
-        }
-        for &(addr, v) in &truth {
-            match cache.load_word(addr, &mut mem) {
-                Err(_) => return Outcome::DetectedUnrecoverable,
-                Ok(got) if got != v => return Outcome::SilentCorruption,
-                Ok(_) => {}
-            }
-        }
-        Outcome::Corrected
-    })
-}
-
-fn run_twodim(
-    vertical_rows: usize,
-    model: FaultModel,
-    trials: u64,
-    threads: usize,
-) -> OutcomeTally {
-    Campaign::new(SEED).run_parallel(trials, threads, move |rng, trial| {
-        let mut mem = MainMemory::new();
-        let mut cache = TwoDimParityCache::new(geometry(), vertical_rows, ReplacementPolicy::Lru);
-        let truth = oracle(trial);
-        for &(addr, v) in &truth {
-            cache.store_word(addr, v, &mut mem);
-        }
-        let rows = cache.layout().num_rows() / 2;
-        let mut generator = FaultGenerator::new(rows, rng.random());
-        let pattern = generator.sample(model);
-        if cache.inject(&pattern) == 0 {
-            return Outcome::Masked;
-        }
-        match cache.recover_all() {
-            Err(_) => Outcome::DetectedUnrecoverable,
-            Ok(()) => {
-                for &(addr, v) in &truth {
-                    if cache.peek_word(addr) != Some(v) {
-                        return Outcome::SilentCorruption;
-                    }
-                }
-                Outcome::Corrected
-            }
-        }
-    })
+/// The matrix's scheme rows, in table order. All but the eight-row 2D
+/// parity are members of the scheme zoo.
+#[must_use]
+pub fn scheme_rows() -> [(&'static str, SchemeBuilder); 7] {
+    fn zoo(kind: SchemeKind, geo: CacheGeometry, config: CppcConfig) -> Box<dyn ProtectionScheme> {
+        kind.build(geo, config).expect("valid config")
+    }
+    [
+        ("1D parity", |g| {
+            zoo(SchemeKind::Parity1d, g, CppcConfig::paper())
+        }),
+        ("SECDED+interleave", |g| {
+            zoo(SchemeKind::SecdedInterleaved, g, CppcConfig::paper())
+        }),
+        ("CPPC 1 pair", |g| {
+            zoo(SchemeKind::Cppc, g, CppcConfig::paper())
+        }),
+        ("CPPC 2 pairs", |g| {
+            zoo(SchemeKind::Cppc, g, CppcConfig::two_pairs())
+        }),
+        ("CPPC 8 pairs", |g| {
+            zoo(SchemeKind::Cppc, g, CppcConfig::eight_pairs())
+        }),
+        ("2D parity (1 row)", |g| {
+            zoo(SchemeKind::Parity2d, g, CppcConfig::paper())
+        }),
+        ("2D parity (8 rows)", |g| {
+            Box::new(Parity2dScheme::with_vertical_rows(
+                g,
+                8,
+                ReplacementPolicy::Lru,
+            ))
+        }),
+    ]
 }
 
 fn pct(n: u64, tally: &OutcomeTally) -> f64 {
     n as f64 / tally.total() as f64 * 100.0
 }
 
-/// One protection scheme's campaign, ready to run against a fault model.
-type SchemeRunner = Box<dyn Fn(FaultModel) -> OutcomeTally>;
-
 fn run(cfg: &RunConfig) -> ArtifactOutput {
     let trials = cfg.pick(TRIALS, TRIALS_QUICK);
     let threads = cfg.threads;
-
-    let schemes: Vec<(&str, SchemeRunner)> = vec![
-        (
-            "1D parity",
-            Box::new(move |m| run_parity(m, trials, threads)),
-        ),
-        (
-            "SECDED+interleave",
-            Box::new(move |m| run_secded(m, trials, threads)),
-        ),
-        (
-            "CPPC 1 pair",
-            Box::new(move |m| run_cppc(CppcConfig::paper(), m, trials, threads)),
-        ),
-        (
-            "CPPC 2 pairs",
-            Box::new(move |m| run_cppc(CppcConfig::two_pairs(), m, trials, threads)),
-        ),
-        (
-            "CPPC 8 pairs",
-            Box::new(move |m| run_cppc(CppcConfig::eight_pairs(), m, trials, threads)),
-        ),
-        (
-            "2D parity (1 row)",
-            Box::new(move |m| run_twodim(1, m, trials, threads)),
-        ),
-        (
-            "2D parity (8 rows)",
-            Box::new(move |m| run_twodim(8, m, trials, threads)),
-        ),
-    ];
 
     let mut tables = Vec::new();
     let mut sdc_total = 0u64;
@@ -293,11 +158,12 @@ fn run(cfg: &RunConfig) -> ArtifactOutput {
     let mut cells: Vec<(&str, &str, OutcomeTally)> = Vec::new();
     for (fault_name, model) in fault_models() {
         let mut rows = Vec::new();
-        for (scheme_name, runner) in &schemes {
-            let tally = runner(model);
+        for (scheme_name, build) in scheme_rows() {
+            let experiment = built_experiment(build, model);
+            let tally = Campaign::new(SEED).run_parallel(trials, threads, experiment);
             sdc_total += tally.sdc;
             rows.push(vec![
-                (*scheme_name).to_string(),
+                scheme_name.to_string(),
                 format!("{:.1}", pct(tally.corrected, &tally)),
                 format!("{:.1}", pct(tally.due, &tally)),
                 format!("{:.1}", pct(tally.sdc, &tally)),

@@ -9,7 +9,7 @@
 mod energy;
 mod explore;
 mod fig10;
-mod mbe;
+pub mod mbe;
 mod schemes;
 mod table3;
 

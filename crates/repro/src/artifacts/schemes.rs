@@ -3,8 +3,8 @@
 //! and fault response.
 //!
 //! This is the fast-tier artifact behind the cross-scheme table in
-//! `docs/SCHEMES.md` (rendered by the `schemes-md` generator from the
-//! committed document). Three lenses, one row per scheme:
+//! `docs/SCHEMES.md` (rendered by `cppc-cli docs` from the committed
+//! document). Three lenses, one row per scheme:
 //!
 //! * **MTTF** — the paper's §6.3 closed-form model at the Table 1 L1
 //!   parameters, each scheme mapped to its protection-domain size;

@@ -18,11 +18,11 @@
 //! The CLI verbs map onto the [`runner`] functions:
 //!
 //! ```text
-//! cppc-cli repro --artifact table3_mttf     # run one, refresh JSON + book
+//! cppc-cli repro --artifact table3_mttf     # run one, refresh JSON + books
 //! cppc-cli repro --all --threads 1          # run everything (incl. full tier)
 //! cppc-cli repro --check                    # fast-tier golden gate (CI)
 //! cppc-cli repro --update-goldens --all     # re-bless goldens after a change
-//! cppc-cli repro --render                   # re-render the book, no simulation
+//! cppc-cli docs                             # re-render the books, no simulation
 //! ```
 //!
 //! Everything is deterministic: artifacts pin their own seeds, trial
@@ -46,6 +46,6 @@ pub mod schemes_md;
 pub use artifact::{Artifact, ArtifactOutput, MetricValue, RunConfig, Table, Tier, Tolerance};
 pub use artifacts::{find, registry};
 pub use runner::{
-    book_path, check_artifact, json_path, load_doc, render_book, results_dir, run_artifact,
-    write_artifact, write_book, GateFailure,
+    check_artifact, json_path, load_doc, render_book, results_dir, run_artifact, write_artifact,
+    GateFailure,
 };

@@ -11,8 +11,8 @@
 //!   committed document and returns every [`GateFailure`]; the CLI
 //!   exits non-zero if any survive;
 //! * **render** — [`render_book`] rebuilds `docs/RESULTS.md` purely
-//!   from the committed documents (no simulation), which is what the
-//!   CI freshness gate runs.
+//!   from the committed documents (no simulation); `cppc-cli docs`
+//!   writes it, and `cppc-cli docs --check` is the freshness gate.
 
 use std::fmt;
 use std::fs;
@@ -35,12 +35,6 @@ pub fn results_dir(root: &Path) -> PathBuf {
 #[must_use]
 pub fn json_path(root: &Path, artifact: &str) -> PathBuf {
     results_dir(root).join(format!("{artifact}.json"))
-}
-
-/// The book path under the repo root.
-#[must_use]
-pub fn book_path(root: &Path) -> PathBuf {
-    root.join("docs").join("RESULTS.md")
 }
 
 /// Loads and parses an artifact document, `None` when absent or
@@ -198,15 +192,6 @@ pub fn render_book(root: &Path) -> String {
         .collect();
     obs::BOOK_RENDERS.add(1);
     book::render(&docs)
-}
-
-/// Renders and writes `docs/RESULTS.md`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_book(root: &Path) -> io::Result<()> {
-    fs::write(book_path(root), render_book(root))
 }
 
 #[cfg(test)]

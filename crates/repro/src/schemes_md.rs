@@ -20,7 +20,7 @@ pub fn render(comparison: Option<&Json>) -> String {
     out.push_str(
         "# Protection-scheme catalog\n\n\
          <!-- GENERATED FILE, do not edit. Regenerate with\n     \
-         `cargo run -p cppc-cli --bin schemes-md > docs/SCHEMES.md`. -->\n\n\
+         `cargo run --release -p cppc-cli -- docs`. -->\n\n\
          Every protection scheme the repository implements behind the\n\
          `ProtectionScheme` trait (`cppc_core::scheme`), generated from each\n\
          scheme's self-describing `SchemeDescriptor`. Select one anywhere a\n\
@@ -93,7 +93,7 @@ pub fn render(comparison: Option<&Json>) -> String {
             );
             if let Some(tables) = doc.get("tables").and_then(Json::as_arr) {
                 for t in tables {
-                    render_table(t, &mut out);
+                    crate::book::render_table(t, &mut out);
                 }
             }
         }
@@ -105,28 +105,6 @@ pub fn render(comparison: Option<&Json>) -> String {
 /// stripped, the rest of the selector name survives verbatim.
 fn anchor(name: &str) -> String {
     name.to_string()
-}
-
-fn render_table(t: &Json, out: &mut String) {
-    let Some(title) = t.get("title").and_then(Json::as_str) else {
-        return;
-    };
-    let Some(columns) = t.get("columns").and_then(Json::as_arr) else {
-        return;
-    };
-    out.push_str(&format!("**{title}**\n\n"));
-    let headers: Vec<&str> = columns.iter().filter_map(Json::as_str).collect();
-    out.push_str(&format!("| {} |\n", headers.join(" | ")));
-    out.push_str(&format!("|{}\n", "---|".repeat(headers.len())));
-    if let Some(rows) = t.get("rows").and_then(Json::as_arr) {
-        for row in rows {
-            if let Some(cells) = row.as_arr() {
-                let cells: Vec<&str> = cells.iter().filter_map(Json::as_str).collect();
-                out.push_str(&format!("| {} |\n", cells.join(" | ")));
-            }
-        }
-    }
-    out.push('\n');
 }
 
 #[cfg(test)]

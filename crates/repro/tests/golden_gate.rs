@@ -9,7 +9,7 @@ use std::path::PathBuf;
 
 use cppc_repro::{
     check_artifact, find, json_path, load_doc, render_book, run_artifact, write_artifact,
-    write_book, GateFailure, RunConfig,
+    GateFailure, RunConfig,
 };
 
 /// A fresh scratch root per test (removed on drop).
@@ -109,10 +109,9 @@ fn book_render_is_a_pure_function_of_the_documents() {
     let out = run_artifact(a, &cfg);
     write_artifact(&root.0, a, &cfg, &out, true).unwrap();
 
-    write_book(&root.0).unwrap();
-    let rendered = fs::read_to_string(cppc_repro::book_path(&root.0)).unwrap();
+    let rendered = render_book(&root.0);
     // Re-rendering without re-running any artifact gives identical bytes
-    // (this is what the CI freshness gate relies on).
+    // (this is what the `cppc-cli docs --check` freshness gate relies on).
     assert_eq!(render_book(&root.0), rendered);
     assert!(rendered.contains("table3_mttf"));
     // The other registered artifacts have no documents in this scratch

@@ -116,13 +116,7 @@ pub fn execute(spec: &JobSpec, threads: usize, opts: RunOpts<'_>) -> RunEnd {
         // (interrupt → `Interrupted`, a rerun resumes bit-identically
         // from the completed configs).
         JobKind::Explore { quick } => {
-            let mut sweep = if *quick {
-                cppc_explore::SweepSpec::quick_tier()
-            } else {
-                cppc_explore::SweepSpec::full_tier()
-            };
-            sweep.trials = spec.trials;
-            sweep.campaign_seed = spec.seed;
+            let sweep = sweep_spec(spec, *quick);
             let sweep_opts = cppc_explore::SweepOptions {
                 threads,
                 checkpoint_dir: opts
@@ -149,6 +143,37 @@ pub fn execute(spec: &JobSpec, threads: usize, opts: RunOpts<'_>) -> RunEnd {
             finish(run_with(&cfg, &exec, opts), montecarlo_result_json)
         }
     }
+}
+
+/// The worker threads [`execute`] runs `spec` on at `threads` (`0` =
+/// every CPU): the engine's shard workers, or for an `explore` spec the
+/// sweep driver's configuration workers.
+#[must_use]
+pub fn resolved_threads(spec: &JobSpec, threads: usize) -> usize {
+    match spec.kind {
+        JobKind::Explore { quick } => {
+            let configs = sweep_spec(spec, quick).enumerate().len();
+            cppc_explore::SweepOptions {
+                threads,
+                checkpoint_dir: None,
+            }
+            .workers(configs)
+        }
+        _ => spec.campaign_config(threads).resolved_threads(),
+    }
+}
+
+/// The sweep an `explore` spec runs: its tier, with `--trials`/`--seed`
+/// overriding each configuration's campaign.
+fn sweep_spec(spec: &JobSpec, quick: bool) -> cppc_explore::SweepSpec {
+    let mut sweep = if quick {
+        cppc_explore::SweepSpec::quick_tier()
+    } else {
+        cppc_explore::SweepSpec::full_tier()
+    };
+    sweep.trials = spec.trials;
+    sweep.campaign_seed = spec.seed;
+    sweep
 }
 
 /// The Monte Carlo model a `montecarlo` spec runs (`None` for every
@@ -283,6 +308,18 @@ mod tests {
         let dir = std::env::temp_dir().join("cppc_serve_runner_tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    #[test]
+    fn resolved_threads_counts_sweep_workers_for_explore() {
+        // Eight trials make one engine shard, but the quick sweep still
+        // spreads its 28 configurations over the requested workers.
+        let explore = JobSpec::new(JobKind::Explore { quick: true }, 8, 1);
+        assert_eq!(explore.campaign_config(64).resolved_threads(), 1);
+        assert_eq!(resolved_threads(&explore, 64), 28);
+        assert_eq!(resolved_threads(&explore, 3), 3);
+        let sleep = JobSpec::new(JobKind::Sleep { millis: 0 }, 8, 1);
+        assert_eq!(resolved_threads(&sleep, 64), 1);
     }
 
     #[test]

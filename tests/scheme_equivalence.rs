@@ -12,10 +12,14 @@
 //! classifies with the historical rules. If a scheme wrapper ever
 //! consumes the RNG stream differently or reorders a classification
 //! branch, these tests fail.
+//!
+//! The same bodies, parameterised by fault class and configuration,
+//! are the historical `mbe_coverage` matrix closures, so they also pin
+//! every row of that artifact across its whole fault matrix.
 
 use std::path::PathBuf;
 
-use cppc_bench::experiments::{inject_geometry, scheme_experiment};
+use cppc_bench::experiments::{built_experiment, inject_geometry, scheme_experiment};
 use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_campaign::rng::rngs::StdRng;
@@ -23,8 +27,9 @@ use cppc_campaign::rng::{RngExt, SeedableRng};
 use cppc_campaign::{run, run_with, CampaignConfig, CheckpointPolicy, PerTrial, RunOpts};
 use cppc_core::baselines::{OneDimParityCache, SecdedCache, TwoDimParityCache};
 use cppc_core::{CppcCache, CppcConfig, SchemeKind};
-use cppc_fault::campaign::{Outcome, OutcomeTally};
+use cppc_fault::campaign::{Campaign, Outcome, OutcomeTally};
 use cppc_fault::model::{FaultGenerator, FaultModel};
+use cppc_repro::artifacts::mbe;
 
 const SEED: u64 = 0xE0_17A1;
 const TRIALS: u64 = 96;
@@ -54,17 +59,12 @@ fn fill(trial: u64, mut store: impl FnMut(u64, u64)) -> Vec<(u64, u64)> {
 }
 
 /// Pre-refactor CPPC campaign body (`inject_experiment`'s protocol).
-fn legacy_cppc(rng: &mut StdRng, trial: u64) -> Outcome {
+fn legacy_cppc(config: CppcConfig, model: FaultModel, rng: &mut StdRng, trial: u64) -> Outcome {
     let mut mem = MainMemory::new();
-    let mut cache = CppcCache::new_l1(
-        inject_geometry(),
-        CppcConfig::paper(),
-        ReplacementPolicy::Lru,
-    )
-    .unwrap();
+    let mut cache = CppcCache::new_l1(inject_geometry(), config, ReplacementPolicy::Lru).unwrap();
     let truth = fill(trial, |a, v| cache.store_word(a, v, &mut mem).unwrap());
     let mut generator = FaultGenerator::new(cache.layout().num_rows() / 2, rng.random());
-    if cache.inject(&generator.sample(FAULT)) == 0 {
+    if cache.inject(&generator.sample(model)) == 0 {
         return Outcome::Masked;
     }
     match cache.recover_all(&mut mem) {
@@ -81,12 +81,12 @@ fn legacy_cppc(rng: &mut StdRng, trial: u64) -> Outcome {
 
 /// Pre-refactor 1D-parity campaign body (coverage-matrix protocol:
 /// all loads surviving means the flips were parity-masked).
-fn legacy_parity1d(rng: &mut StdRng, trial: u64) -> Outcome {
+fn legacy_parity1d(model: FaultModel, rng: &mut StdRng, trial: u64) -> Outcome {
     let mut mem = MainMemory::new();
     let mut cache = OneDimParityCache::new(inject_geometry(), 8, ReplacementPolicy::Lru);
     let truth = fill(trial, |a, v| cache.store_word(a, v, &mut mem));
     let mut generator = FaultGenerator::new(cache.layout().num_rows() / 2, rng.random());
-    if cache.inject(&generator.sample(FAULT)) == 0 {
+    if cache.inject(&generator.sample(model)) == 0 {
         return Outcome::Masked;
     }
     for &(addr, v) in &truth {
@@ -101,12 +101,12 @@ fn legacy_parity1d(rng: &mut StdRng, trial: u64) -> Outcome {
 
 /// Pre-refactor interleaved-SECDED campaign body, including the
 /// physical-strike translation and its two-range RNG draw order.
-fn legacy_secded(rng: &mut StdRng, trial: u64) -> Outcome {
+fn legacy_secded(model: FaultModel, rng: &mut StdRng, trial: u64) -> Outcome {
     let mut mem = MainMemory::new();
     let mut cache = SecdedCache::new(inject_geometry(), true, ReplacementPolicy::Lru);
     let truth = fill(trial, |a, v| cache.store_word(a, v, &mut mem));
     let logical_rows = cache.layout().num_rows() / 2;
-    let (rows, cols) = match FAULT {
+    let (rows, cols) = match model {
         FaultModel::TemporalSingleBit | FaultModel::TemporalMultiBit { .. } => (1, 1),
         FaultModel::VerticalStripe { rows } => (rows, 1),
         FaultModel::HorizontalBurst { cols } => (1, cols),
@@ -129,13 +129,20 @@ fn legacy_secded(rng: &mut StdRng, trial: u64) -> Outcome {
     Outcome::Corrected
 }
 
-/// Pre-refactor 2D-parity campaign body (one vertical row).
-fn legacy_parity2d(rng: &mut StdRng, trial: u64) -> Outcome {
+/// Pre-refactor 2D-parity campaign body (the zoo's scheme has one
+/// vertical row; the coverage matrix also runs eight).
+fn legacy_parity2d(
+    vertical_rows: usize,
+    model: FaultModel,
+    rng: &mut StdRng,
+    trial: u64,
+) -> Outcome {
     let mut mem = MainMemory::new();
-    let mut cache = TwoDimParityCache::new(inject_geometry(), 1, ReplacementPolicy::Lru);
+    let mut cache =
+        TwoDimParityCache::new(inject_geometry(), vertical_rows, ReplacementPolicy::Lru);
     let truth = fill(trial, |a, v| cache.store_word(a, v, &mut mem));
     let mut generator = FaultGenerator::new(cache.layout().num_rows() / 2, rng.random());
-    if cache.inject(&generator.sample(FAULT)) == 0 {
+    if cache.inject(&generator.sample(model)) == 0 {
         return Outcome::Masked;
     }
     match cache.recover_all() {
@@ -150,13 +157,29 @@ fn legacy_parity2d(rng: &mut StdRng, trial: u64) -> Outcome {
     }
 }
 
-fn legacy_of(kind: SchemeKind) -> fn(&mut StdRng, u64) -> Outcome {
+type Legacy = Box<dyn Fn(&mut StdRng, u64) -> Outcome + Sync>;
+
+fn legacy_of(kind: SchemeKind) -> Legacy {
     match kind {
-        SchemeKind::Cppc => legacy_cppc,
-        SchemeKind::Parity1d => legacy_parity1d,
-        SchemeKind::SecdedInterleaved => legacy_secded,
-        SchemeKind::Parity2d => legacy_parity2d,
+        SchemeKind::Cppc => Box::new(|r, t| legacy_cppc(CppcConfig::paper(), FAULT, r, t)),
+        SchemeKind::Parity1d => Box::new(|r, t| legacy_parity1d(FAULT, r, t)),
+        SchemeKind::SecdedInterleaved => Box::new(|r, t| legacy_secded(FAULT, r, t)),
+        SchemeKind::Parity2d => Box::new(|r, t| legacy_parity2d(1, FAULT, r, t)),
         other => panic!("{other} has no pre-refactor path"),
+    }
+}
+
+/// The historical coverage-matrix body behind each `mbe_coverage` row.
+fn legacy_matrix_row(name: &str, model: FaultModel) -> Legacy {
+    match name {
+        "1D parity" => Box::new(move |r, t| legacy_parity1d(model, r, t)),
+        "SECDED+interleave" => Box::new(move |r, t| legacy_secded(model, r, t)),
+        "CPPC 1 pair" => Box::new(move |r, t| legacy_cppc(CppcConfig::paper(), model, r, t)),
+        "CPPC 2 pairs" => Box::new(move |r, t| legacy_cppc(CppcConfig::two_pairs(), model, r, t)),
+        "CPPC 8 pairs" => Box::new(move |r, t| legacy_cppc(CppcConfig::eight_pairs(), model, r, t)),
+        "2D parity (1 row)" => Box::new(move |r, t| legacy_parity2d(1, model, r, t)),
+        "2D parity (8 rows)" => Box::new(move |r, t| legacy_parity2d(8, model, r, t)),
+        other => panic!("matrix row '{other}' has no historical body"),
     }
 }
 
@@ -210,7 +233,7 @@ fn ported_schemes_match_legacy_tallies_and_checkpoint_bytes() {
         let legacy = legacy_of(kind);
         for threads in [1usize, 2, 8] {
             let (legacy_tally, legacy_bytes) =
-                run_checkpointed(&format!("legacy_{kind}"), threads, legacy);
+                run_checkpointed(&format!("legacy_{kind}"), threads, &legacy);
             let (scheme_tally, scheme_bytes) = run_checkpointed(
                 &format!("scheme_{kind}"),
                 threads,
@@ -253,10 +276,24 @@ fn legacy_reference_is_exercised() {
     // masks everything: the 4x4 solid strike must actually separate
     // the schemes (CPPC and interleaved SECDED correct it, 1D parity
     // and single-row 2D parity end in DUE).
-    let (cppc, _) = run_checkpointed("probe_cppc", 1, legacy_cppc);
-    let (parity, _) = run_checkpointed("probe_parity", 1, legacy_parity1d);
+    let (cppc, _) = run_checkpointed("probe_cppc", 1, legacy_of(SchemeKind::Cppc));
+    let (parity, _) = run_checkpointed("probe_parity", 1, legacy_of(SchemeKind::Parity1d));
     assert!(cppc.corrected > 0, "CPPC corrects the 4x4 strike");
     assert_eq!(cppc.sdc, 0);
     assert!(parity.due > 0, "1D parity cannot correct dirty faults");
     assert_eq!(parity.corrected, 0);
+}
+
+#[test]
+fn coverage_matrix_rows_match_legacy_bodies() {
+    // Every (scheme row, fault class) cell of the `mbe_coverage`
+    // artifact, against the coverage-matrix body it replaced.
+    for (fault, model) in mbe::fault_models() {
+        for (name, build) in mbe::scheme_rows() {
+            let campaign = Campaign::new(SEED);
+            let legacy = campaign.run_parallel(TRIALS / 2, 2, legacy_matrix_row(name, model));
+            let row = campaign.run_parallel(TRIALS / 2, 2, built_experiment(build, model));
+            assert_eq!(row, legacy, "{name} diverged on {fault}");
+        }
+    }
 }
