@@ -70,7 +70,12 @@ echo "== hot-path throughput gate (vs BENCH_hotpath.json baseline)"
 # Measures the mbe_coverage campaign both ways: the sequential leg
 # fails below 0.9x the committed baseline trials/sec (CI noise
 # allowance); the batched leg fails below the committed
-# target_trials_per_sec floor (1M trials/sec).
+# target_trials_per_sec floor (1M trials/sec). It then times the
+# dispatched and SWAR form of each parity kernel on the same host and
+# fails if any dispatched kernel is slower than its SWAR form: a ratio
+# that does not depend on the host, and that catches a vector helper
+# compiled without its #[target_feature] (skipped when the dispatch is
+# SWAR itself).
 cargo run -q -p cppc-bench --release --bin hotpath -- --gate BENCH_hotpath.json
 
 echo "== trace pipeline gate (vs BENCH_timing.json baseline)"

@@ -10,7 +10,10 @@
 //! captures it ([`CppcCache::snapshot`] + [`MainMemory::snapshot`]) and
 //! serves each trial by restoring the snapshot into the thread's
 //! existing arenas via the process-wide [`WarmPool`] — no allocation
-//! and no warmup replay in steady state.
+//! and no warmup replay in steady state. The batched executor
+//! ([`MbeBatchExec`]) keeps its lane arenas ([`TrialBatch`]) and its
+//! certified [`BatchSim`] in the same pooled context, so a worker's
+//! steady-state shard allocates nothing either.
 //!
 //! The warm truth is `oracle(SEED)` for every trial (the cold path
 //! historically used `oracle(trial)`); outcomes are unaffected because
@@ -79,7 +82,7 @@ pub fn oracle(seed: u64) -> Vec<(u64, u64)> {
 
 /// A worker thread's reusable trial state: the simulator pair, the warm
 /// snapshots restored at the top of every trial, the fault-pattern
-/// buffer and the ground-truth table.
+/// buffer, the ground-truth table and the batch engine's lane arenas.
 #[derive(Debug)]
 pub struct TrialContext {
     cache: CppcCache,
@@ -91,6 +94,9 @@ pub struct TrialContext {
     /// Lazily built value-independent batch evaluator for this warm
     /// state (`None` until the first batched shard runs).
     batch_sim: Option<BatchSim>,
+    /// The batch engine's lane arenas, kept across shards so a worker's
+    /// steady-state shard allocates nothing.
+    batch: TrialBatch,
 }
 
 /// The process-wide pool of warm contexts shared by all benchmark
@@ -153,6 +159,7 @@ fn warm_context() -> (TrialContext, u64) {
             pattern: FaultPattern::empty(),
             truth,
             batch_sim: None,
+            batch: TrialBatch::new(),
         },
         bytes,
     )
@@ -248,6 +255,11 @@ pub fn experiment_cold(rng: &mut StdRng, trial: u64) -> Outcome {
 /// shared arenas, so the syndrome stage of *all* lanes runs through a
 /// single [`BatchSim::syndromes`] call (one vectorized instruction
 /// stream) instead of one simulator walk per trial.
+///
+/// [`MbeBatchExec`] keeps one per worker, in the pooled
+/// [`TrialContext`]: the arenas and the classifier's [`BatchScratch`]
+/// grow to their high-water mark over the first shards and are then
+/// reused by every later one.
 #[derive(Debug, Default)]
 pub struct TrialBatch {
     rows: Vec<u32>,
@@ -267,7 +279,9 @@ struct BatchLane {
 }
 
 impl TrialBatch {
-    /// An empty batch (arenas grow on first use and are then reused).
+    /// An empty batch. Its arenas grow on first use; they are reused
+    /// only for as long as the caller keeps this value (each
+    /// [`simulate_batch_into`] call clears them before every batch).
     #[must_use]
     pub fn new() -> Self {
         TrialBatch::default()
@@ -413,7 +427,10 @@ impl MbeBatchExec {
 impl<A: Accumulator<Item = Outcome>> TrialExec<A> for MbeBatchExec {
     fn run_range(&self, seed: u64, lo: u64, hi: u64, acc: &mut A) {
         POOL.with(warm_identity(), warm_context, |ctx| {
-            let mut batch_buf = TrialBatch::new();
+            // Lend the worker's arenas to the batch loop, which also
+            // needs the rest of the context mutably; taking them leaves
+            // an empty, unallocated batch behind.
+            let mut batch_buf = std::mem::take(&mut ctx.batch);
             simulate_batch_into(
                 ctx,
                 &mut batch_buf,
@@ -423,6 +440,7 @@ impl<A: Accumulator<Item = Outcome>> TrialExec<A> for MbeBatchExec {
                 lo..hi,
                 acc,
             );
+            ctx.batch = batch_buf;
         });
     }
 }

@@ -23,6 +23,22 @@
 //! read once at first use) caps the probe's choice, so CI can pin the
 //! scalar path on any host. Requesting a level the CPU lacks falls
 //! back to the best available one.
+//!
+//! # The `#[target_feature]` rule
+//!
+//! Every function in the private `x86` module that takes or returns a
+//! vector type (`__m128i`, `__m256i`) carries the `#[target_feature]`
+//! of its instruction set, the small reduce and fold helpers included.
+//! The crate is compiled for the baseline x86_64 target, so without the
+//! attribute a helper body is compiled for plain SSE2: `#[inline]`
+//! cannot pull it into an AVX2 caller (the callee lacks the caller's
+//! features), every AVX2 intrinsic inside it becomes an out-of-line
+//! call, and each `__m256i` crosses that call boundary through memory.
+//! The kernels stay correct but slow: before the helpers carried the
+//! attribute, the dispatched `encode_many` and `block_syndrome_or` ran
+//! about 7x slower than the SWAR fallback. `hotpath --gate` fails if any
+//! dispatched kernel is slower than SWAR on the same host, which
+//! catches a helper that breaks this rule.
 #![allow(unsafe_code)]
 
 use core::sync::atomic::{AtomicU8, Ordering};
@@ -276,50 +292,49 @@ mod x86 {
     use core::arch::x86_64::{
         __m128i, __m256i, _mm256_and_si256, _mm256_castsi256_si128, _mm256_extracti128_si256,
         _mm256_loadu_si256, _mm256_movemask_epi8, _mm256_or_si256, _mm256_set1_epi64x,
-        _mm256_setzero_si256, _mm256_slli_epi64, _mm256_srli_epi64, _mm256_storeu_si256,
-        _mm256_xor_si256, _mm_and_si128, _mm_cvtsi128_si64, _mm_loadu_si128, _mm_movemask_epi8,
-        _mm_or_si128, _mm_set1_epi64x, _mm_setzero_si128, _mm_slli_epi64, _mm_srli_epi64,
-        _mm_srli_si128, _mm_storeu_si128, _mm_xor_si128,
+        _mm256_setzero_si256, _mm256_slli_epi64, _mm256_srl_epi64, _mm256_srli_epi64,
+        _mm256_storeu_si256, _mm256_xor_si256, _mm_and_si128, _mm_cvtsi128_si64, _mm_cvtsi32_si128,
+        _mm_loadu_si128, _mm_movemask_epi8, _mm_or_si128, _mm_set1_epi64x, _mm_setzero_si128,
+        _mm_slli_epi64, _mm_srl_epi64, _mm_srli_epi64, _mm_srli_si128, _mm_storeu_si128,
+        _mm_xor_si128,
     };
 
     #[inline]
+    #[target_feature(enable = "avx2")]
     unsafe fn reduce_xor_256(v: __m256i) -> u64 {
         let folded = _mm_xor_si128(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
         reduce_xor_128(folded)
     }
 
     #[inline]
+    #[target_feature(enable = "sse2")]
     unsafe fn reduce_xor_128(v: __m128i) -> u64 {
         (_mm_cvtsi128_si64(v) ^ _mm_cvtsi128_si64(_mm_srli_si128::<8>(v))) as u64
     }
 
     #[inline]
+    #[target_feature(enable = "avx2")]
     unsafe fn reduce_or_256(v: __m256i) -> u64 {
         let folded = _mm_or_si128(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
         reduce_or_128(folded)
     }
 
     #[inline]
+    #[target_feature(enable = "sse2")]
     unsafe fn reduce_or_128(v: __m128i) -> u64 {
         (_mm_cvtsi128_si64(v) | _mm_cvtsi128_si64(_mm_srli_si128::<8>(v))) as u64
     }
 
-    /// Lane-wise interleaved-parity fold of four words at once.
+    /// Lane-wise interleaved-parity fold of four words at once. The
+    /// shift count travels in a register (`srl`, not `srli`), so a
+    /// `ways` known only at run time costs no branch per fold step.
     #[inline]
+    #[target_feature(enable = "avx2")]
     unsafe fn encode_lanes_256(mut v: __m256i, ways: u32) -> __m256i {
-        let mut shift = 32i32;
-        while shift >= ways as i32 {
-            v = _mm256_xor_si256(
-                v,
-                match shift {
-                    32 => _mm256_srli_epi64::<32>(v),
-                    16 => _mm256_srli_epi64::<16>(v),
-                    8 => _mm256_srli_epi64::<8>(v),
-                    4 => _mm256_srli_epi64::<4>(v),
-                    2 => _mm256_srli_epi64::<2>(v),
-                    _ => _mm256_srli_epi64::<1>(v),
-                },
-            );
+        let mut shift = 32u32;
+        while shift >= ways {
+            let count = _mm_cvtsi32_si128(shift as i32);
+            v = _mm256_xor_si256(v, _mm256_srl_epi64(v, count));
             shift /= 2;
         }
         _mm256_and_si256(v, _mm256_set1_epi64x(swar::mask(ways) as i64))
@@ -327,20 +342,12 @@ mod x86 {
 
     /// Lane-wise interleaved-parity fold of two words at once.
     #[inline]
+    #[target_feature(enable = "sse2")]
     unsafe fn encode_lanes_128(mut v: __m128i, ways: u32) -> __m128i {
-        let mut shift = 32i32;
-        while shift >= ways as i32 {
-            v = _mm_xor_si128(
-                v,
-                match shift {
-                    32 => _mm_srli_epi64::<32>(v),
-                    16 => _mm_srli_epi64::<16>(v),
-                    8 => _mm_srli_epi64::<8>(v),
-                    4 => _mm_srli_epi64::<4>(v),
-                    2 => _mm_srli_epi64::<2>(v),
-                    _ => _mm_srli_epi64::<1>(v),
-                },
-            );
+        let mut shift = 32u32;
+        while shift >= ways {
+            let count = _mm_cvtsi32_si128(shift as i32);
+            v = _mm_xor_si128(v, _mm_srl_epi64(v, count));
             shift /= 2;
         }
         _mm_and_si128(v, _mm_set1_epi64x(swar::mask(ways) as i64))

@@ -1,6 +1,7 @@
 //! Proof that the simulator hot paths are allocation-free in steady
-//! state: the hierarchy trace-replay loop, and the snapshot-backed
-//! fault-injection trial cycle (restore + inject + recovery).
+//! state: the hierarchy trace-replay loop, the snapshot-backed
+//! fault-injection trial cycle (restore + inject + recovery), and a
+//! shard of the cross-trial batch engine.
 //!
 //! A counting global allocator wraps the system allocator; after a
 //! generous warmup (which fills the SoA cache arenas, allocates every
@@ -14,11 +15,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use cppc_bench::mbe::{experiment_model, SEED, SOLID_MODEL, SPARSE_MODEL};
+use cppc_bench::mbe::{experiment_model, MbeBatchExec, SEED, SOLID_MODEL, SPARSE_MODEL};
 use cppc_cache_sim::geometry::CacheGeometry;
 use cppc_cache_sim::hierarchy::{MemOp, TwoLevelHierarchy};
 use cppc_cache_sim::replacement::ReplacementPolicy;
-use cppc_campaign::trial_rng;
+use cppc_campaign::{trial_rng, TrialExec};
+use cppc_fault::campaign::OutcomeTally;
 use cppc_workloads::SharedTrace;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -183,4 +185,55 @@ fn steady_state_snapshot_trial_cycle_allocates_nothing() {
         during, 0,
         "steady-state restore+inject+recovery cycle performed {during} heap allocations"
     );
+}
+
+/// A batched shard — fault sampling, gather into the lane arenas, the
+/// syndrome kernel, classification with the locator, and the per-trial
+/// fallback for DUE lanes — is allocation-free once the worker's pooled
+/// context holds its certified batch evaluator and lane arenas grown to
+/// their high-water mark. The executor is driven directly: the engine's
+/// result channel allocates by design and is not the hot path.
+#[test]
+fn steady_state_batched_shard_allocates_nothing() {
+    let _serial = MEASURE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    const SHARD: u64 = 64;
+    // As in the trial-cycle test: the fallback's recovery walk records
+    // span timers and ring events through allocating closures.
+    cppc_obs::set_enabled(false);
+    let mut measured = Vec::new();
+    for (name, exec) in [
+        ("solid", MbeBatchExec::solid(64)),
+        ("sparse", MbeBatchExec::new(SPARSE_MODEL, 64)),
+    ] {
+        let mut tally = OutcomeTally::default();
+        // Warmup: the first shard captures the warm context and
+        // certifies its batch evaluator; the rest grow the lane arenas
+        // and the classifier and recovery scratch.
+        for shard in 0..16 {
+            exec.run_range(SEED, shard * SHARD, (shard + 1) * SHARD, &mut tally);
+        }
+
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for shard in 16..48 {
+            exec.run_range(SEED, shard * SHARD, (shard + 1) * SHARD, &mut tally);
+        }
+        let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(tally.total(), 48 * SHARD, "{name}: every trial recorded");
+        measured.push((name, during, tally));
+    }
+    cppc_obs::set_enabled(true);
+
+    let sparse = measured[1].2;
+    assert!(
+        sparse.due > 0,
+        "the sparse shards reach the fallback: {sparse:?}"
+    );
+    for (name, during, _) in measured {
+        assert_eq!(
+            during, 0,
+            "{name}: 32 steady-state batched shards performed {during} heap allocations"
+        );
+    }
 }
