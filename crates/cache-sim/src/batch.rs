@@ -22,6 +22,16 @@ pub const KIND_STORE: u8 = 1;
 /// Lane tag for a single-byte (partial) store.
 pub const KIND_STORE_BYTE: u8 = 2;
 
+/// The `(address, kind, value)` lane entries of one operation.
+#[inline]
+pub(crate) fn lanes(op: MemOp) -> (u64, u8, u64) {
+    match op {
+        MemOp::Load(a) => (a, KIND_LOAD, 0),
+        MemOp::Store(a, v) => (a, KIND_STORE, v),
+        MemOp::StoreByte(a, v) => (a, KIND_STORE_BYTE, u64::from(v)),
+    }
+}
+
 /// A chunk of memory operations in structure-of-arrays form.
 ///
 /// Invariant: all three lanes are the same length and every kind lane
@@ -108,11 +118,7 @@ impl OpBatch {
 
     /// Appends one decoded operation.
     pub fn push(&mut self, op: MemOp) {
-        let (addr, kind, value) = match op {
-            MemOp::Load(a) => (a, KIND_LOAD, 0),
-            MemOp::Store(a, v) => (a, KIND_STORE, v),
-            MemOp::StoreByte(a, v) => (a, KIND_STORE_BYTE, u64::from(v)),
-        };
+        let (addr, kind, value) = lanes(op);
         self.addrs.push(addr);
         self.kinds.push(kind);
         self.values.push(value);

@@ -9,7 +9,7 @@
 
 use crate::geometry::{CacheGeometry, WORD_BYTES};
 use crate::memory::MainMemory;
-use crate::replacement::{ReplacementPolicy, SetReplacementState};
+use crate::replacement::{ReplacementArena, ReplacementPolicy};
 use crate::snapshot::CacheSnapshot;
 use crate::stats::CacheStats;
 
@@ -184,7 +184,7 @@ pub struct Cache {
     valid: Vec<bool>,
     dirty: Vec<u64>,
     words: Vec<u64>,
-    repl: Vec<SetReplacementState>,
+    repl: ReplacementArena,
     stats: CacheStats,
     dirty_words: u64,
     scrub_cursor: usize,
@@ -197,16 +197,13 @@ impl Cache {
     #[must_use]
     pub fn new(geo: CacheGeometry, policy: ReplacementPolicy) -> Self {
         let blocks = geo.num_sets() * geo.associativity();
-        let repl = (0..geo.num_sets())
-            .map(|s| SetReplacementState::new(policy, geo.associativity(), s as u64 ^ 0x9E37_79B9))
-            .collect();
         Cache {
             geo,
             tags: vec![0; blocks],
             valid: vec![false; blocks],
             dirty: vec![0; blocks],
             words: vec![0; blocks * geo.words_per_block()],
-            repl,
+            repl: ReplacementArena::new(policy, geo.num_sets(), geo.associativity()),
             stats: CacheStats::default(),
             dirty_words: 0,
             scrub_cursor: 0,
@@ -354,7 +351,7 @@ impl Cache {
         let (set, way) = match self.probe(addr) {
             Some((set, way)) => {
                 self.stats.load_hits += 1;
-                self.repl[set].touch(way);
+                self.repl.touch(set, way);
                 (set, way)
             }
             None => {
@@ -387,7 +384,7 @@ impl Cache {
                 (set, way)
             }
         };
-        self.repl[set].touch(way);
+        self.repl.touch(set, way);
         let idx = self.index(set, way);
         let (old, was_dirty) = self.write_word_raw(idx, w, value);
         self.note_store(was_dirty);
@@ -410,7 +407,7 @@ impl Cache {
                 (set, way)
             }
         };
-        self.repl[set].touch(way);
+        self.repl.touch(set, way);
         let idx = self.index(set, way);
         let old = self.block_words(idx)[w];
         let shift = 8 * byte as u32;
@@ -425,15 +422,25 @@ impl Cache {
     /// the backing of a level above: the level above passes its own
     /// arena slot, so the transfer is a slice copy with no allocation.
     ///
+    /// Returns the block's per-word dirty mask, which the read leaves
+    /// unchanged (0 on a miss: a freshly filled block is clean), so the
+    /// level above learns whether it read dirty data without a second
+    /// probe.
+    ///
     /// # Panics
     ///
     /// Panics if `buf` is not exactly one block wide.
-    pub fn read_block_into<B: Backing>(&mut self, addr: u64, backing: &mut B, buf: &mut [u64]) {
+    pub fn read_block_into<B: Backing>(
+        &mut self,
+        addr: u64,
+        backing: &mut B,
+        buf: &mut [u64],
+    ) -> u64 {
         assert_eq!(buf.len(), self.geo.words_per_block(), "block width");
         let (set, way) = match self.probe(addr) {
             Some((set, way)) => {
                 self.stats.load_hits += 1;
-                self.repl[set].touch(way);
+                self.repl.touch(set, way);
                 (set, way)
             }
             None => {
@@ -445,6 +452,7 @@ impl Cache {
         let idx = self.index(set, way);
         buf.copy_from_slice(self.block_words(idx));
         self.scratch_fetches += 1;
+        self.dirty[idx]
     }
 
     /// Allocating convenience wrapper around [`Cache::read_block_into`].
@@ -481,7 +489,7 @@ impl Cache {
                 (set, way)
             }
         };
-        self.repl[set].touch(way);
+        self.repl.touch(set, way);
         let idx = self.index(set, way);
         let mut any_dirty = false;
         for (w, &value) in data.iter().enumerate() {
@@ -510,7 +518,7 @@ impl Cache {
         let base = set * self.geo.associativity();
         (0..self.geo.associativity())
             .find(|&way| !self.valid[base + way])
-            .unwrap_or_else(|| self.repl[set].victim())
+            .unwrap_or_else(|| self.repl.victim(set))
     }
 
     /// Brings the block containing `addr` into the cache, evicting as
@@ -554,7 +562,7 @@ impl Cache {
         self.dirty[idx] = 0;
         self.scratch_fetches += 1;
         self.stats.fills += 1;
-        self.repl[set].filled(way);
+        self.repl.filled(set, way);
         eviction
     }
 
@@ -605,7 +613,7 @@ impl Cache {
     ) -> (u64, bool) {
         let idx = self.index(set, way);
         assert!(self.valid[idx], "block ({set},{way}) invalid");
-        self.repl[set].touch(way);
+        self.repl.touch(set, way);
         let (old, was_dirty) = self.write_word_raw(idx, w, value);
         self.note_store(was_dirty);
         (old, was_dirty)
@@ -627,7 +635,7 @@ impl Cache {
         assert!(byte < 8, "byte {byte} out of range");
         let idx = self.index(set, way);
         assert!(self.valid[idx], "block ({set},{way}) invalid");
-        self.repl[set].touch(way);
+        self.repl.touch(set, way);
         let old = self.block_words(idx)[w];
         let shift = 8 * byte as u32;
         let merged = (old & !(0xFFu64 << shift)) | (u64::from(value) << shift);
@@ -644,7 +652,7 @@ impl Cache {
     /// Panics if indices are out of range.
     pub fn touch(&mut self, set: usize, way: usize) {
         assert!(way < self.geo.associativity(), "way {way} out of range");
-        self.repl[set].touch(way);
+        self.repl.touch(set, way);
     }
 
     /// Writes the dirty words of the block at `(set, way)` back to
@@ -816,9 +824,7 @@ impl Cache {
         self.valid.copy_from_slice(&snap.valid);
         self.dirty.copy_from_slice(&snap.dirty);
         self.words.copy_from_slice(&snap.words);
-        for (dst, src) in self.repl.iter_mut().zip(&snap.repl) {
-            dst.copy_state_from(src);
-        }
+        self.repl.copy_from(&snap.repl);
         self.stats = snap.stats;
         self.dirty_words = snap.dirty_words;
         self.scrub_cursor = snap.scrub_cursor;

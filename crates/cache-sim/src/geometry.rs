@@ -1,4 +1,8 @@
 //! Cache dimensioning and address-field arithmetic.
+//!
+//! Every dimension is validated as a power of two, so the address
+//! fields are shifts and masks by precomputed `trailing_zeros()` rather
+//! than 64-bit divisions.
 
 use std::fmt;
 
@@ -66,6 +70,10 @@ pub struct CacheGeometry {
     associativity: usize,
     block_bytes: usize,
     num_sets: usize,
+    /// `log2(block_bytes)`: the set index starts here.
+    block_shift: u32,
+    /// `log2(block_bytes * num_sets)`: the tag starts here.
+    tag_shift: u32,
 }
 
 impl CacheGeometry {
@@ -101,11 +109,14 @@ impl CacheGeometry {
                 block_bytes,
             });
         }
+        let num_sets = size_bytes / way_bytes;
         Ok(CacheGeometry {
             size_bytes,
             associativity,
             block_bytes,
-            num_sets: size_bytes / way_bytes,
+            num_sets,
+            block_shift: block_bytes.trailing_zeros(),
+            tag_shift: block_bytes.trailing_zeros() + num_sets.trailing_zeros(),
         })
     }
 
@@ -158,33 +169,65 @@ impl CacheGeometry {
     }
 
     /// The set index for `addr`.
+    #[inline]
     #[must_use]
     pub fn set_index(&self, addr: u64) -> usize {
-        ((addr / self.block_bytes as u64) % self.num_sets as u64) as usize
+        ((addr >> self.block_shift) & (self.num_sets as u64 - 1)) as usize
     }
 
     /// The tag for `addr` (address bits above the set index).
+    #[inline]
     #[must_use]
     pub fn tag(&self, addr: u64) -> u64 {
-        addr / self.block_bytes as u64 / self.num_sets as u64
+        addr >> self.tag_shift
     }
 
     /// The word offset within the block for `addr`.
+    #[inline]
     #[must_use]
     pub fn word_index(&self, addr: u64) -> usize {
-        ((addr % self.block_bytes as u64) / WORD_BYTES as u64) as usize
+        ((addr & (self.block_bytes as u64 - 1)) >> WORD_BYTES.trailing_zeros()) as usize
     }
 
     /// The byte offset within the word for `addr`.
+    #[inline]
     #[must_use]
     pub fn byte_in_word(&self, addr: u64) -> usize {
-        (addr % WORD_BYTES as u64) as usize
+        (addr & (WORD_BYTES as u64 - 1)) as usize
     }
 
     /// Reassembles a block base address from a tag and set index.
+    #[inline]
     #[must_use]
     pub fn address_of(&self, tag: u64, set: usize) -> u64 {
-        (tag * self.num_sets as u64 + set as u64) * self.block_bytes as u64
+        ((tag << (self.tag_shift - self.block_shift)) + set as u64) << self.block_shift
+    }
+}
+
+/// The division forms the shift/mask fields replaced, kept as the
+/// reference they are tested against.
+#[cfg(test)]
+mod reference {
+    use super::{CacheGeometry, WORD_BYTES};
+
+    pub fn block_base(g: &CacheGeometry, addr: u64) -> u64 {
+        addr / g.block_bytes() as u64 * g.block_bytes() as u64
+    }
+
+    pub fn set_index(g: &CacheGeometry, addr: u64) -> usize {
+        ((addr / g.block_bytes() as u64) % g.num_sets() as u64) as usize
+    }
+
+    pub fn tag(g: &CacheGeometry, addr: u64) -> u64 {
+        addr / g.block_bytes() as u64 / g.num_sets() as u64
+    }
+
+    pub fn word_index(g: &CacheGeometry, addr: u64) -> usize {
+        ((addr % g.block_bytes() as u64) / WORD_BYTES as u64) as usize
+    }
+
+    pub fn address_of(g: &CacheGeometry, tag: u64, set: usize) -> u64 {
+        (tag * g.num_sets() as u64 + set as u64) * g.block_bytes() as u64
     }
 }
 
@@ -259,6 +302,45 @@ mod tests {
             let rebuilt = geo.address_of(geo.tag(addr), geo.set_index(addr));
             assert_eq!(base, rebuilt, "addr {addr:#x}");
         }
+    }
+
+    /// Shift/mask fields equal the division forms over random addresses
+    /// for every valid geometry from one set to fully associative, with
+    /// blocks of 8 to 256 bytes.
+    #[test]
+    fn shift_mask_fields_match_division_reference() {
+        let mut rng = StdRng::seed_from_u64(0x6E0_0003);
+        let mut geometries = 0;
+        for block in (3..=8).map(|b| 1usize << b) {
+            for size in (3..=22).map(|b| 1usize << b).filter(|&s| s >= block) {
+                for assoc in (0..=22).map(|b| 1usize << b).filter(|&a| a * block <= size) {
+                    let geo = CacheGeometry::new(size, assoc, block).unwrap();
+                    geometries += 1;
+                    for _ in 0..64 {
+                        let addr = rng.random::<u64>();
+                        let (set, tag) = (geo.set_index(addr), geo.tag(addr));
+                        assert_eq!(set, reference::set_index(&geo, addr), "{geo:?} {addr:#x}");
+                        assert_eq!(tag, reference::tag(&geo, addr), "{geo:?} {addr:#x}");
+                        assert_eq!(
+                            geo.word_index(addr),
+                            reference::word_index(&geo, addr),
+                            "{geo:?} {addr:#x}"
+                        );
+                        assert_eq!(
+                            geo.block_base(addr),
+                            reference::block_base(&geo, addr),
+                            "{geo:?} {addr:#x}"
+                        );
+                        assert_eq!(
+                            geo.address_of(tag, set),
+                            reference::address_of(&geo, tag, set),
+                            "{geo:?} {addr:#x}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(geometries > 500, "{geometries} geometries checked");
     }
 
     #[test]

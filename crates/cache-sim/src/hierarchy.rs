@@ -8,15 +8,13 @@
 //! * **Tavg** — the mean interval between consecutive accesses to the
 //!   same dirty word (L1) or dirty block (L2).
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use crate::batch::{self, OpBatch};
 use crate::cache::{Backing, Cache};
 use crate::geometry::CacheGeometry;
 use crate::memory::MainMemory;
 use crate::replacement::ReplacementPolicy;
 use crate::stats::CacheStats;
+use crate::wordmap::WordMap;
 
 /// One memory operation of a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,41 +46,11 @@ impl MemOp {
     }
 }
 
-/// A multiply-mix hasher for the word-key maps on the drive hot path.
-/// Keys are already well-distributed word addresses, not attacker
-/// input, so SipHash's collision resistance buys nothing here — this
-/// single multiply + xor-shift cuts a measurable slice off every store
-/// the hierarchy simulates. Only the map's bucketing depends on it, so
-/// swapping hashers cannot change any statistic.
-#[derive(Debug, Clone, Copy, Default)]
-struct WordKeyHasher(u64);
-
-impl Hasher for WordKeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        // Only u64 keys are ever hashed (via `write_u64`); a generic
-        // byte path would be dead code on this map.
-        debug_assert!(bytes.len() == 8, "WordKeyHasher hashes u64 keys only");
-        let mut buf = [0u8; 8];
-        buf[..bytes.len().min(8)].copy_from_slice(&bytes[..bytes.len().min(8)]);
-        self.write_u64(u64::from_le_bytes(buf));
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        let mut h = (self.0 ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 32;
-        self.0 = h;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Tracks intervals between consecutive accesses to currently-dirty
 /// entities (words or blocks), producing the paper's `Tavg`.
 #[derive(Debug, Clone, Default)]
 struct DirtyIntervalTracker {
-    last_touch: HashMap<u64, u64, BuildHasherDefault<WordKeyHasher>>,
+    last_touch: WordMap<u64>,
     interval_sum: u128,
     interval_count: u64,
 }
@@ -165,15 +133,9 @@ impl Backing for L2Backing<'_> {
         debug_assert_eq!(buf.len(), self.l2.geometry().words_per_block());
         // An L1 miss that hits a dirty L2 block is an access to dirty L2
         // data for Tavg purposes.
-        let dirty_before = self
-            .l2
-            .probe(base)
-            .map(|(s, w)| self.l2.block(s, w).is_dirty())
-            .unwrap_or(false);
-        if dirty_before {
+        if self.l2.read_block_into(base, self.mem, buf) != 0 {
             self.intervals.touch(base, self.cycle, true);
         }
-        self.l2.read_block_into(base, self.mem, buf);
     }
 
     fn write_back(&mut self, base: u64, data: &[u64], dirty_mask: u64) {
@@ -222,48 +184,64 @@ impl TwoLevelHierarchy {
         self.sample_interval = ops;
     }
 
-    /// Executes one operation.
+    /// Executes one operation, returning the loaded word (0 for stores).
     pub fn step(&mut self, op: MemOp) -> u64 {
+        let (addr, kind, value) = batch::lanes(op);
+        self.access(addr, kind, value)
+    }
+
+    /// The per-op body behind [`TwoLevelHierarchy::step`] and
+    /// [`TwoLevelHierarchy::run_batch`]: one operation in lane form
+    /// (`kind` is a [`batch`] lane tag).
+    ///
+    /// A single L1 probe classifies the access and, on a load hit,
+    /// answers the Tavg dirty-before question (a miss is never dirty
+    /// before the access). A miss fills straight away and the access
+    /// completes through the in-place primitives, so no path probes L1
+    /// twice.
+    #[inline]
+    fn access(&mut self, addr: u64, kind: u8, value: u64) -> u64 {
         self.cycle += self.cycles_per_op;
-        let addr = op.addr();
+        let cycle = self.cycle;
         let word_key = addr & !7;
-
-        // Track L1 dirty-interval before the access mutates state.
-        let l1_dirty_before = self
-            .l1
-            .probe(addr)
-            .map(|(s, w)| {
-                self.l1
-                    .block(s, w)
-                    .is_word_dirty(self.l1.geometry().word_index(addr))
-            })
-            .unwrap_or(false);
-
-        let mut backing = L2Backing {
-            l2: &mut self.l2,
-            mem: &mut self.mem,
-            intervals: &mut self.l2_intervals,
-            cycle: self.cycle,
-        };
-        let result = match op {
-            MemOp::Load(a) => {
-                let v = self.l1.load_word(a, &mut backing);
-                if l1_dirty_before {
-                    self.l1_intervals.touch(word_key, self.cycle, true);
+        let is_load = kind == batch::KIND_LOAD;
+        let w = self.l1.geometry().word_index(addr);
+        let (set, way) = if let Some((set, way)) = self.l1.probe(addr) {
+            self.l1.record_access(!is_load, true);
+            if is_load {
+                self.l1.touch(set, way);
+                if self.l1.dirty_mask_at(set, way) >> w & 1 == 1 {
+                    self.l1_intervals.touch(word_key, cycle, true);
                 }
-                v
             }
-            MemOp::Store(a, v) => {
-                self.l1.store_word(a, v, &mut backing);
-                self.l1_intervals.touch(word_key, self.cycle, true);
-                0
-            }
-            MemOp::StoreByte(a, v) => {
-                self.l1.store_byte(a, v, &mut backing);
-                self.l1_intervals.touch(word_key, self.cycle, true);
-                0
-            }
+            (set, way)
+        } else {
+            self.l1.record_access(!is_load, false);
+            let mut backing = L2Backing {
+                l2: &mut self.l2,
+                mem: &mut self.mem,
+                intervals: &mut self.l2_intervals,
+                cycle,
+            };
+            let (set, way, _) = self.l1.fill(addr, &mut backing);
+            (set, way)
         };
+        let loaded = match kind {
+            batch::KIND_LOAD => self.l1.word_at(set, way, w),
+            batch::KIND_STORE => {
+                self.l1.store_word_in_place(set, way, w, value);
+                0
+            }
+            batch::KIND_STORE_BYTE => {
+                let byte = self.l1.geometry().byte_in_word(addr);
+                self.l1.store_byte_in_place(set, way, w, byte, value as u8);
+                0
+            }
+            k => unreachable!("invalid op kind {k}"),
+        };
+        if !is_load {
+            self.l1_intervals.touch(word_key, cycle, true);
+        }
 
         self.ops_since_sample += 1;
         if self.ops_since_sample >= self.sample_interval {
@@ -273,126 +251,48 @@ impl TwoLevelHierarchy {
             self.l1.stats_mut().sample_dirty(d1);
             self.l2.stats_mut().sample_dirty(d2);
         }
-        result
+        loaded
     }
 
     /// Runs a whole trace, publishing per-level stat deltas to the
     /// global [`obs`](crate::obs) registry once at the end.
     pub fn run<I: IntoIterator<Item = MemOp>>(&mut self, trace: I) {
-        let (l1_before, l2_before) = self.stats();
-        let scratch_before = self.l1.scratch_reuse() + self.l2.scratch_reuse();
+        let before = self.publish_mark();
         for op in trace {
             self.step(op);
         }
-        let (l1_after, l2_after) = self.stats();
-        crate::obs::publish_level_delta(1, &l1_before, &l1_after);
-        crate::obs::publish_level_delta(2, &l2_before, &l2_after);
-        crate::obs::publish_scratch_delta(
-            scratch_before,
-            self.l1.scratch_reuse() + self.l2.scratch_reuse(),
-        );
+        self.publish_since(before);
     }
 
     /// Runs a pre-decoded [`OpBatch`] through the hierarchy — the trace
     /// timing fast path.
     ///
-    /// State and statistics come out bit-identical to feeding the same
-    /// operations through [`TwoLevelHierarchy::step`] one at a time
-    /// (pinned by differential tests). The speedup comes from the loop
-    /// shape: geometry and configuration loads are hoisted out of the
-    /// per-op path, the L1 hit path costs a single probe (`step`'s
-    /// separate dirty-interval probe is folded into the hit check) with
-    /// the full miss machinery entered only when that probe fails, and
-    /// obs deltas publish once per batch instead of never (`step`) or
-    /// once per iterator drain ([`TwoLevelHierarchy::run`]).
+    /// Each operation goes through the same per-op body as
+    /// [`TwoLevelHierarchy::step`], so state and statistics are
+    /// bit-identical to stepping one at a time (pinned by differential
+    /// tests); the batch walks flat lanes instead of decoding
+    /// [`MemOp`]s, and obs deltas publish once per batch instead of
+    /// never (`step`) or once per iterator drain
+    /// ([`TwoLevelHierarchy::run`]).
     pub fn run_batch(&mut self, batch: &OpBatch) {
-        let (l1_before, l2_before) = self.stats();
-        let scratch_before = self.l1.scratch_reuse() + self.l2.scratch_reuse();
-        let cycles_per_op = self.cycles_per_op;
-        let sample_interval = self.sample_interval;
-        let l1_geo = *self.l1.geometry();
-        let addrs = batch.addrs();
-        let kinds = batch.kinds();
-        let values = batch.values();
-        for i in 0..batch.len() {
-            let addr = addrs[i];
-            let kind = kinds[i];
-            self.cycle += cycles_per_op;
-            let word_key = addr & !7;
-            // One probe classifies the access *and* answers step()'s
-            // dirty-before question; probe has no side effects, so
-            // folding the two lookups preserves every counter.
-            let hit = self.l1.probe(addr);
-            match kind {
-                batch::KIND_LOAD => {
-                    if let Some((set, way)) = hit {
-                        let w = l1_geo.word_index(addr);
-                        let dirty_before = self.l1.block(set, way).is_word_dirty(w);
-                        self.l1.record_access(false, true);
-                        self.l1.touch(set, way);
-                        if dirty_before {
-                            self.l1_intervals.touch(word_key, self.cycle, true);
-                        }
-                    } else {
-                        // Miss: a non-resident word is never dirty, so
-                        // step()'s dirty-before branch cannot fire.
-                        let mut backing = L2Backing {
-                            l2: &mut self.l2,
-                            mem: &mut self.mem,
-                            intervals: &mut self.l2_intervals,
-                            cycle: self.cycle,
-                        };
-                        let _ = self.l1.load_word(addr, &mut backing);
-                    }
-                }
-                batch::KIND_STORE => {
-                    if let Some((set, way)) = hit {
-                        self.l1.record_access(true, true);
-                        self.l1
-                            .store_word_in_place(set, way, l1_geo.word_index(addr), values[i]);
-                    } else {
-                        let mut backing = L2Backing {
-                            l2: &mut self.l2,
-                            mem: &mut self.mem,
-                            intervals: &mut self.l2_intervals,
-                            cycle: self.cycle,
-                        };
-                        self.l1.store_word(addr, values[i], &mut backing);
-                    }
-                    self.l1_intervals.touch(word_key, self.cycle, true);
-                }
-                batch::KIND_STORE_BYTE => {
-                    if let Some((set, way)) = hit {
-                        self.l1.record_access(true, true);
-                        self.l1.store_byte_in_place(
-                            set,
-                            way,
-                            l1_geo.word_index(addr),
-                            l1_geo.byte_in_word(addr),
-                            values[i] as u8,
-                        );
-                    } else {
-                        let mut backing = L2Backing {
-                            l2: &mut self.l2,
-                            mem: &mut self.mem,
-                            intervals: &mut self.l2_intervals,
-                            cycle: self.cycle,
-                        };
-                        self.l1.store_byte(addr, values[i] as u8, &mut backing);
-                    }
-                    self.l1_intervals.touch(word_key, self.cycle, true);
-                }
-                k => unreachable!("invalid op kind {k}"),
-            }
-            self.ops_since_sample += 1;
-            if self.ops_since_sample >= sample_interval {
-                self.ops_since_sample = 0;
-                let d1 = self.l1.dirty_word_count();
-                let d2 = self.l2.dirty_word_count();
-                self.l1.stats_mut().sample_dirty(d1);
-                self.l2.stats_mut().sample_dirty(d2);
-            }
+        let before = self.publish_mark();
+        for ((&addr, &kind), &value) in batch.addrs().iter().zip(batch.kinds()).zip(batch.values())
+        {
+            self.access(addr, kind, value);
         }
+        self.publish_since(before);
+    }
+
+    /// The counters [`TwoLevelHierarchy::publish_since`] diffs against.
+    fn publish_mark(&self) -> (CacheStats, CacheStats, u64) {
+        let (l1, l2) = self.stats();
+        (l1, l2, self.l1.scratch_reuse() + self.l2.scratch_reuse())
+    }
+
+    /// Publishes the per-level stat deltas since `before` to the global
+    /// [`obs`](crate::obs) registry.
+    fn publish_since(&self, before: (CacheStats, CacheStats, u64)) {
+        let (l1_before, l2_before, scratch_before) = before;
         let (l1_after, l2_after) = self.stats();
         crate::obs::publish_level_delta(1, &l1_before, &l1_after);
         crate::obs::publish_level_delta(2, &l2_before, &l2_after);

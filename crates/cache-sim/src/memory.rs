@@ -4,18 +4,24 @@
 //! *clean* cache data are recovered by re-fetching from here (paper §3.2),
 //! so the store holds real words, not placeholders.
 //!
-//! Storage is organised as 4 KiB pages: a page table maps page numbers to
-//! slots in one flat word arena, allocated lazily on first non-zero
+//! Storage is organised as 256-byte pages: a page table maps page numbers
+//! to slots in one flat word arena, allocated lazily on first non-zero
 //! write. Block transfers inside one page (every power-of-two block up to
 //! the page size, at an aligned base) are a single page lookup plus a
 //! slice copy — no per-word hashing.
-
-use std::collections::HashMap;
+//!
+//! The page is small on purpose. A thrashing workload's write-backs
+//! scatter over its whole footprint (mcf's ~38k L2 write-backs per drive
+//! land across 64 MB), so with 4 KiB pages nearly every write-back
+//! zero-fills and faults in a fresh page of which it uses one block.
+//! 256 bytes is eight Table 1 blocks and still one page per 64-byte
+//! explorer block, so the arena grows with the blocks actually written.
 
 use crate::geometry::WORD_BYTES;
+use crate::wordmap::WordMap;
 
 /// Bytes per storage page.
-const PAGE_BYTES: u64 = 4096;
+const PAGE_BYTES: u64 = 256;
 /// 64-bit words per storage page.
 const PAGE_WORDS: usize = (PAGE_BYTES / WORD_BYTES as u64) as usize;
 
@@ -35,7 +41,8 @@ const PAGE_WORDS: usize = (PAGE_BYTES / WORD_BYTES as u64) as usize;
 #[derive(Debug, Clone, Default)]
 pub struct MainMemory {
     /// Page number (`addr / PAGE_BYTES`) → slot index into `arena`.
-    pages: HashMap<u64, usize>,
+    /// Slots are handed out in allocation order.
+    pages: WordMap<usize>,
     /// Concatenated page frames, `PAGE_WORDS` words each.
     arena: Vec<u64>,
     /// Count of non-zero resident words (the footprint proxy).
@@ -207,12 +214,17 @@ impl MainMemory {
 
     /// Restores the state captured by [`MainMemory::snapshot`].
     ///
-    /// Allocation-free in steady state: when the page table still
-    /// matches the snapshot's (the common case — trials read but rarely
-    /// touch new pages), only the word arena is copied back in place.
-    /// If the trial did allocate pages, the page table and arena are
-    /// rebuilt from the snapshot.
+    /// Allocation-free in steady state. Slots are handed out in order, so
+    /// pages a trial allocated after the capture are exactly those with a
+    /// slot past the snapshot's; dropping them leaves the page table
+    /// equal to the snapshot's and only the word arena is copied back in
+    /// place. A memory with a different history is rebuilt from the
+    /// snapshot.
     pub fn restore_snapshot(&mut self, snap: &crate::snapshot::MemorySnapshot) {
+        let captured = snap.arena.len() / PAGE_WORDS;
+        if self.pages.len() > captured {
+            self.pages.retain(|_, slot| *slot < captured);
+        }
         if self.pages != snap.pages {
             self.pages.clone_from(&snap.pages);
         }
@@ -358,6 +370,43 @@ mod tests {
         assert_eq!(a, b);
         a.write_word(0x10, 7);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn restore_drops_pages_allocated_after_the_capture() {
+        let mut m = MainMemory::new();
+        m.write_word(0x40, 1);
+        m.write_word(3 * PAGE_BYTES, 2);
+        let captured = m.clone();
+        let snap = m.snapshot();
+        m.write_word(0x48, 3); // captured page
+        m.write_word(7 * PAGE_BYTES, 4); // fresh pages
+        m.write_word(9 * PAGE_BYTES + 8, 5);
+        m.restore_snapshot(&snap);
+        assert_eq!(m, captured);
+        assert_eq!(m.snapshot(), snap, "page table and arena as captured");
+        assert_eq!(m.peek_word(7 * PAGE_BYTES), 0);
+    }
+
+    #[test]
+    fn restore_from_a_different_history_rebuilds_the_page_table() {
+        let mut source = MainMemory::new();
+        source.write_word(PAGE_BYTES, 11);
+        source.write_word(5 * PAGE_BYTES + 16, 12);
+        let snap = source.snapshot();
+        // Same number of pages, different page numbers and slot order.
+        let mut other = MainMemory::new();
+        other.write_word(5 * PAGE_BYTES, 21);
+        other.write_word(2 * PAGE_BYTES, 22);
+        other.write_word(40 * PAGE_BYTES, 23);
+        other.restore_snapshot(&snap);
+        assert_eq!(other, source);
+        assert_eq!(other.snapshot(), snap);
+        assert_eq!(other.peek_word(PAGE_BYTES), 11);
+        assert_eq!(other.peek_word(5 * PAGE_BYTES + 16), 12);
+        assert_eq!(other.peek_word(5 * PAGE_BYTES), 0);
+        assert_eq!(other.peek_word(2 * PAGE_BYTES), 0);
+        assert_eq!(other.peek_word(40 * PAGE_BYTES), 0);
     }
 
     #[test]

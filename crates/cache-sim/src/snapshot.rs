@@ -6,8 +6,8 @@
 //! the capture a handful of `memcpy`s — so every subsequent trial
 //! restores into its *existing* arenas instead of replaying the warmup:
 //!
-//! * [`CacheSnapshot`] — tags/valid/dirty/words arenas, per-set
-//!   replacement state, statistics and the incremental counters of a
+//! * [`CacheSnapshot`] — tags/valid/dirty/words arenas, the replacement
+//!   arena, statistics and the incremental counters of a
 //!   [`crate::Cache`].
 //! * [`MemorySnapshot`] — page table, word arena and traffic counters
 //!   of a [`crate::MainMemory`].
@@ -19,10 +19,9 @@
 //! ([`crate::Cache::snapshot`], [`crate::MainMemory::restore_snapshot`],
 //! …); the structs here just own the saved state.
 
-use std::collections::HashMap;
-
-use crate::replacement::SetReplacementState;
+use crate::replacement::ReplacementArena;
 use crate::stats::CacheStats;
+use crate::wordmap::WordMap;
 
 /// Saved warm state of a [`crate::Cache`].
 ///
@@ -35,7 +34,7 @@ pub struct CacheSnapshot {
     pub(crate) valid: Vec<bool>,
     pub(crate) dirty: Vec<u64>,
     pub(crate) words: Vec<u64>,
-    pub(crate) repl: Vec<SetReplacementState>,
+    pub(crate) repl: ReplacementArena,
     pub(crate) stats: CacheStats,
     pub(crate) dirty_words: u64,
     pub(crate) scrub_cursor: usize,
@@ -47,15 +46,11 @@ impl CacheSnapshot {
     /// feeds the `snapshot.bytes` campaign gauge).
     #[must_use]
     pub fn bytes(&self) -> u64 {
-        let ways_per_set = self
-            .repl
-            .first()
-            .map_or(0, |_| self.tags.len() / self.repl.len().max(1));
         (self.tags.len() * 8
             + self.valid.len()
             + self.dirty.len() * 8
             + self.words.len() * 8
-            + self.repl.len() * ways_per_set * 8) as u64
+            + self.repl.bytes()) as u64
     }
 }
 
@@ -65,7 +60,7 @@ impl CacheSnapshot {
 /// [`crate::MainMemory::restore_snapshot`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MemorySnapshot {
-    pub(crate) pages: HashMap<u64, usize>,
+    pub(crate) pages: WordMap<usize>,
     pub(crate) arena: Vec<u64>,
     pub(crate) nonzero: usize,
     pub(crate) reads: u64,

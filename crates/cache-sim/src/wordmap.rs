@@ -1,0 +1,41 @@
+//! Hash maps keyed by word, block or page addresses.
+//!
+//! The drive's hot maps — the Tavg interval trackers and the backing
+//! memory's page table — are keyed by the word, block and page
+//! addresses of simulated traffic, hashed once or more per simulated
+//! access, so SipHash's cost shows on every op. [`WordKeyHasher`]
+//! replaces it with a single multiply + xor-shift. A trace crafted to
+//! make its addresses collide can only slow a simulation down: only the
+//! maps' bucketing depends on the hasher, so swapping it cannot change
+//! any statistic.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A `u64`-keyed map hashed with [`WordKeyHasher`].
+pub(crate) type WordMap<V> = HashMap<u64, V, BuildHasherDefault<WordKeyHasher>>;
+
+/// A multiply-mix hasher for `u64` address keys.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WordKeyHasher(u64);
+
+impl Hasher for WordKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Only u64 keys are ever hashed (via `write_u64`); a generic
+        // byte path would be dead code on these maps.
+        debug_assert!(bytes.len() == 8, "WordKeyHasher hashes u64 keys only");
+        let mut buf = [0u8; 8];
+        buf[..bytes.len().min(8)].copy_from_slice(&bytes[..bytes.len().min(8)]);
+        self.write_u64(u64::from_le_bytes(buf));
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let mut h = (self.0 ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^= h >> 32;
+        self.0 = h;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}

@@ -3,7 +3,10 @@
 //! fault-injection trial cycle (restore + inject + recovery), and a
 //! shard of the cross-trial batch engine.
 //!
-//! A counting global allocator wraps the system allocator; after a
+//! A counting global allocator wraps the system allocator and counts
+//! each thread's allocations separately, so the test harness spawning
+//! and reaping other tests' threads never lands in a measured window
+//! (every drive measured here runs on the test's own thread); after a
 //! generous warmup (which fills the SoA cache arenas, allocates every
 //! backing-memory page the trace can touch and grows the Tavg interval
 //! maps to their final size), replaying the identical trace again must
@@ -12,43 +15,62 @@
 //! trace is iterated without regeneration.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Mutex;
 
 use cppc_bench::mbe::{experiment_model, MbeBatchExec, SEED, SOLID_MODEL, SPARSE_MODEL};
 use cppc_cache_sim::geometry::CacheGeometry;
 use cppc_cache_sim::hierarchy::{MemOp, TwoLevelHierarchy};
+use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_campaign::{trial_rng, TrialExec};
 use cppc_fault::campaign::OutcomeTally;
 use cppc_workloads::SharedTrace;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocation requests made by the current thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// The two steady-state tests share one process-wide allocation
-/// counter, so their measured windows must not overlap: each takes
-/// this lock for the duration of its measurement.
+/// Some tests switch the process-wide obs flag off for their measured
+/// window, and a concurrent test switching it back on would make that
+/// window record spans: each test takes this lock for its whole run.
 static MEASURE: Mutex<()> = Mutex::new(());
 
-/// Counts every allocation request (alloc, zeroed alloc, realloc);
-/// deallocations are free of charge.
+/// Counts every allocation request (alloc, zeroed alloc, realloc) on
+/// the requesting thread; deallocations are free of charge.
 struct CountingAllocator;
 
+fn count_allocation() {
+    // A thread being torn down can no longer reach its counter; it is
+    // not one a test measures.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Runs `f` and returns its result with the number of heap allocations
+/// the current thread made meanwhile.
+fn counting_allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
 // SAFETY: delegates every operation verbatim to `System`; the counter
-// update is a lock-free atomic with no allocation of its own.
+// update touches a const-initialised thread-local `Cell` with no
+// destructor and no allocation of its own.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -96,9 +118,7 @@ fn steady_state_hierarchy_run_allocates_nothing() {
     h.run(trace.replay());
     h.run(trace.replay());
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    h.run(trace.replay());
-    let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let ((), during) = counting_allocations(|| h.run(trace.replay()));
 
     let accesses = h.l1().stats().accesses();
     assert!(accesses >= 400_000, "warmup + measured runs recorded");
@@ -139,9 +159,9 @@ fn steady_state_streaming_binary_drive_allocates_nothing() {
     }
 
     let mut reader = cppc_workloads::BinTraceReader::open(&path).unwrap();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let driven = cppc_workloads::binfmt::drive(&mut reader, &mut h, &mut batch).unwrap();
-    let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (driven, during) = counting_allocations(|| {
+        cppc_workloads::binfmt::drive(&mut reader, &mut h, &mut batch).unwrap()
+    });
 
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(driven, 200_000, "whole trace streamed");
@@ -173,12 +193,12 @@ fn steady_state_snapshot_trial_cycle_allocates_nothing() {
         experiment_model(SPARSE_MODEL, &mut trial_rng(SEED, trial));
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for trial in 256..384 {
-        experiment_model(SOLID_MODEL, &mut trial_rng(SEED, trial));
-        experiment_model(SPARSE_MODEL, &mut trial_rng(SEED, trial));
-    }
-    let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let ((), during) = counting_allocations(|| {
+        for trial in 256..384 {
+            experiment_model(SOLID_MODEL, &mut trial_rng(SEED, trial));
+            experiment_model(SPARSE_MODEL, &mut trial_rng(SEED, trial));
+        }
+    });
 
     cppc_obs::set_enabled(true);
     assert_eq!(
@@ -215,11 +235,11 @@ fn steady_state_batched_shard_allocates_nothing() {
             exec.run_range(SEED, shard * SHARD, (shard + 1) * SHARD, &mut tally);
         }
 
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        for shard in 16..48 {
-            exec.run_range(SEED, shard * SHARD, (shard + 1) * SHARD, &mut tally);
-        }
-        let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let ((), during) = counting_allocations(|| {
+            for shard in 16..48 {
+                exec.run_range(SEED, shard * SHARD, (shard + 1) * SHARD, &mut tally);
+            }
+        });
         assert_eq!(tally.total(), 48 * SHARD, "{name}: every trial recorded");
         measured.push((name, during, tally));
     }
@@ -236,4 +256,48 @@ fn steady_state_batched_shard_allocates_nothing() {
             "{name}: 32 steady-state batched shards performed {during} heap allocations"
         );
     }
+}
+
+/// Restoring a memory snapshot after a trial wrote to pages the capture
+/// never had is allocation-free: slots are handed out in order, so the
+/// restore drops the post-capture pages and copies the word arena back
+/// in place, leaving the page table and arena capacity for the next
+/// trial.
+#[test]
+fn memory_restore_after_fresh_pages_allocates_nothing() {
+    let _serial = MEASURE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut mem = MainMemory::new();
+    for i in 0..64u64 {
+        mem.write_word(i * 0x1000, i + 1);
+    }
+    let captured = mem.clone();
+    let snap = mem.snapshot();
+    // Every cycle writes more pages than the captured table has room
+    // for, spread over 16 MiB.
+    let trial = |mem: &mut MainMemory| {
+        for i in 0..160u64 {
+            mem.write_word(0x100_0000 + i * 0x1_9980, !i);
+        }
+        mem.restore_snapshot(&snap);
+    };
+
+    // Warmup: the first cycles grow the arena and page table to hold
+    // the trial's pages.
+    for _ in 0..4 {
+        trial(&mut mem);
+    }
+
+    let ((), during) = counting_allocations(|| {
+        for _ in 0..64 {
+            trial(&mut mem);
+        }
+    });
+    assert_eq!(mem, captured, "restore reproduces the captured memory");
+    assert_eq!(mem.snapshot(), snap, "and its exact page table");
+    assert_eq!(
+        during, 0,
+        "64 write-fresh-pages + restore cycles performed {during} heap allocations"
+    );
 }
