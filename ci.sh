@@ -130,7 +130,8 @@ echo "== serve smoke (daemon round-trip + kill-and-restart resume)"
 # require every result document to be byte-identical to a direct
 # `campaign --json` run of the same spec. Then interrupt a second job with a graceful shutdown, restart
 # the daemon on the same data dir, and require the resumed job to merge
-# to the same bytes as its own direct run.
+# to the same bytes as its own direct run, and the first job's result,
+# now served from the journal, to be the bytes served before.
 CLI=target/release/cppc-cli
 SERVE_TMP="$(mktemp -d)"
 SOCK="$SERVE_TMP/d.sock"
@@ -184,6 +185,12 @@ for _ in $(seq 50); do [ -S "$SOCK" ] && break; sleep 0.1; done
     --shard-size 4 --json > "$SERVE_TMP/direct2.json" 2> /dev/null
 cmp "$SERVE_TMP/resumed.json" "$SERVE_TMP/direct2.json" || {
     echo "resumed job diverged from direct campaign run" >&2; exit 1
+}
+# History across the restart: the mbe job finished under the first
+# daemon, so the second one serves its result from the journal alone.
+"$CLI" watch --socket "$SOCK" --id "$JOB" > "$SERVE_TMP/history.json" 2> /dev/null
+cmp "$SERVE_TMP/history.json" "$SERVE_TMP/served.json" || {
+    echo "journalled result of a finished job diverged after restart" >&2; exit 1
 }
 "$CLI" shutdown --socket "$SOCK" 2> /dev/null
 wait "$SERVE_PID"

@@ -51,7 +51,7 @@ pub mod replacement;
 pub mod snapshot;
 pub mod stats;
 pub mod victim;
-mod wordmap;
+pub mod wordmap;
 pub mod write_through;
 
 pub use batch::OpBatch;

@@ -1,23 +1,27 @@
-//! Hash maps keyed by word, block or page addresses.
+//! Hash maps and sets keyed by word, block or page addresses.
 //!
 //! The drive's hot maps — the Tavg interval trackers and the backing
-//! memory's page table — are keyed by the word, block and page
-//! addresses of simulated traffic, hashed once or more per simulated
-//! access, so SipHash's cost shows on every op. [`WordKeyHasher`]
+//! memory's page table — and the HARP scheme's set of written addresses
+//! are keyed by the word, block and page addresses of simulated
+//! traffic, hashed once or more per simulated access, so SipHash's cost
+//! shows on every op. [`WordKeyHasher`]
 //! replaces it with a single multiply + xor-shift. A trace crafted to
 //! make its addresses collide can only slow a simulation down: only the
 //! maps' bucketing depends on the hasher, so swapping it cannot change
 //! any statistic.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `u64`-keyed map hashed with [`WordKeyHasher`].
-pub(crate) type WordMap<V> = HashMap<u64, V, BuildHasherDefault<WordKeyHasher>>;
+pub type WordMap<V> = HashMap<u64, V, BuildHasherDefault<WordKeyHasher>>;
+
+/// A set of `u64` addresses hashed with [`WordKeyHasher`].
+pub type WordSet = HashSet<u64, BuildHasherDefault<WordKeyHasher>>;
 
 /// A multiply-mix hasher for `u64` address keys.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct WordKeyHasher(u64);
+pub struct WordKeyHasher(u64);
 
 impl Hasher for WordKeyHasher {
     fn write(&mut self, bytes: &[u8]) {

@@ -26,6 +26,7 @@ use cppc_cache_sim::geometry::CacheGeometry;
 use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_cache_sim::stats::CacheStats;
+use cppc_cache_sim::wordmap::WordSet;
 use cppc_fault::campaign::Outcome;
 use cppc_fault::layout::PhysicalLayout;
 use cppc_fault::model::FaultPattern;
@@ -60,6 +61,8 @@ pub struct HarpOdeccScheme {
     /// Addresses the program wrote, deduplicated, in first-write order
     /// — the profile list the error-profiling pass walks.
     written: Vec<u64>,
+    /// The members of `written`, for the dedupe on every write.
+    seen: WordSet,
     profiled_uncorrectable: u64,
     repaired: u64,
 }
@@ -69,9 +72,13 @@ impl HarpOdeccScheme {
     /// (non-interleaved SECDED, write-through).
     #[must_use]
     pub fn new(geo: CacheGeometry, policy: ReplacementPolicy) -> Self {
+        // A campaign trial's warm-up writes every word of the cache
+        // once; sizing the list and set for that spares their growth.
+        let words = geo.total_words();
         HarpOdeccScheme {
             inner: SecdedCache::new(geo, false, policy),
-            written: Vec::new(),
+            written: Vec::with_capacity(words),
+            seen: WordSet::with_capacity_and_hasher(words, Default::default()),
             profiled_uncorrectable: 0,
             repaired: 0,
         }
@@ -95,10 +102,10 @@ impl HarpOdeccScheme {
     /// were repaired this pass.
     pub fn profile(&mut self, mem: &mut MainMemory) -> u64 {
         let mut repaired = 0;
-        // Walk a snapshot of the profile list: the repair store below
-        // must not grow the list mid-walk.
-        let addrs: Vec<u64> = self.written.clone();
-        for addr in addrs {
+        // The repair store below goes to the inner cache, not through
+        // `write_word`, so the list does not grow mid-walk.
+        for i in 0..self.written.len() {
+            let addr = self.written[i];
             if self.inner.peek_word(addr).is_none() {
                 continue;
             }
@@ -130,7 +137,7 @@ impl ProtectionScheme for HarpOdeccScheme {
         self.inner.store_word(addr, value, mem);
         // Write-through: memory is the profiling pass's ground truth.
         mem.write_word(addr, value);
-        if !self.written.contains(&addr) {
+        if self.seen.insert(addr) {
             self.written.push(addr);
         }
         Ok(())

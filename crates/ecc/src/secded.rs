@@ -10,6 +10,19 @@
 //! 1; positions that are powers of two hold Hamming check bits; all other
 //! positions hold data bits in ascending order; position 0 holds the
 //! overall (extended) parity over every other bit.
+//!
+//! The codec never materialises that layout. Each type stores its
+//! data word and check bits side by side, as a cache's data and check
+//! arrays do, and works from two tables built at compile time from the
+//! layout: Hamming check bit `c` is the parity of `data & MASK[c]`,
+//! where `MASK[c]` holds the data bits whose codeword position has bit
+//! `c` set, and the overall bit is `parity(data) ^ parity(h)` over the
+//! Hamming check bits `h`. The
+//! syndrome is the recomputed check bits XOR the stored ones, and a
+//! single-bit correction looks up which data bit (if any) sits at the
+//! syndrome's position. Outcomes, corrected `position` included, are
+//! those of walking the layout bit by bit; a test pins the two against
+//! each other.
 
 /// Outcome of decoding a possibly-corrupted SECDED codeword.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,120 +61,39 @@ impl DecodeOutcome {
     }
 }
 
-/// Shared implementation for extended Hamming codes over `DATA_BITS` data
-/// bits stored in a `u64`, with `CHECK_BITS` Hamming check bits (excluding
-/// the extended parity bit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ExtHamming<const DATA_BITS: u32, const CHECK_BITS: u32>;
+/// The compile-time tables of one extended Hamming code over
+/// `data_bits` data bits with `check_bits` Hamming check bits, derived
+/// from the codeword layout in the module docs.
+struct MaskTables {
+    /// `masks[c]`: the data bits whose codeword position has bit `c`
+    /// set. Hamming check bit `c` is the parity of `data & masks[c]`.
+    masks: [u64; 7],
+    /// `flip[s]`: the data bit at codeword position `s`, as a one-bit
+    /// mask (0 at check-bit positions and beyond the codeword).
+    flip: [u64; 128],
+}
 
-impl<const DATA_BITS: u32, const CHECK_BITS: u32> ExtHamming<DATA_BITS, CHECK_BITS> {
-    const TOTAL_POSITIONS: u32 = DATA_BITS + CHECK_BITS; // positions 1..=TOTAL
-
-    /// Maps the d-th data bit (0-based) to its 1-based codeword position
-    /// (skipping power-of-two positions).
-    fn data_position(d: u32) -> u32 {
-        debug_assert!(d < DATA_BITS);
+impl MaskTables {
+    const fn build(data_bits: u32, check_bits: u32) -> Self {
+        let mut masks = [0u64; 7];
+        let mut flip = [0u64; 128];
         let mut pos = 1u32;
-        let mut seen = 0;
-        loop {
+        let mut d = 0u32;
+        while d < data_bits {
             if !pos.is_power_of_two() {
-                if seen == d {
-                    return pos;
+                let mut c = 0;
+                while c < check_bits {
+                    if pos & (1 << c) != 0 {
+                        masks[c as usize] |= 1 << d;
+                    }
+                    c += 1;
                 }
-                seen += 1;
+                flip[pos as usize] = 1 << d;
+                d += 1;
             }
             pos += 1;
         }
-    }
-
-    /// Spreads `data` into a codeword bit-vector indexed by position
-    /// (index 0 unused here; extended parity handled separately).
-    fn spread(data: u64) -> u128 {
-        let mut cw: u128 = 0;
-        let mut d = 0;
-        for pos in 1..=Self::TOTAL_POSITIONS {
-            if !pos.is_power_of_two() {
-                if (data >> d) & 1 == 1 {
-                    cw |= 1u128 << pos;
-                }
-                d += 1;
-            }
-        }
-        debug_assert_eq!(d, DATA_BITS);
-        cw
-    }
-
-    /// Extracts the data word from a codeword bit-vector.
-    fn gather(cw: u128) -> u64 {
-        let mut data = 0u64;
-        let mut d = 0;
-        for pos in 1..=Self::TOTAL_POSITIONS {
-            if !pos.is_power_of_two() {
-                if (cw >> pos) & 1 == 1 {
-                    data |= 1u64 << d;
-                }
-                d += 1;
-            }
-        }
-        data
-    }
-
-    /// Computes the Hamming check bits over codeword data positions and
-    /// inserts them at power-of-two positions.
-    fn with_check_bits(mut cw: u128) -> u128 {
-        for c in 0..CHECK_BITS {
-            let mask_pos = 1u32 << c;
-            let mut parity = 0u128;
-            for pos in 1..=Self::TOTAL_POSITIONS {
-                if pos & mask_pos != 0 && !pos.is_power_of_two() {
-                    parity ^= (cw >> pos) & 1;
-                }
-            }
-            if parity == 1 {
-                cw |= 1u128 << mask_pos;
-            }
-        }
-        cw
-    }
-
-    fn encode(data: u64) -> (u128, u8) {
-        let cw = Self::with_check_bits(Self::spread(data));
-        let overall = (cw.count_ones() & 1) as u8;
-        (cw, overall)
-    }
-
-    fn decode(cw: u128, overall: u8) -> DecodeOutcome {
-        // Syndrome: XOR of positions of all set bits.
-        let mut syndrome = 0u32;
-        for pos in 1..=Self::TOTAL_POSITIONS {
-            if (cw >> pos) & 1 == 1 {
-                syndrome ^= pos;
-            }
-        }
-        let parity_now = (cw.count_ones() & 1) as u8;
-        let overall_ok = parity_now == overall;
-
-        match (syndrome, overall_ok) {
-            (0, true) => DecodeOutcome::Clean(Self::gather(cw)),
-            (0, false) => {
-                // The extended parity bit itself flipped; data is intact.
-                DecodeOutcome::Corrected {
-                    data: Self::gather(cw),
-                    position: 0,
-                }
-            }
-            (s, false) if s <= Self::TOTAL_POSITIONS => {
-                let repaired = cw ^ (1u128 << s);
-                DecodeOutcome::Corrected {
-                    data: Self::gather(repaired),
-                    position: s,
-                }
-            }
-            // Non-zero syndrome with correct overall parity ⇒ even number
-            // of flips ⇒ uncorrectable. Also syndrome beyond the codeword
-            // length (certain multi-bit patterns) is uncorrectable.
-            _ => DecodeOutcome::DetectedUncorrectable,
-        }
+        MaskTables { masks, flip }
     }
 }
 
@@ -170,8 +102,10 @@ macro_rules! secded_type {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         pub struct $name {
-            codeword: u128,
-            overall: u8,
+            /// The data word, masked to `DATA_BITS`.
+            data: u64,
+            /// The check bits in the [`Self::check_bits`] layout.
+            check: u16,
         }
 
         impl $name {
@@ -179,25 +113,66 @@ macro_rules! secded_type {
             pub const DATA_BITS: u32 = $data_bits;
             /// Number of check bits including the extended parity bit.
             pub const CHECK_BITS: u32 = $check_bits + 1;
+            /// Codeword positions `1..=TOTAL_POSITIONS` hold data and
+            /// Hamming check bits; position 0 is the overall parity.
+            const TOTAL_POSITIONS: u32 = $data_bits + $check_bits;
+            const TABLES: MaskTables = MaskTables::build($data_bits, $check_bits);
+
+            fn mask_data(data: u64) -> u64 {
+                if Self::DATA_BITS < 64 {
+                    data & ((1u64 << Self::DATA_BITS) - 1)
+                } else {
+                    data
+                }
+            }
+
+            /// The Hamming check bits of `data` (no overall parity).
+            fn hamming(data: u64) -> u16 {
+                let mut h = 0u16;
+                for c in 0..$check_bits {
+                    h |= (((data & Self::TABLES.masks[c]).count_ones() & 1) as u16) << c;
+                }
+                h
+            }
 
             /// Encodes `data` into a SECDED codeword.
             #[must_use]
             pub fn encode(data: u64) -> Self {
-                let data = if Self::DATA_BITS < 64 {
-                    data & ((1u64 << Self::DATA_BITS) - 1)
-                } else {
-                    data
-                };
-                let (codeword, overall) =
-                    ExtHamming::<$data_bits, $check_bits>::encode(data);
-                $name { codeword, overall }
+                let data = Self::mask_data(data);
+                let h = Self::hamming(data);
+                let overall = (data.count_ones() ^ h.count_ones()) & 1;
+                $name {
+                    data,
+                    check: h | ((overall as u16) << $check_bits),
+                }
             }
 
             /// Decodes, correcting a single-bit error or flagging a
             /// double-bit error.
             #[must_use]
             pub fn decode(&self) -> DecodeOutcome {
-                ExtHamming::<$data_bits, $check_bits>::decode(self.codeword, self.overall)
+                // The syndrome is the XOR of the positions of every set
+                // codeword bit; the overall check covers all of them.
+                let syndrome =
+                    u32::from(Self::hamming(self.data) ^ (self.check & ((1 << $check_bits) - 1)));
+                let overall_ok = (self.data.count_ones() ^ self.check.count_ones()) & 1 == 0;
+                match (syndrome, overall_ok) {
+                    (0, true) => DecodeOutcome::Clean(self.data),
+                    // The extended parity bit itself flipped; data is intact.
+                    (0, false) => DecodeOutcome::Corrected {
+                        data: self.data,
+                        position: 0,
+                    },
+                    (s, false) if s <= Self::TOTAL_POSITIONS => DecodeOutcome::Corrected {
+                        data: self.data ^ Self::TABLES.flip[s as usize],
+                        position: s,
+                    },
+                    // Non-zero syndrome with correct overall parity ⇒ even
+                    // number of flips ⇒ uncorrectable. Also syndrome beyond
+                    // the codeword length (certain multi-bit patterns) is
+                    // uncorrectable.
+                    _ => DecodeOutcome::DetectedUncorrectable,
+                }
             }
 
             /// Flips the codeword bit holding the `bit`-th *data* bit —
@@ -208,8 +183,7 @@ macro_rules! secded_type {
             /// Panics if `bit >= Self::DATA_BITS`.
             pub fn flip_data_bit(&mut self, bit: u32) {
                 assert!(bit < Self::DATA_BITS, "data bit {bit} out of range");
-                let pos = ExtHamming::<$data_bits, $check_bits>::data_position(bit);
-                self.codeword ^= 1u128 << pos;
+                self.data ^= 1 << bit;
             }
 
             /// Flips the `c`-th Hamming check bit (0-based), or the
@@ -220,11 +194,7 @@ macro_rules! secded_type {
             /// Panics if `c >= Self::CHECK_BITS`.
             pub fn flip_check_bit(&mut self, c: u32) {
                 assert!(c < Self::CHECK_BITS, "check bit {c} out of range");
-                if c == Self::CHECK_BITS - 1 {
-                    self.overall ^= 1;
-                } else {
-                    self.codeword ^= 1u128 << (1u32 << c);
-                }
+                self.check ^= 1 << c;
             }
 
             /// Storage overhead: check bits / data bits (12.5% for the
@@ -242,33 +212,19 @@ macro_rules! secded_type {
             /// [`Self::from_parts`] reassembles them.
             #[must_use]
             pub fn check_bits(&self) -> u16 {
-                let mut out = 0u16;
-                for c in 0..(Self::CHECK_BITS - 1) {
-                    if (self.codeword >> (1u32 << c)) & 1 == 1 {
-                        out |= 1 << c;
-                    }
-                }
-                out | (u16::from(self.overall) << (Self::CHECK_BITS - 1))
+                self.check
             }
 
             /// Reassembles a codeword from a (possibly corrupted) data
             /// word and separately stored check bits, ready to
-            /// [`Self::decode`].
+            /// [`Self::decode`]. Check bits above `CHECK_BITS` are
+            /// ignored.
             #[must_use]
             pub fn from_parts(data: u64, check: u16) -> Self {
-                let data = if Self::DATA_BITS < 64 {
-                    data & ((1u64 << Self::DATA_BITS) - 1)
-                } else {
-                    data
-                };
-                let mut codeword = ExtHamming::<$data_bits, $check_bits>::spread(data);
-                for c in 0..(Self::CHECK_BITS - 1) {
-                    if (check >> c) & 1 == 1 {
-                        codeword |= 1u128 << (1u32 << c);
-                    }
+                $name {
+                    data: Self::mask_data(data),
+                    check: check & ((1 << Self::CHECK_BITS) - 1),
                 }
-                let overall = ((check >> (Self::CHECK_BITS - 1)) & 1) as u8;
-                $name { codeword, overall }
             }
         }
     };
@@ -289,6 +245,116 @@ secded_type!(
     32,
     6
 );
+
+/// The bit-serial extended Hamming code the mask tables replaced:
+/// it spreads the data over the codeword positions and walks them one
+/// bit at a time. The oracle the table-driven codec is checked against.
+#[cfg(test)]
+mod reference {
+    use super::DecodeOutcome;
+
+    pub struct ExtHamming<const DATA_BITS: u32, const CHECK_BITS: u32>;
+
+    impl<const DATA_BITS: u32, const CHECK_BITS: u32> ExtHamming<DATA_BITS, CHECK_BITS> {
+        const TOTAL_POSITIONS: u32 = DATA_BITS + CHECK_BITS;
+
+        fn mask_data(data: u64) -> u64 {
+            if DATA_BITS < 64 {
+                data & ((1u64 << DATA_BITS) - 1)
+            } else {
+                data
+            }
+        }
+
+        fn spread(data: u64) -> u128 {
+            let mut cw: u128 = 0;
+            let mut d = 0;
+            for pos in 1..=Self::TOTAL_POSITIONS {
+                if !pos.is_power_of_two() {
+                    if (data >> d) & 1 == 1 {
+                        cw |= 1u128 << pos;
+                    }
+                    d += 1;
+                }
+            }
+            cw
+        }
+
+        fn gather(cw: u128) -> u64 {
+            let mut data = 0u64;
+            let mut d = 0;
+            for pos in 1..=Self::TOTAL_POSITIONS {
+                if !pos.is_power_of_two() {
+                    if (cw >> pos) & 1 == 1 {
+                        data |= 1u64 << d;
+                    }
+                    d += 1;
+                }
+            }
+            data
+        }
+
+        fn with_check_bits(mut cw: u128) -> u128 {
+            for c in 0..CHECK_BITS {
+                let mask_pos = 1u32 << c;
+                let mut parity = 0u128;
+                for pos in 1..=Self::TOTAL_POSITIONS {
+                    if pos & mask_pos != 0 && !pos.is_power_of_two() {
+                        parity ^= (cw >> pos) & 1;
+                    }
+                }
+                if parity == 1 {
+                    cw |= 1u128 << mask_pos;
+                }
+            }
+            cw
+        }
+
+        /// The stored check bits of `data`'s codeword, in the
+        /// `check_bits()` layout (overall parity on top).
+        pub fn check_bits(data: u64) -> u16 {
+            let cw = Self::with_check_bits(Self::spread(Self::mask_data(data)));
+            let mut out = 0u16;
+            for c in 0..CHECK_BITS {
+                if (cw >> (1u32 << c)) & 1 == 1 {
+                    out |= 1 << c;
+                }
+            }
+            out | (((cw.count_ones() & 1) as u16) << CHECK_BITS)
+        }
+
+        /// Reassembles the codeword of `data` and stored `check` bits
+        /// and decodes it.
+        pub fn decode_parts(data: u64, check: u16) -> DecodeOutcome {
+            let mut cw = Self::spread(Self::mask_data(data));
+            for c in 0..CHECK_BITS {
+                if (check >> c) & 1 == 1 {
+                    cw |= 1u128 << (1u32 << c);
+                }
+            }
+            let overall = u32::from((check >> CHECK_BITS) & 1);
+            let mut syndrome = 0u32;
+            for pos in 1..=Self::TOTAL_POSITIONS {
+                if (cw >> pos) & 1 == 1 {
+                    syndrome ^= pos;
+                }
+            }
+            let overall_ok = (cw.count_ones() & 1) == overall;
+            match (syndrome, overall_ok) {
+                (0, true) => DecodeOutcome::Clean(Self::gather(cw)),
+                (0, false) => DecodeOutcome::Corrected {
+                    data: Self::gather(cw),
+                    position: 0,
+                },
+                (s, false) if s <= Self::TOTAL_POSITIONS => DecodeOutcome::Corrected {
+                    data: Self::gather(cw ^ (1u128 << s)),
+                    position: s,
+                },
+                _ => DecodeOutcome::DetectedUncorrectable,
+            }
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -417,6 +483,94 @@ mod tests {
             Secded64::from_parts(d, check).decode(),
             DecodeOutcome::DetectedUncorrectable
         );
+    }
+
+    /// Every 0-, 1- and 2-bit flip of the codeword of each word in
+    /// `words` (masked to `data_bits`) decodes as the bit-serial code
+    /// decodes it, and reports the same check bits.
+    fn matches_reference<const DATA: u32, const CHECK: u32>(
+        words: &[u64],
+        from_parts: fn(u64, u16) -> (u16, DecodeOutcome),
+    ) {
+        type Ref<const D: u32, const C: u32> = reference::ExtHamming<D, C>;
+        let width = DATA + CHECK + 1;
+        let flip = |(data, check): (u64, u16), bit: u32| {
+            if bit < DATA {
+                (data ^ (1 << bit), check)
+            } else {
+                (data, check ^ (1 << (bit - DATA)))
+            }
+        };
+        for &word in words {
+            let word = if DATA < 64 {
+                word & ((1 << DATA) - 1)
+            } else {
+                word
+            };
+            let clean = (word, Ref::<DATA, CHECK>::check_bits(word));
+            let mut flipped = vec![clean];
+            for a in 0..width {
+                flipped.push(flip(clean, a));
+                for b in (a + 1)..width {
+                    flipped.push(flip(flip(clean, a), b));
+                }
+            }
+            for (data, check) in flipped {
+                let (bits, outcome) = from_parts(data, check);
+                assert_eq!(bits, check, "{word:#x}: {data:#x}/{check:#x}");
+                assert_eq!(
+                    outcome,
+                    Ref::<DATA, CHECK>::decode_parts(data, check),
+                    "{word:#x}: {data:#x}/{check:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mask_codec_matches_bit_serial_reference() {
+        let mut rng = StdRng::seed_from_u64(0x5EC0_0005);
+        let mut words: Vec<u64> = (0..256).map(|_| rng.random::<u64>()).collect();
+        words.extend([0, u64::MAX]);
+        words.extend((0..64).map(|b| 1u64 << b));
+        for &w in &words {
+            assert_eq!(
+                Secded64::encode(w).check_bits(),
+                reference::ExtHamming::<64, 7>::check_bits(w),
+                "{w:#x}"
+            );
+            assert_eq!(
+                Secded32::encode(w).check_bits(),
+                reference::ExtHamming::<32, 6>::check_bits(w),
+                "{w:#x}"
+            );
+        }
+        matches_reference::<64, 7>(&words, |d, c| {
+            let cw = Secded64::from_parts(d, c);
+            (cw.check_bits(), cw.decode())
+        });
+        matches_reference::<32, 6>(&words, |d, c| {
+            let cw = Secded32::from_parts(d, c);
+            (cw.check_bits(), cw.decode())
+        });
+        // Check bits above CHECK_BITS (and, for the 32-bit code, data
+        // bits above DATA_BITS) are not part of the codeword.
+        for &w in &words {
+            let c64 = Secded64::encode(w).check_bits();
+            assert_eq!(
+                Secded64::from_parts(w, c64 | !((1 << Secded64::CHECK_BITS) - 1)),
+                Secded64::from_parts(w, c64)
+            );
+            let c32 = Secded32::encode(w).check_bits();
+            assert_eq!(
+                Secded32::from_parts(w | 0xFFFF_FFFF_0000_0000, c32 | 0xFF80),
+                Secded32::from_parts(w, c32)
+            );
+            assert_eq!(
+                Secded32::from_parts(w, c32 | 0xFF80).decode(),
+                DecodeOutcome::Clean(w & 0xFFFF_FFFF)
+            );
+        }
     }
 
     #[test]

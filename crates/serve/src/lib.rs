@@ -12,7 +12,8 @@
 //! - [`job`] — specs, priorities, the lifecycle state machine and the
 //!   durable [`job::JobRecord`];
 //! - [`store`] — the on-disk job journal and checkpoint layout under
-//!   `--data-dir` (atomic writes, restart recovery);
+//!   `--data-dir` (atomic writes, restart recovery); the journal is a
+//!   finished job's only full copy;
 //! - [`scheduler`] — two priority lanes, per-tenant round-robin fair
 //!   share, backpressure at the admission bound, a thread governor;
 //! - [`runner`] — executes one spec on [`cppc_campaign::run_with`]

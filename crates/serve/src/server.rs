@@ -9,13 +9,23 @@
 //! grants from the [`Scheduler`] and runs each job on its own worker
 //! thread via [`crate::runner`].
 //!
+//! The daemon holds one entry per job in a single map. A queued or
+//! running job's entry is its full [`JobRecord`] plus live state. Once
+//! a job's terminal record is in the journal, the journal is that job's
+//! only full copy: the entry shrinks to a fixed-size summary (id,
+//! interned tenant, priority, kind, trials, state), and `result`,
+//! `status` and the `watch` end line read the record back through
+//! [`JobStore::load`]. So a long-running daemon's memory does not grow
+//! with the results it has served. If the terminal journal write fails,
+//! the entry keeps the full record and serves it from memory.
+//!
 //! Graceful shutdown raises every running job's interrupt flag: the
 //! engine drains in-flight shards, writes a final checkpoint, and the
 //! job's journal entry stays `running` — the next daemon run requeues
 //! it and the resumed campaign merges to the bit-identical tally an
 //! uninterrupted run produces.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
@@ -81,8 +91,9 @@ impl ServerConfig {
     }
 }
 
-/// Per-job live state alongside the durable record.
-struct JobEntry {
+/// A job whose full record the daemon holds: the durable record plus
+/// per-job live state.
+struct LiveJob {
     record: JobRecord,
     /// Raised to stop the engine cooperatively (cancel or shutdown).
     interrupt: Arc<AtomicBool>,
@@ -93,13 +104,96 @@ struct JobEntry {
     progress: Arc<Mutex<Option<Progress>>>,
 }
 
+/// A finished job whose journal entry holds its result or error: what
+/// `list` and `cancel` need, in a fixed size.
+#[derive(Clone)]
+struct JobSummary {
+    id: JobId,
+    /// Shared by every finished job of the tenant.
+    tenant: Arc<str>,
+    priority: Priority,
+    kind: &'static str,
+    trials: u64,
+    state: JobState,
+}
+
+/// One job in the daemon's map.
+enum JobEntry {
+    /// Queued or running, or finished but not journalled.
+    Live(Box<LiveJob>),
+    /// Finished, with the journal as its only full copy.
+    Finished(JobSummary),
+}
+
 impl JobEntry {
-    fn new(record: JobRecord) -> Self {
-        JobEntry {
+    fn live(record: JobRecord) -> Self {
+        JobEntry::Live(Box::new(LiveJob {
             record,
             interrupt: Arc::new(AtomicBool::new(false)),
             cancel_requested: Arc::new(AtomicBool::new(false)),
             progress: Arc::new(Mutex::new(None)),
+        }))
+    }
+
+    fn state(&self) -> JobState {
+        match self {
+            JobEntry::Live(job) => job.record.state,
+            JobEntry::Finished(s) => s.state,
+        }
+    }
+
+    fn tenant(&self) -> &str {
+        match self {
+            JobEntry::Live(job) => &job.record.tenant,
+            JobEntry::Finished(s) => &s.tenant,
+        }
+    }
+
+    /// The job's `list` row.
+    fn summary(&self) -> Vec<(String, Json)> {
+        match self {
+            JobEntry::Live(job) => record_summary(&job.record),
+            JobEntry::Finished(s) => {
+                summary_fields(s.id, &s.tenant, s.priority, s.kind, s.trials, s.state)
+            }
+        }
+    }
+}
+
+/// The daemon's job map, plus the tenant names finished jobs share.
+#[derive(Default)]
+struct Jobs {
+    map: HashMap<JobId, JobEntry>,
+    tenants: HashSet<Arc<str>>,
+}
+
+impl Jobs {
+    fn live_mut(&mut self, id: JobId) -> Option<&mut LiveJob> {
+        match self.map.get_mut(&id) {
+            Some(JobEntry::Live(job)) => Some(job),
+            _ => None,
+        }
+    }
+}
+
+impl JobSummary {
+    /// `record`'s summary, its tenant name interned in `tenants`.
+    fn of(record: &JobRecord, tenants: &mut HashSet<Arc<str>>) -> Self {
+        let tenant = tenants
+            .get(record.tenant.as_str())
+            .cloned()
+            .unwrap_or_else(|| {
+                let t: Arc<str> = Arc::from(record.tenant.as_str());
+                tenants.insert(Arc::clone(&t));
+                t
+            });
+        JobSummary {
+            id: record.id,
+            tenant,
+            priority: record.priority,
+            kind: record.spec.kind.name(),
+            trials: record.spec.trials,
+            state: record.state,
         }
     }
 }
@@ -108,7 +202,7 @@ struct Shared {
     cfg: ServerConfig,
     store: JobStore,
     sched: Scheduler,
-    jobs: Mutex<HashMap<JobId, JobEntry>>,
+    jobs: Mutex<Jobs>,
     /// Paired with `jobs`: notified on every job state transition and
     /// on shutdown, so `watch` reports each change as it happens.
     state_changed: Condvar,
@@ -130,28 +224,73 @@ impl Shared {
         }
         self.sched.shutdown();
         let jobs = self.jobs.lock().expect("jobs lock");
-        for entry in jobs.values() {
-            if entry.record.state == JobState::Running {
-                entry.interrupt.store(true, Ordering::SeqCst);
+        for entry in jobs.map.values() {
+            match entry {
+                JobEntry::Live(job) if job.record.state == JobState::Running => {
+                    job.interrupt.store(true, Ordering::SeqCst);
+                }
+                _ => {}
             }
         }
         self.state_changed.notify_all();
     }
 
-    /// Moves `record` to `state`, journals it and wakes every `watch`.
-    /// The caller holds the `jobs` lock `record` lives under, so a
-    /// watcher cannot miss the change between checking and waiting.
-    fn transition(&self, record: &mut JobRecord, state: JobState) -> Result<(), String> {
+    /// Moves `record` to `state`, journals it and wakes every `watch`;
+    /// returns whether the journal write succeeded. The caller holds
+    /// the `jobs` lock `record` lives under, so a watcher cannot miss
+    /// the change between checking and waiting.
+    fn transition(&self, record: &mut JobRecord, state: JobState) -> Result<bool, String> {
         record.transition(state)?;
-        self.persist_or_log(record);
+        let journalled = self.persist_or_log(record);
         self.state_changed.notify_all();
-        Ok(())
+        Ok(journalled)
     }
 
-    fn persist_or_log(&self, record: &JobRecord) {
-        if let Err(e) = self.store.persist(record) {
-            eprintln!("serve: failed to journal job {}: {e}", record.id);
+    /// Moves live job `id` to terminal `state` and journals it. Once
+    /// the journal holds the terminal record the entry shrinks to its
+    /// summary; if the write fails, the full record stays in memory.
+    fn finish(&self, jobs: &mut Jobs, id: JobId, state: JobState) {
+        let Some(entry) = jobs.map.get_mut(&id) else {
+            return;
+        };
+        let JobEntry::Live(job) = entry else {
+            return;
+        };
+        match self.transition(&mut job.record, state) {
+            Ok(true) => {
+                *entry = JobEntry::Finished(JobSummary::of(&job.record, &mut jobs.tenants));
+            }
+            Ok(false) => {}
+            Err(e) => eprintln!("serve: {e}"),
         }
+    }
+
+    /// Journals `record`; returns whether the write succeeded.
+    fn persist_or_log(&self, record: &JobRecord) -> bool {
+        match self.store.persist(record) {
+            Ok(()) => true,
+            Err(e) => {
+                eprintln!("serve: failed to journal job {}: {e}", record.id);
+                false
+            }
+        }
+    }
+
+    /// Finished job `s`'s full record, read back from the journal.
+    fn load_finished(&self, s: &JobSummary) -> Result<JobRecord, String> {
+        let record = self
+            .store
+            .load(s.id)
+            .map_err(|e| format!("job {} journal entry unreadable: {e}", s.id))?;
+        if record.state != s.state {
+            return Err(format!(
+                "job {} journal entry says {}, not {}",
+                s.id,
+                record.state.as_str(),
+                s.state.as_str()
+            ));
+        }
+        Ok(record)
     }
 }
 
@@ -184,7 +323,7 @@ pub fn serve(cfg: ServerConfig) -> io::Result<()> {
         cfg,
         store,
         sched,
-        jobs: Mutex::new(HashMap::new()),
+        jobs: Mutex::new(Jobs::default()),
         state_changed: Condvar::new(),
         next_id: AtomicU64::new(1),
         shutdown: AtomicBool::new(false),
@@ -216,9 +355,10 @@ pub fn serve(cfg: ServerConfig) -> io::Result<()> {
     Ok(())
 }
 
-/// Loads the journal: terminal jobs become queryable history, queued
-/// and (previously) running jobs are requeued — running ones resume
-/// from their checkpoints.
+/// Loads the journal: terminal jobs become queryable history (kept as
+/// summaries, like jobs that finish in this run), queued and
+/// (previously) running jobs are requeued — running ones resume from
+/// their checkpoints.
 fn recover(shared: &Arc<Shared>) -> io::Result<()> {
     let records = shared.store.load_all()?;
     let mut jobs = shared.jobs.lock().expect("jobs lock");
@@ -228,7 +368,11 @@ fn recover(shared: &Arc<Shared>) -> io::Result<()> {
             shared.next_id.store(id + 1, Ordering::SeqCst);
         }
         match record.state {
-            JobState::Done | JobState::Failed | JobState::Cancelled => {}
+            JobState::Done | JobState::Failed | JobState::Cancelled => {
+                let summary = JobSummary::of(&record, &mut jobs.tenants);
+                jobs.map.insert(id, JobEntry::Finished(summary));
+                continue;
+            }
             JobState::Queued => {
                 shared
                     .sched
@@ -245,12 +389,12 @@ fn recover(shared: &Arc<Shared>) -> io::Result<()> {
                     .restore(id, &record.tenant, record.priority, record.spec.threads);
             }
         }
-        jobs.insert(id, JobEntry::new(record));
+        jobs.map.insert(id, JobEntry::live(record));
     }
-    if !jobs.is_empty() {
+    if !jobs.map.is_empty() {
         eprintln!(
             "cppc-serve: recovered {} journalled job(s), {} requeued",
-            jobs.len(),
+            jobs.map.len(),
             shared.sched.depth()
         );
     }
@@ -276,23 +420,24 @@ fn dispatch_loop(shared: &Arc<Shared>) {
 fn run_job(shared: &Arc<Shared>, grant: Grant) {
     let (spec, interrupt, cancel_requested, progress) = {
         let mut jobs = shared.jobs.lock().expect("jobs lock");
-        let Some(entry) = jobs.get_mut(&grant.id) else {
+        // A job cancelled between grant and dispatch is already
+        // finished (and may be a summary by now).
+        let Some(job) = jobs.live_mut(grant.id) else {
             shared.sched.release(grant.threads);
             return;
         };
         if shared
-            .transition(&mut entry.record, JobState::Running)
+            .transition(&mut job.record, JobState::Running)
             .is_err()
         {
-            // Cancelled between grant and dispatch.
             shared.sched.release(grant.threads);
             return;
         }
         (
-            entry.record.spec.clone(),
-            Arc::clone(&entry.interrupt),
-            Arc::clone(&entry.cancel_requested),
-            Arc::clone(&entry.progress),
+            job.record.spec.clone(),
+            Arc::clone(&job.interrupt),
+            Arc::clone(&job.cancel_requested),
+            Arc::clone(&job.progress),
         )
     };
 
@@ -314,22 +459,23 @@ fn run_job(shared: &Arc<Shared>, grant: Grant) {
     obs::JOB_LATENCY.record_ns(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
 
     let mut jobs = shared.jobs.lock().expect("jobs lock");
-    let entry = jobs.get_mut(&grant.id).expect("running job has an entry");
+    // Only this worker can end a running job, so it is still live.
+    let job = jobs.live_mut(grant.id).expect("running job is live");
     match end {
         RunEnd::Complete { result } => {
-            entry.record.result = Some(result);
-            finish(shared, &mut entry.record, JobState::Done);
+            job.record.result = Some(result);
+            shared.finish(&mut jobs, grant.id, JobState::Done);
             shared.store.remove_checkpoint(grant.id);
             obs::JOBS_DONE.inc();
         }
         RunEnd::Failed { error } => {
-            entry.record.error = Some(error);
-            finish(shared, &mut entry.record, JobState::Failed);
+            job.record.error = Some(error);
+            shared.finish(&mut jobs, grant.id, JobState::Failed);
             obs::JOBS_FAILED.inc();
         }
         RunEnd::Interrupted => {
             if cancel_requested.load(Ordering::SeqCst) {
-                finish(shared, &mut entry.record, JobState::Cancelled);
+                shared.finish(&mut jobs, grant.id, JobState::Cancelled);
                 shared.store.remove_checkpoint(grant.id);
                 obs::JOBS_CANCELLED.inc();
             }
@@ -340,12 +486,6 @@ fn run_job(shared: &Arc<Shared>, grant: Grant) {
     }
     drop(jobs);
     shared.sched.release(grant.threads);
-}
-
-fn finish(shared: &Arc<Shared>, record: &mut JobRecord, state: JobState) {
-    if let Err(e) = shared.transition(record, state) {
-        eprintln!("serve: {e}");
-    }
 }
 
 /// Accepts connections from a nonblocking listener until shutdown,
@@ -537,7 +677,7 @@ fn submit(
     let mut jobs = shared.jobs.lock().expect("jobs lock");
     match shared.sched.submit(id, tenant, priority, spec.threads) {
         Ok(()) => {
-            jobs.insert(id, JobEntry::new(record));
+            jobs.map.insert(id, JobEntry::live(record));
             obs::JOBS_SUBMITTED.inc();
             ok_response(vec![("id".into(), Json::UInt(id))])
         }
@@ -551,35 +691,70 @@ fn submit(
     }
 }
 
-fn record_summary(record: &JobRecord) -> Vec<(String, Json)> {
+fn summary_fields(
+    id: JobId,
+    tenant: &str,
+    priority: Priority,
+    kind: &str,
+    trials: u64,
+    state: JobState,
+) -> Vec<(String, Json)> {
     vec![
-        ("id".into(), Json::UInt(record.id)),
-        ("tenant".into(), Json::Str(record.tenant.clone())),
-        (
-            "priority".into(),
-            Json::Str(record.priority.as_str().into()),
-        ),
-        ("kind".into(), Json::Str(record.spec.kind.name().into())),
-        ("trials".into(), Json::UInt(record.spec.trials)),
-        ("state".into(), Json::Str(record.state.as_str().into())),
+        ("id".into(), Json::UInt(id)),
+        ("tenant".into(), Json::Str(tenant.into())),
+        ("priority".into(), Json::Str(priority.as_str().into())),
+        ("kind".into(), Json::Str(kind.into())),
+        ("trials".into(), Json::UInt(trials)),
+        ("state".into(), Json::Str(state.as_str().into())),
     ]
 }
 
-fn status(shared: &Arc<Shared>, id: JobId) -> Json {
-    let jobs = shared.jobs.lock().expect("jobs lock");
-    let Some(entry) = jobs.get(&id) else {
-        return error_response(&format!("unknown job {id}"), None);
-    };
-    let mut fields = record_summary(&entry.record);
-    if let Some(e) = &entry.record.error {
-        fields.push(("error".into(), Json::Str(e.clone())));
-    }
-    if entry.record.state == JobState::Running {
-        if let Some(p) = entry.progress.lock().expect("progress lock").as_ref() {
-            fields.extend(progress_fields(p));
+fn record_summary(record: &JobRecord) -> Vec<(String, Json)> {
+    summary_fields(
+        record.id,
+        &record.tenant,
+        record.priority,
+        record.spec.kind.name(),
+        record.spec.trials,
+        record.state,
+    )
+}
+
+/// Answers a query about job `id` from its full record: a live job's
+/// under the jobs lock, a finished job's read from the journal once
+/// the lock is released.
+fn query(
+    shared: &Shared,
+    id: JobId,
+    answer: impl Fn(&JobRecord, Option<&LiveJob>) -> Json,
+) -> Json {
+    let summary = {
+        let jobs = shared.jobs.lock().expect("jobs lock");
+        match jobs.map.get(&id) {
+            None => return error_response(&format!("unknown job {id}"), None),
+            Some(JobEntry::Live(job)) => return answer(&job.record, Some(job)),
+            Some(JobEntry::Finished(s)) => s.clone(),
         }
+    };
+    match shared.load_finished(&summary) {
+        Ok(record) => answer(&record, None),
+        Err(e) => error_response(&e, None),
     }
-    ok_response(fields)
+}
+
+fn status(shared: &Arc<Shared>, id: JobId) -> Json {
+    query(shared, id, |record, live| {
+        let mut fields = record_summary(record);
+        if let Some(e) = &record.error {
+            fields.push(("error".into(), Json::Str(e.clone())));
+        }
+        if let Some(job) = live.filter(|_| record.state == JobState::Running) {
+            if let Some(p) = job.progress.lock().expect("progress lock").as_ref() {
+                fields.extend(progress_fields(p));
+            }
+        }
+        ok_response(fields)
+    })
 }
 
 fn progress_fields(p: &Progress) -> Vec<(String, Json)> {
@@ -602,70 +777,70 @@ fn progress_fields(p: &Progress) -> Vec<(String, Json)> {
 }
 
 fn result_of(shared: &Arc<Shared>, id: JobId) -> Json {
-    let jobs = shared.jobs.lock().expect("jobs lock");
-    let Some(entry) = jobs.get(&id) else {
-        return error_response(&format!("unknown job {id}"), None);
-    };
-    match (&entry.record.state, &entry.record.result) {
-        (JobState::Done, Some(result)) => ok_response(vec![
-            ("id".into(), Json::UInt(id)),
-            ("result".into(), result.clone()),
-        ]),
-        (JobState::Failed, _) => {
-            error_response(entry.record.error.as_deref().unwrap_or("job failed"), None)
+    query(shared, id, |record, _| {
+        match (&record.state, &record.result) {
+            (JobState::Done, Some(result)) => ok_response(vec![
+                ("id".into(), Json::UInt(id)),
+                ("result".into(), result.clone()),
+            ]),
+            (JobState::Failed, _) => {
+                error_response(record.error.as_deref().unwrap_or("job failed"), None)
+            }
+            (JobState::Cancelled, _) => error_response(&format!("job {id} was cancelled"), None),
+            _ => error_response(&format!("job {id} is {}", record.state.as_str()), None),
         }
-        (JobState::Cancelled, _) => error_response(&format!("job {id} was cancelled"), None),
-        _ => error_response(
-            &format!("job {id} is {}", entry.record.state.as_str()),
-            None,
-        ),
-    }
+    })
 }
 
 fn cancel(shared: &Arc<Shared>, id: JobId) -> Json {
     let mut jobs = shared.jobs.lock().expect("jobs lock");
-    let Some(entry) = jobs.get_mut(&id) else {
+    let Some(entry) = jobs.map.get(&id) else {
         return error_response(&format!("unknown job {id}"), None);
     };
-    match entry.record.state {
-        JobState::Queued => {
-            if shared.sched.remove(id) {
-                shared
-                    .transition(&mut entry.record, JobState::Cancelled)
-                    .expect("queued->cancelled");
-                shared.store.remove_checkpoint(id);
-                obs::JOBS_CANCELLED.inc();
-                ok_response(vec![("state".into(), Json::Str("cancelled".into()))])
-            } else {
-                // Granted but not yet marked running: flag it so the
-                // worker cancels the moment it starts.
-                entry.cancel_requested.store(true, Ordering::SeqCst);
-                entry.interrupt.store(true, Ordering::SeqCst);
-                ok_response(vec![("state".into(), Json::Str("cancelling".into()))])
-            }
+    match (entry, entry.state()) {
+        (JobEntry::Live(_), JobState::Queued) if shared.sched.remove(id) => {
+            shared.finish(&mut jobs, id, JobState::Cancelled);
+            shared.store.remove_checkpoint(id);
+            obs::JOBS_CANCELLED.inc();
+            ok_response(vec![("state".into(), Json::Str("cancelled".into()))])
         }
-        JobState::Running => {
-            entry.cancel_requested.store(true, Ordering::SeqCst);
-            entry.interrupt.store(true, Ordering::SeqCst);
+        // Running, or granted but not yet marked running: flag it so
+        // the worker stops at a shard boundary (or the moment it starts).
+        (JobEntry::Live(job), JobState::Queued | JobState::Running) => {
+            job.cancel_requested.store(true, Ordering::SeqCst);
+            job.interrupt.store(true, Ordering::SeqCst);
             ok_response(vec![("state".into(), Json::Str("cancelling".into()))])
         }
-        state => error_response(&format!("job {id} already {}", state.as_str()), None),
+        (_, state) => error_response(&format!("job {id} already {}", state.as_str()), None),
     }
 }
 
 fn list(shared: &Arc<Shared>, tenant: Option<&str>) -> Json {
     let jobs = shared.jobs.lock().expect("jobs lock");
-    let mut ids: Vec<JobId> = jobs
-        .values()
-        .filter(|e| tenant.is_none_or(|t| e.record.tenant == t))
-        .map(|e| e.record.id)
-        .collect();
-    ids.sort_unstable();
-    let rows = ids
+    let mut rows: Vec<(JobId, Json)> = jobs
+        .map
         .iter()
-        .map(|id| Json::Obj(record_summary(&jobs[id].record)))
+        .filter(|(_, e)| tenant.is_none_or(|t| e.tenant() == t))
+        .map(|(&id, e)| (id, Json::Obj(e.summary())))
         .collect();
+    rows.sort_unstable_by_key(|&(id, _)| id);
+    let rows = rows.into_iter().map(|(_, row)| row).collect();
     ok_response(vec![("jobs".into(), Json::Arr(rows))])
+}
+
+/// The `watch` end line of a finished job.
+fn end_event(record: &JobRecord) -> Json {
+    let mut fields = vec![
+        ("event".to_string(), Json::Str("end".into())),
+        ("state".to_string(), Json::Str(record.state.as_str().into())),
+    ];
+    if let Some(r) = &record.result {
+        fields.push(("result".into(), r.clone()));
+    }
+    if let Some(e) = &record.error {
+        fields.push(("error".into(), Json::Str(e.clone())));
+    }
+    Json::Obj(fields)
 }
 
 /// Streams `{"event":"progress",...}` lines until the job is terminal
@@ -681,6 +856,8 @@ fn watch<W: Write>(shared: &Arc<Shared>, id: JobId, out: &mut W) -> io::Result<(
         enum Tick {
             Progress(Json),
             End(Json),
+            /// Finished: the end line comes from the journal.
+            Journalled(JobSummary),
         }
         let tick = {
             let mut jobs = shared.jobs.lock().expect("jobs lock");
@@ -689,50 +866,47 @@ fn watch<W: Write>(shared: &Arc<Shared>, id: JobId, out: &mut W) -> io::Result<(
                     .state_changed
                     .wait_timeout_while(jobs, WATCH_TICK, |jobs| {
                         !shared.shutting_down()
-                            && jobs.get(&id).is_some_and(|e| e.record.state == last)
+                            && jobs.map.get(&id).is_some_and(|e| e.state() == last)
                     })
                     .expect("jobs lock")
                     .0;
             }
-            let Some(entry) = jobs.get(&id) else {
+            let Some(entry) = jobs.map.get(&id) else {
                 return write_json(out, &error_response(&format!("unknown job {id}"), None));
             };
-            let state = entry.record.state;
+            let state = entry.state();
             reported = Some(state);
-            if state.is_terminal() {
-                let mut fields = vec![
-                    ("event".to_string(), Json::Str("end".into())),
-                    ("state".to_string(), Json::Str(state.as_str().into())),
-                ];
-                if let Some(r) = &entry.record.result {
-                    fields.push(("result".into(), r.clone()));
-                }
-                if let Some(e) = &entry.record.error {
-                    fields.push(("error".into(), Json::Str(e.clone())));
-                }
-                Tick::End(Json::Obj(fields))
-            } else if shared.shutting_down() {
-                Tick::End(Json::Obj(vec![
+            match entry {
+                JobEntry::Finished(s) => Tick::Journalled(s.clone()),
+                JobEntry::Live(job) if state.is_terminal() => Tick::End(end_event(&job.record)),
+                JobEntry::Live(_) if shared.shutting_down() => Tick::End(Json::Obj(vec![
                     ("event".to_string(), Json::Str("end".into())),
                     ("state".to_string(), Json::Str(state.as_str().into())),
                     (
                         "error".to_string(),
                         Json::Str("daemon shutting down; job suspended".into()),
                     ),
-                ]))
-            } else {
-                let mut fields = vec![
-                    ("event".to_string(), Json::Str("progress".into())),
-                    ("state".to_string(), Json::Str(state.as_str().into())),
-                ];
-                if let Some(p) = entry.progress.lock().expect("progress lock").as_ref() {
-                    fields.extend(progress_fields(p));
+                ])),
+                JobEntry::Live(job) => {
+                    let mut fields = vec![
+                        ("event".to_string(), Json::Str("progress".into())),
+                        ("state".to_string(), Json::Str(state.as_str().into())),
+                    ];
+                    if let Some(p) = job.progress.lock().expect("progress lock").as_ref() {
+                        fields.extend(progress_fields(p));
+                    }
+                    Tick::Progress(Json::Obj(fields))
                 }
-                Tick::Progress(Json::Obj(fields))
             }
         };
         match tick {
             Tick::End(doc) => return write_json(out, &doc),
+            Tick::Journalled(s) => {
+                let doc = shared
+                    .load_finished(&s)
+                    .map_or_else(|e| error_response(&e, None), |r| end_event(&r));
+                return write_json(out, &doc);
+            }
             Tick::Progress(doc) => write_json(out, &doc)?,
         }
     }

@@ -14,6 +14,11 @@
 //! graceful shutdowns alike. Records are written with the same
 //! temp-file + rename discipline the campaign checkpoints use, so a
 //! crash mid-write never corrupts an existing entry.
+//!
+//! The journal is also a finished job's only full copy. Once a job's
+//! terminal record is on disk, the daemon keeps just a fixed-size
+//! summary of it in memory and reads the result or error back through
+//! [`JobStore::load`] when a client asks for it.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -86,6 +91,25 @@ impl JobStore {
         let _ = std::fs::remove_file(self.checkpoint_path(id));
     }
 
+    /// Reads job `id`'s journal entry.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the entry if it is missing, unreadable,
+    /// malformed or holds another job's record.
+    pub fn load(&self, id: JobId) -> Result<JobRecord, String> {
+        let path = self.record_path(id);
+        let record = read_record(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        if record.id != id {
+            return Err(format!(
+                "{}: holds job {}, not job {id}",
+                path.display(),
+                record.id
+            ));
+        }
+        Ok(record)
+    }
+
     /// Loads every journal entry, sorted by id. Unreadable or malformed
     /// entries are skipped (reported on stderr) rather than taking the
     /// daemon down — the journal must tolerate a torn disk better than
@@ -101,11 +125,7 @@ impl JobStore {
             if path.extension().is_none_or(|e| e != "json") {
                 continue;
             }
-            let loaded = std::fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| Json::parse(&text))
-                .and_then(|doc| JobRecord::from_json(&doc));
-            match loaded {
+            match read_record(&path) {
                 Ok(rec) => records.push(rec),
                 Err(e) => {
                     crate::obs::JOURNAL_SKIPPED.inc();
@@ -119,6 +139,11 @@ impl JobStore {
         records.sort_by_key(|r| r.id);
         Ok(records)
     }
+}
+
+fn read_record(path: &Path) -> Result<JobRecord, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+    JobRecord::from_json(&Json::parse(&text)?)
 }
 
 #[cfg(test)]
@@ -173,6 +198,21 @@ mod tests {
         std::fs::write(dir.join("jobs/job-000002.json"), "{torn write").unwrap();
         let loaded = store.load_all().unwrap();
         assert_eq!(loaded.len(), 1, "malformed entry must be skipped");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn load_reads_one_entry_and_refuses_a_bad_one() {
+        let dir = std::env::temp_dir().join("cppc_serve_store_load");
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = JobStore::open(&dir).unwrap();
+        store.persist(&record(4)).unwrap();
+        assert_eq!(store.load(4).unwrap(), record(4));
+        assert!(store.load(5).unwrap_err().contains("job-000005.json"));
+        std::fs::write(store.record_path(5), "{\"id\":").unwrap();
+        assert!(store.load(5).is_err(), "truncated entry");
+        std::fs::copy(store.record_path(4), store.record_path(6)).unwrap();
+        assert!(store.load(6).unwrap_err().contains("holds job 4"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
