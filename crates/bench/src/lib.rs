@@ -1,12 +1,11 @@
 //! Shared experiment code: the bodies the `cppc-repro` paper artifacts,
 //! the campaign kinds and the benchmarks run.
 //!
-//! The paper's tables and figures are `cppc-repro` artifacts (see
-//! `EXPERIMENTS.md`); the binaries in `src/bin/` are the BENCH gates
-//! and the §7 exploration/ablation studies. This library holds what
-//! they share: the functional simulation runner, the experiment
-//! bodies ([`experiments`], [`mbe`]), the evaluation defaults and small
-//! table-printing helpers.
+//! The paper's tables and figures, the §7 explorations and the design
+//! ablations are `cppc-repro` artifacts (see `EXPERIMENTS.md`); the
+//! binaries in `src/bin/` are the BENCH gates. This library holds what
+//! they share: the functional simulation runner, the experiment bodies
+//! ([`experiments`], [`mbe`]) and the evaluation defaults.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,22 +22,9 @@ use cppc_cache_sim::stats::CacheStats;
 use cppc_timing::MachineConfig;
 use cppc_workloads::{BenchmarkProfile, SharedTrace};
 
-/// Default trace length (memory operations) per benchmark. Override
-/// with the `CPPC_BENCH_OPS` environment variable.
-pub const DEFAULT_MEMOPS: usize = 300_000;
-
-/// Seed shared by the figure artifacts and exploration binaries so
-/// every scheme sees the same access stream.
+/// Seed shared by the paper artifacts so every scheme sees the same
+/// access stream.
 pub const EVAL_SEED: u64 = 0x15CA_2011;
-
-/// Trace length, honouring `CPPC_BENCH_OPS`.
-#[must_use]
-pub fn memops() -> usize {
-    std::env::var("CPPC_BENCH_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_MEMOPS)
-}
 
 /// The result of running one benchmark through the Table 1 hierarchy.
 #[derive(Debug, Clone, Copy)]
@@ -112,36 +98,6 @@ pub fn run_profile_trace(profile: &BenchmarkProfile, trace: &SharedTrace, ops: u
     }
 }
 
-/// Prints a header row followed by a separator, padding every column to
-/// `width`.
-pub fn print_header(columns: &[&str], width: usize) {
-    let row: Vec<String> = columns.iter().map(|c| format!("{c:>width$}")).collect();
-    println!("{}", row.join(" "));
-    println!("{}", "-".repeat((width + 1) * columns.len()));
-}
-
-/// Prints one data row: a left-aligned label plus right-aligned values.
-pub fn print_row(label: &str, values: &[String], width: usize) {
-    let row: Vec<String> = values.iter().map(|v| format!("{v:>width$}")).collect();
-    println!("{label:>width$} {}", row.join(" "));
-}
-
-/// Geometric mean of a slice (the usual way normalised figures report
-/// their "average" bar).
-///
-/// # Panics
-///
-/// Panics if `values` is empty or contains non-positive entries.
-#[must_use]
-pub fn geometric_mean(values: &[f64]) -> f64 {
-    assert!(!values.is_empty(), "geometric mean of nothing");
-    assert!(
-        values.iter().all(|v| *v > 0.0),
-        "geometric mean needs positive values"
-    );
-    (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
-}
-
 /// Arithmetic mean.
 ///
 /// # Panics
@@ -168,19 +124,7 @@ mod tests {
     }
 
     #[test]
-    fn geometric_mean_basics() {
-        assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert!((geometric_mean(&[3.0]) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn mean_basics() {
         assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn memops_default() {
-        // No env var in tests → default.
-        assert!(memops() >= 1000);
     }
 }

@@ -20,9 +20,9 @@
 //! the classification is value-independent: Masked is decided by fault
 //! geometry alone, parity syndromes and R3 are XOR-linear (the error
 //! contribution separates from the data), and a successful recovery
-//! reconstructs the exact pre-fault values. [`experiment_cold`]
-//! preserves the replay-from-cold path so the snapshot oracle test can
-//! check the equivalence trial by trial.
+//! reconstructs the exact pre-fault values. The replay-from-cold path
+//! lives on as a test oracle (`tests/snapshot_oracle.rs`), which checks
+//! the equivalence trial by trial.
 
 use cppc_cache_sim::geometry::CacheGeometry;
 use cppc_cache_sim::memory::MainMemory;
@@ -204,46 +204,6 @@ pub fn experiment_model(model: FaultModel, rng: &mut StdRng) -> Outcome {
 /// Panics if the paper configuration is rejected (it is not).
 pub fn experiment(rng: &mut StdRng, _trial: u64) -> Outcome {
     experiment_model(SOLID_MODEL, rng)
-}
-
-/// [`experiment_model`] without the warm pool: rebuilds the simulator
-/// and replays the warmup from cold every trial, warming with
-/// `oracle(trial)`. This is the pre-snapshot reference path the
-/// differential oracle test compares against.
-pub fn experiment_model_cold(model: FaultModel, rng: &mut StdRng, trial: u64) -> Outcome {
-    let mut mem = MainMemory::new();
-    let mut cache =
-        CppcCache::new_l1(geometry(), CppcConfig::paper(), ReplacementPolicy::Lru).unwrap();
-    let truth = oracle(trial);
-    for &(addr, v) in &truth {
-        cache.store_word(addr, v, &mut mem).unwrap();
-    }
-    let rows = cache.layout().num_rows() / 2;
-    let mut generator = FaultGenerator::new(rows, rng.random());
-    let pattern = generator.sample(model);
-    if cache.inject(&pattern) == 0 {
-        return Outcome::Masked;
-    }
-    match cache.recover_all(&mut mem) {
-        Err(_) => Outcome::DetectedUnrecoverable,
-        Ok(_) => {
-            for &(addr, v) in &truth {
-                if cache.peek_word(addr) != Some(v) {
-                    return Outcome::SilentCorruption;
-                }
-            }
-            Outcome::Corrected
-        }
-    }
-}
-
-/// The replay-from-cold form of [`experiment`].
-///
-/// # Panics
-///
-/// Panics if the paper configuration is rejected (it is not).
-pub fn experiment_cold(rng: &mut StdRng, trial: u64) -> Outcome {
-    experiment_model_cold(SOLID_MODEL, rng, trial)
 }
 
 // ---------------------------------------------------------------------

@@ -5,21 +5,15 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use cppc_bench::experiments::{inject_experiment, inject_geometry};
-use cppc_cache_sim::geometry::CacheGeometry;
-use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_campaign::json::Json;
 use cppc_campaign::{CampaignConfig, CampaignReport, CheckpointPolicy, Persist, Progress, RunOpts};
 use cppc_core::CppcConfig;
 use cppc_energy::scheme::{AccessCounts, ProtectionKind, SchemeEnergy};
 use cppc_energy::tech::TechnologyNode;
-use cppc_energy::AreaModel;
 use cppc_fault::campaign::OutcomeTally;
 use cppc_fault::model::FaultModel;
 use cppc_reliability::montecarlo::analytic_mttf_hours;
-use cppc_reliability::mttf::{
-    aliasing_vulnerable_bits, mttf_aliasing_years, mttf_cppc_years, mttf_one_dim_parity_years,
-    mttf_secded_years,
-};
+use cppc_reliability::mttf::{mttf_cppc_years, mttf_one_dim_parity_years, mttf_secded_years};
 use cppc_reliability::{ReliabilityParams, SeuRate};
 use cppc_serve::runner::RunEnd;
 use cppc_timing::{L1Scheme, MachineConfig, TimingModel};
@@ -29,10 +23,10 @@ use crate::args::ParsedArgs;
 
 type CliResult = Result<(), Box<dyn Error>>;
 
-/// Prints usage.
-pub fn print_help() {
-    println!(
-        "cppc-cli — Correctable Parity Protected Cache (ISCA 2011) tools
+/// The usage text `help` prints. Its COMMANDS list names exactly the
+/// commands `main.rs` gives an option allowlist, plus `help` (a unit
+/// test checks).
+pub const HELP: &str = "cppc-cli — Correctable Parity Protected Cache (ISCA 2011) tools
 
 USAGE: cppc-cli <COMMAND> [--key value ...]
 
@@ -84,8 +78,6 @@ COMMANDS:
                  --level l1|l2    evaluation point (default l1)
                  --fit <f>        SEU rate, FIT/bit (default 0.001)
                  --avf <f>        AVF (default 0.7)
-  sweep        design-space sweep
-                 --what pairs|ways (default pairs)
   trace        trace-file tools (see docs/TRACES.md); bare `trace` is
                `trace record`
     trace record   record a synthetic trace to a file
@@ -106,9 +98,6 @@ COMMANDS:
                    streaming binary reader (binary traces)
                  --in <path>      trace file
                  --reps <n>       best-of repetitions (default 3)
-  coherence    multiprocessor CPPC read-before-write sweep
-                 --cores <n>      cores (default 4)
-                 --ops <n>        total ops (default 100000)
   repro        reproduce the paper's tables/figures with golden gates
                (see docs/RESULTS.md)
                  --artifact <name> one artifact (default: fast tier)
@@ -140,7 +129,7 @@ COMMANDS:
                  --out <path>     write the document here instead of
                                   docs/results/explore_<tier>.json
                  --root <path>    repo root (default .)
-  docs         re-render docs/{{RESULTS,SCHEMES,EXPLORER,METRICS}}.md
+  docs         re-render docs/{RESULTS,SCHEMES,EXPLORER,METRICS}.md
                from the code and the committed docs/results/*.json (no
                simulation; run from the repo root)
                  --check          write nothing; exit non-zero naming
@@ -184,8 +173,11 @@ COMMANDS:
   shutdown     graceful daemon shutdown (running jobs are checkpointed
                and resume on restart)
                every client command takes --socket <path> or --tcp <addr>
-  help         this text"
-    );
+  help         this text";
+
+/// Prints usage.
+pub fn print_help() {
+    println!("{HELP}");
 }
 
 /// `benchmarks`
@@ -641,85 +633,6 @@ pub fn trace_bench(args: &ParsedArgs) -> CliResult {
     Ok(())
 }
 
-/// `coherence`
-pub fn coherence(args: &ParsedArgs) -> CliResult {
-    use cppc_coherence::{CppcCoherentSystem, SharedTraceGenerator};
-    let cores: usize = args.get_parsed("cores", 4)?;
-    let ops: usize = args.get_parsed("ops", 100_000)?;
-    println!("multiprocessor CPPC: {cores} cores, MSI write-invalidate, {ops} ops\n");
-    println!(
-        "{:>10} {:>12} {:>12} {:>12}",
-        "sharing", "rbw/store", "dirty-inv", "invariants"
-    );
-    for sharing_pct in [0u32, 10, 25, 50, 75] {
-        let mut sys = CppcCoherentSystem::new(
-            cores,
-            CacheGeometry::new(32 * 1024, 2, 32)?,
-            CacheGeometry::new(1024 * 1024, 4, 32)?,
-            CppcConfig::paper(),
-            ReplacementPolicy::Lru,
-        );
-        let generator = SharedTraceGenerator::new(
-            cores,
-            64 * 1024,
-            16 * 1024,
-            f64::from(sharing_pct) / 100.0,
-            0.35,
-            0xC0DE ^ u64::from(sharing_pct),
-        );
-        let mut stores = 0u64;
-        for op in generator.take(ops) {
-            if matches!(op, cppc_coherence::CoreOp::Store { .. }) {
-                stores += 1;
-            }
-            sys.step(op).map_err(|e| format!("unexpected DUE: {e}"))?;
-        }
-        println!(
-            "{:>9}% {:>12.4} {:>12} {:>12}",
-            sharing_pct,
-            sys.total_read_before_writes() as f64 / stores as f64,
-            sys.stats().dirty_invalidations,
-            if sys.verify_invariants() {
-                "ok"
-            } else {
-                "VIOLATED"
-            }
-        );
-    }
-    Ok(())
-}
-
-/// `sweep`
-pub fn sweep(args: &ParsedArgs) -> CliResult {
-    let what = args.get_or("what", "pairs");
-    let params = ReliabilityParams::paper_l1();
-    match what {
-        "pairs" => {
-            println!("{:<8} {:>16} {:>12}", "pairs", "alias MTTF (y)", "area ovh");
-            for pairs in [1usize, 2, 4, 8] {
-                let alias = mttf_aliasing_years(&params, aliasing_vulnerable_bits(pairs));
-                let area = AreaModel::cppc(32 * 1024, 8, pairs, 64).overhead_fraction();
-                let alias_str = if alias.is_infinite() {
-                    "eliminated".to_string()
-                } else {
-                    format!("{alias:.2e}")
-                };
-                println!("{pairs:<8} {alias_str:>16} {:>11.2}%", area * 100.0);
-            }
-        }
-        "ways" => {
-            println!("{:<8} {:>16} {:>12}", "ways", "MTTF (y)", "area ovh");
-            for ways in [1u32, 2, 4, 8] {
-                let m = mttf_cppc_years(&params, ways);
-                let area = AreaModel::cppc(32 * 1024, ways, 1, 64).overhead_fraction();
-                println!("{ways:<8} {m:>16.2e} {:>11.2}%", area * 100.0);
-            }
-        }
-        other => return Err(format!("unknown sweep '{other}' (use pairs|ways)").into()),
-    }
-    Ok(())
-}
-
 /// `repro` — the paper-results reproduction harness (`crates/repro`).
 pub fn repro(args: &ParsedArgs) -> CliResult {
     use cppc_repro::{Artifact, RunConfig, Tier};
@@ -1012,18 +925,6 @@ mod tests {
     #[test]
     fn benchmarks_command_runs() {
         benchmarks().unwrap();
-    }
-
-    #[test]
-    fn sweep_commands_run() {
-        let pairs = crate::args::ParsedArgs::parse(["sweep".into()]).unwrap();
-        sweep(&pairs).unwrap();
-        let ways = crate::args::ParsedArgs::parse(["sweep".into(), "--what".into(), "ways".into()])
-            .unwrap();
-        sweep(&ways).unwrap();
-        let bad = crate::args::ParsedArgs::parse(["sweep".into(), "--what".into(), "nope".into()])
-            .unwrap();
-        assert!(sweep(&bad).is_err());
     }
 
     #[test]

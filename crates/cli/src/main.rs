@@ -5,7 +5,7 @@
 //! $ cppc-cli simulate --bench mcf --ops 200000
 //! $ cppc-cli campaign --kind inject --config paper --fault 4x4 --trials 500
 //! $ cppc-cli mttf --level l1
-//! $ cppc-cli sweep --what pairs
+//! $ cppc-cli repro --artifact ablations
 //! $ cppc-cli benchmarks
 //! $ cppc-cli repro --all --threads 1
 //! $ cppc-cli docs --check
@@ -51,7 +51,6 @@ const COMMAND_OPTIONS: &[(&str, &[&str])] = &[
         ],
     ),
     ("mttf", &["level", "fit", "avf"]),
-    ("sweep", &["what"]),
     // Bare `trace` stays a `trace record` alias, so existing scripts
     // keep working.
     ("trace", &["bench", "ops", "out", "seed", "format"]),
@@ -59,7 +58,6 @@ const COMMAND_OPTIONS: &[(&str, &[&str])] = &[
     ("trace convert", &["in", "out", "from", "to"]),
     ("trace info", &["in"]),
     ("trace bench", &["in", "reps"]),
-    ("coherence", &["cores", "ops"]),
     (
         "repro",
         &[
@@ -182,12 +180,10 @@ fn main() {
         "simulate" => commands::simulate(&parsed),
         "campaign" => commands::campaign(&parsed),
         "mttf" => commands::mttf(&parsed),
-        "sweep" => commands::sweep(&parsed),
         "trace" | "trace record" => commands::trace(&parsed),
         "trace convert" => commands::trace_convert(&parsed),
         "trace info" => commands::trace_info(&parsed),
         "trace bench" => commands::trace_bench(&parsed),
-        "coherence" => commands::coherence(&parsed),
         "repro" => commands::repro(&parsed),
         "explore" => commands::explore(&parsed),
         "docs" => docs::docs(&parsed),
@@ -238,6 +234,39 @@ mod tests {
         let other = merge_composite(words(&["campaign", "--kind", "trace"]));
         assert_eq!(other, words(&["campaign", "--kind", "trace"]));
         assert!(merge_composite(Vec::new()).is_empty());
+    }
+
+    /// The command names the help's COMMANDS list documents: two-space
+    /// indented top-level commands plus the four-space `trace <sub>`
+    /// lines.
+    fn help_commands() -> std::collections::BTreeSet<String> {
+        let list = commands::HELP
+            .split_once("COMMANDS:\n")
+            .expect("help has a COMMANDS list")
+            .1;
+        list.lines()
+            .filter_map(|line| {
+                let words: Vec<&str> = line.split_whitespace().collect();
+                if line.starts_with("    trace ") {
+                    Some(format!("trace {}", words[1]))
+                } else if line.starts_with("  ") && !line.starts_with("   ") {
+                    Some(words[0].to_string())
+                } else {
+                    None
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn help_documents_exactly_the_allowlisted_commands() {
+        let mut allowlisted: std::collections::BTreeSet<String> = COMMAND_OPTIONS
+            .iter()
+            .map(|(name, _)| (*name).to_string())
+            .collect();
+        // `help` takes no options, so it has no allowlist row.
+        allowlisted.insert("help".into());
+        assert_eq!(help_commands(), allowlisted);
     }
 
     #[test]

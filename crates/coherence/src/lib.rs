@@ -21,6 +21,10 @@
 //! The interleaving is sequential (one operation completes before the
 //! next starts), giving a sequentially consistent memory — sufficient
 //! for the §7 read-before-write statistics.
+//!
+//! [`CppcCoherentSystem`] is the one engine. A plain-cache copy of the
+//! same protocol lives on only as a test reference, which the engine
+//! must match event for event.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,4 +35,4 @@ pub mod system;
 
 pub use cppc_system::CppcCoherentSystem;
 pub use sharing::SharedTraceGenerator;
-pub use system::{CoherenceStats, CoherentSystem, CoreOp};
+pub use system::{CoherenceStats, CoreOp};

@@ -92,20 +92,27 @@ impl Iterator for SharedTraceGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::CoherentSystem;
+    use crate::CppcCoherentSystem;
     use cppc_cache_sim::geometry::CacheGeometry;
     use cppc_cache_sim::replacement::ReplacementPolicy;
+    use cppc_core::CppcConfig;
 
     fn run(sharing: f64) -> (f64, u64) {
-        let mut sys = CoherentSystem::new(
+        let mut sys = CppcCoherentSystem::new(
             2,
             CacheGeometry::new(4096, 2, 32).unwrap(),
             CacheGeometry::new(32 * 1024, 4, 32).unwrap(),
+            CppcConfig::paper(),
             ReplacementPolicy::Lru,
         );
-        let trace = SharedTraceGenerator::new(2, 2048, 512, sharing, 0.4, 7);
-        sys.run(trace.take(40_000));
-        let rbw_rate = sys.total_stores_to_dirty() as f64 / sys.total_stores() as f64;
+        let mut stores = 0u64;
+        for op in SharedTraceGenerator::new(2, 2048, 512, sharing, 0.4, 7).take(40_000) {
+            if matches!(op, CoreOp::Store { .. }) {
+                stores += 1;
+            }
+            sys.step(op).unwrap();
+        }
+        let rbw_rate = sys.total_read_before_writes() as f64 / stores as f64;
         (rbw_rate, sys.stats().dirty_invalidations)
     }
 

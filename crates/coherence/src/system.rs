@@ -1,10 +1,5 @@
-//! The coherent multiprocessor: private L1s + shared L2 + memory.
-
-use cppc_cache_sim::cache::{Backing, Cache};
-use cppc_cache_sim::geometry::CacheGeometry;
-use cppc_cache_sim::memory::MainMemory;
-use cppc_cache_sim::replacement::ReplacementPolicy;
-use cppc_cache_sim::stats::CacheStats;
+//! The vocabulary of the MSI engine: trace operations and protocol
+//! event counters.
 
 /// One operation of a multiprocessor trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,324 +34,4 @@ pub struct CoherenceStats {
     pub dirty_invalidations: u64,
     /// Remote M copies downgraded to S by loads.
     pub downgrades: u64,
-}
-
-struct L2Backing<'a> {
-    l2: &'a mut Cache,
-    mem: &'a mut MainMemory,
-}
-
-impl Backing for L2Backing<'_> {
-    fn fetch_block_into(&mut self, base: u64, buf: &mut [u64]) {
-        debug_assert_eq!(buf.len(), self.l2.geometry().words_per_block());
-        self.l2.read_block_into(base, self.mem, buf);
-    }
-
-    fn write_back(&mut self, base: u64, data: &[u64], dirty_mask: u64) {
-        let _ = self.l2.write_block(base, data, dirty_mask, self.mem);
-    }
-}
-
-/// An `n`-core system with private L1s, one shared L2 and an MSI
-/// write-invalidate protocol.
-///
-/// # Example
-///
-/// ```
-/// use cppc_cache_sim::{CacheGeometry, ReplacementPolicy};
-/// use cppc_coherence::{CoherentSystem, CoreOp};
-///
-/// let l1 = CacheGeometry::new(1024, 2, 32)?;
-/// let l2 = CacheGeometry::new(8192, 4, 32)?;
-/// let mut sys = CoherentSystem::new(2, l1, l2, ReplacementPolicy::Lru);
-/// sys.step(CoreOp::Store { core: 0, addr: 0x40, value: 7 });
-/// assert_eq!(sys.step(CoreOp::Load { core: 1, addr: 0x40 }), 7);
-/// # Ok::<(), cppc_cache_sim::GeometryError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct CoherentSystem {
-    cores: Vec<Cache>,
-    l2: Cache,
-    mem: MainMemory,
-    stats: CoherenceStats,
-}
-
-impl CoherentSystem {
-    /// Builds the system with `n` private L1s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or block sizes differ between levels.
-    #[must_use]
-    pub fn new(
-        n: usize,
-        l1_geo: CacheGeometry,
-        l2_geo: CacheGeometry,
-        policy: ReplacementPolicy,
-    ) -> Self {
-        assert!(n > 0, "need at least one core");
-        assert_eq!(
-            l1_geo.block_bytes(),
-            l2_geo.block_bytes(),
-            "L1 and L2 must share a block size"
-        );
-        CoherentSystem {
-            cores: (0..n).map(|_| Cache::new(l1_geo, policy)).collect(),
-            l2: Cache::new(l2_geo, policy),
-            mem: MainMemory::new(),
-            stats: CoherenceStats::default(),
-        }
-    }
-
-    /// Number of cores.
-    #[must_use]
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// Protocol statistics.
-    #[must_use]
-    pub fn stats(&self) -> &CoherenceStats {
-        &self.stats
-    }
-
-    /// Core `c`'s L1 statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is out of range.
-    #[must_use]
-    pub fn core_stats(&self, c: usize) -> &CacheStats {
-        self.cores[c].stats()
-    }
-
-    /// The shared L2's statistics.
-    #[must_use]
-    pub fn l2_stats(&self) -> &CacheStats {
-        self.l2.stats()
-    }
-
-    /// Sum of per-core stores-to-dirty — the CPPC read-before-write
-    /// count across the machine.
-    #[must_use]
-    pub fn total_stores_to_dirty(&self) -> u64 {
-        self.cores.iter().map(|c| c.stats().stores_to_dirty).sum()
-    }
-
-    /// Sum of per-core stores.
-    #[must_use]
-    pub fn total_stores(&self) -> u64 {
-        self.cores.iter().map(|c| c.stats().stores()).sum()
-    }
-
-    /// Invalidate (or downgrade) every remote copy of `addr`'s block.
-    fn snoop(&mut self, requester: usize, addr: u64, for_store: bool) {
-        for c in 0..self.cores.len() {
-            if c == requester {
-                continue;
-            }
-            let Some((set, way)) = self.cores[c].probe(addr) else {
-                continue;
-            };
-            let dirty = self.cores[c].block(set, way).is_dirty();
-            if dirty {
-                let mut backing = L2Backing {
-                    l2: &mut self.l2,
-                    mem: &mut self.mem,
-                };
-                self.cores[c].writeback_block(set, way, &mut backing);
-            }
-            if for_store {
-                self.cores[c].invalidate_way(set, way);
-                self.stats.invalidations += 1;
-                if dirty {
-                    self.stats.dirty_invalidations += 1;
-                }
-            } else if dirty {
-                // Load: remote copy stays resident, now S (clean).
-                self.stats.downgrades += 1;
-            }
-        }
-    }
-
-    /// Executes one operation, returning the loaded value (0 for
-    /// stores).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the core index is out of range.
-    pub fn step(&mut self, op: CoreOp) -> u64 {
-        match op {
-            CoreOp::Load { core, addr } => {
-                self.snoop(core, addr, false);
-                let mut backing = L2Backing {
-                    l2: &mut self.l2,
-                    mem: &mut self.mem,
-                };
-                self.cores[core].load_word(addr, &mut backing)
-            }
-            CoreOp::Store { core, addr, value } => {
-                self.snoop(core, addr, true);
-                let mut backing = L2Backing {
-                    l2: &mut self.l2,
-                    mem: &mut self.mem,
-                };
-                self.cores[core].store_word(addr, value, &mut backing);
-                0
-            }
-        }
-    }
-
-    /// Runs a whole trace.
-    pub fn run<I: IntoIterator<Item = CoreOp>>(&mut self, trace: I) {
-        for op in trace {
-            self.step(op);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cppc_campaign::rng::rngs::StdRng;
-    use cppc_campaign::rng::{RngExt, SeedableRng};
-    use std::collections::HashMap;
-
-    fn system(cores: usize) -> CoherentSystem {
-        CoherentSystem::new(
-            cores,
-            CacheGeometry::new(512, 2, 32).unwrap(),
-            CacheGeometry::new(4096, 4, 32).unwrap(),
-            ReplacementPolicy::Lru,
-        )
-    }
-
-    #[test]
-    fn cross_core_visibility() {
-        let mut sys = system(2);
-        sys.step(CoreOp::Store {
-            core: 0,
-            addr: 0x100,
-            value: 42,
-        });
-        assert_eq!(
-            sys.step(CoreOp::Load {
-                core: 1,
-                addr: 0x100
-            }),
-            42
-        );
-        assert_eq!(sys.stats().downgrades, 1);
-    }
-
-    #[test]
-    fn store_invalidates_remote_copies() {
-        let mut sys = system(4);
-        for c in 0..4 {
-            sys.step(CoreOp::Load {
-                core: c,
-                addr: 0x40,
-            });
-        }
-        sys.step(CoreOp::Store {
-            core: 0,
-            addr: 0x40,
-            value: 9,
-        });
-        assert_eq!(sys.stats().invalidations, 3);
-        for c in 1..4 {
-            assert_eq!(
-                sys.step(CoreOp::Load {
-                    core: c,
-                    addr: 0x40
-                }),
-                9
-            );
-        }
-    }
-
-    #[test]
-    fn write_ping_pong_removes_dirty_blocks() {
-        // §7's mechanism: alternating writers keep invalidating each
-        // other's dirty copy, so stores rarely find their word already
-        // dirty locally.
-        let mut sys = system(2);
-        for i in 0..1_000u64 {
-            sys.step(CoreOp::Store {
-                core: (i % 2) as usize,
-                addr: 0x80,
-                value: i,
-            });
-        }
-        assert!(sys.stats().dirty_invalidations > 900);
-        let rbw_rate = sys.total_stores_to_dirty() as f64 / sys.total_stores() as f64;
-        assert!(rbw_rate < 0.05, "ping-pong rbw rate {rbw_rate}");
-
-        // Contrast: one core storing alone re-dirties its own word.
-        let mut solo = system(1);
-        for i in 0..1_000u64 {
-            solo.step(CoreOp::Store {
-                core: 0,
-                addr: 0x80,
-                value: i,
-            });
-        }
-        let solo_rate = solo.total_stores_to_dirty() as f64 / solo.total_stores() as f64;
-        assert!(solo_rate > 0.95, "solo rbw rate {solo_rate}");
-    }
-
-    #[test]
-    fn sequentially_consistent_oracle() {
-        let mut rng = StdRng::seed_from_u64(0xC0E);
-        let mut sys = system(3);
-        let mut oracle: HashMap<u64, u64> = HashMap::new();
-        for _ in 0..20_000 {
-            let core = rng.random_range(0..3);
-            let addr = (rng.random_range(0..4096u64)) & !7;
-            if rng.random_bool(0.4) {
-                let v: u64 = rng.random();
-                sys.step(CoreOp::Store {
-                    core,
-                    addr,
-                    value: v,
-                });
-                oracle.insert(addr, v);
-            } else {
-                let got = sys.step(CoreOp::Load { core, addr });
-                assert_eq!(got, *oracle.get(&addr).unwrap_or(&0), "addr {addr:#x}");
-            }
-        }
-    }
-
-    #[test]
-    fn private_data_stays_unaffected() {
-        let mut sys = system(2);
-        sys.step(CoreOp::Store {
-            core: 0,
-            addr: 0x200,
-            value: 5,
-        });
-        // Core 1 works elsewhere.
-        for i in 0..50u64 {
-            sys.step(CoreOp::Store {
-                core: 1,
-                addr: 0x4000 + i * 8,
-                value: i,
-            });
-        }
-        assert_eq!(sys.stats().invalidations, 0);
-        assert_eq!(
-            sys.step(CoreOp::Load {
-                core: 0,
-                addr: 0x200
-            }),
-            5
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one core")]
-    fn zero_cores_panics() {
-        let _ = system(0);
-    }
 }

@@ -138,6 +138,18 @@ pub struct Table {
     pub rows: Vec<Vec<String>>,
 }
 
+impl Table {
+    /// A table with the given column headers.
+    #[must_use]
+    pub fn new(title: impl Into<String>, columns: &[&str], rows: Vec<Vec<String>>) -> Self {
+        Table {
+            title: title.into(),
+            columns: columns.iter().map(|c| (*c).to_string()).collect(),
+            rows,
+        }
+    }
+}
+
 /// Everything one artifact run produces.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ArtifactOutput {

@@ -14,9 +14,8 @@ use cppc_workloads::spec2000_profiles;
 
 use crate::artifact::{Artifact, ArtifactOutput, MetricValue, RunConfig, Table, Tier, Tolerance};
 
-/// Memory operations per benchmark (pinned; `CPPC_BENCH_OPS` is
-/// deliberately ignored so the artifact is reproducible from the repo
-/// alone).
+/// Memory operations per benchmark, pinned so the artifact is
+/// reproducible from the repo alone.
 const OPS: usize = 120_000;
 const OPS_QUICK: usize = 24_000;
 
@@ -173,14 +172,9 @@ fn run(cfg: &RunConfig) -> ArtifactOutput {
         cell("l2", "twodim", &l2.twodim, 1.75),
     ];
 
-    let columns: Vec<String> = ["bench", "CPPC", "SECDED", "2D parity"]
-        .map(String::from)
-        .into();
     // The L2 table also carries each benchmark's L2 miss rate, which
     // drives 2D parity's blow-up (the paper's mcf case); the average
     // row has none.
-    let mut l2_columns = columns.clone();
-    l2_columns.push("L2 miss %".into());
     let mut l2_rows = l2.rows;
     let miss_pct = l2_stats
         .iter()
@@ -191,16 +185,16 @@ fn run(cfg: &RunConfig) -> ArtifactOutput {
     ArtifactOutput {
         metrics,
         tables: vec![
-            Table {
-                title: format!("Figure 11 — L1 energy normalised to 1D parity ({ops} ops each)"),
-                columns,
-                rows: l1.rows,
-            },
-            Table {
-                title: format!("Figure 12 — L2 energy normalised to 1D parity ({ops} ops each)"),
-                columns: l2_columns,
-                rows: l2_rows,
-            },
+            Table::new(
+                format!("Figure 11 — L1 energy normalised to 1D parity ({ops} ops each)"),
+                &["bench", "CPPC", "SECDED", "2D parity"],
+                l1.rows,
+            ),
+            Table::new(
+                format!("Figure 12 — L2 energy normalised to 1D parity ({ops} ops each)"),
+                &["bench", "CPPC", "SECDED", "2D parity", "L2 miss %"],
+                l2_rows,
+            ),
         ],
     }
 }

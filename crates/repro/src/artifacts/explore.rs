@@ -204,27 +204,27 @@ fn run(cfg: &RunConfig) -> ArtifactOutput {
     ArtifactOutput {
         metrics,
         tables: vec![
-            Table {
-                title: format!(
+            Table::new(
+                format!(
                     "Quick-tier Pareto frontier ({} of {} configs non-dominated)",
                     frontier.len(),
                     points.len()
                 ),
-                columns: vec![
-                    "config".into(),
-                    "MTTF (years)".into(),
-                    "energy vs 1D parity".into(),
-                    "CPI +%".into(),
-                    "area %".into(),
-                    "SDC %".into(),
+                &[
+                    "config",
+                    "MTTF (years)",
+                    "energy vs 1D parity",
+                    "CPI +%",
+                    "area %",
+                    "SDC %",
                 ],
-                rows: frontier_rows,
-            },
-            Table {
-                title: "Dominance-rank histogram".into(),
-                columns: vec!["rank".into(), "configs".into()],
-                rows: rank_histogram,
-            },
+                frontier_rows,
+            ),
+            Table::new(
+                "Dominance-rank histogram",
+                &["rank", "configs"],
+                rank_histogram,
+            ),
         ],
     }
 }

@@ -171,17 +171,11 @@ fn run(cfg: &RunConfig) -> ArtifactOutput {
             ]);
             cells.push((scheme_name, fault_name, tally));
         }
-        tables.push(Table {
-            title: format!("Fault: {fault_name} ({trials} trials per cell)"),
-            columns: vec![
-                "scheme".into(),
-                "corrected %".into(),
-                "DUE %".into(),
-                "SDC %".into(),
-                "masked %".into(),
-            ],
+        tables.push(Table::new(
+            format!("Fault: {fault_name} ({trials} trials per cell)"),
+            &["scheme", "corrected %", "DUE %", "SDC %", "masked %"],
             rows,
-        });
+        ));
     }
 
     let cell = |scheme: &str, fault: &str| -> &OutcomeTally {

@@ -6,11 +6,14 @@
 //! `cppc-cli repro --artifact <name> --update-goldens` to bless the
 //! first golden and regenerate the book.
 
+mod ablations;
 mod energy;
 mod explore;
 mod fig10;
 pub mod mbe;
 mod schemes;
+mod section7;
+mod table2;
 mod table3;
 
 use crate::artifact::Artifact;
@@ -21,9 +24,12 @@ pub fn registry() -> &'static [Artifact] {
     static REGISTRY: std::sync::OnceLock<Vec<Artifact>> = std::sync::OnceLock::new();
     REGISTRY.get_or_init(|| {
         vec![
+            table2::artifact(),
             table3::artifact(),
             fig10::artifact(),
             energy::artifact(),
+            section7::artifact(),
+            ablations::artifact(),
             schemes::artifact(),
             mbe::artifact(),
             explore::artifact(),

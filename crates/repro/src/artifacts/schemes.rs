@@ -326,29 +326,22 @@ fn run(cfg: &RunConfig) -> ArtifactOutput {
     ArtifactOutput {
         metrics,
         tables: vec![
-            Table {
-                title: "Cross-scheme comparison — storage, MTTF and normalised energy \
-                        (paper L1 MTTF parameters; probe-trace energy)"
-                    .into(),
-                columns: vec![
-                    "scheme".into(),
-                    "storage overhead %".into(),
-                    "MTTF (years)".into(),
-                    "energy vs 1D parity".into(),
+            Table::new(
+                "Cross-scheme comparison — storage, MTTF and normalised energy \
+                 (paper L1 MTTF parameters; probe-trace energy)",
+                &[
+                    "scheme",
+                    "storage overhead %",
+                    "MTTF (years)",
+                    "energy vs 1D parity",
                 ],
-                rows: comparison_rows,
-            },
-            Table {
-                title: format!("Fault response — 4x4 solid strike ({trials} trials per scheme)"),
-                columns: vec![
-                    "scheme".into(),
-                    "corrected %".into(),
-                    "DUE %".into(),
-                    "SDC %".into(),
-                    "masked %".into(),
-                ],
-                rows: response_rows,
-            },
+                comparison_rows,
+            ),
+            Table::new(
+                format!("Fault response — 4x4 solid strike ({trials} trials per scheme)"),
+                &["scheme", "corrected %", "DUE %", "SDC %", "masked %"],
+                response_rows,
+            ),
         ],
     }
 }

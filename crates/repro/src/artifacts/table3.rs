@@ -58,6 +58,16 @@ pub fn artifact() -> Artifact {
     }
 }
 
+/// Formats an aliasing MTTF, infinite once the register pairs cover
+/// every byte class.
+pub(super) fn alias_years(years: f64) -> String {
+    if years.is_infinite() {
+        "eliminated".into()
+    } else {
+        format!("{years:.2e}")
+    }
+}
+
 fn run(cfg: &RunConfig) -> ArtifactOutput {
     let l1 = ReliabilityParams::paper_l1();
     let l2 = ReliabilityParams::paper_l2();
@@ -88,10 +98,10 @@ fn run(cfg: &RunConfig) -> ArtifactOutput {
         })
         .collect();
 
-    let mttf_table = Table {
-        title: "MTTF (years) at the paper's L1 and L2 points".into(),
-        columns: vec!["cache".into(), "L1".into(), "L2".into()],
-        rows: vec![
+    let mttf_table = Table::new(
+        "MTTF (years) at the paper's L1 and L2 points",
+        &["cache", "L1", "L2"],
+        vec![
             vec![
                 "one-dim parity".into(),
                 format!("{:.0}", cells[0].1),
@@ -111,20 +121,13 @@ fn run(cfg: &RunConfig) -> ArtifactOutput {
             vec!["paper: CPPC".into(), "8.02e21".into(), "8.07e15".into()],
             vec!["paper: SECDED".into(), "6.2e23".into(), "1.1e19".into()],
         ],
-    };
+    );
 
     // §4.7 temporal aliasing, L2, by register-pair count.
     let mut alias_rows = Vec::new();
     for pairs in [1usize, 2, 4, 8] {
         let years = mttf_aliasing_years(&l2, aliasing_vulnerable_bits(pairs));
-        alias_rows.push(vec![
-            format!("{pairs} pair(s)"),
-            if years.is_infinite() {
-                "eliminated".into()
-            } else {
-                format!("{years:.2e}")
-            },
-        ]);
+        alias_rows.push(vec![format!("{pairs} pair(s)"), alias_years(years)]);
     }
     let alias_one_pair = mttf_aliasing_years(&l2, aliasing_vulnerable_bits(1));
     metrics.push(MetricValue::new(
@@ -182,27 +185,25 @@ fn run(cfg: &RunConfig) -> ArtifactOutput {
         metrics,
         tables: vec![
             mttf_table,
-            Table {
-                title:
-                    "§4.7 temporal-aliasing MTTF (L2, by register pairs; paper 1 pair: 4.19e20 y)"
-                        .into(),
-                columns: vec!["pairs".into(), "alias MTTF (y)".into()],
-                rows: alias_rows,
-            },
-            Table {
-                title: format!(
+            Table::new(
+                "§4.7 temporal-aliasing MTTF (L2, by register pairs; paper 1 pair: 4.19e20 y)",
+                &["pairs", "alias MTTF (y)"],
+                alias_rows,
+            ),
+            Table::new(
+                format!(
                     "Monte Carlo validation at accelerated rates ({trials} trials, 40 faults/h, \
                      Tavg 0.0004 h)"
                 ),
-                columns: vec![
-                    "configuration".into(),
-                    "simulated (h)".into(),
-                    "± (h)".into(),
-                    "analytic (h)".into(),
-                    "deviation".into(),
+                &[
+                    "configuration",
+                    "simulated (h)",
+                    "± (h)",
+                    "analytic (h)",
+                    "deviation",
                 ],
-                rows: mc_rows,
-            },
+                mc_rows,
+            ),
         ],
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! This crate turns the repository's headline numbers into **artifacts**:
 //! named, registered reproductions of the paper's tables and figures
-//! (Table 3 MTTF, Figure 10 CPI overhead, Figures 11–12 energy, the
+//! (Table 2 dirty residency, Table 3 MTTF, Figure 10 CPI overhead,
+//! Figures 11–12 energy, the §7 explorations, the design ablations, the
 //! cross-scheme `scheme_comparison` behind `docs/SCHEMES.md`, the
 //! Table 2/4 MBE-coverage grid). Each artifact declares its campaign
 //! configuration, a runtime tier, and a set of gated metrics with
@@ -26,8 +27,8 @@
 //! ```
 //!
 //! Everything is deterministic: artifacts pin their own seeds, trial
-//! counts and instruction budgets in code (they deliberately ignore
-//! `CPPC_BENCH_OPS`), and the campaign engine guarantees bit-identical
+//! counts and instruction budgets in code (no environment variable
+//! changes them), and the campaign engine guarantees bit-identical
 //! results at any `--threads` value, so `--check` gates on exact bit
 //! patterns carried in the JSON (`*_bits` fields) rather than printed
 //! decimals.

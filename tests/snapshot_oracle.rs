@@ -5,7 +5,7 @@
 //! the substitution is invisible: trial by trial, tally by tally and
 //! checkpoint byte by checkpoint byte, the snapshot-backed
 //! [`cppc_bench::mbe::experiment`] must be indistinguishable from the
-//! replay-from-cold reference path — including across an
+//! replay-from-cold reference path defined here — including across an
 //! interrupt/resume cycle.
 
 use cppc::cache_sim::memory::MainMemory;
@@ -13,12 +13,52 @@ use cppc::cache_sim::replacement::ReplacementPolicy;
 use cppc::core::{CppcCache, CppcConfig};
 use cppc::fault::campaign::{Campaign, Outcome, OutcomeTally};
 use cppc_bench::mbe::{
-    experiment, experiment_cold, experiment_model, geometry, oracle, SEED, SOLID_MODEL,
-    SPARSE_MODEL,
+    experiment, experiment_model, geometry, oracle, SEED, SOLID_MODEL, SPARSE_MODEL,
 };
 use cppc_campaign::rng::rngs::StdRng;
+use cppc_campaign::rng::RngExt;
 use cppc_campaign::{run_with, trial_rng, CheckpointPolicy, PerTrial, RunOpts};
-use cppc_fault::model::FaultModel;
+use cppc_fault::model::{FaultGenerator, FaultModel};
+
+/// [`experiment_model`] without the warm pool: rebuilds the simulator
+/// and replays the warmup from cold every trial, warming with
+/// `oracle(trial)`. This is the pre-snapshot reference path the
+/// differential oracle test compares against.
+fn experiment_model_cold(model: FaultModel, rng: &mut StdRng, trial: u64) -> Outcome {
+    let mut mem = MainMemory::new();
+    let mut cache =
+        CppcCache::new_l1(geometry(), CppcConfig::paper(), ReplacementPolicy::Lru).unwrap();
+    let truth = oracle(trial);
+    for &(addr, v) in &truth {
+        cache.store_word(addr, v, &mut mem).unwrap();
+    }
+    let rows = cache.layout().num_rows() / 2;
+    let mut generator = FaultGenerator::new(rows, rng.random());
+    let pattern = generator.sample(model);
+    if cache.inject(&pattern) == 0 {
+        return Outcome::Masked;
+    }
+    match cache.recover_all(&mut mem) {
+        Err(_) => Outcome::DetectedUnrecoverable,
+        Ok(_) => {
+            for &(addr, v) in &truth {
+                if cache.peek_word(addr) != Some(v) {
+                    return Outcome::SilentCorruption;
+                }
+            }
+            Outcome::Corrected
+        }
+    }
+}
+
+/// The replay-from-cold form of [`experiment`].
+///
+/// # Panics
+///
+/// Panics if the paper configuration is rejected (it is not).
+fn experiment_cold(rng: &mut StdRng, trial: u64) -> Outcome {
+    experiment_model_cold(SOLID_MODEL, rng, trial)
+}
 
 /// Trial-by-trial equality: for every campaign trial index, the warm
 /// restore path and the cold replay path must classify the injected
@@ -33,7 +73,7 @@ fn warm_and_cold_paths_agree_trial_by_trial() {
         let mut outcomes = [0u64; 2];
         for trial in 0..trials {
             let warm = experiment_model(model, &mut trial_rng(SEED, trial));
-            let cold = cold_model(model, &mut trial_rng(SEED, trial), trial);
+            let cold = experiment_model_cold(model, &mut trial_rng(SEED, trial), trial);
             assert_eq!(
                 warm, cold,
                 "{name} trial {trial}: warm path classified {warm:?}, cold path {cold:?}"
@@ -46,10 +86,6 @@ fn warm_and_cold_paths_agree_trial_by_trial() {
             "{name} campaign exercised only one outcome class"
         );
     }
-}
-
-fn cold_model(model: FaultModel, rng: &mut StdRng, trial: u64) -> Outcome {
-    cppc_bench::mbe::experiment_model_cold(model, rng, trial)
 }
 
 /// Campaign tallies through the warm pool must match the golden values
