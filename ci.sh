@@ -116,6 +116,12 @@ echo "== explore quick-tier gate (committed frontier matches the code)"
 # models produce (or if the frontier degenerates to CPPC-only points).
 cargo run -q --release -p cppc-cli --bin cppc-cli -- explore --quick --check
 
+echo "== explore full-tier gate (committed explore_full.json matches the code)"
+# The same byte gate for the full tier: its 432 configs price every
+# scheme x interleave x scrub point through the timing, energy, area
+# and MTTF models (a few seconds on two cores).
+cargo run -q --release -p cppc-cli --bin cppc-cli -- explore --check
+
 echo "== generated docs freshness"
 # docs/{RESULTS,SCHEMES,EXPLORER,METRICS}.md are pure functions of the
 # code and the committed docs/results/*.json documents; re-rendering

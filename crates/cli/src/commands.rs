@@ -7,8 +7,8 @@ use std::time::{Duration, Instant};
 use cppc_bench::experiments::{inject_experiment, inject_geometry};
 use cppc_campaign::json::Json;
 use cppc_campaign::{CampaignConfig, CampaignReport, CheckpointPolicy, Persist, Progress, RunOpts};
-use cppc_core::CppcConfig;
-use cppc_energy::scheme::{AccessCounts, ProtectionKind, SchemeEnergy};
+use cppc_core::{CppcConfig, SchemeKind};
+use cppc_energy::scheme::{AccessCounts, SchemeEnergy};
 use cppc_energy::tech::TechnologyNode;
 use cppc_fault::campaign::OutcomeTally;
 use cppc_fault::model::FaultModel;
@@ -213,7 +213,8 @@ pub fn simulate(args: &ParsedArgs) -> CliResult {
 
     let machine = MachineConfig::table1();
     let model = TimingModel::new(machine);
-    let base = model.simulate(profile, L1Scheme::OneDimParity, ops, seed);
+    let pricing = |kind: SchemeKind| kind.descriptor().pricing;
+    let base = model.simulate(profile, pricing(SchemeKind::Parity1d).into(), ops, seed);
 
     println!("benchmark {bench}: {ops} memory ops on the Table 1 machine\n");
     println!(
@@ -228,12 +229,13 @@ pub fn simulate(args: &ParsedArgs) -> CliResult {
         base.l2_stats.accesses()
     );
     println!();
-    for (name, scheme) in [
-        ("1D parity", L1Scheme::OneDimParity),
-        ("CPPC", L1Scheme::Cppc),
-        ("2D parity", L1Scheme::TwoDimParity),
+    for (name, kind) in [
+        ("1D parity", SchemeKind::Parity1d),
+        ("CPPC", SchemeKind::Cppc),
+        ("2D parity", SchemeKind::Parity2d),
     ] {
-        let b = model.breakdown_from_stats(profile, scheme, ops, base.l1_stats, base.l2_stats);
+        let class = pricing(kind).into();
+        let b = model.breakdown_from_stats(profile, class, ops, base.l1_stats, base.l2_stats);
         println!(
             "CPI {name:<10} {:.4}  ({:+.3}% vs parity)",
             b.cpi(),
@@ -250,20 +252,15 @@ pub fn simulate(args: &ParsedArgs) -> CliResult {
         words_per_line: 4,
         silent_writes: 0,
     };
-    let parity = SchemeEnergy::new(
-        32 * 1024,
-        2,
-        32,
-        ProtectionKind::OneDimParity { ways: 8 },
-        node,
-    );
+    let energy = |kind| SchemeEnergy::new(32 * 1024, 2, 32, pricing(kind), node);
+    let parity = energy(SchemeKind::Parity1d);
     println!();
     for (name, kind) in [
-        ("CPPC", ProtectionKind::Cppc { ways: 8 }),
-        ("SECDED", ProtectionKind::Secded { interleaved: true }),
-        ("2D parity", ProtectionKind::TwoDimParity { ways: 8 }),
+        ("CPPC", SchemeKind::Cppc),
+        ("SECDED", SchemeKind::SecdedInterleaved),
+        ("2D parity", SchemeKind::Parity2d),
     ] {
-        let e = SchemeEnergy::new(32 * 1024, 2, 32, kind, node);
+        let e = energy(kind);
         println!(
             "L1 energy {name:<10} {:.3}x parity",
             e.total_pj(&counts) / parity.total_pj(&counts)

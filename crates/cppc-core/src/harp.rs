@@ -27,6 +27,7 @@ use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_cache_sim::stats::CacheStats;
 use cppc_cache_sim::wordmap::WordSet;
+use cppc_energy::ProtectionKind;
 use cppc_fault::campaign::Outcome;
 use cppc_fault::layout::PhysicalLayout;
 use cppc_fault::model::FaultPattern;
@@ -45,8 +46,7 @@ pub static HARP_ODECC_DESCRIPTOR: SchemeDescriptor = SchemeDescriptor {
               uncorrectable, and repairs them from the write-through copy — turning \
               would-be DUEs into corrections at the cost of write-through traffic. \
               Miscorrections the on-die code does not flag still escape the profiler.",
-    code_bits_per_word: 8,
-    interleave_degree: 1,
+    pricing: ProtectionKind::OnDieEcc,
     extra_state: "write-through reference copy in the next level; per-address profile list",
     detection: "single and double bit errors per word; the profiling pass additionally \
                 surfaces every *flagged* uncorrectable word",

@@ -30,8 +30,10 @@
 //!   [`ProtectionScheme::cache_stats`] the generic traffic counters
 //!   the area/energy models consume.
 //! * **self-description** — [`ProtectionScheme::descriptor`] returns
-//!   static name/geometry/overhead metadata; `cppc-cli docs` renders
-//!   `docs/SCHEMES.md` from exactly these descriptors.
+//!   static name/overhead metadata plus the scheme's `pricing`, the
+//!   model class the timing, energy, area and MTTF models read;
+//!   `cppc-cli docs` renders `docs/SCHEMES.md` from exactly these
+//!   descriptors.
 //!
 //! The four ported schemes (`cppc`, `parity1d`, `secded-interleaved`,
 //! `parity2d`) reproduce the historical baked-in campaign closures
@@ -49,6 +51,7 @@ use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_cache_sim::stats::CacheStats;
 use cppc_campaign::rng::rngs::StdRng;
 use cppc_campaign::rng::RngExt;
+use cppc_energy::ProtectionKind;
 use cppc_fault::campaign::Outcome;
 use cppc_fault::layout::PhysicalLayout;
 use cppc_fault::model::{FaultGenerator, FaultModel, FaultPattern};
@@ -120,10 +123,11 @@ pub struct SchemeDescriptor {
     pub reference: &'static str,
     /// One-paragraph summary of the mechanism.
     pub summary: &'static str,
-    /// Code bits stored per 64-bit data word.
-    pub code_bits_per_word: u32,
-    /// Physical bit-interleave degree of the data array.
-    pub interleave_degree: u32,
+    /// The scheme's paper configuration as the timing, energy, area
+    /// and MTTF models see it: the one place a zoo member is mapped
+    /// to a model class. It also fixes the code bits per word and the
+    /// physical interleave degree.
+    pub pricing: ProtectionKind,
     /// Extra state outside the data array (registers, vertical rows).
     pub extra_state: &'static str,
     /// What the scheme detects.
@@ -136,7 +140,7 @@ impl SchemeDescriptor {
     /// Code-storage overhead as a percentage of the data array.
     #[must_use]
     pub fn storage_overhead_pct(&self) -> f64 {
-        f64::from(self.code_bits_per_word) / 64.0 * 100.0
+        f64::from(self.pricing.code_bits_per_word()) / 64.0 * 100.0
     }
 }
 
@@ -361,8 +365,7 @@ static CPPC_DESCRIPTOR: SchemeDescriptor = SchemeDescriptor {
               reconstructs any single faulty dirty word, and byte shifting spreads spatial \
               multi-bit strikes across parity groups so the locator can pin each faulty \
               word down. Clean faults are re-fetched from below.",
-    code_bits_per_word: 8,
-    interleave_degree: 1,
+    pricing: ProtectionKind::Cppc { ways: 8 },
     extra_state: "one R1/R2 64-bit register pair per parity interleave (paper \
                   configuration: 1 pair, byte shifting on)",
     detection: "any fault a parity way sees (odd flips per group)",
@@ -379,8 +382,7 @@ static PARITY1D_DESCRIPTOR: SchemeDescriptor = SchemeDescriptor {
               clean word is repaired by re-fetching from the next level; a fault in a \
               dirty word has no redundant copy anywhere and halts the machine — the \
               paper's motivating failure mode for write-back caches.",
-    code_bits_per_word: 8,
-    interleave_degree: 1,
+    pricing: ProtectionKind::OneDimParity { ways: 8 },
     extra_state: "none",
     detection: "odd flips per parity group",
     correction: "clean words only (re-fetch); dirty faults are fatal (DUE)",
@@ -394,8 +396,7 @@ static SECDED_DESCRIPTOR: SchemeDescriptor = SchemeDescriptor {
               interleaved 8-way so a spatial multi-bit strike decomposes into at most one \
               flipped bit per logical word — each correctable on its own. Pays the 8x \
               bitline activation the interleaving implies on every access.",
-    code_bits_per_word: 8,
-    interleave_degree: 8,
+    pricing: ProtectionKind::Secded { interleaved: true },
     extra_state: "none",
     detection: "single and double bit errors per word (guaranteed); wider strikes \
                 decompose across the interleave",
@@ -412,8 +413,7 @@ static PARITY2D_DESCRIPTOR: SchemeDescriptor = SchemeDescriptor {
               faulty row, the vertical row rebuilds it — but every store and every fill \
               pays a read-before-write to keep the vertical parity current, and faults in \
               multiple rows of one vertical group are unrecoverable.",
-    code_bits_per_word: 8,
-    interleave_degree: 1,
+    pricing: ProtectionKind::TwoDimParity { ways: 8 },
     extra_state: "vertical parity rows in the array (1 row in the evaluated config)",
     detection: "odd flips per horizontal parity group",
     correction: "any single faulty row per vertical parity group",
@@ -822,8 +822,28 @@ mod tests {
             assert!(d.storage_overhead_pct() > 0.0, "{}", d.name);
         }
         assert_eq!(SchemeKind::Cppc.descriptor().storage_overhead_pct(), 12.5);
+        // Each zoo member is priced at its paper configuration.
+        let pricing = |kind: SchemeKind| kind.descriptor().pricing;
+        assert_eq!(pricing(SchemeKind::Cppc), ProtectionKind::Cppc { ways: 8 });
         assert_eq!(
-            SchemeKind::SecdedInterleaved.descriptor().interleave_degree,
+            pricing(SchemeKind::Parity1d),
+            ProtectionKind::OneDimParity { ways: 8 }
+        );
+        assert_eq!(
+            pricing(SchemeKind::SecdedInterleaved),
+            ProtectionKind::Secded { interleaved: true }
+        );
+        assert_eq!(
+            pricing(SchemeKind::Parity2d),
+            ProtectionKind::TwoDimParity { ways: 8 }
+        );
+        assert_eq!(
+            pricing(SchemeKind::SilentWriteEcc),
+            ProtectionKind::SilentWriteEcc
+        );
+        assert_eq!(pricing(SchemeKind::HarpOdecc), ProtectionKind::OnDieEcc);
+        assert_eq!(
+            pricing(SchemeKind::SecdedInterleaved).interleave_degree(),
             8
         );
     }

@@ -27,6 +27,7 @@ use cppc_cache_sim::geometry::CacheGeometry;
 use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_cache_sim::stats::CacheStats;
+use cppc_energy::ProtectionKind;
 use cppc_fault::campaign::Outcome;
 use cppc_fault::layout::PhysicalLayout;
 use cppc_fault::model::FaultPattern;
@@ -45,8 +46,7 @@ pub static SILENT_WRITE_ECC_DESCRIPTOR: SchemeDescriptor = SchemeDescriptor {
               counted in the scheme.silent_writes metric and priced as free writes by the \
               energy model. Without interleaving, spatial strikes wider than two bits per \
               word can miscorrect — the energy/reliability trade the catalog table shows.",
-    code_bits_per_word: 8,
-    interleave_degree: 1,
+    pricing: ProtectionKind::SilentWriteEcc,
     extra_state: "one 64-bit comparator on the store path (reads the stored word)",
     detection: "single and double bit errors per word; wider per-word damage can alias",
     correction: "one bit per word (no interleave decomposition of spatial strikes)",

@@ -6,6 +6,8 @@
 //! vertical rows. The paper's qualitative claim — CPPC ≈ parity ≪
 //! SECDED — falls out of the counts.
 
+use crate::scheme::ProtectionKind;
+
 /// Area accounting for one protected cache, in SRAM-bit equivalents.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
@@ -71,6 +73,22 @@ impl AreaModel {
         AreaModel {
             data_bits: base.data_bits,
             overhead_bits: base.overhead_bits + vertical_rows as f64 * 64.0,
+        }
+    }
+
+    /// The area of a `size_bytes` cache under `kind` in the paper's
+    /// evaluated L1 configuration: one 64-bit register pair for CPPC,
+    /// one vertical row for 2D parity. The SECDED-class kinds all
+    /// store 8 check bits per word.
+    #[must_use]
+    pub fn of(kind: ProtectionKind, size_bytes: usize) -> Self {
+        match kind {
+            ProtectionKind::OneDimParity { ways } => Self::one_dim_parity(size_bytes, ways),
+            ProtectionKind::Cppc { ways } => Self::cppc(size_bytes, ways, 1, 64),
+            ProtectionKind::TwoDimParity { ways } => Self::two_dim_parity(size_bytes, ways, 1),
+            ProtectionKind::Secded { .. }
+            | ProtectionKind::SilentWriteEcc
+            | ProtectionKind::OnDieEcc => Self::secded(size_bytes),
         }
     }
 
@@ -142,6 +160,31 @@ mod tests {
         let one = AreaModel::two_dim_parity(L1, 8, 1);
         let eight = AreaModel::two_dim_parity(L1, 8, 8);
         assert!((eight.overhead_bits() - one.overhead_bits() - 7.0 * 64.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn of_picks_the_paper_constructor_for_every_kind() {
+        let of = |kind| AreaModel::of(kind, L1);
+        assert_eq!(
+            of(ProtectionKind::OneDimParity { ways: 8 }),
+            AreaModel::one_dim_parity(L1, 8)
+        );
+        assert_eq!(
+            of(ProtectionKind::Cppc { ways: 2 }),
+            AreaModel::cppc(L1, 2, 1, 64)
+        );
+        assert_eq!(
+            of(ProtectionKind::TwoDimParity { ways: 8 }),
+            AreaModel::two_dim_parity(L1, 8, 1)
+        );
+        for kind in [
+            ProtectionKind::Secded { interleaved: true },
+            ProtectionKind::Secded { interleaved: false },
+            ProtectionKind::SilentWriteEcc,
+            ProtectionKind::OnDieEcc,
+        ] {
+            assert_eq!(of(kind), AreaModel::secded(L1), "{kind:?}");
+        }
     }
 
     #[test]

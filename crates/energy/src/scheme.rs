@@ -97,22 +97,6 @@ impl ProtectionKind {
             _ => 1,
         }
     }
-
-    /// The pricing model for a `ProtectionScheme` selector name, as
-    /// accepted by `cppc-cli campaign --scheme` (paper configurations:
-    /// 8-way parity, interleaved SECDED).
-    #[must_use]
-    pub fn for_scheme(name: &str) -> Option<ProtectionKind> {
-        match name {
-            "cppc" => Some(ProtectionKind::Cppc { ways: 8 }),
-            "parity1d" => Some(ProtectionKind::OneDimParity { ways: 8 }),
-            "secded-interleaved" => Some(ProtectionKind::Secded { interleaved: true }),
-            "parity2d" => Some(ProtectionKind::TwoDimParity { ways: 8 }),
-            "silent-write-ecc" => Some(ProtectionKind::SilentWriteEcc),
-            "harp-odecc" => Some(ProtectionKind::OnDieEcc),
-            _ => None,
-        }
-    }
 }
 
 /// Energy accounting for one cache under one protection scheme.
@@ -369,34 +353,5 @@ mod tests {
         assert_eq!(odecc.total_pj(&counts), plain.total_pj(&counts));
         assert_eq!(ProtectionKind::OnDieEcc.interleave_degree(), 1);
         assert_eq!(ProtectionKind::OnDieEcc.code_bits_per_word(), 8);
-    }
-
-    #[test]
-    fn for_scheme_maps_every_selector() {
-        assert_eq!(
-            ProtectionKind::for_scheme("cppc"),
-            Some(ProtectionKind::Cppc { ways: 8 })
-        );
-        assert_eq!(
-            ProtectionKind::for_scheme("parity1d"),
-            Some(ProtectionKind::OneDimParity { ways: 8 })
-        );
-        assert_eq!(
-            ProtectionKind::for_scheme("secded-interleaved"),
-            Some(ProtectionKind::Secded { interleaved: true })
-        );
-        assert_eq!(
-            ProtectionKind::for_scheme("parity2d"),
-            Some(ProtectionKind::TwoDimParity { ways: 8 })
-        );
-        assert_eq!(
-            ProtectionKind::for_scheme("silent-write-ecc"),
-            Some(ProtectionKind::SilentWriteEcc)
-        );
-        assert_eq!(
-            ProtectionKind::for_scheme("harp-odecc"),
-            Some(ProtectionKind::OnDieEcc)
-        );
-        assert_eq!(ProtectionKind::for_scheme("hamming"), None);
     }
 }

@@ -1,7 +1,8 @@
 //! Per-configuration evaluation: one [`SweepConfig`] in, one
 //! [`ConfigPoint`] out.
 //!
-//! Each configuration is scored on the four explorer objectives:
+//! Each configuration is scored on the four explorer objectives, all
+//! read from one model class, `SweepConfig::pricing`:
 //!
 //! * **MTTF (years)** from the closed-form models of
 //!   `cppc_reliability::mttf`, with the paper's L1 parameters rescaled
@@ -120,57 +121,33 @@ pub fn baseline(
     })
 }
 
-fn l1_scheme_of(kind: SchemeKind) -> L1Scheme {
+/// Closed-form MTTF (years) of a cache priced as `kind` with the
+/// reliability parameters `p`.
+///
+/// Each kind maps to its protection domain: 1D parity dies on the first
+/// dirty fault; CPPC's domain is `1/ways` of the dirty data; the
+/// word-SECDED codes (interleaved or not: interleaving changes which
+/// *spatial* strikes decompose, not the temporal double-fault domain)
+/// protect 64-bit codewords; 2D parity's single vertical row makes the
+/// whole dirty array one domain. A scrub every `scrub_interval` cycles
+/// caps the window in which a *second* fault can accumulate in the same
+/// domain; detection-only parity's first fault is fatal, scrubbed or
+/// not.
+#[must_use]
+pub fn mttf_years(kind: ProtectionKind, p: &ReliabilityParams, scrub_interval: Option<u64>) -> f64 {
+    let mut scrubbed = *p;
+    if let Some(iv) = scrub_interval {
+        scrubbed.tavg_cycles = p.tavg_cycles.min(iv as f64);
+    }
     match kind {
-        SchemeKind::Cppc => L1Scheme::Cppc,
-        SchemeKind::Parity1d => L1Scheme::OneDimParity,
-        SchemeKind::Parity2d => L1Scheme::TwoDimParity,
-        // SECDED variants decode off the critical path (§6.1).
-        SchemeKind::SecdedInterleaved | SchemeKind::SilentWriteEcc | SchemeKind::HarpOdecc => {
-            L1Scheme::Secded
+        ProtectionKind::Cppc { ways } => mttf_cppc_years(&scrubbed, ways),
+        ProtectionKind::OneDimParity { .. } => mttf_one_dim_parity_years(p),
+        ProtectionKind::TwoDimParity { .. } => {
+            mttf_domain_double_fault_years(&scrubbed, p.dirty_bits())
         }
-    }
-}
-
-fn pricing_of(cfg: &SweepConfig) -> ProtectionKind {
-    match cfg.scheme {
-        // CPPC's code array scales with the swept interleave factor.
-        SchemeKind::Cppc => ProtectionKind::Cppc { ways: cfg.parity_k },
-        other => ProtectionKind::for_scheme(other.name()).expect("zoo scheme has a pricing kind"),
-    }
-}
-
-fn area_overhead_pct(cfg: &SweepConfig) -> f64 {
-    let size = cfg.size_bytes();
-    let model = match cfg.scheme {
-        SchemeKind::Cppc => AreaModel::cppc(size, cfg.parity_k, 1, 64),
-        SchemeKind::Parity1d => AreaModel::one_dim_parity(size, 8),
-        SchemeKind::Parity2d => AreaModel::two_dim_parity(size, 8, 1),
-        SchemeKind::SecdedInterleaved | SchemeKind::SilentWriteEcc | SchemeKind::HarpOdecc => {
-            AreaModel::secded(size)
-        }
-    };
-    model.overhead_fraction() * 100.0
-}
-
-fn mttf_years_of(cfg: &SweepConfig) -> f64 {
-    let mut p = ReliabilityParams::paper_l1();
-    p.total_bits = cfg.size_bytes() as f64 * 8.0;
-    // Scrubbing shortens the window in which a *second* fault can
-    // accumulate in the same protection domain.
-    let mut p_scrubbed = p;
-    if let Some(iv) = cfg.scrub_interval {
-        p_scrubbed.tavg_cycles = p.tavg_cycles.min(iv as f64);
-    }
-    match cfg.scheme {
-        SchemeKind::Cppc => mttf_cppc_years(&p_scrubbed, cfg.parity_k),
-        // Detection-only: the first dirty fault is fatal, scrubbed or
-        // not.
-        SchemeKind::Parity1d => mttf_one_dim_parity_years(&p),
-        SchemeKind::Parity2d => mttf_domain_double_fault_years(&p_scrubbed, p.dirty_bits()),
-        SchemeKind::SecdedInterleaved | SchemeKind::SilentWriteEcc | SchemeKind::HarpOdecc => {
-            mttf_secded_years(&p_scrubbed, 64.0)
-        }
+        ProtectionKind::Secded { .. }
+        | ProtectionKind::SilentWriteEcc
+        | ProtectionKind::OnDieEcc => mttf_secded_years(&scrubbed, 64.0),
     }
 }
 
@@ -311,24 +288,23 @@ pub fn evaluate(
         cfg.block_bytes,
     ));
     let memops = spec.workload_ops;
+    let size = cfg.size_bytes();
+    // One model class feeds all four objectives; the baseline is 1D
+    // parity at its paper configuration.
+    let kind = cfg.pricing();
+    let parity = SchemeKind::Parity1d.descriptor().pricing;
+    // The paper's L1 reliability parameters, rescaled to the capacity.
+    let mut reliability = ReliabilityParams::paper_l1();
+    reliability.total_bits = size as f64 * 8.0;
+    let cpi_of = |kind: ProtectionKind| {
+        model.breakdown_from_stats(&profile, kind.into(), memops, base.l1_stats, base.l2_stats)
+    };
 
     // CPI, normalised to same-geometry 1D parity (no scrubbing).
-    let b = model.breakdown_from_stats(
-        &profile,
-        l1_scheme_of(cfg.scheme),
-        memops,
-        base.l1_stats,
-        base.l2_stats,
-    );
-    let parity_b = model.breakdown_from_stats(
-        &profile,
-        L1Scheme::OneDimParity,
-        memops,
-        base.l1_stats,
-        base.l2_stats,
-    );
-    let blocks = (cfg.size_bytes() / cfg.block_bytes as usize) as f64;
-    let dirty_fraction = ReliabilityParams::paper_l1().dirty_fraction;
+    let b = cpi_of(kind);
+    let parity_b = cpi_of(parity);
+    let blocks = (size / cfg.block_bytes as usize) as f64;
+    let dirty_fraction = reliability.dirty_fraction;
     // One scrub pass per interval touches every block (read) and
     // rewrites the dirty ones; its CPI cost is that traffic amortised
     // over the interval.
@@ -351,20 +327,9 @@ pub fn evaluate(
         counts.reads += scrub_reads;
         counts.writes += scrub_writes;
     }
-    let size = cfg.size_bytes();
-    let assoc = cfg.associativity as usize;
-    let block = cfg.block_bytes as usize;
-    let pj = SchemeEnergy::new(size, assoc, block, pricing_of(cfg), TechnologyNode::Nm32)
-        .total_pj(&counts);
-    let base_pj = SchemeEnergy::new(
-        size,
-        assoc,
-        block,
-        ProtectionKind::OneDimParity { ways: 8 },
-        TechnologyNode::Nm32,
-    )
-    .total_pj(&base_counts);
-    let energy_ratio = pj / base_pj;
+    let (assoc, block) = (cfg.associativity as usize, cfg.block_bytes as usize);
+    let energy = |kind| SchemeEnergy::new(size, assoc, block, kind, TechnologyNode::Nm32);
+    let energy_ratio = energy(kind).total_pj(&counts) / energy(parity).total_pj(&base_counts);
 
     // Empirical cross-check: the fault-injection campaign, seeded from
     // the config digest so every config draws an independent but
@@ -382,10 +347,10 @@ pub fn evaluate(
     Ok(ConfigPoint {
         config: *cfg,
         digest,
-        mttf_years: mttf_years_of(cfg),
+        mttf_years: mttf_years(kind, &reliability, cfg.scrub_interval),
         energy_ratio,
         cpi_inflation_pct,
-        area_overhead_pct: area_overhead_pct(cfg),
+        area_overhead_pct: AreaModel::of(kind, size).overhead_fraction() * 100.0,
         tally,
     })
 }

@@ -16,6 +16,7 @@
 //! at any thread count and resumable across runs.
 
 use cppc_core::{CppcConfig, SchemeKind};
+use cppc_energy::ProtectionKind;
 
 /// Scrub intervals of the quick tier (cycles).
 const QUICK_SCRUB: u64 = 200_000;
@@ -63,6 +64,19 @@ impl SweepConfig {
             self.parity_k,
             scrub
         )
+    }
+
+    /// The model class every objective prices this config as: the
+    /// scheme's paper configuration, with CPPC's parity array scaled to
+    /// the swept interleave factor.
+    #[must_use]
+    pub(crate) fn pricing(&self) -> ProtectionKind {
+        match self.scheme.descriptor().pricing {
+            ProtectionKind::Cppc { .. } => ProtectionKind::Cppc {
+                ways: self.parity_k,
+            },
+            paper => paper,
+        }
     }
 
     /// The CPPC parameterisation this config implies: `parity_k`-way

@@ -15,8 +15,8 @@ use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_cache_sim::write_through::WriteThroughCache;
 use cppc_core::icr::IcrCache;
-use cppc_core::{CppcCache, CppcConfig};
-use cppc_energy::scheme::{ProtectionKind, SchemeEnergy};
+use cppc_core::{CppcCache, CppcConfig, SchemeKind};
+use cppc_energy::scheme::SchemeEnergy;
 use cppc_energy::tech::TechnologyNode;
 use cppc_energy::AreaModel;
 use cppc_reliability::mttf::{aliasing_vulnerable_bits, mttf_aliasing_years, mttf_cppc_years};
@@ -146,19 +146,15 @@ fn write_through(trace: &SharedTrace) -> [(f64, u64); 2] {
         apply!(wt, op, &mut mem_wt);
     }
     let l1_pj = |kind, counts| SchemeEnergy::new(32 * 1024, 2, 32, kind, node).total_pj(&counts);
-    let l2_parity = ProtectionKind::OneDimParity { ways: 8 };
-    let l2_write_pj = SchemeEnergy::new(1024 * 1024, 4, 32, l2_parity, node)
+    let [parity, cppc] = [SchemeKind::Parity1d, SchemeKind::Cppc].map(|k| k.descriptor().pricing);
+    let l2_write_pj = SchemeEnergy::new(1024 * 1024, 4, 32, parity, node)
         .model()
         .write_energy_pj();
     // Write-back pays the CPPC L1 plus its write-backs into the L2;
     // write-through a parity L1 plus one L2 write per store.
     let (wb_writes, wt_writes) = (wb.stats().writebacks, wt.store_traffic());
-    let cppc = ProtectionKind::Cppc { ways: 8 };
     let wb_pj = l1_pj(cppc, counts_from_stats(wb.stats(), 4));
-    let wt_pj = l1_pj(
-        ProtectionKind::OneDimParity { ways: 8 },
-        counts_from_stats(wt.stats(), 4),
-    );
+    let wt_pj = l1_pj(parity, counts_from_stats(wt.stats(), 4));
     [
         (wb_pj + wb_writes as f64 * l2_write_pj, wb_writes),
         (wt_pj + wt_writes as f64 * l2_write_pj, wt_writes),

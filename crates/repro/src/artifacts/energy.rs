@@ -7,7 +7,8 @@
 
 use cppc_bench::{mean, run_profile, EVAL_SEED};
 use cppc_cache_sim::stats::CacheStats;
-use cppc_energy::scheme::{ProtectionKind, SchemeEnergy};
+use cppc_core::SchemeKind;
+use cppc_energy::scheme::SchemeEnergy;
 use cppc_energy::tech::TechnologyNode;
 use cppc_timing::{counts_from_stats, MachineConfig};
 use cppc_workloads::spec2000_profiles;
@@ -69,28 +70,13 @@ fn level_ratios(
     stats: &[(String, CacheStats)],
 ) -> LevelRatios {
     let node = TechnologyNode::Nm32;
-    let parity = SchemeEnergy::new(
-        size,
-        assoc,
-        block,
-        ProtectionKind::OneDimParity { ways: 8 },
-        node,
-    );
-    let cppc = SchemeEnergy::new(size, assoc, block, ProtectionKind::Cppc { ways: 8 }, node);
-    let secded = SchemeEnergy::new(
-        size,
-        assoc,
-        block,
-        ProtectionKind::Secded { interleaved: true },
-        node,
-    );
-    let twodim = SchemeEnergy::new(
-        size,
-        assoc,
-        block,
-        ProtectionKind::TwoDimParity { ways: 8 },
-        node,
-    );
+    let [parity, cppc, secded, twodim] = [
+        SchemeKind::Parity1d,
+        SchemeKind::Cppc,
+        SchemeKind::SecdedInterleaved,
+        SchemeKind::Parity2d,
+    ]
+    .map(|k| SchemeEnergy::new(size, assoc, block, k.descriptor().pricing, node));
 
     let wpl = (block / 8) as u32;
     let mut out = LevelRatios {

@@ -7,7 +7,8 @@
 //! document). Three lenses, one row per scheme:
 //!
 //! * **MTTF** — the paper's §6.3 closed-form model at the Table 1 L1
-//!   parameters, each scheme mapped to its protection-domain size;
+//!   parameters, each scheme mapped to its protection-domain size by
+//!   the explorer's `mttf_years` from its descriptor's pricing;
 //! * **energy** — a deterministic rewrite-heavy probe trace driven
 //!   through each scheme's real write path (so silent-write elisions
 //!   are *measured*, not assumed), priced by the 32 nm model and
@@ -28,14 +29,12 @@ use cppc_campaign::rng::rngs::StdRng;
 use cppc_campaign::rng::{RngExt, SeedableRng};
 use cppc_campaign::CampaignConfig;
 use cppc_core::{CppcConfig, SchemeKind};
-use cppc_energy::scheme::{AccessCounts, ProtectionKind, SchemeEnergy};
+use cppc_energy::scheme::{AccessCounts, SchemeEnergy};
 use cppc_energy::tech::TechnologyNode;
+use cppc_explore::eval::mttf_years;
 use cppc_fault::campaign::OutcomeTally;
 use cppc_fault::model::FaultModel;
-use cppc_reliability::mttf::{
-    mttf_cppc_years, mttf_domain_double_fault_years, mttf_one_dim_parity_years, mttf_secded_years,
-    ReliabilityParams,
-};
+use cppc_reliability::mttf::ReliabilityParams;
 use cppc_timing::counts_from_stats;
 
 use crate::artifact::{Artifact, ArtifactOutput, MetricValue, RunConfig, Table, Tier, Tolerance};
@@ -114,24 +113,6 @@ fn campaign(kind: SchemeKind, trials: u64, threads: usize) -> OutcomeTally {
     cppc_campaign::run(&cfg, scheme_experiment(kind, CppcConfig::paper(), FAULT)).result
 }
 
-/// §6.3 closed-form MTTF of the scheme at the paper's L1 parameters,
-/// mapped to each scheme's protection-domain size: 1D parity dies on
-/// the first dirty fault; CPPC's domain is 1/8 of the dirty data (8-way
-/// parity); the word-SECDED codes (interleaved or not — interleaving
-/// changes which *spatial* strikes decompose, not the temporal
-/// double-fault domain) protect 64-bit codewords; 2D parity's single
-/// vertical row makes the whole dirty array one domain.
-fn mttf_years(kind: SchemeKind, p: &ReliabilityParams) -> f64 {
-    match kind {
-        SchemeKind::Cppc => mttf_cppc_years(p, 8),
-        SchemeKind::Parity1d => mttf_one_dim_parity_years(p),
-        SchemeKind::SecdedInterleaved | SchemeKind::SilentWriteEcc | SchemeKind::HarpOdecc => {
-            mttf_secded_years(p, 64.0)
-        }
-        SchemeKind::Parity2d => mttf_domain_double_fault_years(p, p.dirty_bits()),
-    }
-}
-
 /// Drives the deterministic probe trace through the scheme's real write
 /// path and returns the energy-model operation counts.
 ///
@@ -185,7 +166,7 @@ fn probe_counts(kind: SchemeKind) -> AccessCounts {
 /// Prices the probe counts for one scheme at the campaign cache's
 /// dimensions, 32 nm.
 fn probe_energy_pj(kind: SchemeKind, counts: &AccessCounts) -> f64 {
-    let pricing = ProtectionKind::for_scheme(kind.name()).expect("every zoo member is priced");
+    let pricing = kind.descriptor().pricing;
     SchemeEnergy::new(2048, 2, 32, pricing, TechnologyNode::Nm32).total_pj(counts)
 }
 
@@ -232,7 +213,7 @@ fn run(cfg: &RunConfig) -> ArtifactOutput {
             vec![
                 format!("`{}`", k.name()),
                 format!("{:.1}", d.storage_overhead_pct()),
-                format!("{:.3e}", mttf_years(k, &p)),
+                format!("{:.3e}", mttf_years(d.pricing, &p, None)),
                 format!("{:.3}", energy_ratio(k)),
             ]
         })
@@ -349,6 +330,7 @@ fn run(cfg: &RunConfig) -> ArtifactOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cppc_energy::ProtectionKind;
 
     #[test]
     fn probe_measures_elisions_only_for_the_silent_scheme() {

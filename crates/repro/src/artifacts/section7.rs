@@ -7,8 +7,8 @@ use cppc_cache_sim::geometry::CacheGeometry;
 use cppc_cache_sim::hierarchy3::ThreeLevelHierarchy;
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_coherence::{CoreOp, CppcCoherentSystem, SharedTraceGenerator};
-use cppc_core::CppcConfig;
-use cppc_energy::scheme::{ProtectionKind, SchemeEnergy};
+use cppc_core::{CppcConfig, SchemeKind};
+use cppc_energy::scheme::SchemeEnergy;
 use cppc_energy::tech::TechnologyNode;
 use cppc_timing::counts_from_stats;
 use cppc_workloads::{spec2000_profiles, TraceGenerator};
@@ -71,11 +71,8 @@ fn l3_chain(ops: usize) -> (Vec<Vec<String>>, [f64; 3]) {
     let node = TechnologyNode::Nm32;
     let geometry = LEVELS.map(|(size, assoc)| CacheGeometry::new(size, assoc, 32).expect("level"));
     let energy = LEVELS.map(|(size, assoc)| {
-        [
-            ProtectionKind::OneDimParity { ways: 8 },
-            ProtectionKind::Cppc { ways: 8 },
-        ]
-        .map(|kind| SchemeEnergy::new(size, assoc, 32, kind, node))
+        [SchemeKind::Parity1d, SchemeKind::Cppc]
+            .map(|k| SchemeEnergy::new(size, assoc, 32, k.descriptor().pricing, node))
     });
 
     let mut rows = Vec::new();

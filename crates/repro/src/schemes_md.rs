@@ -9,6 +9,8 @@
 
 use cppc_campaign::json::Json;
 use cppc_core::scheme::SchemeKind;
+use cppc_energy::ProtectionKind;
+use cppc_timing::L1Scheme;
 
 /// Renders the whole catalog. `comparison` is the committed
 /// `docs/results/scheme_comparison.json` document (its cross-scheme
@@ -47,9 +49,9 @@ pub fn render(comparison: Option<&Json>) -> String {
             name = d.name,
             anchor = anchor(d.name),
             title = d.title,
-            bits = d.code_bits_per_word,
+            bits = d.pricing.code_bits_per_word(),
             overhead = d.storage_overhead_pct(),
-            il = d.interleave_degree,
+            il = d.pricing.interleave_degree(),
         ));
     }
     out.push('\n');
@@ -62,21 +64,26 @@ pub fn render(comparison: Option<&Json>) -> String {
         out.push_str(d.summary);
         out.push_str("\n\n");
         out.push_str("| property | value |\n|---|---|\n");
-        out.push_str(&format!(
-            "| code bits per 64-bit word | {} |\n",
-            d.code_bits_per_word
-        ));
-        out.push_str(&format!(
-            "| storage overhead | {:.1}% |\n",
-            d.storage_overhead_pct()
-        ));
-        out.push_str(&format!(
-            "| physical interleave | {}x |\n",
-            d.interleave_degree
-        ));
-        out.push_str(&format!("| extra state | {} |\n", d.extra_state));
-        out.push_str(&format!("| detects | {} |\n", d.detection));
-        out.push_str(&format!("| corrects | {} |\n", d.correction));
+        for (property, value) in [
+            (
+                "code bits per 64-bit word",
+                d.pricing.code_bits_per_word().to_string(),
+            ),
+            (
+                "storage overhead",
+                format!("{:.1}%", d.storage_overhead_pct()),
+            ),
+            (
+                "physical interleave",
+                format!("{}x", d.pricing.interleave_degree()),
+            ),
+            ("timing / energy model", model_row(d.pricing)),
+            ("extra state", d.extra_state.to_string()),
+            ("detects", d.detection.to_string()),
+            ("corrects", d.correction.to_string()),
+        ] {
+            out.push_str(&format!("| {property} | {value} |\n"));
+        }
         out.push('\n');
     }
 
@@ -101,6 +108,29 @@ pub fn render(comparison: Option<&Json>) -> String {
     out
 }
 
+/// The "timing / energy model" row: the port-traffic class the CPI
+/// model charges the scheme and the rule the energy model prices it by,
+/// both read from the descriptor's `pricing`.
+fn model_row(kind: ProtectionKind) -> String {
+    use ProtectionKind as K;
+    let timing = match L1Scheme::from(kind) {
+        L1Scheme::OneDimParity => "1D parity (no extra port traffic)",
+        L1Scheme::Cppc => "CPPC (a read-before-write per store to a dirty word)",
+        L1Scheme::Secded => "SECDED (decoded off the critical path: no extra port traffic)",
+        L1Scheme::TwoDimParity => "2D parity (a read-before-write per store, a line read per miss)",
+    };
+    let energy = match kind {
+        K::OneDimParity { ways } => format!("{ways}-way 1D parity"),
+        K::Cppc { ways } => format!("{ways}-way parity, read-before-writes, shifts and XORs"),
+        K::TwoDimParity { ways } => format!("{ways}-way parity, vertical-row read-before-writes"),
+        K::Secded { interleaved: true } => "SECDED on 8x interleaved bitlines".into(),
+        K::Secded { interleaved: false } => "non-interleaved SECDED".into(),
+        K::SilentWriteEcc => "non-interleaved SECDED, each elided silent store free".into(),
+        K::OnDieEcc => "non-interleaved SECDED; write-through traffic not counted".into(),
+    };
+    format!("timed as {timing}; priced as {energy}")
+}
+
 /// GitHub-style anchor of a `## \`name\`` heading: backticks are
 /// stripped, the rest of the selector name survives verbatim.
 fn anchor(name: &str) -> String {
@@ -121,6 +151,11 @@ mod tests {
         }
         assert!(text.contains("Not generated yet"));
         assert!(text.contains("GENERATED FILE"));
+        // The related-work SECDED variants state how they are modelled.
+        assert!(text.contains(
+            "timed as SECDED (decoded off the critical path: no extra port traffic); \
+             priced as non-interleaved SECDED, each elided silent store free"
+        ));
     }
 
     #[test]

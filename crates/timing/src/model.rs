@@ -4,6 +4,7 @@ use cppc_cache_sim::batch::OpBatch;
 use cppc_cache_sim::hierarchy::{MemOp, TwoLevelHierarchy};
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_cache_sim::stats::CacheStats;
+use cppc_energy::ProtectionKind;
 use cppc_workloads::{BenchmarkProfile, SharedTrace, TraceGenerator};
 
 use crate::config::MachineConfig;
@@ -34,7 +35,9 @@ pub enum PortConfig {
     SinglePorted,
 }
 
-/// Which protection scheme the L1 uses (for the Figure 10 comparison).
+/// The L1 protection scheme's port-traffic class (for the Figure 10
+/// comparison). A priced scheme maps onto it through
+/// `From<ProtectionKind>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum L1Scheme {
     /// One-dimensional (interleaved) parity — no extra port traffic.
@@ -47,6 +50,22 @@ pub enum L1Scheme {
     /// Two-dimensional parity — read-before-write on every store and a
     /// full line read on every miss.
     TwoDimParity,
+}
+
+impl From<ProtectionKind> for L1Scheme {
+    /// The port traffic a priced scheme costs. The SECDED-class kinds
+    /// (interleaved or not, silent-write-aware, on-die) all decode off
+    /// the critical path (§6.1) and add none.
+    fn from(kind: ProtectionKind) -> Self {
+        match kind {
+            ProtectionKind::OneDimParity { .. } => L1Scheme::OneDimParity,
+            ProtectionKind::Cppc { .. } => L1Scheme::Cppc,
+            ProtectionKind::TwoDimParity { .. } => L1Scheme::TwoDimParity,
+            ProtectionKind::Secded { .. }
+            | ProtectionKind::SilentWriteEcc
+            | ProtectionKind::OnDieEcc => L1Scheme::Secded,
+        }
+    }
 }
 
 /// CPI decomposition for one benchmark run.
@@ -282,6 +301,34 @@ mod tests {
     use cppc_workloads::spec2000_profiles;
 
     const OPS: usize = 60_000;
+
+    #[test]
+    fn every_protection_kind_maps_to_its_port_traffic_class() {
+        for (kind, class) in [
+            (
+                ProtectionKind::OneDimParity { ways: 8 },
+                L1Scheme::OneDimParity,
+            ),
+            (ProtectionKind::Cppc { ways: 4 }, L1Scheme::Cppc),
+            (
+                ProtectionKind::TwoDimParity { ways: 8 },
+                L1Scheme::TwoDimParity,
+            ),
+            (
+                ProtectionKind::Secded { interleaved: true },
+                L1Scheme::Secded,
+            ),
+            (
+                ProtectionKind::Secded { interleaved: false },
+                L1Scheme::Secded,
+            ),
+            // The two SECDED-class fallbacks: timed as plain SECDED.
+            (ProtectionKind::SilentWriteEcc, L1Scheme::Secded),
+            (ProtectionKind::OnDieEcc, L1Scheme::Secded),
+        ] {
+            assert_eq!(L1Scheme::from(kind), class, "{kind:?}");
+        }
+    }
 
     fn run_all(scheme: L1Scheme) -> Vec<(String, f64)> {
         let model = TimingModel::default();

@@ -3,11 +3,10 @@
 //!
 //! Run with `cargo run --release --example fault_campaign [trials]`.
 
-use cppc::cache_sim::{CacheGeometry, MainMemory, ReplacementPolicy};
-use cppc::core::baselines::OneDimParityCache;
-use cppc::core::{CppcCache, CppcConfig};
+use cppc::cache_sim::{CacheGeometry, MainMemory};
+use cppc::core::{CppcConfig, ProtectionScheme, SchemeKind};
 use cppc::fault::campaign::{Campaign, Outcome, OutcomeTally};
-use cppc::fault::model::{FaultGenerator, FaultModel};
+use cppc::fault::model::FaultModel;
 use cppc_campaign::rng::rngs::StdRng;
 use cppc_campaign::rng::{RngExt, SeedableRng};
 
@@ -16,71 +15,37 @@ fn geometry() -> CacheGeometry {
 }
 
 /// Fills way 0 with dirty random data and returns the ground truth.
-fn fill_dirty(cache: &mut CppcCache, mem: &mut MainMemory, seed: u64) -> Vec<(u64, u64)> {
-    let geo = *cache.geometry();
+fn fill_dirty(
+    scheme: &mut dyn ProtectionScheme,
+    mem: &mut MainMemory,
+    seed: u64,
+) -> Vec<(u64, u64)> {
+    let geo = geometry();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut truth = Vec::new();
     for set in 0..geo.num_sets() {
         for word in 0..geo.words_per_block() {
             let addr = geo.address_of(0, set) + (word * 8) as u64;
             let v: u64 = rng.random();
-            cache.store_word(addr, v, mem).expect("no faults yet");
+            scheme.write_word(addr, v, mem).expect("no faults yet");
             truth.push((addr, v));
         }
     }
     truth
 }
 
-fn campaign_cppc(config: CppcConfig, model: FaultModel, trials: u64) -> OutcomeTally {
+/// One campaign body for every scheme: fill, strike, then let the
+/// scheme's own recovery procedure grade the outcome. `config`
+/// parameterizes CPPC only.
+fn campaign(kind: SchemeKind, config: CppcConfig, model: FaultModel, trials: u64) -> OutcomeTally {
     Campaign::new(0xFA11).run(trials, |rng, trial| {
         let mut mem = MainMemory::new();
-        let mut cache =
-            CppcCache::new_l1(geometry(), config, ReplacementPolicy::Lru).expect("valid config");
-        let truth = fill_dirty(&mut cache, &mut mem, trial);
-        let mut generator = FaultGenerator::new(cache.layout().num_rows() / 2, rng.random());
-        if cache.inject(&generator.sample(model)) == 0 {
+        let mut scheme = kind.build(geometry(), config).expect("valid config");
+        let truth = fill_dirty(scheme.as_mut(), &mut mem, trial);
+        if scheme.inject_model(model, rng) == 0 {
             return Outcome::Masked;
         }
-        match cache.recover_all(&mut mem) {
-            Err(_) => Outcome::DetectedUnrecoverable,
-            Ok(_) => {
-                if truth.iter().all(|&(a, v)| cache.peek_word(a) == Some(v)) {
-                    Outcome::Corrected
-                } else {
-                    Outcome::SilentCorruption
-                }
-            }
-        }
-    })
-}
-
-fn campaign_parity(model: FaultModel, trials: u64) -> OutcomeTally {
-    Campaign::new(0xFA11).run(trials, |rng, trial| {
-        let mut mem = MainMemory::new();
-        let mut cache = OneDimParityCache::new(geometry(), 8, ReplacementPolicy::Lru);
-        let mut rng_fill = StdRng::seed_from_u64(trial);
-        let geo = geometry();
-        let mut truth = Vec::new();
-        for set in 0..geo.num_sets() {
-            for word in 0..geo.words_per_block() {
-                let addr = geo.address_of(0, set) + (word * 8) as u64;
-                let v: u64 = rng_fill.random();
-                cache.store_word(addr, v, &mut mem);
-                truth.push((addr, v));
-            }
-        }
-        let mut generator = FaultGenerator::new(cache.layout().num_rows() / 2, rng.random());
-        if cache.inject(&generator.sample(model)) == 0 {
-            return Outcome::Masked;
-        }
-        for &(a, v) in &truth {
-            match cache.load_word(a, &mut mem) {
-                Err(_) => return Outcome::DetectedUnrecoverable,
-                Ok(got) if got != v => return Outcome::SilentCorruption,
-                Ok(_) => {}
-            }
-        }
-        Outcome::Masked
+        scheme.classify(&truth, &mut mem)
     })
 }
 
@@ -120,23 +85,19 @@ fn main() {
         ),
     ] {
         println!("{name}:");
-        report("1D parity", &campaign_parity(model, trials));
-        report(
-            "CPPC basic (1b parity)",
-            &campaign_cppc(CppcConfig::basic(), model, trials),
-        );
-        report(
-            "CPPC paper (1 pair)",
-            &campaign_cppc(CppcConfig::paper(), model, trials),
-        );
-        report(
-            "CPPC 2 pairs",
-            &campaign_cppc(CppcConfig::two_pairs(), model, trials),
-        );
-        report(
-            "CPPC 8 pairs",
-            &campaign_cppc(CppcConfig::eight_pairs(), model, trials),
-        );
+        for (label, kind, config) in [
+            ("1D parity", SchemeKind::Parity1d, CppcConfig::paper()),
+            (
+                "CPPC basic (1b parity)",
+                SchemeKind::Cppc,
+                CppcConfig::basic(),
+            ),
+            ("CPPC paper (1 pair)", SchemeKind::Cppc, CppcConfig::paper()),
+            ("CPPC 2 pairs", SchemeKind::Cppc, CppcConfig::two_pairs()),
+            ("CPPC 8 pairs", SchemeKind::Cppc, CppcConfig::eight_pairs()),
+        ] {
+            report(label, &campaign(kind, config, model, trials));
+        }
         println!();
     }
     println!("notes:");
