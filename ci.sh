@@ -8,6 +8,11 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
+echo "== non-test lines under crates/ (informational; never fails)"
+# The size every change reports in CHANGES.md; per-file counts come
+# from running the script itself.
+scripts/nontest_loc.sh | tail -n 1 || true
+
 echo "== cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 

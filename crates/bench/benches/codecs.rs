@@ -50,29 +50,6 @@ fn bench_secded(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_block_secded(c: &mut Criterion) {
-    use cppc_ecc::secded_block::BlockSecded;
-    let mut group = c.benchmark_group("block_secded_4w");
-    let code = BlockSecded::new(4);
-    let data = [0xDEAD_BEEFu64, 0x0123_4567, u64::MAX, 0xA5A5];
-    group.bench_function("encode", |b| {
-        b.iter(|| code.encode(black_box(&data)).unwrap())
-    });
-    let check = code.encode(&data).unwrap();
-    group.bench_function("decode_clean", |b| {
-        b.iter(|| code.decode(black_box(&data), black_box(check)).unwrap())
-    });
-    let mut corrupted = data;
-    corrupted[2] ^= 1 << 33;
-    group.bench_function("decode_correct_single", |b| {
-        b.iter(|| {
-            code.decode(black_box(&corrupted), black_box(check))
-                .unwrap()
-        })
-    });
-    group.finish();
-}
-
 fn bench_rotation(c: &mut Criterion) {
     let mut group = c.benchmark_group("barrel_shifter");
     group.bench_function("rotate_left", |b| {
@@ -84,11 +61,5 @@ fn bench_rotation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_parity,
-    bench_secded,
-    bench_block_secded,
-    bench_rotation
-);
+criterion_group!(benches, bench_parity, bench_secded, bench_rotation);
 criterion_main!(benches);

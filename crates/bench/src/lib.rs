@@ -46,9 +46,8 @@ pub struct RunResult {
 /// Runs `profile` for `ops` operations through the paper's Table 1
 /// hierarchy and collects every statistic the figures need.
 ///
-/// `cycles_per_op` calibrates `Tavg` into cycles; use the profile's
-/// instructions-per-memop times an assumed CPI of ~1 for Table 2-style
-/// numbers.
+/// `Tavg` is counted in cycles at the profile's instructions per memory
+/// operation (an assumed CPI of 1), rounded and at least 1.
 ///
 /// # Panics
 ///
@@ -56,24 +55,6 @@ pub struct RunResult {
 #[must_use]
 pub fn run_profile(profile: &BenchmarkProfile, ops: usize, seed: u64) -> RunResult {
     let trace = SharedTrace::generate(profile, seed, ops / 2 + ops);
-    run_profile_trace(profile, &trace, ops)
-}
-
-/// Like [`run_profile`], but replaying a pre-generated [`SharedTrace`]
-/// (generated once per campaign and reused by every scheme or thread).
-/// The trace must hold at least `ops / 2 + ops` operations — warmup plus
-/// measurement — so the access stream is bit-identical to
-/// `run_profile(profile, ops, seed)` with the trace's seed.
-///
-/// # Panics
-///
-/// Panics if the trace is shorter than `ops / 2 + ops` operations.
-#[must_use]
-pub fn run_profile_trace(profile: &BenchmarkProfile, trace: &SharedTrace, ops: usize) -> RunResult {
-    assert!(
-        trace.len() >= ops / 2 + ops,
-        "trace shorter than warmup+run"
-    );
     let machine = MachineConfig::table1();
     let l1 = machine.l1d.geometry().expect("valid L1");
     let l2 = machine.l2.geometry().expect("valid L2");

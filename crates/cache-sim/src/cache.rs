@@ -59,8 +59,7 @@ pub struct Eviction {
     pub dirty_mask: u64,
 }
 
-/// A read-only view of one block in the storage arena. Mirrors the
-/// accessor API of [`CacheBlock`](crate::block::CacheBlock).
+/// A read-only view of one block in the storage arena.
 #[derive(Debug, Clone, Copy)]
 pub struct BlockRef<'a> {
     tag: u64,

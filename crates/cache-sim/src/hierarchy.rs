@@ -77,10 +77,6 @@ impl DirtyIntervalTracker {
         }
     }
 
-    fn forget(&mut self, key: u64) {
-        self.last_touch.remove(&key);
-    }
-
     fn tavg(&self) -> Option<f64> {
         if self.interval_count == 0 {
             None
@@ -366,14 +362,6 @@ impl TwoLevelHierarchy {
     #[must_use]
     pub fn stats(&self) -> (CacheStats, CacheStats) {
         (*self.l1.stats(), *self.l2.stats())
-    }
-
-    /// Forgets interval stamps for evicted L1 words — exposed for tests;
-    /// in normal operation stale stamps only add slack to Tavg when a
-    /// word is re-fetched and re-dirtied, which mirrors the paper's
-    /// access-interval definition closely enough.
-    pub fn forget_l1_word(&mut self, word_addr: u64) {
-        self.l1_intervals.forget(word_addr & !7);
     }
 }
 

@@ -4,12 +4,12 @@
 //! the CPPC reproduction builds on:
 //!
 //! * [`geometry`] — cache dimensioning and address field extraction.
-//! * [`block`] — cache blocks holding *real data* (64-bit words) with
-//!   per-word dirty bits, exactly as an L1 CPPC requires (paper §3).
 //! * [`replacement`] — LRU / FIFO / seeded-random replacement policies.
 //! * [`cache`] — a write-back, write-allocate set-associative cache with
 //!   full event statistics, plus primitives (probe / fill / direct word
-//!   access) that the protected-cache implementations compose.
+//!   access) that the protected-cache implementations compose. Blocks
+//!   of real 64-bit words with per-word dirty bits live in one flat
+//!   arena, viewed through [`cache::BlockRef`] / [`cache::BlockMut`].
 //! * [`memory`] — a sparse backing store, the authoritative copy that
 //!   clean-data recovery re-fetches from.
 //! * [`hierarchy`] — a two-level (L1 + L2 + memory) functional simulator
@@ -40,7 +40,6 @@
 #![deny(missing_docs)]
 
 pub mod batch;
-pub mod block;
 pub mod cache;
 pub mod geometry;
 pub mod hierarchy;
@@ -50,12 +49,10 @@ pub mod obs;
 pub mod replacement;
 pub mod snapshot;
 pub mod stats;
-pub mod victim;
 pub mod wordmap;
 pub mod write_through;
 
 pub use batch::OpBatch;
-pub use block::CacheBlock;
 pub use cache::Cache;
 pub use geometry::{CacheGeometry, GeometryError};
 pub use hierarchy::TwoLevelHierarchy;
@@ -64,5 +61,4 @@ pub use memory::MainMemory;
 pub use replacement::ReplacementPolicy;
 pub use snapshot::{CacheSnapshot, MemorySnapshot};
 pub use stats::CacheStats;
-pub use victim::{VictimBuffer, VictimSnapshot};
 pub use write_through::WriteThroughCache;

@@ -90,12 +90,6 @@ impl CppcCoherentSystem {
         }
     }
 
-    /// Number of cores.
-    #[must_use]
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Protocol statistics.
     #[must_use]
     pub fn stats(&self) -> &CoherenceStats {

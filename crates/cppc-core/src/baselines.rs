@@ -21,7 +21,6 @@ use cppc_cache_sim::cache::{Backing, Cache};
 use cppc_cache_sim::geometry::CacheGeometry;
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_cache_sim::stats::CacheStats;
-use cppc_ecc::interleave::BitInterleaving;
 use cppc_ecc::interleaved::InterleavedParity;
 use cppc_ecc::secded::{DecodeOutcome, Secded64};
 use cppc_fault::layout::PhysicalLayout;
@@ -233,7 +232,7 @@ pub struct SecdedCache {
     inner: Cache,
     check: Vec<u16>,
     layout: PhysicalLayout,
-    interleaving: Option<BitInterleaving>,
+    interleaved: bool,
     corrected: u64,
     dues: u64,
     rmw_reads: u64,
@@ -250,7 +249,7 @@ impl SecdedCache {
             inner: Cache::new(geo, policy),
             check: vec![Secded64::encode(0).check_bits(); layout.num_rows()],
             layout,
-            interleaving: interleaved.then(|| BitInterleaving::new(8, 64)),
+            interleaved,
             corrected: 0,
             dues: 0,
             rmw_reads: 0,
@@ -288,14 +287,6 @@ impl SecdedCache {
     #[must_use]
     pub fn layout(&self) -> &PhysicalLayout {
         &self.layout
-    }
-
-    /// The bitline-energy multiplier this configuration pays (8 with
-    /// interleaving, 1 without) — used by the energy model.
-    #[must_use]
-    pub fn bitline_multiplier(&self) -> f64 {
-        self.interleaving
-            .map_or(1.0, |il| il.bitline_energy_multiplier())
     }
 
     fn refresh_check(&mut self, set: usize, way: usize, w: usize) {
@@ -433,33 +424,30 @@ impl SecdedCache {
         cols: u32,
     ) -> Vec<BitFlip> {
         let mut flips = Vec::new();
-        match self.interleaving {
-            None => {
-                for dr in 0..rows {
-                    for dc in 0..cols {
+        if self.interleaved {
+            // Physical row r holds logical rows 8r..8r+7 interleaved:
+            // physical column c maps to logical row 8r + (c % 8),
+            // bit c / 8. Strike columns live in 0..512.
+            assert!(col0 + cols <= 512, "physical strike leaves the row");
+            for dr in 0..rows {
+                for dc in 0..cols {
+                    let c = col0 + dc;
+                    let logical_row = 8 * (row0 + dr) + (c % 8) as usize;
+                    if logical_row < self.layout.num_rows() {
                         flips.push(BitFlip {
-                            row: row0 + dr,
-                            col: col0 + dc,
+                            row: logical_row,
+                            col: c / 8,
                         });
                     }
                 }
             }
-            Some(_) => {
-                // Physical row r holds logical rows 8r..8r+7 interleaved:
-                // physical column c maps to logical row 8r + (c % 8),
-                // bit c / 8. Strike columns live in 0..512.
-                assert!(col0 + cols <= 512, "physical strike leaves the row");
-                for dr in 0..rows {
-                    for dc in 0..cols {
-                        let c = col0 + dc;
-                        let logical_row = 8 * (row0 + dr) + (c % 8) as usize;
-                        if logical_row < self.layout.num_rows() {
-                            flips.push(BitFlip {
-                                row: logical_row,
-                                col: c / 8,
-                            });
-                        }
-                    }
+        } else {
+            for dr in 0..rows {
+                for dc in 0..cols {
+                    flips.push(BitFlip {
+                        row: row0 + dr,
+                        col: col0 + dc,
+                    });
                 }
             }
         }
@@ -487,251 +475,6 @@ impl SecdedCache {
     /// stored; the per-word check bits stay consistent with it).
     pub fn flush<B: Backing>(&mut self, backing: &mut B) {
         self.inner.flush(backing);
-    }
-}
-
-// ======================================================================
-// Block-granularity SECDED (the paper's L2 SECDED organisation)
-// ======================================================================
-
-/// A write-back cache protected by one SECDED code per *block* (§6:
-/// "As an L2 cache, a SECDED is attached to a block instead of each
-/// word") — less check storage than per-word SECDED (e.g. 10 bits per
-/// 256 data bits vs 32), at the price of a read-modify-write on every
-/// partial (sub-block) write, since the whole block's code must be
-/// recomputed. This RMW cost is exactly the §1 argument for why
-/// enlarging an *ECC* domain is expensive while enlarging CPPC's
-/// XOR domain is free.
-#[derive(Debug, Clone)]
-pub struct BlockSecdedCache {
-    inner: Cache,
-    code: cppc_ecc::secded_block::BlockSecded,
-    check: Vec<u32>,
-    layout: PhysicalLayout,
-    rmw_reads: u64,
-    corrected: u64,
-    dues: u64,
-}
-
-impl BlockSecdedCache {
-    /// Creates the cache.
-    #[must_use]
-    pub fn new(geo: CacheGeometry, policy: ReplacementPolicy) -> Self {
-        let layout =
-            PhysicalLayout::new(geo.num_sets(), geo.associativity(), geo.words_per_block());
-        let code = cppc_ecc::secded_block::BlockSecded::new(geo.words_per_block());
-        let clean_check = code.encode(&vec![0; geo.words_per_block()]).expect("width");
-        BlockSecdedCache {
-            inner: Cache::new(geo, policy),
-            code,
-            check: vec![clean_check; geo.num_sets() * geo.associativity()],
-            layout,
-            rmw_reads: 0,
-            corrected: 0,
-            dues: 0,
-        }
-    }
-
-    /// Generic cache statistics.
-    #[must_use]
-    pub fn cache_stats(&self) -> &CacheStats {
-        self.inner.stats()
-    }
-
-    /// Read-modify-write block reads forced by partial writes.
-    #[must_use]
-    pub fn rmw_reads(&self) -> u64 {
-        self.rmw_reads
-    }
-
-    /// Single-bit corrections performed.
-    #[must_use]
-    pub fn corrected(&self) -> u64 {
-        self.corrected
-    }
-
-    /// Double-bit (unrecoverable) errors seen.
-    #[must_use]
-    pub fn dues(&self) -> u64 {
-        self.dues
-    }
-
-    /// The physical layout (for fault targeting).
-    #[must_use]
-    pub fn layout(&self) -> &PhysicalLayout {
-        &self.layout
-    }
-
-    fn slot(&self, set: usize, way: usize) -> usize {
-        set * self.inner.geometry().associativity() + way
-    }
-
-    fn refresh_check(&mut self, set: usize, way: usize) {
-        let slot = self.slot(set, way);
-        self.check[slot] = self
-            .code
-            .encode(self.inner.block(set, way).words())
-            .expect("block width");
-    }
-
-    fn ensure_resident<B: Backing>(
-        &mut self,
-        addr: u64,
-        is_store: bool,
-        backing: &mut B,
-    ) -> (usize, usize) {
-        if let Some((set, way)) = self.inner.probe(addr) {
-            self.inner.record_access(is_store, true);
-            self.inner.touch(set, way);
-            return (set, way);
-        }
-        self.inner.record_access(is_store, false);
-        let set = self.inner.geometry().set_index(addr);
-        let way = self.inner.choose_way_for_fill(set);
-        let _ = self.inner.fill_into(addr, way, backing);
-        self.refresh_check(set, way);
-        (set, way)
-    }
-
-    fn decode_block(&mut self, set: usize, way: usize) -> Result<(), UnrecoverableFault> {
-        let slot = self.slot(set, way);
-        let words = self.inner.block(set, way).words().to_vec();
-        match self
-            .code
-            .decode(&words, self.check[slot])
-            .expect("block width")
-        {
-            cppc_ecc::secded_block::BlockDecodeOutcome::Clean(_) => Ok(()),
-            cppc_ecc::secded_block::BlockDecodeOutcome::Corrected { data, .. } => {
-                for (w, &v) in data.iter().enumerate() {
-                    self.inner.block_mut(set, way).patch_word(w, v);
-                }
-                self.refresh_check(set, way);
-                self.corrected += 1;
-                Ok(())
-            }
-            cppc_ecc::secded_block::BlockDecodeOutcome::DetectedUncorrectable => {
-                self.dues += 1;
-                Err(UnrecoverableFault::DoubleBitError)
-            }
-        }
-    }
-
-    /// Loads a word, decoding the whole block's SECDED code.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnrecoverableFault::DoubleBitError`] on an
-    /// uncorrectable error.
-    pub fn load_word<B: Backing>(
-        &mut self,
-        addr: u64,
-        backing: &mut B,
-    ) -> Result<u64, UnrecoverableFault> {
-        let (set, way) = self.ensure_resident(addr, false, backing);
-        self.decode_block(set, way)?;
-        let w = self.inner.geometry().word_index(addr);
-        Ok(self.inner.block(set, way).word(w))
-    }
-
-    /// Stores a word. A sub-block write forces a read-modify-write of
-    /// the whole block (the old data is needed to recompute the code,
-    /// and it must be decoded first lest a latent fault be absorbed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnrecoverableFault::DoubleBitError`] if the RMW decode
-    /// flags an uncorrectable error.
-    pub fn store_word<B: Backing>(
-        &mut self,
-        addr: u64,
-        value: u64,
-        backing: &mut B,
-    ) -> Result<(), UnrecoverableFault> {
-        let (set, way) = self.ensure_resident(addr, true, backing);
-        self.rmw_reads += 1;
-        self.decode_block(set, way)?;
-        let w = self.inner.geometry().word_index(addr);
-        self.inner.store_word_in_place(set, way, w, value);
-        self.refresh_check(set, way);
-        Ok(())
-    }
-
-    /// Stores one byte: a partial write of the 256-bit codeword — the
-    /// full block must be read, decoded and re-encoded (paper §1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnrecoverableFault::DoubleBitError`] if the RMW decode
-    /// flags an uncorrectable error.
-    pub fn store_byte<B: Backing>(
-        &mut self,
-        addr: u64,
-        value: u8,
-        backing: &mut B,
-    ) -> Result<(), UnrecoverableFault> {
-        let (set, way) = self.ensure_resident(addr, true, backing);
-        self.rmw_reads += 1;
-        self.decode_block(set, way)?;
-        let w = self.inner.geometry().word_index(addr);
-        let byte = self.inner.geometry().byte_in_word(addr);
-        self.inner.store_byte_in_place(set, way, w, byte, value);
-        self.refresh_check(set, way);
-        Ok(())
-    }
-
-    /// Accepts a whole-block write (no RMW needed when `mask` covers
-    /// the full block — the L2 CPPC comparison point).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnrecoverableFault::DoubleBitError`] if a partial
-    /// write's RMW decode fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not one block wide.
-    pub fn write_block<B: Backing>(
-        &mut self,
-        addr: u64,
-        data: &[u64],
-        mask: u64,
-        backing: &mut B,
-    ) -> Result<(), UnrecoverableFault> {
-        let wpb = self.inner.geometry().words_per_block();
-        assert_eq!(data.len(), wpb, "block width");
-        let (set, way) = self.ensure_resident(addr, true, backing);
-        let full = mask.count_ones() as usize == wpb;
-        if !full {
-            self.rmw_reads += 1;
-            self.decode_block(set, way)?;
-        }
-        for (w, &v) in data.iter().enumerate() {
-            if mask >> w & 1 == 1 {
-                self.inner.store_word_in_place(set, way, w, v);
-            }
-        }
-        self.refresh_check(set, way);
-        Ok(())
-    }
-
-    /// Applies a fault pattern; returns bits flipped.
-    pub fn inject(&mut self, pattern: &FaultPattern) -> usize {
-        let mut applied = 0;
-        for flip in pattern.flips() {
-            let (set, way, word) = self.layout.location_of(flip.row);
-            if self.inner.block(set, way).is_valid() {
-                self.inner.block_mut(set, way).flip_bit(word, flip.col);
-                applied += 1;
-            }
-        }
-        applied
-    }
-
-    /// Reads the resident word without side effects or decoding.
-    #[must_use]
-    pub fn peek_word(&self, addr: u64) -> Option<u64> {
-        self.inner.peek_word(addr)
     }
 }
 
@@ -1097,74 +840,39 @@ mod tests {
     }
 
     #[test]
-    fn secded_bitline_multiplier() {
-        assert_eq!(
-            SecdedCache::new(geo(), true, ReplacementPolicy::Lru).bitline_multiplier(),
-            8.0
-        );
-        assert_eq!(
-            SecdedCache::new(geo(), false, ReplacementPolicy::Lru).bitline_multiplier(),
-            1.0
-        );
-    }
-
-    // ---------------- Block SECDED ----------------
-
-    #[test]
-    fn block_secded_roundtrip_and_correction() {
+    fn interleaving_gives_each_word_at_most_one_flip_up_to_eight_columns() {
+        // Physical column c of interleaved row r holds bit c / 8 of
+        // logical row 8r + c % 8, so a strike up to eight columns wide
+        // flips at most one bit per word; nine columns reach one word
+        // twice.
         let mut mem = MainMemory::new();
-        let mut c = BlockSecdedCache::new(geo(), ReplacementPolicy::Lru);
-        c.store_word(0x40, 0xFEED, &mut mem).unwrap();
-        c.store_word(0x48, 0xBEEF, &mut mem).unwrap();
-        let row = c.layout().row_of(geo().set_index(0x40), 0, 1);
-        c.inject(&FaultPattern::new(vec![BitFlip { row, col: 30 }]));
-        assert_eq!(c.load_word(0x48, &mut mem).unwrap(), 0xBEEF);
-        assert_eq!(c.corrected(), 1);
-    }
-
-    #[test]
-    fn block_secded_double_bit_anywhere_in_block_is_due() {
-        // The enlarged codeword's weakness: two flips anywhere in the
-        // 256-bit block are fatal, even in *different words*.
-        let mut mem = MainMemory::new();
-        let mut c = BlockSecdedCache::new(geo(), ReplacementPolicy::Lru);
-        c.store_word(0x40, 1, &mut mem).unwrap();
-        let set = geo().set_index(0x40);
-        c.inject(&FaultPattern::new(vec![
-            BitFlip {
-                row: c.layout().row_of(set, 0, 0),
-                col: 3,
-            },
-            BitFlip {
-                row: c.layout().row_of(set, 0, 2),
-                col: 9,
-            },
-        ]));
-        assert_eq!(
-            c.load_word(0x40, &mut mem),
-            Err(UnrecoverableFault::DoubleBitError)
-        );
-    }
-
-    #[test]
-    fn block_secded_counts_rmw() {
-        let mut mem = MainMemory::new();
-        let mut c = BlockSecdedCache::new(geo(), ReplacementPolicy::Lru);
-        c.store_word(0x40, 1, &mut mem).unwrap(); // partial: RMW
-        assert_eq!(c.rmw_reads(), 1);
-        c.write_block(0x80, &[1, 2, 3, 4], 0b1111, &mut mem)
-            .unwrap(); // full: free
-        assert_eq!(c.rmw_reads(), 1);
-        c.write_block(0x80, &[9, 9, 9, 9], 0b0011, &mut mem)
-            .unwrap(); // partial
-        assert_eq!(c.rmw_reads(), 2);
-    }
-
-    #[test]
-    fn block_secded_check_storage_is_smaller() {
-        // 10 bits per 32-byte block vs 32 bits for per-word SECDED.
-        let code = cppc_ecc::secded_block::BlockSecded::new(4);
-        assert!(code.check_bits() < 4 * 8 / 2);
+        let mut c = SecdedCache::new(geo(), true, ReplacementPolicy::Lru);
+        for addr in (0..1024u64).step_by(8) {
+            c.store_word(addr, addr, &mut mem);
+        }
+        let rows = c.layout().num_rows();
+        let most_flips_in_one_word = |flips: &[BitFlip]| {
+            let mut per_row = vec![0u32; rows];
+            for f in flips {
+                per_row[f.row] += 1;
+            }
+            per_row.into_iter().max().unwrap_or(0)
+        };
+        for width in 1..=8u32 {
+            for col0 in 0..=512 - width {
+                let flips = c.inject_spatial(1, col0, 2, width);
+                assert_eq!(flips.len(), 2 * width as usize, "width {width} col0 {col0}");
+                assert_eq!(
+                    most_flips_in_one_word(&flips),
+                    1,
+                    "width {width} col0 {col0}"
+                );
+            }
+        }
+        for col0 in 0..=512 - 9 {
+            let flips = c.inject_spatial(1, col0, 2, 9);
+            assert_eq!(most_flips_in_one_word(&flips), 2, "col0 {col0}");
+        }
     }
 
     // ---------------- Two-dimensional parity ----------------

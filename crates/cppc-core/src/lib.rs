@@ -7,7 +7,7 @@
 //!
 //! * [`config`] — design-space knobs: parity ways, register pairs
 //!   (§3.4/§4.11), byte shifting (§4.3).
-//! * [`rotate`] — the barrel byte-shifter and its cost model (§4.8).
+//! * [`rotate`] — the barrel byte-shifter (§4.3).
 //! * [`registers`] — the R1/R2 register file and its invariant (§3).
 //! * [`cache`] — [`cache::CppcCache`], the protected cache with the
 //!   write path of Figure 2, the recovery engine of §4.4 and both L1

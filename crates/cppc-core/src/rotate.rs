@@ -4,6 +4,8 @@
 //! R1/R2 — the data stored in the cache is **not** rotated. Rotating by
 //! whole bytes preserves each bit's parity group (`column mod 8`), which
 //! is what keeps the fault locator's group arithmetic consistent.
+//! The shifter's §4.8 energy and multiplexer count are priced in
+//! `cppc-energy` (`SchemeEnergy` and `AreaModel::cppc`).
 
 /// Rotates `word` left by `bytes` bytes (the hardware barrel shifter).
 ///
@@ -26,59 +28,6 @@ pub fn rotate_left_bytes(word: u64, bytes: u32) -> u64 {
 #[must_use]
 pub fn rotate_right_bytes(word: u64, bytes: u32) -> u64 {
     word.rotate_right((bytes % 8) * 8)
-}
-
-/// Cost parameters of the CPPC barrel shifter, from Huntzicker et al. \[9\]
-/// as cited in §4.8: rotating 32 bits costs < 0.4 ns and ~1.5 pJ in 90nm,
-/// both negligible next to a cache access (0.78 ns, 240 pJ per CACTI).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BarrelShifterCost {
-    /// Rotation latency in nanoseconds.
-    pub latency_ns: f64,
-    /// Energy per rotation in picojoules.
-    pub energy_pj: f64,
-}
-
-impl BarrelShifterCost {
-    /// The §4.8 reference numbers.
-    #[must_use]
-    pub fn reference_90nm() -> Self {
-        BarrelShifterCost {
-            latency_ns: 0.4,
-            energy_pj: 1.5,
-        }
-    }
-
-    /// Multiplexer count of the CPPC shifter: `n/8 * log2(n/8)` for an
-    /// `n`-bit datapath (§4.8) — much smaller than a general shifter's
-    /// `n * log2(n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not a power of two or smaller than 8.
-    #[must_use]
-    pub fn mux_count(n: u32) -> u32 {
-        assert!(
-            n >= 8 && n.is_power_of_two(),
-            "datapath must be power of two >= 8"
-        );
-        let lanes = n / 8;
-        lanes * lanes.ilog2()
-    }
-
-    /// Stage count: `log2(n/8)` (§4.8).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not a power of two or smaller than 8.
-    #[must_use]
-    pub fn stage_count(n: u32) -> u32 {
-        assert!(
-            n >= 8 && n.is_power_of_two(),
-            "datapath must be power of two >= 8"
-        );
-        (n / 8).ilog2()
-    }
 }
 
 #[cfg(test)]
@@ -121,23 +70,6 @@ mod tests {
                 assert_eq!(new_bit % 8, bit % 8, "bit {bit} rot {k}");
             }
         }
-    }
-
-    #[test]
-    fn mux_and_stage_counts_match_paper_formula() {
-        // 64-bit datapath: 8 lanes → 8*log2(8)=24 muxes, 3 stages.
-        assert_eq!(BarrelShifterCost::mux_count(64), 24);
-        assert_eq!(BarrelShifterCost::stage_count(64), 3);
-        // 32-bit: 4 lanes → 4*2=8 muxes, 2 stages.
-        assert_eq!(BarrelShifterCost::mux_count(32), 8);
-        assert_eq!(BarrelShifterCost::stage_count(32), 2);
-    }
-
-    #[test]
-    fn reference_cost_sane() {
-        let c = BarrelShifterCost::reference_90nm();
-        assert!(c.latency_ns < 0.78, "not on the cache critical path");
-        assert!(c.energy_pj < 240.0, "negligible vs cache access energy");
     }
 
     #[test]

@@ -3,19 +3,14 @@
 //! This crate implements every protection code the paper evaluates or
 //! depends on:
 //!
-//! * [`parity`] — one-dimensional parity at word / byte / arbitrary
-//!   granularity, the detection substrate of CPPC itself.
+//! * [`parity`] — one-dimensional parity at word and byte granularity,
+//!   the detection substrate of CPPC itself.
 //! * [`interleaved`] — *k*-way interleaved parity
 //!   (`P[i] = XOR(bit[i], bit[i+k], …)`), which detects spatial multi-bit
 //!   errors of up to `k` adjacent bits inside one word (paper §3.6).
 //! * [`secded`] — Single-Error-Correction Double-Error-Detection Hamming
 //!   codes for 64-bit and 32-bit data words (the (72,64) and (39,32)
 //!   codes used by the paper's SECDED baseline).
-//! * [`twodim`] — two-dimensional parity (horizontal interleaved parity +
-//!   vertical parity row), the MICRO-40 baseline \[12\] the paper compares
-//!   against, including its read-before-write update rule.
-//! * [`interleave`] — physical bit-interleaving layout arithmetic used by
-//!   the SECDED baseline to tolerate spatial multi-bit errors.
 //! * [`kernels`] — vectorized slice kernels (XOR folds, syndrome
 //!   evaluation, byte-parity gathers) behind a one-time CPU-feature
 //!   probe, with the SWAR code as the guaranteed fallback. The `simd`
@@ -47,16 +42,11 @@
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod interleave;
 pub mod interleaved;
 pub mod kernels;
 pub mod parity;
 pub mod secded;
-pub mod secded_block;
-pub mod twodim;
 
 pub use interleaved::InterleavedParity;
-pub use parity::{parity64, ParityGranularity};
+pub use parity::parity64;
 pub use secded::{DecodeOutcome, Secded32, Secded64};
-pub use secded_block::{BlockDecodeOutcome, BlockSecded};
-pub use twodim::TwoDimParity;

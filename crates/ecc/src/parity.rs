@@ -1,9 +1,9 @@
-//! One-dimensional parity at configurable granularity.
+//! One-dimensional parity of a 64-bit word, at word or byte granularity.
 //!
 //! Commercial processors protect L1 caches with parity at block, word or
-//! byte granularity (paper §1). This module provides the corresponding
-//! encoders/checkers. Parity *detects* an odd number of flipped bits
-//! inside its protection domain; it never corrects.
+//! byte granularity (paper §1). Parity *detects* an odd number of
+//! flipped bits inside its protection domain; it never corrects. Block
+//! parity of a byte slice is [`crate::kernels::parity_bytes`].
 
 /// Computes even parity of a 64-bit word: `1` if the population count is
 /// odd, so that `word XOR'ed bits ^ parity == 0` always holds.
@@ -19,51 +19,6 @@
 #[must_use]
 pub fn parity64(word: u64) -> u8 {
     (word.count_ones() & 1) as u8
-}
-
-/// Computes even parity over an arbitrary byte slice (block parity).
-///
-/// XOR-folds the slice into one 64-bit lane — parity is linear, so
-/// folding first and counting once is equivalent to summing per-byte
-/// population counts. The fold runs through the runtime-dispatched
-/// [`crate::kernels`] (SSE2/AVX2 when available, SWAR otherwise).
-#[inline]
-#[must_use]
-pub fn parity_bytes(bytes: &[u8]) -> u8 {
-    parity64(crate::kernels::fold_xor_bytes(bytes))
-}
-
-/// Granularity at which one parity bit is attached.
-///
-/// The paper cites real processors using each of these: Itanium-2 protects
-/// per block \[17\], PowerQUICC III per word \[8\], ARM Cortex-R per byte \[6\].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ParityGranularity {
-    /// One parity bit per cache block.
-    Block,
-    /// One parity bit per 64-bit word.
-    Word,
-    /// One parity bit per byte (8 per 64-bit word).
-    Byte,
-}
-
-impl ParityGranularity {
-    /// Number of parity bits required to protect `block_bytes` bytes.
-    #[must_use]
-    pub fn bits_per_block(self, block_bytes: usize) -> usize {
-        match self {
-            ParityGranularity::Block => 1,
-            ParityGranularity::Word => block_bytes.div_ceil(8),
-            ParityGranularity::Byte => block_bytes,
-        }
-    }
-
-    /// Storage overhead as a fraction of data bits (e.g. `1/64` for word
-    /// parity on 64-bit words).
-    #[must_use]
-    pub fn overhead(self, block_bytes: usize) -> f64 {
-        self.bits_per_block(block_bytes) as f64 / (block_bytes as f64 * 8.0)
-    }
 }
 
 /// Parity bits covering one 64-bit word at byte granularity.
@@ -93,95 +48,6 @@ pub fn byte_parity64(word: u64) -> u8 {
     (((w & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080)) >> 56) as u8
 }
 
-/// A stored word together with its parity bits, checked on every read.
-///
-/// This is the storage element of the one-dimensional-parity baseline
-/// cache. `check` recomputes parity from the (possibly corrupted) data
-/// and compares against the stored bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ParityWord {
-    data: u64,
-    parity: u8,
-    granularity_bits: u8,
-}
-
-impl ParityWord {
-    /// Encodes `data` with `k`-bit sectioned parity, `k ∈ {1, 8}`:
-    /// `k = 1` is word parity, `k = 8` is byte parity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is not 1 or 8.
-    #[must_use]
-    pub fn encode(data: u64, k: u8) -> Self {
-        let parity = match k {
-            1 => parity64(data),
-            8 => byte_parity64(data),
-            _ => panic!("sectioned parity supports k=1 or k=8, got {k}"),
-        };
-        ParityWord {
-            data,
-            parity,
-            granularity_bits: k,
-        }
-    }
-
-    /// The protected data word (possibly corrupted by fault injection).
-    #[must_use]
-    pub fn data(&self) -> u64 {
-        self.data
-    }
-
-    /// The stored parity bits.
-    #[must_use]
-    pub fn parity(&self) -> u8 {
-        self.parity
-    }
-
-    /// Recomputes parity and returns `true` if it matches the stored bits.
-    #[must_use]
-    pub fn check(&self) -> bool {
-        self.syndrome() == 0
-    }
-
-    /// The parity syndrome: a set bit marks a parity section that detected
-    /// a fault. Zero means "no fault detected".
-    #[must_use]
-    pub fn syndrome(&self) -> u8 {
-        let fresh = match self.granularity_bits {
-            1 => parity64(self.data),
-            8 => byte_parity64(self.data),
-            _ => unreachable!("constructor validated k"),
-        };
-        fresh ^ self.parity
-    }
-
-    /// Flips bit `bit` (0-63) of the stored data — used by fault injection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit >= 64`.
-    pub fn flip_data_bit(&mut self, bit: u32) {
-        assert!(bit < 64, "bit index {bit} out of range");
-        self.data ^= 1u64 << bit;
-    }
-
-    /// Flips parity bit `bit` — used by fault injection on the code array.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit >= 8`.
-    pub fn flip_parity_bit(&mut self, bit: u32) {
-        assert!(bit < 8, "parity bit index {bit} out of range");
-        self.parity ^= 1u8 << bit;
-    }
-
-    /// Overwrites the data and re-encodes parity (a store).
-    pub fn store(&mut self, data: u64) {
-        *self = ParityWord::encode(data, self.granularity_bits);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,37 +61,22 @@ mod tests {
         assert_eq!(parity64(7), 1);
     }
 
-    #[test]
-    fn parity_bytes_empty_is_zero() {
-        assert_eq!(parity_bytes(&[]), 0);
-    }
-
-    #[test]
-    fn parity_bytes_matches_word_parity() {
-        let w = 0x0123_4567_89AB_CDEFu64;
-        assert_eq!(parity_bytes(&w.to_le_bytes()), parity64(w));
-    }
-
-    #[test]
-    fn granularity_bit_counts() {
-        assert_eq!(ParityGranularity::Block.bits_per_block(32), 1);
-        assert_eq!(ParityGranularity::Word.bits_per_block(32), 4);
-        assert_eq!(ParityGranularity::Byte.bits_per_block(32), 32);
-    }
-
-    #[test]
-    fn granularity_overhead_word_is_one_64th() {
-        let ov = ParityGranularity::Word.overhead(32);
-        assert!((ov - 1.0 / 64.0).abs() < 1e-12);
+    /// Byte-parity syndrome of `data` after flipping `bits`: a set bit
+    /// marks a byte whose parity no longer matches the stored bits.
+    fn byte_syndrome(data: u64, bits: &[u32]) -> u8 {
+        let stored = byte_parity64(data);
+        let read = bits.iter().fold(data, |w, &b| w ^ (1u64 << b));
+        byte_parity64(read) ^ stored
     }
 
     #[test]
     fn byte_parity_detects_flip_in_right_byte() {
-        let w = ParityWord::encode(0xFFFF_0000_1234_5678, 8);
         for byte in 0..8u32 {
-            let mut c = w;
-            c.flip_data_bit(byte * 8 + 3);
-            assert_eq!(c.syndrome(), 1 << byte, "flip in byte {byte}");
+            assert_eq!(
+                byte_syndrome(0xFFFF_0000_1234_5678, &[byte * 8 + 3]),
+                1 << byte,
+                "flip in byte {byte}"
+            );
         }
     }
 
@@ -233,51 +84,18 @@ mod tests {
     fn word_parity_misses_even_flips() {
         // The fundamental parity weakness the paper builds on: an even
         // number of flips in one domain is invisible.
-        let mut w = ParityWord::encode(0xAAAA_BBBB_CCCC_DDDD, 1);
-        w.flip_data_bit(0);
-        w.flip_data_bit(1);
-        assert!(w.check(), "double flip must be undetected by 1-bit parity");
+        let data = 0xAAAA_BBBB_CCCC_DDDDu64;
+        assert_eq!(
+            parity64(data ^ 0b11),
+            parity64(data),
+            "double flip must be undetected by 1-bit parity"
+        );
     }
 
     #[test]
     fn interleaved_byte_parity_catches_adjacent_double_flip() {
         // …but byte parity catches a 2-bit flip spanning a byte boundary.
-        let mut w = ParityWord::encode(0xAAAA_BBBB_CCCC_DDDD, 8);
-        w.flip_data_bit(7);
-        w.flip_data_bit(8);
-        assert!(!w.check());
-        assert_eq!(w.syndrome(), 0b11);
-    }
-
-    #[test]
-    fn store_reencodes() {
-        let mut w = ParityWord::encode(0, 8);
-        w.store(u64::MAX);
-        assert!(w.check());
-        assert_eq!(w.data(), u64::MAX);
-    }
-
-    #[test]
-    fn parity_bit_fault_is_detected() {
-        let mut w = ParityWord::encode(42, 8);
-        w.flip_parity_bit(2);
-        assert!(!w.check());
-    }
-
-    #[test]
-    #[should_panic(expected = "sectioned parity supports")]
-    fn bad_granularity_panics() {
-        let _ = ParityWord::encode(0, 4);
-    }
-
-    #[test]
-    fn encode_always_checks_clean() {
-        let mut rng = StdRng::seed_from_u64(0x9A81_0001);
-        for _ in 0..256 {
-            let data = rng.random::<u64>();
-            assert!(ParityWord::encode(data, 1).check());
-            assert!(ParityWord::encode(data, 8).check());
-        }
+        assert_eq!(byte_syndrome(0xAAAA_BBBB_CCCC_DDDD, &[7, 8]), 0b11);
     }
 
     #[test]
@@ -286,12 +104,8 @@ mod tests {
         for _ in 0..256 {
             let data = rng.random::<u64>();
             let bit = rng.random_range(0u32..64);
-            let mut w1 = ParityWord::encode(data, 1);
-            w1.flip_data_bit(bit);
-            assert!(!w1.check(), "bit {bit}");
-            let mut w8 = ParityWord::encode(data, 8);
-            w8.flip_data_bit(bit);
-            assert!(!w8.check(), "bit {bit}");
+            assert_ne!(parity64(data ^ (1u64 << bit)), parity64(data), "bit {bit}");
+            assert_ne!(byte_syndrome(data, &[bit]), 0, "bit {bit}");
         }
     }
 
@@ -301,9 +115,7 @@ mod tests {
         for _ in 0..256 {
             let data = rng.random::<u64>();
             let bit = rng.random_range(0u32..64);
-            let mut w = ParityWord::encode(data, 8);
-            w.flip_data_bit(bit);
-            assert_eq!(w.syndrome(), 1u8 << (bit / 8), "bit {bit}");
+            assert_eq!(byte_syndrome(data, &[bit]), 1u8 << (bit / 8), "bit {bit}");
         }
     }
 
@@ -334,18 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn parity_bytes_fold_matches_popcount_sum() {
-        let mut rng = StdRng::seed_from_u64(0x9A81_0006);
-        let mut buf = Vec::new();
-        for len in 0..64usize {
-            buf.clear();
-            buf.extend((0..len).map(|_| rng.random::<u64>() as u8));
-            let ones: u32 = buf.iter().map(|b| b.count_ones()).sum();
-            assert_eq!(parity_bytes(&buf), (ones & 1) as u8, "len {len}");
-        }
-    }
-
-    #[test]
     fn parity_is_linear() {
         // parity(a ^ b) == parity(a) ^ parity(b): the property CPPC's
         // XOR-register correction fundamentally relies on.
@@ -354,10 +154,7 @@ mod tests {
             let a = rng.random::<u64>();
             let b = rng.random::<u64>();
             assert_eq!(parity64(a ^ b), parity64(a) ^ parity64(b));
-            assert_eq!(
-                super::byte_parity64(a ^ b),
-                super::byte_parity64(a) ^ super::byte_parity64(b)
-            );
+            assert_eq!(byte_parity64(a ^ b), byte_parity64(a) ^ byte_parity64(b));
         }
     }
 }

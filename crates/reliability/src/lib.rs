@@ -7,8 +7,6 @@
 //!   second fault lands in the same protection domain within the mean
 //!   dirty-data re-access interval `Tavg`), plus §4.7's
 //!   temporal-aliasing model.
-//! * [`residency`] — measurement of the model inputs (dirty-data
-//!   fraction and `Tavg`, Table 2) from the functional hierarchy.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -16,7 +14,6 @@
 pub mod fit;
 pub mod montecarlo;
 pub mod mttf;
-pub mod residency;
 
 pub use fit::SeuRate;
 pub use montecarlo::{simulate_double_fault_mttf, MonteCarloConfig, MonteCarloResult};
@@ -24,4 +21,3 @@ pub use mttf::{
     mttf_aliasing_years, mttf_domain_double_fault_years, mttf_one_dim_parity_years,
     ReliabilityParams,
 };
-pub use residency::ResidencyReport;

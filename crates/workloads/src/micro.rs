@@ -1,30 +1,8 @@
-//! Microbenchmark access patterns for targeted experiments and benches.
+//! Microbenchmark access patterns for the scheme benches.
 
 use cppc_cache_sim::hierarchy::MemOp;
 use cppc_campaign::rng::rngs::StdRng;
 use cppc_campaign::rng::{RngExt, SeedableRng};
-
-/// A sequential read-then-write sweep over `bytes` of memory with the
-/// given word `stride_words` (1 = dense).
-///
-/// # Panics
-///
-/// Panics if `bytes` or `stride_words` is zero.
-#[must_use]
-pub fn sequential_sweep(bytes: u64, stride_words: u64, writes: bool) -> Vec<MemOp> {
-    assert!(bytes > 0 && stride_words > 0, "non-zero sweep required");
-    let mut ops = Vec::new();
-    let mut addr = 0;
-    while addr < bytes {
-        if writes {
-            ops.push(MemOp::Store(addr, addr ^ 0xA5A5_A5A5));
-        } else {
-            ops.push(MemOp::Load(addr));
-        }
-        addr += 8 * stride_words;
-    }
-    ops
-}
 
 /// `n` uniformly random operations over `range_bytes`, with the given
 /// store fraction. Deterministic in `seed`.
@@ -49,71 +27,9 @@ pub fn random_mix(n: usize, range_bytes: u64, store_fraction: f64, seed: u64) ->
         .collect()
 }
 
-/// A pointer-chase: a random permutation cycle over `words` words inside
-/// `words * 8` bytes, visited `rounds` times — maximal temporal reuse
-/// with no spatial locality.
-///
-/// # Panics
-///
-/// Panics if `words` is zero.
-#[must_use]
-pub fn pointer_chase(words: u64, rounds: usize, seed: u64) -> Vec<MemOp> {
-    assert!(words > 0, "need at least one word");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut order: Vec<u64> = (0..words).map(|w| w * 8).collect();
-    // Fisher-Yates.
-    for i in (1..order.len()).rev() {
-        let j = rng.random_range(0..=i);
-        order.swap(i, j);
-    }
-    let mut ops = Vec::with_capacity(order.len() * rounds);
-    for _ in 0..rounds {
-        for &addr in &order {
-            ops.push(MemOp::Load(addr));
-        }
-    }
-    ops
-}
-
-/// A write-heavy working loop: repeatedly stores over a small buffer —
-/// the worst case for CPPC's read-before-write (every store after the
-/// first round hits a dirty word).
-///
-/// # Panics
-///
-/// Panics if `words` is zero.
-#[must_use]
-pub fn store_churn(words: u64, rounds: usize, seed: u64) -> Vec<MemOp> {
-    assert!(words > 0, "need at least one word");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut ops = Vec::with_capacity(words as usize * rounds);
-    for _ in 0..rounds {
-        for w in 0..words {
-            ops.push(MemOp::Store(w * 8, rng.random()));
-        }
-    }
-    ops
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sweep_covers_range() {
-        let ops = sequential_sweep(256, 1, false);
-        assert_eq!(ops.len(), 32);
-        assert_eq!(ops[0].addr(), 0);
-        assert_eq!(ops[31].addr(), 248);
-    }
-
-    #[test]
-    fn sweep_strided() {
-        let ops = sequential_sweep(256, 4, true);
-        assert_eq!(ops.len(), 8);
-        assert!(ops.iter().all(MemOp::is_store));
-        assert_eq!(ops[1].addr(), 32);
-    }
 
     #[test]
     fn random_mix_fraction() {
@@ -123,33 +39,7 @@ mod tests {
     }
 
     #[test]
-    fn pointer_chase_is_permutation() {
-        let ops = pointer_chase(64, 1, 2);
-        let mut addrs: Vec<u64> = ops.iter().map(MemOp::addr).collect();
-        addrs.sort_unstable();
-        addrs.dedup();
-        assert_eq!(addrs.len(), 64);
-    }
-
-    #[test]
-    fn pointer_chase_rounds_repeat() {
-        let one = pointer_chase(16, 1, 3);
-        let two = pointer_chase(16, 2, 3);
-        assert_eq!(two.len(), 32);
-        assert_eq!(&two[..16], &one[..]);
-        assert_eq!(&two[16..], &one[..]);
-    }
-
-    #[test]
-    fn store_churn_is_all_stores() {
-        let ops = store_churn(8, 4, 0);
-        assert_eq!(ops.len(), 32);
-        assert!(ops.iter().all(MemOp::is_store));
-    }
-
-    #[test]
     fn deterministic() {
         assert_eq!(random_mix(100, 4096, 0.5, 7), random_mix(100, 4096, 0.5, 7));
-        assert_eq!(pointer_chase(32, 1, 7), pointer_chase(32, 1, 7));
     }
 }

@@ -1,22 +1,17 @@
-//! HashMap-oracle differential tests for the flat (SoA) cache storage.
+//! HashMap-oracle differential test for the flat (SoA) cache storage.
 //!
-//! The cache arena rework changed how blocks are stored (one contiguous
-//! tags/dirty/words arena instead of per-block `Vec`s) and how they move
-//! between levels (`fetch_block_into` into reused buffers instead of
-//! allocated ones). These tests drive long randomised load/store/byte
-//! traffic through the deepest composition paths — a three-level
-//! hierarchy, and a cache backed through a victim buffer — and check
-//! every loaded value against a flat `HashMap` memory oracle.
+//! Each cache keeps its blocks in one contiguous tags/dirty/words arena,
+//! and blocks move between levels by `fetch_block_into` into reused
+//! buffers. This test drives long randomised load/store/byte traffic
+//! through the deepest composition path, a three-level hierarchy, and
+//! checks every loaded value against a flat `HashMap` memory oracle.
 
 use std::collections::HashMap;
 
-use cppc_cache_sim::cache::{Backing, Cache};
 use cppc_cache_sim::geometry::CacheGeometry;
 use cppc_cache_sim::hierarchy::MemOp;
 use cppc_cache_sim::hierarchy3::ThreeLevelHierarchy;
-use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
-use cppc_cache_sim::victim::VictimBuffer;
 use cppc_campaign::rng::rngs::StdRng;
 use cppc_campaign::rng::{RngExt, SeedableRng};
 
@@ -64,82 +59,4 @@ fn three_level_hierarchy_matches_oracle() {
     // The working set must actually have thrashed every level.
     assert!(h.l3().stats().writebacks > 0, "L3 never evicted dirty data");
     assert!(h.memory().reads() > 0);
-}
-
-/// A backing store that stages write-backs in a victim buffer and
-/// services fetches from it before falling through to memory — the
-/// composition `VictimBuffer` is built for.
-struct VictimBacked {
-    vb: VictimBuffer,
-    mem: MainMemory,
-}
-
-impl Backing for VictimBacked {
-    fn fetch_block_into(&mut self, base: u64, buf: &mut [u64]) {
-        // A hit re-fills from the staged copy (dirty words and all);
-        // memory supplies the rest of the block's words only when the
-        // staged copy was partial — here entries always hold full blocks.
-        if let Some((words, mask)) = self.vb.take(base) {
-            buf.copy_from_slice(&words);
-            // Dirty words still owed to memory must not be lost: the
-            // cache will treat the refill as clean, so flush them now.
-            if mask != 0 {
-                self.mem.write_back_dirty(base, &words, mask);
-            }
-        } else {
-            self.mem.fetch_block_into(base, buf);
-        }
-    }
-
-    fn write_back(&mut self, base: u64, data: &[u64], dirty_mask: u64) {
-        let mem = &mut self.mem;
-        // Borrow juggling: push drains into `mem` when the buffer is full.
-        self.vb.push(base, data, dirty_mask, mem);
-    }
-}
-
-#[test]
-fn victim_buffer_path_matches_oracle() {
-    let geo = CacheGeometry::new(1024, 2, 32).unwrap();
-    let mut cache = Cache::new(geo, ReplacementPolicy::Lru);
-    let mut backing = VictimBacked {
-        vb: VictimBuffer::new(8),
-        mem: MainMemory::new(),
-    };
-    let mut rng = StdRng::seed_from_u64(0xB0FF);
-    let mut oracle: HashMap<u64, u64> = HashMap::new();
-    for i in 0..50_000u64 {
-        let addr = rng.random_range(0..8 * 1024u64);
-        let roll: f64 = rng.random();
-        if roll < 0.35 {
-            let v: u64 = rng.random();
-            cache.store_word(addr & !7, v, &mut backing);
-            oracle.insert(addr & !7, v);
-        } else if roll < 0.45 {
-            let v: u8 = rng.random();
-            cache.store_byte(addr, v, &mut backing);
-            oracle_store_byte(&mut oracle, addr, v);
-        } else {
-            let got = cache.load_word(addr & !7, &mut backing);
-            assert_eq!(
-                got,
-                *oracle.get(&(addr & !7)).unwrap_or(&0),
-                "addr {addr:#x}"
-            );
-        }
-        // Background drain slot every few ops, like a real controller.
-        if i % 4 == 3 {
-            let mem = &mut backing.mem;
-            backing.vb.drain_one(mem);
-        }
-    }
-    assert!(backing.vb.hits() > 0, "victim path never serviced a refill");
-    assert!(backing.vb.drains() > 0, "victim buffer never drained");
-    // Settle everything and audit memory against the oracle.
-    let mem = &mut backing.mem;
-    backing.vb.drain_all(mem);
-    cache.flush(&mut backing.mem);
-    for (&addr, &v) in &oracle {
-        assert_eq!(backing.mem.peek_word(addr), v, "addr {addr:#x} after flush");
-    }
 }

@@ -1,7 +1,7 @@
 //! Bit-identity guard for the allocation-free hot path.
 //!
 //! The golden values below were captured on the pre-flattening tree
-//! (nested `Vec<Vec<CacheBlock>>` storage, word-keyed `MainMemory`,
+//! (nested per-set vectors of per-block structs, word-keyed `MainMemory`,
 //! allocating `Backing::fetch_block`). The storage refactor must not
 //! change a single counter, dirty-fraction bit, campaign tally or
 //! checkpoint byte — on any thread count.
