@@ -112,8 +112,13 @@ rm -rf "$TRACE_TMP"
 echo "== repro golden gates (fast tier)"
 # Re-runs the fast-tier paper artifacts and fails if any gated metric
 # leaves its tolerance band around the committed goldens in
-# docs/results/ (see docs/RESULTS.md).
-cargo run -q --release -p cppc-cli --bin cppc-cli -- repro --check
+# docs/results/ (see docs/RESULTS.md). `time` prints the check's wall
+# time (informational; the build before it keeps compile time out);
+# the check's exit status passes through, so a failing check still
+# fails CI.
+cargo build -q --release -p cppc-cli --bin cppc-cli
+TIMEFORMAT='repro --check wall time: %R s'
+time cargo run -q --release -p cppc-cli --bin cppc-cli -- repro --check
 
 echo "== explore quick-tier gate (committed frontier matches the code)"
 # Re-runs the quick-tier design-space sweep and fails if the committed

@@ -17,9 +17,9 @@ use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_campaign::rng::rngs::StdRng;
 use cppc_campaign::rng::{RngExt, SeedableRng};
-use cppc_core::{CppcCache, CppcConfig, ProtectionScheme, SchemeKind};
+use cppc_core::{CppcConfig, ProtectionScheme, SchemeKind};
 use cppc_fault::campaign::Outcome;
-use cppc_fault::model::{FaultGenerator, FaultModel};
+use cppc_fault::model::FaultModel;
 use cppc_workloads::SharedTrace;
 
 /// Parses a CPPC configuration name (`basic`, `paper`, `two-pairs`,
@@ -74,7 +74,7 @@ pub fn parse_scheme(name: &str) -> Result<SchemeKind, String> {
     SchemeKind::parse(name)
 }
 
-/// The campaign geometry used by the `inject` experiment (32 sets,
+/// The campaign geometry of the fault-injection experiments (32 sets,
 /// 2 ways).
 ///
 /// # Panics
@@ -85,51 +85,13 @@ pub fn inject_geometry() -> CacheGeometry {
     CacheGeometry::new(2048, 2, 32).expect("valid geometry")
 }
 
-/// The fault-injection experiment shared by `cppc-cli campaign --kind
-/// inject`, `inject` service jobs and `cppc-cli stats`: fill
-/// way 0 of a small L1 CPPC with known values, strike it with one
-/// sampled fault pattern, run recovery and classify the outcome.
-pub fn inject_experiment(
-    geo: CacheGeometry,
-    config: CppcConfig,
-    fault: FaultModel,
-) -> impl Fn(&mut StdRng, u64) -> Outcome + Sync {
-    move |rng, trial| {
-        let mut mem = MainMemory::new();
-        let mut cache =
-            CppcCache::new_l1(geo, config, ReplacementPolicy::Lru).expect("validated config");
-        let mut fill = StdRng::seed_from_u64(trial);
-        let mut truth = Vec::new();
-        for set in 0..geo.num_sets() {
-            for word in 0..geo.words_per_block() {
-                let addr = geo.address_of(0, set) + (word * 8) as u64;
-                let v: u64 = fill.random();
-                cache.store_word(addr, v, &mut mem).expect("no faults yet");
-                truth.push((addr, v));
-            }
-        }
-        let mut generator = FaultGenerator::new(cache.layout().num_rows() / 2, rng.random());
-        if cache.inject(&generator.sample(fault)) == 0 {
-            return Outcome::Masked;
-        }
-        match cache.recover_all(&mut mem) {
-            Err(_) => Outcome::DetectedUnrecoverable,
-            Ok(_) => {
-                if truth.iter().all(|&(a, v)| cache.peek_word(a) == Some(v)) {
-                    Outcome::Corrected
-                } else {
-                    Outcome::SilentCorruption
-                }
-            }
-        }
-    }
-}
-
-/// The scheme-parameterized fault-injection experiment behind
-/// `cppc-cli campaign --scheme <name>` and `scheme` service jobs: the
-/// same warm-up, strike and classify protocol as [`inject_experiment`],
-/// but running any member of the protection-scheme zoo behind the
-/// `ProtectionScheme` trait.
+/// The fault-injection experiment behind `cppc-cli campaign --scheme
+/// <name>`, `scheme` and `inject` service jobs and `cppc-cli stats`:
+/// fill way 0 of a small L1 ([`inject_geometry`]) with known values,
+/// strike it with one sampled fault pattern, run recovery and classify
+/// the outcome, for any member of the protection-scheme zoo behind the
+/// `ProtectionScheme` trait. `inject` is this body at
+/// [`SchemeKind::Cppc`].
 ///
 /// For the ported schemes this is **bit-identical** to the historical
 /// baked-in closures: the fill order, the RNG draws (one `u64` for the
@@ -341,26 +303,6 @@ mod tests {
             assert!(parse_scheme(name).is_ok(), "{name}");
         }
         assert!(parse_scheme("hamming").is_err());
-    }
-
-    #[test]
-    fn cppc_scheme_experiment_matches_inject_experiment() {
-        // The trait-routed CPPC campaign must be tally-identical to the
-        // historical baked-in `inject` path (same fills, same draws,
-        // same classification).
-        let cfg = cppc_campaign::CampaignConfig::new(0xC0DE, 48).shard_size(16);
-        let fault = parse_fault("4x4").unwrap();
-        let baked: OutcomeTally = cppc_campaign::run(
-            &cfg,
-            inject_experiment(inject_geometry(), CppcConfig::paper(), fault),
-        )
-        .result;
-        let routed: OutcomeTally = cppc_campaign::run(
-            &cfg,
-            scheme_experiment(SchemeKind::Cppc, CppcConfig::paper(), fault),
-        )
-        .result;
-        assert_eq!(baked, routed);
     }
 
     #[test]

@@ -530,6 +530,41 @@ mod tests {
     }
 
     #[test]
+    fn clock_and_sample_interval_move_no_access_counter() {
+        // One drive can serve both Table 2's residency and Figure 10's
+        // CPI because the clock rate and the sampling cadence change
+        // only the dirty samples, never a hit, miss or fill counter.
+        let ops = random_ops(0xC10C, 40_000);
+        let run = |cycles_per_op, interval| {
+            let mut h = tiny();
+            h.set_cycles_per_op(cycles_per_op);
+            h.set_sample_interval(interval);
+            h.run(ops.iter().copied());
+            let (l1, l2) = h.stats();
+            [l1, l2]
+        };
+        let without_samples = |levels: [CacheStats; 2]| {
+            levels.map(|s| CacheStats {
+                dirty_word_samples: 0,
+                dirty_word_samples_sum: 0,
+                ..s
+            })
+        };
+        let reference = run(1, 1024);
+        for (cycles_per_op, interval) in [(7, 1024), (1, 2048), (7, 2048)] {
+            let other = run(cycles_per_op, interval);
+            assert_eq!(
+                without_samples(other),
+                without_samples(reference),
+                "{cycles_per_op} cycles/op, sample every {interval}"
+            );
+            if interval != 1024 {
+                assert_ne!(other[0].dirty_word_samples, reference[0].dirty_word_samples);
+            }
+        }
+    }
+
+    #[test]
     fn run_batch_matches_run() {
         let ops = random_ops(0x5EED, 10_000);
         let mut iterated = tiny();

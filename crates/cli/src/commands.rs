@@ -4,11 +4,11 @@ use std::error::Error;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use cppc_bench::experiments::{inject_experiment, inject_geometry};
+use cppc_bench::experiments::scheme_experiment;
 use cppc_campaign::json::Json;
 use cppc_campaign::{CampaignConfig, CampaignReport, CheckpointPolicy, Persist, Progress, RunOpts};
 use cppc_core::{CppcConfig, SchemeKind};
-use cppc_energy::scheme::{AccessCounts, SchemeEnergy};
+use cppc_energy::scheme::SchemeEnergy;
 use cppc_energy::tech::TechnologyNode;
 use cppc_fault::campaign::OutcomeTally;
 use cppc_fault::model::FaultModel;
@@ -16,7 +16,7 @@ use cppc_reliability::montecarlo::analytic_mttf_hours;
 use cppc_reliability::mttf::{mttf_cppc_years, mttf_one_dim_parity_years, mttf_secded_years};
 use cppc_reliability::{ReliabilityParams, SeuRate};
 use cppc_serve::runner::RunEnd;
-use cppc_timing::{L1Scheme, MachineConfig, TimingModel};
+use cppc_timing::{counts_from_stats, L1Scheme, MachineConfig, TimingModel};
 use cppc_workloads::spec2000_profiles;
 
 use crate::args::ParsedArgs;
@@ -211,47 +211,44 @@ pub fn simulate(args: &ParsedArgs) -> CliResult {
         .find(|p| p.name == bench)
         .ok_or_else(|| format!("unknown benchmark '{bench}' (see `benchmarks`)"))?;
 
-    let machine = MachineConfig::table1();
-    let model = TimingModel::new(machine);
+    let model = TimingModel::new(MachineConfig::table1());
     let pricing = |kind: SchemeKind| kind.descriptor().pricing;
-    let base = model.simulate(profile, pricing(SchemeKind::Parity1d).into(), ops, seed);
+    let run = model.drive(profile, ops, seed);
 
     println!("benchmark {bench}: {ops} memory ops on the Table 1 machine\n");
     println!(
         "L1: miss rate {:5.2}%   stores-to-dirty {:6}   write-backs {:6}",
-        base.l1_stats.miss_rate() * 100.0,
-        base.l1_stats.stores_to_dirty,
-        base.l1_stats.writebacks
+        run.l1.miss_rate() * 100.0,
+        run.l1.stores_to_dirty,
+        run.l1.writebacks
     );
     println!(
         "L2: miss rate {:5.2}%   accesses {:9}",
-        base.l2_stats.miss_rate() * 100.0,
-        base.l2_stats.accesses()
+        run.l2.miss_rate() * 100.0,
+        run.l2.accesses()
     );
     println!();
+    let cpi = |kind: SchemeKind| {
+        let class = pricing(kind).into();
+        model
+            .breakdown_from_stats(profile, class, ops, run.l1, run.l2)
+            .cpi()
+    };
+    let base = cpi(SchemeKind::Parity1d);
     for (name, kind) in [
         ("1D parity", SchemeKind::Parity1d),
         ("CPPC", SchemeKind::Cppc),
         ("2D parity", SchemeKind::Parity2d),
     ] {
-        let class = pricing(kind).into();
-        let b = model.breakdown_from_stats(profile, class, ops, base.l1_stats, base.l2_stats);
+        let c = cpi(kind);
         println!(
-            "CPI {name:<10} {:.4}  ({:+.3}% vs parity)",
-            b.cpi(),
-            (b.cpi() / base.cpi() - 1.0) * 100.0
+            "CPI {name:<10} {c:.4}  ({:+.3}% vs parity)",
+            (c / base - 1.0) * 100.0
         );
     }
 
     let node = TechnologyNode::Nm32;
-    let counts = AccessCounts {
-        reads: base.l1_stats.load_hits,
-        writes: base.l1_stats.store_hits + base.l1_stats.fills,
-        stores_to_dirty: base.l1_stats.stores_to_dirty,
-        miss_fills: base.l1_stats.fills,
-        words_per_line: 4,
-        silent_writes: 0,
-    };
+    let counts = counts_from_stats(&run.l1, 4);
     let energy = |kind| SchemeEnergy::new(32 * 1024, 2, 32, pricing(kind), node);
     let parity = energy(SchemeKind::Parity1d);
     println!();
@@ -873,23 +870,28 @@ pub fn stats(args: &ParsedArgs) -> CliResult {
     // breakdown covering each scheme's port-conflict term.
     eprintln!("running {bench} ({ops} ops) across 1D-parity / CPPC / 2D-parity ...");
     let model = TimingModel::new(MachineConfig::table1());
-    let base = model.simulate(profile, L1Scheme::OneDimParity, ops, seed);
-    for scheme in [L1Scheme::Cppc, L1Scheme::TwoDimParity] {
-        let _ = model.breakdown_from_stats(profile, scheme, ops, base.l1_stats, base.l2_stats);
+    let run = model.drive(profile, ops, seed);
+    for scheme in [
+        L1Scheme::OneDimParity,
+        L1Scheme::Cppc,
+        L1Scheme::TwoDimParity,
+    ] {
+        let _ = model.breakdown_from_stats(profile, scheme, ops, run.l1, run.l2);
     }
 
     // A small fault-injection campaign so the recovery engine, register
     // file, campaign scheduler and event ring have something to show.
     eprintln!("running {trials}-trial fault-injection campaign ...");
-    let geo = inject_geometry();
     let cfg = CampaignConfig::new(seed, trials);
     let fault = FaultModel::SpatialSquare {
         rows: 4,
         cols: 4,
         density: 1.0,
     };
-    let _report: CampaignReport<OutcomeTally> =
-        cppc_campaign::run(&cfg, inject_experiment(geo, CppcConfig::paper(), fault));
+    let _report: CampaignReport<OutcomeTally> = cppc_campaign::run(
+        &cfg,
+        scheme_experiment(SchemeKind::Cppc, CppcConfig::paper(), fault),
+    );
     eprintln!();
 
     let groups = cppc_obs::snapshot();

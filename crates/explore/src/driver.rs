@@ -17,9 +17,10 @@
 //! identity (seed, trials, workload), so stale checkpoints from a
 //! different sweep are ignored rather than trusted.
 
-use crate::eval::{self, ConfigPoint, GeometryBaseline};
+use crate::eval::{self, ConfigPoint};
 use crate::spec::{SweepConfig, SweepSpec};
 use cppc_campaign::json::Json;
+use cppc_timing::RunResult;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -91,7 +92,7 @@ fn write_checkpoint(dir: &Path, point: &ConfigPoint) -> Result<(), String> {
 fn point_for(
     spec: &SweepSpec,
     cfg: &SweepConfig,
-    base: &GeometryBaseline,
+    base: &RunResult,
     ckpt_dir: Option<&Path>,
 ) -> Result<ConfigPoint, String> {
     let digest = cfg.digest(spec);
@@ -142,7 +143,7 @@ pub fn run_sweep(
 
     // One functional run per distinct geometry, shared by every scheme
     // at that geometry.
-    let mut baselines: BTreeMap<(u32, u32, u32), GeometryBaseline> = BTreeMap::new();
+    let mut baselines: BTreeMap<(u32, u32, u32), RunResult> = BTreeMap::new();
     for c in &configs {
         let key = (c.cache_kib, c.associativity, c.block_bytes);
         if let std::collections::btree_map::Entry::Vacant(slot) = baselines.entry(key) {

@@ -32,7 +32,6 @@
 
 use crate::spec::{SweepConfig, SweepSpec};
 use cppc_bench::experiments::scheme_experiment;
-use cppc_cache_sim::stats::CacheStats;
 use cppc_campaign::json::Json;
 use cppc_campaign::{CampaignConfig, Persist};
 use cppc_core::SchemeKind;
@@ -43,7 +42,7 @@ use cppc_reliability::mttf::{
     mttf_cppc_years, mttf_domain_double_fault_years, mttf_one_dim_parity_years, mttf_secded_years,
     ReliabilityParams,
 };
-use cppc_timing::{counts_from_stats, CacheLevelConfig, L1Scheme, MachineConfig, TimingModel};
+use cppc_timing::{counts_from_stats, CacheLevelConfig, MachineConfig, RunResult, TimingModel};
 use cppc_workloads::{spec2000_profiles, BenchmarkProfile};
 
 /// Seed of the workload trace every configuration shares.
@@ -60,20 +59,6 @@ const FAULT: FaultModel = FaultModel::SpatialSquare {
     cols: 4,
     density: 1.0,
 };
-
-/// Cache statistics of the shared functional run at one geometry.
-///
-/// All schemes at a geometry see the same access stream, so the
-/// (expensive) functional simulation runs once per distinct
-/// size × associativity × block triple and its statistics feed every
-/// scheme's analytical breakdown.
-#[derive(Debug, Clone, Copy)]
-pub struct GeometryBaseline {
-    /// L1 statistics of the measured window.
-    pub l1_stats: CacheStats,
-    /// L2 statistics of the measured window.
-    pub l2_stats: CacheStats,
-}
 
 fn profile_for(spec: &SweepSpec) -> Result<BenchmarkProfile, String> {
     spec2000_profiles()
@@ -96,7 +81,12 @@ fn machine_for(cache_kib: u32, associativity: u32, block_bytes: u32) -> MachineC
     machine
 }
 
-/// Runs the shared functional workload at one geometry.
+/// Drives the shared functional workload at one geometry.
+///
+/// All schemes at a geometry see the same access stream, so the
+/// (expensive) drive runs once per distinct size × associativity ×
+/// block triple and its statistics feed every scheme's analytical
+/// breakdown.
 ///
 /// # Errors
 ///
@@ -106,19 +96,10 @@ pub fn baseline(
     cache_kib: u32,
     associativity: u32,
     block_bytes: u32,
-) -> Result<GeometryBaseline, String> {
+) -> Result<RunResult, String> {
     let profile = profile_for(spec)?;
     let model = TimingModel::new(machine_for(cache_kib, associativity, block_bytes));
-    let b = model.simulate(
-        &profile,
-        L1Scheme::OneDimParity,
-        spec.workload_ops,
-        WORKLOAD_SEED,
-    );
-    Ok(GeometryBaseline {
-        l1_stats: b.l1_stats,
-        l2_stats: b.l2_stats,
-    })
+    Ok(model.drive(&profile, spec.workload_ops, WORKLOAD_SEED))
 }
 
 /// Closed-form MTTF (years) of a cache priced as `kind` with the
@@ -279,7 +260,7 @@ impl ConfigPoint {
 pub fn evaluate(
     spec: &SweepSpec,
     cfg: &SweepConfig,
-    base: &GeometryBaseline,
+    base: &RunResult,
 ) -> Result<ConfigPoint, String> {
     let profile = profile_for(spec)?;
     let model = TimingModel::new(machine_for(
@@ -297,7 +278,7 @@ pub fn evaluate(
     let mut reliability = ReliabilityParams::paper_l1();
     reliability.total_bits = size as f64 * 8.0;
     let cpi_of = |kind: ProtectionKind| {
-        model.breakdown_from_stats(&profile, kind.into(), memops, base.l1_stats, base.l2_stats)
+        model.breakdown_from_stats(&profile, kind.into(), memops, base.l1, base.l2)
     };
 
     // CPI, normalised to same-geometry 1D parity (no scrubbing).
@@ -317,7 +298,7 @@ pub fn evaluate(
     // Energy over the measured window, normalised to same-geometry 1D
     // parity without scrubbing.
     let words_per_line = cfg.block_bytes / 8;
-    let base_counts = counts_from_stats(&base.l1_stats, words_per_line);
+    let base_counts = counts_from_stats(&base.l1, words_per_line);
     let mut counts = base_counts;
     if let Some(iv) = cfg.scrub_interval {
         let window_cycles = b.instructions * cpi;

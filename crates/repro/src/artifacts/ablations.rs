@@ -24,7 +24,6 @@ use cppc_reliability::ReliabilityParams;
 use cppc_timing::{counts_from_stats, L1Scheme, MachineConfig, PortConfig, TimingModel};
 use cppc_workloads::{spec2000_profiles, SharedTrace};
 
-use super::table3::alias_years;
 use crate::artifact::{Artifact, ArtifactOutput, MetricValue, RunConfig, Table, Tier, Tolerance};
 
 /// Memory operations per benchmark (timing) and per replayed trace.
@@ -88,16 +87,15 @@ fn l1_geometry() -> CacheGeometry {
 fn ports(ops: usize) -> [f64; 2] {
     let model = TimingModel::new(MachineConfig::table1());
     let (mut dual, mut single) = (Vec::new(), Vec::new());
-    for p in spec2000_profiles() {
-        let base = model.simulate(&p, L1Scheme::OneDimParity, ops, EVAL_SEED);
-        let cpi = |ports| {
-            let (l1, l2) = (base.l1_stats, base.l2_stats);
+    for (p, run) in super::drives::table1(ops) {
+        let cpi = |scheme, ports| {
             model
-                .breakdown_with_ports(&p, L1Scheme::Cppc, ports, ops, l1, l2)
+                .breakdown_with_ports(&p, scheme, ports, ops, run.l1, run.l2)
                 .cpi()
         };
-        dual.push(cpi(PortConfig::SeparateReadWrite) / base.cpi() - 1.0);
-        single.push(cpi(PortConfig::SinglePorted) / base.cpi() - 1.0);
+        let base = cpi(L1Scheme::OneDimParity, PortConfig::SeparateReadWrite);
+        dual.push(cpi(L1Scheme::Cppc, PortConfig::SeparateReadWrite) / base - 1.0);
+        single.push(cpi(L1Scheme::Cppc, PortConfig::SinglePorted) / base - 1.0);
     }
     [mean(&dual) * 100.0, mean(&single) * 100.0]
 }
@@ -191,6 +189,16 @@ fn icr(trace: &SharedTrace) -> (Vec<Vec<String>>, [f64; 2]) {
         ],
     ];
     (rows, miss)
+}
+
+/// Formats an aliasing MTTF, infinite once the register pairs cover
+/// every byte class.
+fn alias_years(years: f64) -> String {
+    if years.is_infinite() {
+        "eliminated".into()
+    } else {
+        format!("{years:.2e}")
+    }
 }
 
 /// An `Exact` gate on one closed-form table cell, `<table>.<row>.<column>`.

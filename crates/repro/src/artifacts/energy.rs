@@ -1,17 +1,17 @@
 //! `energy_comparison` — Figures 11 and 12: dynamic energy of the L1
 //! and L2 protection schemes, normalised to one-dimensional parity.
 //!
-//! Operation counts come from one functional hierarchy run per
-//! benchmark ([`cppc_bench::run_profile`]); per-operation energies come
-//! from the CACTI-substitute model (`cppc-energy`) at 32 nm.
+//! Operation counts come from one Table 1 drive per benchmark
+//! (`cppc_timing::TimingModel::drive`, shared with `fig10_cpi`);
+//! per-operation energies come from the CACTI-substitute model
+//! (`cppc-energy`) at 32 nm.
 
-use cppc_bench::{mean, run_profile, EVAL_SEED};
+use cppc_bench::{mean, EVAL_SEED};
 use cppc_cache_sim::stats::CacheStats;
 use cppc_core::SchemeKind;
 use cppc_energy::scheme::SchemeEnergy;
 use cppc_energy::tech::TechnologyNode;
 use cppc_timing::{counts_from_stats, MachineConfig};
-use cppc_workloads::spec2000_profiles;
 
 use crate::artifact::{Artifact, ArtifactOutput, MetricValue, RunConfig, Table, Tier, Tolerance};
 
@@ -117,8 +117,7 @@ fn run(cfg: &RunConfig) -> ArtifactOutput {
     // One functional run per benchmark feeds both levels.
     let mut l1_stats = Vec::new();
     let mut l2_stats = Vec::new();
-    for profile in spec2000_profiles() {
-        let run = run_profile(&profile, ops, EVAL_SEED);
+    for (profile, run) in super::drives::table1(ops) {
         l1_stats.push((profile.name.to_string(), run.l1));
         l2_stats.push((profile.name.to_string(), run.l2));
     }

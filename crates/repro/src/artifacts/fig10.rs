@@ -2,10 +2,11 @@
 //! two-dimensional-parity L1 caches, normalised to one-dimensional
 //! parity.
 //!
-//! One functional run per benchmark is shared by all three schemes —
-//! they see the identical access stream, exactly as the paper's
-//! methodology — and the scheme-specific read-port-contention terms are
-//! layered on top. A second table repeats the comparison with the
+//! One Table 1 drive per benchmark (`cppc_timing::TimingModel::drive`,
+//! shared with `energy_comparison`) feeds all three schemes — they see
+//! the identical access stream, exactly as the paper's methodology —
+//! and the scheme-specific read-port-contention terms are layered on
+//! top. A second table repeats the comparison with the
 //! structural, cycle-counting [`PipelineModel`], which tracks store
 //! buffers, cycle stealing and port timestamps instead of the
 //! closed-form contention terms; its averages are gated too.
@@ -90,25 +91,15 @@ fn run(cfg: &RunConfig) -> ArtifactOutput {
     let mut rows = Vec::new();
     let mut cppc_norm = Vec::new();
     let mut twodim_norm = Vec::new();
-    for profile in spec2000_profiles() {
-        let base_run = model.simulate(&profile, L1Scheme::OneDimParity, ops, EVAL_SEED);
-        let cppc = model.breakdown_from_stats(
-            &profile,
-            L1Scheme::Cppc,
-            ops,
-            base_run.l1_stats,
-            base_run.l2_stats,
-        );
-        let twodim = model.breakdown_from_stats(
-            &profile,
-            L1Scheme::TwoDimParity,
-            ops,
-            base_run.l1_stats,
-            base_run.l2_stats,
-        );
-        let base_cpi = base_run.cpi();
-        let nc = cppc.cpi() / base_cpi;
-        let nt = twodim.cpi() / base_cpi;
+    for (profile, run) in super::drives::table1(ops) {
+        let cpi = |scheme| {
+            model
+                .breakdown_from_stats(&profile, scheme, ops, run.l1, run.l2)
+                .cpi()
+        };
+        let base_cpi = cpi(L1Scheme::OneDimParity);
+        let nc = cpi(L1Scheme::Cppc) / base_cpi;
+        let nt = cpi(L1Scheme::TwoDimParity) / base_cpi;
         cppc_norm.push(nc);
         twodim_norm.push(nt);
         rows.push(vec![

@@ -7,6 +7,7 @@
 //! first golden and regenerate the book.
 
 mod ablations;
+mod drives;
 mod energy;
 mod explore;
 mod fig10;

@@ -3,14 +3,13 @@
 //! of the L1 and L2, plus Table 3's L1 MTTF recomputed from these
 //! measured inputs.
 //!
-//! One functional run per benchmark through the Table 1 hierarchy
-//! ([`cppc_bench::run_profile`]) yields both levels' residency
-//! statistics.
+//! One Table 1 drive per benchmark (`cppc_timing::TimingModel::drive`,
+//! shared with the `ablations` port study) yields both levels'
+//! residency statistics.
 
-use cppc_bench::{mean, run_profile, EVAL_SEED};
+use cppc_bench::{mean, EVAL_SEED};
 use cppc_reliability::mttf::{mttf_cppc_years, mttf_one_dim_parity_years, mttf_secded_years};
 use cppc_reliability::ReliabilityParams;
-use cppc_workloads::spec2000_profiles;
 
 use crate::artifact::{Artifact, ArtifactOutput, MetricValue, RunConfig, Table, Tier, Tolerance};
 
@@ -69,8 +68,7 @@ fn run(cfg: &RunConfig) -> ArtifactOutput {
     let ops = cfg.pick(OPS, OPS_QUICK);
     let mut columns: [Vec<f64>; 4] = Default::default();
     let mut rows = Vec::new();
-    for profile in spec2000_profiles() {
-        let run = run_profile(&profile, ops, EVAL_SEED);
+    for (profile, run) in super::drives::table1(ops) {
         let cells = [
             run.l1_dirty_fraction * 100.0,
             run.l2_dirty_fraction * 100.0,

@@ -17,8 +17,9 @@ pub type JobId = u64;
 /// What kind of campaign a job runs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobKind {
-    /// Fault-injection campaign on a small L1 CPPC
-    /// ([`cppc_bench::experiments::inject_experiment`]).
+    /// Fault-injection campaign on a small L1 CPPC: the `scheme`
+    /// experiment at CPPC
+    /// ([`cppc_bench::experiments::scheme_experiment`]).
     Inject {
         /// CPPC configuration name (`basic`, `paper`, `two-pairs`,
         /// `eight-pairs`).

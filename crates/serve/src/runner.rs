@@ -14,8 +14,8 @@
 //! in the journal and resumes bit-identically on restart).
 
 use cppc_bench::experiments::{
-    inject_experiment, inject_geometry, load_trace, parse_config, parse_fault, parse_scheme,
-    scheme_experiment, sleep_experiment, trace_experiment,
+    load_trace, parse_config, parse_fault, parse_scheme, scheme_experiment, sleep_experiment,
+    trace_experiment,
 };
 use cppc_campaign::json::Json;
 use cppc_campaign::rng::rngs::StdRng;
@@ -23,6 +23,7 @@ use cppc_campaign::{
     run_with, Accumulator, CampaignConfig, CampaignReport, CheckpointError, PerTrial, Persist,
     RunOpts, TrialExec,
 };
+use cppc_core::SchemeKind;
 use cppc_fault::campaign::{Outcome, OutcomeTally};
 use cppc_reliability::montecarlo::{simulate_trial_into, MonteCarloAccumulator, MonteCarloConfig};
 
@@ -68,7 +69,7 @@ pub fn execute(spec: &JobSpec, threads: usize, opts: RunOpts<'_>) -> RunEnd {
             };
             tally(
                 &cfg,
-                &PerTrial(inject_experiment(inject_geometry(), config, fault)),
+                &PerTrial(scheme_experiment(SchemeKind::Cppc, config, fault)),
                 opts,
             )
         }

@@ -13,9 +13,13 @@
 //!   the *entire old line* on every miss fill, with no way to hide the
 //!   extra traffic as effectively.
 //!
-//! This crate runs a trace through the functional hierarchy, computes a
-//! base CPI from the machine's ILP and miss penalties, and adds an
-//! analytical port-contention term per scheme. Absolute CPIs are
+//! [`TimingModel::drive`] is the one loop that drives a generated
+//! workload through the Table 1 hierarchy; its [`RunResult`] (both
+//! levels' statistics, dirty residency and `Tavg`) feeds every scheme's
+//! [`TimingModel::breakdown_from_stats`], which computes a base CPI from
+//! the machine's ILP and miss penalties and adds an analytical
+//! port-contention term per scheme. [`PipelineModel`] is the structural
+//! cross-check and keeps its own per-op loop. Absolute CPIs are
 //! synthetic; the normalised deltas (CPPC ≈ +0.3%, 2D ≈ +1.7% on
 //! average) are the reproduction target.
 
@@ -30,5 +34,5 @@ pub mod pipeline;
 
 pub use accounting::counts_from_stats;
 pub use config::{CacheLevelConfig, MachineConfig};
-pub use model::{CpiBreakdown, L1Scheme, PortConfig, TimingModel};
+pub use model::{CpiBreakdown, L1Scheme, PortConfig, RunResult, TimingModel};
 pub use pipeline::{PipelineModel, PipelineResult};

@@ -1,11 +1,10 @@
 //! The CPI model and per-scheme port-contention terms.
 
-use cppc_cache_sim::batch::OpBatch;
-use cppc_cache_sim::hierarchy::{MemOp, TwoLevelHierarchy};
+use cppc_cache_sim::hierarchy::TwoLevelHierarchy;
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_cache_sim::stats::CacheStats;
 use cppc_energy::ProtectionKind;
-use cppc_workloads::{BenchmarkProfile, SharedTrace, TraceGenerator};
+use cppc_workloads::{BenchmarkProfile, TraceGenerator};
 
 use crate::config::MachineConfig;
 
@@ -68,6 +67,23 @@ impl From<ProtectionKind> for L1Scheme {
     }
 }
 
+/// What one [`TimingModel::drive`] of the Table 1 hierarchy measured.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunResult {
+    /// L1 statistics of the measured window.
+    pub l1: CacheStats,
+    /// L2 statistics of the measured window.
+    pub l2: CacheStats,
+    /// Mean fraction of dirty L1 words.
+    pub l1_dirty_fraction: f64,
+    /// Mean fraction of dirty L2 words.
+    pub l2_dirty_fraction: f64,
+    /// Mean cycles between accesses to the same dirty L1 word.
+    pub l1_tavg: Option<f64>,
+    /// Mean cycles between accesses to the same dirty L2 block.
+    pub l2_tavg: Option<f64>,
+}
+
 /// CPI decomposition for one benchmark run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpiBreakdown {
@@ -79,10 +95,6 @@ pub struct CpiBreakdown {
     pub memory_cpi: f64,
     /// Cycles per instruction lost to protection-scheme port contention.
     pub contention_cpi: f64,
-    /// L1 statistics from the functional run.
-    pub l1_stats: CacheStats,
-    /// L2 statistics from the functional run.
-    pub l2_stats: CacheStats,
 }
 
 impl CpiBreakdown {
@@ -93,7 +105,8 @@ impl CpiBreakdown {
     }
 }
 
-/// The timing model: functional simulation + analytical CPI terms.
+/// The timing model: one functional drive, then analytical CPI terms
+/// per scheme.
 #[derive(Debug, Clone, Copy)]
 pub struct TimingModel {
     machine: MachineConfig,
@@ -112,82 +125,44 @@ impl TimingModel {
         &self.machine
     }
 
-    /// Runs `memops` operations of `profile` (seeded deterministically)
-    /// through the hierarchy and returns the CPI breakdown under
-    /// `scheme`.
+    /// Drives `memops` operations of `profile` (seeded
+    /// deterministically) through the machine's two-level hierarchy
+    /// after a warm-up of `memops / 2`, and returns what the measured
+    /// window recorded. Every scheme sees the same access stream, so
+    /// one drive feeds every [`TimingModel::breakdown_from_stats`].
+    ///
+    /// The clock advances the profile's instructions per memory
+    /// operation (rounded, at least 1) per op, so `Tavg` comes out in
+    /// cycles at an assumed CPI of 1; dirty residency is sampled every
+    /// 2048 ops. Neither moves a hit, miss or fill counter.
     ///
     /// # Panics
     ///
     /// Panics if the machine's cache geometries are inconsistent.
     #[must_use]
-    pub fn simulate(
-        &self,
-        profile: &BenchmarkProfile,
-        scheme: L1Scheme,
-        memops: usize,
-        seed: u64,
-    ) -> CpiBreakdown {
+    pub fn drive(&self, profile: &BenchmarkProfile, memops: usize, seed: u64) -> RunResult {
         let _span = crate::obs::SIMULATE.start();
         let l1 = self.machine.l1d.geometry().expect("valid L1 geometry");
         let l2 = self.machine.l2.geometry().expect("valid L2 geometry");
-        let mut hierarchy = TwoLevelHierarchy::new(l1, l2, ReplacementPolicy::Lru);
-        // Warm up for half the trace, then measure steady state.
+        let mut h = TwoLevelHierarchy::new(l1, l2, ReplacementPolicy::Lru);
+        h.set_cycles_per_op(profile.instructions_per_memop().round().max(1.0) as u64);
+        h.set_sample_interval(2048);
+        // Warm up for half the window, then measure steady state: the
+        // paper's 100M-instruction Simpoints amortise compulsory misses
+        // that would otherwise dominate a short synthetic trace.
         let mut generator = TraceGenerator::new(profile, seed);
-        hierarchy.run(generator.by_ref().take(memops / 2));
-        hierarchy.reset_stats();
-        hierarchy.run(generator.take(memops));
-        let (l1_stats, l2_stats) = hierarchy.stats();
-        self.breakdown_from_stats(profile, scheme, memops, l1_stats, l2_stats)
-    }
-
-    /// Trace-driven variant of [`TimingModel::simulate`]: drives a
-    /// pre-recorded [`SharedTrace`] through the hierarchy a pre-decoded
-    /// batch at a time
-    /// ([`TwoLevelHierarchy::run_batch`](cppc_cache_sim::TwoLevelHierarchy::run_batch)),
-    /// so the per-op dispatch overhead amortizes. The first
-    /// `memops / 2` operations warm the hierarchy, the next `memops`
-    /// are measured — given
-    /// `SharedTrace::generate(profile, seed, memops / 2 + memops)` the
-    /// breakdown is bit-identical to
-    /// `simulate(profile, scheme, memops, seed)` (pinned by tests);
-    /// the trace can equally come from disk
-    /// ([`SharedTrace::from_binary_file`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace holds fewer than `memops / 2 + memops`
-    /// operations or the machine's cache geometries are inconsistent.
-    #[must_use]
-    pub fn simulate_trace(
-        &self,
-        profile: &BenchmarkProfile,
-        scheme: L1Scheme,
-        trace: &SharedTrace,
-        memops: usize,
-    ) -> CpiBreakdown {
-        let _span = crate::obs::SIMULATE.start();
-        let warm = memops / 2;
-        assert!(
-            trace.len() >= warm + memops,
-            "trace holds {} ops, need {warm} warm + {memops} measured",
-            trace.len()
-        );
-        let l1 = self.machine.l1d.geometry().expect("valid L1 geometry");
-        let l2 = self.machine.l2.geometry().expect("valid L2 geometry");
-        let mut hierarchy = TwoLevelHierarchy::new(l1, l2, ReplacementPolicy::Lru);
-        let mut batch = OpBatch::with_capacity(cppc_workloads::binfmt::DEFAULT_BATCH_OPS);
-        let mut run_span = |hierarchy: &mut TwoLevelHierarchy, ops: &[MemOp]| {
-            for chunk in ops.chunks(cppc_workloads::binfmt::DEFAULT_BATCH_OPS) {
-                batch.clear();
-                batch.extend_from_ops(chunk);
-                hierarchy.run_batch(&batch);
-            }
-        };
-        run_span(&mut hierarchy, &trace.ops()[..warm]);
-        hierarchy.reset_stats();
-        run_span(&mut hierarchy, &trace.ops()[warm..warm + memops]);
-        let (l1_stats, l2_stats) = hierarchy.stats();
-        self.breakdown_from_stats(profile, scheme, memops, l1_stats, l2_stats)
+        h.run(generator.by_ref().take(memops / 2));
+        h.reset_stats();
+        h.run(generator.take(memops));
+        let (l1, l2) = h.stats();
+        RunResult {
+            l1,
+            l2,
+            l1_dirty_fraction: h.l1_dirty_fraction(),
+            l2_dirty_fraction: h.l2_dirty_fraction(),
+            l1_tavg: h.l1_tavg(),
+            l2_tavg: h.l2_tavg(),
+        }
     }
 
     /// Computes the CPI breakdown from already-collected statistics
@@ -283,8 +258,6 @@ impl TimingModel {
             base_cpi,
             memory_cpi,
             contention_cpi: contention / instructions,
-            l1_stats,
-            l2_stats,
         }
     }
 }
@@ -330,11 +303,19 @@ mod tests {
         }
     }
 
-    fn run_all(scheme: L1Scheme) -> Vec<(String, f64)> {
+    /// CPI of `scheme` over one drive of `p`.
+    fn cpi(p: &BenchmarkProfile, scheme: L1Scheme, ops: usize, seed: u64) -> f64 {
         let model = TimingModel::default();
+        let run = model.drive(p, ops, seed);
+        model
+            .breakdown_from_stats(p, scheme, ops, run.l1, run.l2)
+            .cpi()
+    }
+
+    fn run_all(scheme: L1Scheme) -> Vec<(String, f64)> {
         spec2000_profiles()
             .iter()
-            .map(|p| (p.name.to_string(), model.simulate(p, scheme, OPS, 42).cpi()))
+            .map(|p| (p.name.to_string(), cpi(p, scheme, OPS, 42)))
             .collect()
     }
 
@@ -374,12 +355,11 @@ mod tests {
 
     #[test]
     fn memory_bound_benchmarks_have_higher_cpi() {
-        let model = TimingModel::default();
         let profiles = spec2000_profiles();
         let mcf = profiles.iter().find(|p| p.name == "mcf").unwrap();
         let eon = profiles.iter().find(|p| p.name == "eon").unwrap();
-        let cpi_mcf = model.simulate(mcf, L1Scheme::OneDimParity, OPS, 1).cpi();
-        let cpi_eon = model.simulate(eon, L1Scheme::OneDimParity, OPS, 1).cpi();
+        let cpi_mcf = cpi(mcf, L1Scheme::OneDimParity, OPS, 1);
+        let cpi_eon = cpi(eon, L1Scheme::OneDimParity, OPS, 1);
         assert!(cpi_mcf > 1.5 * cpi_eon, "{cpi_mcf} vs {cpi_eon}");
     }
 
@@ -387,7 +367,8 @@ mod tests {
     fn breakdown_components_positive() {
         let model = TimingModel::default();
         let p = &spec2000_profiles()[0];
-        let b = model.simulate(p, L1Scheme::Cppc, OPS, 3);
+        let run = model.drive(p, OPS, 3);
+        let b = model.breakdown_from_stats(p, L1Scheme::Cppc, OPS, run.l1, run.l2);
         assert!(b.base_cpi > 0.0);
         assert!(b.memory_cpi >= 0.0);
         assert!(b.contention_cpi >= 0.0);
@@ -399,34 +380,17 @@ mod tests {
     fn deterministic() {
         let model = TimingModel::default();
         let p = &spec2000_profiles()[5];
-        let a = model.simulate(p, L1Scheme::TwoDimParity, 20_000, 9).cpi();
-        let b = model.simulate(p, L1Scheme::TwoDimParity, 20_000, 9).cpi();
-        assert_eq!(a, b);
+        assert_eq!(model.drive(p, 20_000, 9), model.drive(p, 20_000, 9));
     }
 
     #[test]
-    fn simulate_trace_matches_generator_drive() {
-        // The batched trace drive is the fast path for the same
-        // computation simulate() performs — every stat and CPI term
-        // must come out bit-identical.
-        let model = TimingModel::default();
-        for p in &spec2000_profiles()[..4] {
-            let trace = SharedTrace::generate(p, 42, 20_000 / 2 + 20_000);
-            for scheme in [L1Scheme::Cppc, L1Scheme::TwoDimParity] {
-                let direct = model.simulate(p, scheme, 20_000, 42);
-                let traced = model.simulate_trace(p, scheme, &trace, 20_000);
-                assert_eq!(direct, traced, "{} {scheme:?}", p.name);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "trace holds")]
-    fn simulate_trace_rejects_short_traces() {
+    fn drive_measures_the_window_and_its_residency() {
         let model = TimingModel::default();
         let p = &spec2000_profiles()[0];
-        let trace = SharedTrace::generate(p, 1, 100);
-        let _ = model.simulate_trace(p, L1Scheme::Cppc, &trace, 1_000);
+        let r = model.drive(p, 20_000, 1);
+        assert_eq!(r.l1.accesses(), 20_000, "warm-up ops are not counted");
+        assert!(r.l1_dirty_fraction > 0.0);
+        assert!(r.l1_tavg.is_some());
     }
 
     #[test]
@@ -435,25 +399,14 @@ mod tests {
         // read-before-writes hurt noticeably more.
         let model = TimingModel::default();
         let p = &spec2000_profiles()[0];
-        let base = model.simulate(p, L1Scheme::OneDimParity, OPS, 1);
-        let dual = model.breakdown_with_ports(
-            p,
-            L1Scheme::Cppc,
-            PortConfig::SeparateReadWrite,
-            OPS,
-            base.l1_stats,
-            base.l2_stats,
-        );
-        let single = model.breakdown_with_ports(
-            p,
-            L1Scheme::Cppc,
-            PortConfig::SinglePorted,
-            OPS,
-            base.l1_stats,
-            base.l2_stats,
-        );
+        let run = model.drive(p, OPS, 1);
+        let with_ports =
+            |ports| model.breakdown_with_ports(p, L1Scheme::Cppc, ports, OPS, run.l1, run.l2);
+        let dual = with_ports(PortConfig::SeparateReadWrite);
+        let single = with_ports(PortConfig::SinglePorted);
         assert!(single.contention_cpi > 3.0 * dual.contention_cpi);
         // …but still bounded (the events themselves are rare).
+        let base = model.breakdown_from_stats(p, L1Scheme::OneDimParity, OPS, run.l1, run.l2);
         assert!(single.cpi() / base.cpi() < 1.1);
     }
 }

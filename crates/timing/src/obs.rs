@@ -13,7 +13,7 @@ cppc_obs::metrics! {
     counter L2_MISS_STALL: "timing.l2_miss_stall_cycles", "cycles", "Stall cycles paying DRAM latency on L2 misses (after MLP overlap).";
     counter PORT_CONFLICT_CYCLES: "timing.port_conflict_cycles", "cycles", "Cycles lost to protection-scheme L1 port conflicts (incl. replays).";
     counter BREAKDOWNS: "timing.breakdowns", "events", "CPI breakdowns computed.";
-    timer SIMULATE: "timing.simulate.ns", "ns", "Wall time of each trace-driven simulate() call (warmup + measure).";
+    timer SIMULATE: "timing.simulate.ns", "ns", "Wall time of each drive (warmup + measure).";
 }
 
 /// Registers the timing metric group (idempotent).

@@ -45,19 +45,19 @@ fn main() {
 
     // The sweep shares one functional run per geometry; surface the
     // same run here for the hit-rate/dirtiness picture.
-    let base = baseline(&spec, 32, 2, 32).expect("benchmark exists");
+    let run = baseline(&spec, 32, 2, 32).expect("benchmark exists");
     println!("functional behaviour:");
     println!(
         "  L1: {:>9} accesses, miss rate {:>5.2}%, stores-to-dirty {:>6}",
-        base.l1_stats.accesses(),
-        base.l1_stats.miss_rate() * 100.0,
-        base.l1_stats.stores_to_dirty
+        run.l1.accesses(),
+        run.l1.miss_rate() * 100.0,
+        run.l1.stores_to_dirty
     );
     println!(
         "  L2: {:>9} accesses, miss rate {:>5.2}%, write-backs {:>9}",
-        base.l2_stats.accesses(),
-        base.l2_stats.miss_rate() * 100.0,
-        base.l2_stats.writebacks
+        run.l2.accesses(),
+        run.l2.miss_rate() * 100.0,
+        run.l2.writebacks
     );
 
     let points = match run_sweep(&spec, &SweepOptions::default(), None) {

@@ -22,21 +22,15 @@ fn figure10_cpi_shape() {
     let mut cppc = Vec::new();
     let mut twodim = Vec::new();
     for p in spec2000_profiles() {
-        let base = model.simulate(&p, L1Scheme::OneDimParity, OPS, 0x15CA);
-        let c = model
-            .breakdown_from_stats(&p, L1Scheme::Cppc, OPS, base.l1_stats, base.l2_stats)
-            .cpi();
-        let t = model
-            .breakdown_from_stats(
-                &p,
-                L1Scheme::TwoDimParity,
-                OPS,
-                base.l1_stats,
-                base.l2_stats,
-            )
-            .cpi();
-        cppc.push(c / base.cpi() - 1.0);
-        twodim.push(t / base.cpi() - 1.0);
+        let run = model.drive(&p, OPS, 0x15CA);
+        let cpi = |scheme| {
+            model
+                .breakdown_from_stats(&p, scheme, OPS, run.l1, run.l2)
+                .cpi()
+        };
+        let base = cpi(L1Scheme::OneDimParity);
+        cppc.push(cpi(L1Scheme::Cppc) / base - 1.0);
+        twodim.push(cpi(L1Scheme::TwoDimParity) / base - 1.0);
     }
     let (ac, at) = (mean(&cppc), mean(&twodim));
     assert!(
@@ -98,9 +92,9 @@ fn figures11_12_energy_shape() {
     let mut l2_ratios = Vec::new();
     let mut mcf_l2: Option<(f64, f64)> = None;
     for p in spec2000_profiles() {
-        let run = model.simulate(&p, L1Scheme::OneDimParity, OPS, 0x15CA);
-        let c1 = counts_from_stats(&run.l1_stats, 4);
-        let c2 = counts_from_stats(&run.l2_stats, 4);
+        let run = model.drive(&p, OPS, 0x15CA);
+        let c1 = counts_from_stats(&run.l1, 4);
+        let c2 = counts_from_stats(&run.l2, 4);
         l1_ratios.push([
             l1_cppc.total_pj(&c1) / l1_par.total_pj(&c1),
             l1_sec.total_pj(&c1) / l1_par.total_pj(&c1),

@@ -58,7 +58,7 @@ fn fill(trial: u64, mut store: impl FnMut(u64, u64)) -> Vec<(u64, u64)> {
     truth
 }
 
-/// Pre-refactor CPPC campaign body (`inject_experiment`'s protocol).
+/// Pre-refactor CPPC campaign body (the baked-in `inject` protocol).
 fn legacy_cppc(config: CppcConfig, model: FaultModel, rng: &mut StdRng, trial: u64) -> Outcome {
     let mut mem = MainMemory::new();
     let mut cache = CppcCache::new_l1(inject_geometry(), config, ReplacementPolicy::Lru).unwrap();
