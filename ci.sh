@@ -18,6 +18,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release"
 cargo build --release --workspace
+# Every CLI step below runs this one release binary.
+CLI=target/release/cppc-cli
 
 echo "== cargo test"
 cargo test -q --workspace
@@ -96,12 +98,11 @@ echo "== trace round-trip byte identity (text -> bin -> text)"
 # recorded text trace converted to the binary format and back must be
 # byte-identical to the original file.
 TRACE_TMP="$(mktemp -d)"
-TRACE_CLI=target/release/cppc-cli
-"$TRACE_CLI" trace record --ops 50000 --seed 7 --format text \
+"$CLI" trace record --ops 50000 --seed 7 --format text \
     --out "$TRACE_TMP/a.txt" > /dev/null
-"$TRACE_CLI" trace convert --in "$TRACE_TMP/a.txt" --to bin \
+"$CLI" trace convert --in "$TRACE_TMP/a.txt" --to bin \
     --out "$TRACE_TMP/a.cppct" > /dev/null
-"$TRACE_CLI" trace convert --in "$TRACE_TMP/a.cppct" --to text \
+"$CLI" trace convert --in "$TRACE_TMP/a.cppct" --to text \
     --out "$TRACE_TMP/b.txt" > /dev/null
 cmp "$TRACE_TMP/a.txt" "$TRACE_TMP/b.txt" || {
     echo "text -> bin -> text trace round trip is not byte-identical" >&2
@@ -113,24 +114,23 @@ echo "== repro golden gates (fast tier)"
 # Re-runs the fast-tier paper artifacts and fails if any gated metric
 # leaves its tolerance band around the committed goldens in
 # docs/results/ (see docs/RESULTS.md). `time` prints the check's wall
-# time (informational; the build before it keeps compile time out);
-# the check's exit status passes through, so a failing check still
-# fails CI.
-cargo build -q --release -p cppc-cli --bin cppc-cli
+# time (informational; it runs the built binary, so no compile time is
+# in it); the check's exit status passes through, so a failing check
+# still fails CI.
 TIMEFORMAT='repro --check wall time: %R s'
-time cargo run -q --release -p cppc-cli --bin cppc-cli -- repro --check
+time "$CLI" repro --check
 
 echo "== explore quick-tier gate (committed frontier matches the code)"
 # Re-runs the quick-tier design-space sweep and fails if the committed
 # docs/results/explore_quick.json differs byte-for-byte from what the
 # models produce (or if the frontier degenerates to CPPC-only points).
-cargo run -q --release -p cppc-cli --bin cppc-cli -- explore --quick --check
+"$CLI" explore --quick --check
 
 echo "== explore full-tier gate (committed explore_full.json matches the code)"
 # The same byte gate for the full tier: its 432 configs price every
 # scheme x interleave x scrub point through the timing, energy, area
 # and MTTF models (a few seconds on two cores).
-cargo run -q --release -p cppc-cli --bin cppc-cli -- explore --check
+"$CLI" explore --check
 
 echo "== generated docs freshness"
 # docs/{RESULTS,SCHEMES,EXPLORER,METRICS}.md are pure functions of the
@@ -138,7 +138,7 @@ echo "== generated docs freshness"
 # them in memory (no simulation) must match the committed bytes. Fails
 # naming each stale file; regenerate with
 # 'cargo run --release -p cppc-cli -- docs'.
-cargo run -q --release -p cppc-cli --bin cppc-cli -- docs --check
+"$CLI" docs --check
 
 echo "== serve smoke (daemon round-trip + kill-and-restart resume)"
 # Exercises the job service across a real process boundary: submit
@@ -148,7 +148,6 @@ echo "== serve smoke (daemon round-trip + kill-and-restart resume)"
 # the daemon on the same data dir, and require the resumed job to merge
 # to the same bytes as its own direct run, and the first job's result,
 # now served from the journal, to be the bytes served before.
-CLI=target/release/cppc-cli
 SERVE_TMP="$(mktemp -d)"
 SOCK="$SERVE_TMP/d.sock"
 trap 'rm -rf "$SERVE_TMP"' EXIT

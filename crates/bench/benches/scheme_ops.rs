@@ -51,7 +51,7 @@ fn bench_store_paths(c: &mut Criterion) {
         b.iter_batched(
             || {
                 (
-                    OneDimParityCache::new(geo(), 8, ReplacementPolicy::Lru),
+                    OneDimParityCache::new(geo(), ReplacementPolicy::Lru),
                     MainMemory::new(),
                 )
             },
@@ -105,7 +105,7 @@ fn bench_store_paths(c: &mut Criterion) {
         b.iter_batched(
             || {
                 (
-                    SecdedCache::new(geo(), true, ReplacementPolicy::Lru),
+                    SecdedCache::new(geo(), ReplacementPolicy::Lru),
                     MainMemory::new(),
                 )
             },

@@ -16,11 +16,13 @@ use cppc_cache_sim::hierarchy::TwoLevelHierarchy;
 use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_campaign::rng::rngs::StdRng;
-use cppc_campaign::rng::{RngExt, SeedableRng};
+use cppc_campaign::rng::RngExt;
 use cppc_core::{CppcConfig, ProtectionScheme, SchemeKind};
 use cppc_fault::campaign::Outcome;
 use cppc_fault::model::FaultModel;
 use cppc_workloads::SharedTrace;
+
+use crate::mbe;
 
 /// Parses a CPPC configuration name (`basic`, `paper`, `two-pairs`,
 /// `eight-pairs`).
@@ -74,20 +76,9 @@ pub fn parse_scheme(name: &str) -> Result<SchemeKind, String> {
     SchemeKind::parse(name)
 }
 
-/// The campaign geometry of the fault-injection experiments (32 sets,
-/// 2 ways).
-///
-/// # Panics
-///
-/// Never — the geometry is valid by construction.
-#[must_use]
-pub fn inject_geometry() -> CacheGeometry {
-    CacheGeometry::new(2048, 2, 32).expect("valid geometry")
-}
-
 /// The fault-injection experiment behind `cppc-cli campaign --scheme
 /// <name>`, `scheme` and `inject` service jobs and `cppc-cli stats`:
-/// fill way 0 of a small L1 ([`inject_geometry`]) with known values,
+/// fill way 0 of a small L1 ([`mbe::geometry`]) with known values,
 /// strike it with one sampled fault pattern, run recovery and classify
 /// the outcome, for any member of the protection-scheme zoo behind the
 /// `ProtectionScheme` trait. `inject` is this body at
@@ -113,8 +104,9 @@ pub fn scheme_experiment(
 }
 
 /// [`scheme_experiment`]'s protocol over any scheme `build` makes from
-/// [`inject_geometry`], including variants outside the zoo's paper
-/// configurations (the coverage matrix's eight-row 2D parity).
+/// [`mbe::geometry`], including variants outside the zoo's paper
+/// configurations (the coverage matrix's eight-row 2D parity). Trial
+/// `trial` fills way 0 with [`mbe::oracle`]`(trial)`.
 pub fn built_experiment<B>(
     build: B,
     fault: FaultModel,
@@ -123,18 +115,11 @@ where
     B: Fn(CacheGeometry) -> Box<dyn ProtectionScheme> + Sync,
 {
     move |rng, trial| {
-        let geo = inject_geometry();
         let mut mem = MainMemory::new();
-        let mut scheme = build(geo);
-        let mut fill = StdRng::seed_from_u64(trial);
-        let mut truth = Vec::new();
-        for set in 0..geo.num_sets() {
-            for word in 0..geo.words_per_block() {
-                let addr = geo.address_of(0, set) + (word * 8) as u64;
-                let v: u64 = fill.random();
-                scheme.write_word(addr, v, &mut mem).expect("no faults yet");
-                truth.push((addr, v));
-            }
+        let mut scheme = build(mbe::geometry());
+        let truth = mbe::oracle(trial);
+        for &(addr, v) in &truth {
+            scheme.write_word(addr, v, &mut mem).expect("no faults yet");
         }
         if scheme.inject_model(fault, rng) == 0 {
             return Outcome::Masked;
@@ -271,6 +256,7 @@ pub fn sleep_experiment(millis: u64) -> impl Fn(&mut StdRng, u64) -> Outcome + S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cppc_campaign::rng::SeedableRng;
     use cppc_fault::campaign::OutcomeTally;
 
     #[test]

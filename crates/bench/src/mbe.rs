@@ -32,7 +32,9 @@ use cppc_campaign::rng::rngs::StdRng;
 use cppc_campaign::rng::{RngExt, SeedableRng};
 use cppc_campaign::snapshot::WarmPool;
 use cppc_campaign::{trial_rng, Accumulator, TrialExec};
-use cppc_core::{BatchOutcome, BatchScratch, BatchSim, CppcCache, CppcConfig, SimSnapshot};
+use cppc_core::{
+    BatchOutcome, BatchScratch, BatchSim, CppcCache, CppcConfig, ProtectionScheme, SimSnapshot,
+};
 use cppc_fault::campaign::Outcome;
 use cppc_fault::model::{FaultGenerator, FaultModel, FaultPattern};
 
@@ -54,7 +56,9 @@ pub const SPARSE_MODEL: FaultModel = FaultModel::SpatialSquare {
     density: 0.4,
 };
 
-/// The campaign's cache geometry (32 sets, 256 data rows).
+/// The cache geometry of every fault-injection campaign (2 KiB, 2 ways,
+/// 32 sets, 256 data rows): this one and the scheme-zoo trials of
+/// [`crate::experiments`].
 ///
 /// # Panics
 ///
@@ -165,8 +169,10 @@ fn warm_context() -> (TrialContext, u64) {
     )
 }
 
-/// One trial against a restored warm context: restore, strike, recover,
-/// classify.
+/// One trial against a restored warm context: restore, strike, then
+/// recover and grade through the zoo's CPPC classification. The strike
+/// is sampled into the context's pattern buffer, so the trial allocates
+/// nothing.
 fn run_trial(ctx: &mut TrialContext, model: FaultModel, rng: &mut StdRng) -> Outcome {
     ctx.cache.restore_snapshot(&ctx.cache_snap);
     ctx.mem.restore_snapshot(&ctx.mem_snap);
@@ -176,17 +182,7 @@ fn run_trial(ctx: &mut TrialContext, model: FaultModel, rng: &mut StdRng) -> Out
     if ctx.cache.inject(&ctx.pattern) == 0 {
         return Outcome::Masked;
     }
-    match ctx.cache.recover_all(&mut ctx.mem) {
-        Err(_) => Outcome::DetectedUnrecoverable,
-        Ok(_) => {
-            for &(addr, v) in &ctx.truth {
-                if ctx.cache.peek_word(addr) != Some(v) {
-                    return Outcome::SilentCorruption;
-                }
-            }
-            Outcome::Corrected
-        }
-    }
+    ProtectionScheme::classify(&mut ctx.cache, &ctx.truth, &mut ctx.mem)
 }
 
 /// One fault-injection trial of `model` on the shared warm pool.

@@ -101,6 +101,56 @@ impl Json {
         out
     }
 
+    /// Pretty-prints with two-space indentation and a trailing newline:
+    /// the byte format of every committed `docs/results/*.json`, which
+    /// the round-trip and freshness gates depend on.
+    #[must_use]
+    pub fn to_string_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write_pretty(0, &mut out);
+        out.push('\n');
+        out
+    }
+
+    fn write_pretty(&self, depth: usize, out: &mut String) {
+        let indent = |depth: usize, out: &mut String| {
+            for _ in 0..depth {
+                out.push_str("  ");
+            }
+        };
+        match self {
+            Json::Arr(items) if !items.is_empty() => {
+                out.push_str("[\n");
+                for (i, item) in items.iter().enumerate() {
+                    indent(depth + 1, out);
+                    item.write_pretty(depth + 1, out);
+                    if i + 1 < items.len() {
+                        out.push(',');
+                    }
+                    out.push('\n');
+                }
+                indent(depth, out);
+                out.push(']');
+            }
+            Json::Obj(pairs) if !pairs.is_empty() => {
+                out.push_str("{\n");
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    indent(depth + 1, out);
+                    write_escaped(out, k);
+                    out.push_str(": ");
+                    v.write_pretty(depth + 1, out);
+                    if i + 1 < pairs.len() {
+                        out.push(',');
+                    }
+                    out.push('\n');
+                }
+                indent(depth, out);
+                out.push('}');
+            }
+            scalar_or_empty => scalar_or_empty.write(out),
+        }
+    }
+
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),

@@ -757,7 +757,7 @@ pub fn explore(args: &ParsedArgs) -> CliResult {
         }
     };
     let document = doc::sweep_doc(&spec, &points);
-    let body = doc::pretty(&document);
+    let body = document.to_string_pretty();
     let summary = |key: &str| {
         document
             .get("summary")

@@ -1,13 +1,20 @@
-//! The three baseline protected caches of the paper's evaluation (§6):
+//! The three baseline protected caches of the paper's evaluation (§6),
+//! each a member of the scheme zoo in its own right (it implements
+//! [`ProtectionScheme`] directly):
 //!
 //! * [`OneDimParityCache`] — 8 interleaved parity bits per word,
 //!   detection only: a fault in a *clean* word is recovered by re-fetch,
 //!   a fault in a *dirty* word halts the machine (the paper's
 //!   motivation: "even a single-bit error in a write-back
 //!   parity-protected cache may cause the processor to fail").
-//! * [`SecdedCache`] — a (72,64) SECDED code per word, optionally with
-//!   8-way physical bit interleaving so spatial MBEs decompose into
-//!   single-bit errors per word.
+//! * [`SecdedCache`] — a (72,64) SECDED code per word over an 8-way
+//!   physically bit-interleaved array: a physical strike
+//!   ([`SecdedCache::inject_spatial`], and so every sampled campaign
+//!   strike) always maps onto that interleave, so spatial MBEs
+//!   decompose into single-bit errors per word. A logical-row pattern
+//!   through [`ProtectionScheme::inject`] bypasses the interleave, which
+//!   is how the non-interleaved related-work members that wrap this
+//!   cache ([`crate::silent`], [`crate::harp`]) are struck.
 //! * [`TwoDimParityCache`] — 8-way horizontal interleaved parity per
 //!   word plus vertical parity rows (one in the paper's evaluated
 //!   configuration); every store and every fill performs a
@@ -19,14 +26,26 @@
 
 use cppc_cache_sim::cache::{Backing, Cache};
 use cppc_cache_sim::geometry::CacheGeometry;
+use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_cache_sim::stats::CacheStats;
+use cppc_campaign::rng::rngs::StdRng;
+use cppc_campaign::rng::RngExt;
 use cppc_ecc::interleaved::InterleavedParity;
 use cppc_ecc::secded::{DecodeOutcome, Secded64};
+use cppc_fault::campaign::Outcome;
 use cppc_fault::layout::PhysicalLayout;
-use cppc_fault::model::{BitFlip, FaultPattern};
+use cppc_fault::model::{BitFlip, FaultModel, FaultPattern};
+
+use crate::scheme::{
+    apply_flips, grade_loads, grade_recovered, ProtectionScheme, SchemeFault, SchemeOps,
+};
 
 use std::fmt;
+
+/// Interleaved parity ways of the 1D and 2D parity caches (the paper's
+/// configuration).
+const PARITY_WAYS: u32 = 8;
 
 /// A detected fault a baseline scheme cannot repair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,11 +75,38 @@ impl fmt::Display for UnrecoverableFault {
 
 impl std::error::Error for UnrecoverableFault {}
 
+/// Makes `addr` resident in a cache whose per-word code is a function of
+/// the word alone: a hit records the access and touches the way; a miss
+/// records it, fills the block and hands each filled word to
+/// `encode(row, word)`. Returns `(set, way)`.
+fn probe_or_fill<B: Backing>(
+    inner: &mut Cache,
+    layout: &PhysicalLayout,
+    addr: u64,
+    is_store: bool,
+    backing: &mut B,
+    mut encode: impl FnMut(usize, u64),
+) -> (usize, usize) {
+    if let Some((set, way)) = inner.probe(addr) {
+        inner.record_access(is_store, true);
+        inner.touch(set, way);
+        return (set, way);
+    }
+    inner.record_access(is_store, false);
+    let set = inner.geometry().set_index(addr);
+    let way = inner.choose_way_for_fill(set);
+    let _ = inner.fill_into(addr, way, backing);
+    for w in 0..inner.geometry().words_per_block() {
+        encode(layout.row_of(set, way, w), inner.block(set, way).word(w));
+    }
+    (set, way)
+}
+
 // ======================================================================
 // One-dimensional parity
 // ======================================================================
 
-/// A write-back cache protected by `k`-way interleaved parity per word —
+/// A write-back cache protected by 8-way interleaved parity per word —
 /// detection only.
 #[derive(Debug, Clone)]
 pub struct OneDimParityCache {
@@ -73,30 +119,19 @@ pub struct OneDimParityCache {
 }
 
 impl OneDimParityCache {
-    /// Creates the cache with `parity_ways`-way interleaved parity
-    /// (8 in the paper's configuration).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parity_ways` does not divide 64.
+    /// Creates the cache with the paper's 8-way interleaved parity.
     #[must_use]
-    pub fn new(geo: CacheGeometry, parity_ways: u32, policy: ReplacementPolicy) -> Self {
+    pub fn new(geo: CacheGeometry, policy: ReplacementPolicy) -> Self {
         let layout =
             PhysicalLayout::new(geo.num_sets(), geo.associativity(), geo.words_per_block());
         OneDimParityCache {
             inner: Cache::new(geo, policy),
             parity: vec![0; layout.num_rows()],
-            code: InterleavedParity::new(parity_ways),
+            code: InterleavedParity::new(PARITY_WAYS),
             layout,
             corrected_clean: 0,
             dues: 0,
         }
-    }
-
-    /// Generic cache statistics.
-    #[must_use]
-    pub fn cache_stats(&self) -> &CacheStats {
-        self.inner.stats()
     }
 
     /// Clean words repaired by re-fetch.
@@ -111,12 +146,6 @@ impl OneDimParityCache {
         self.dues
     }
 
-    /// The physical layout (for fault targeting).
-    #[must_use]
-    pub fn layout(&self) -> &PhysicalLayout {
-        &self.layout
-    }
-
     fn refresh_parity(&mut self, set: usize, way: usize, w: usize) {
         let row = self.layout.row_of(set, way, w);
         self.parity[row] = self.code.encode(self.inner.block(set, way).word(w));
@@ -128,19 +157,15 @@ impl OneDimParityCache {
         is_store: bool,
         backing: &mut B,
     ) -> (usize, usize) {
-        if let Some((set, way)) = self.inner.probe(addr) {
-            self.inner.record_access(is_store, true);
-            self.inner.touch(set, way);
-            return (set, way);
-        }
-        self.inner.record_access(is_store, false);
-        let set = self.inner.geometry().set_index(addr);
-        let way = self.inner.choose_way_for_fill(set);
-        let _ = self.inner.fill_into(addr, way, backing);
-        for w in 0..self.inner.geometry().words_per_block() {
-            self.refresh_parity(set, way, w);
-        }
-        (set, way)
+        let (code, parity) = (self.code, &mut self.parity);
+        probe_or_fill(
+            &mut self.inner,
+            &self.layout,
+            addr,
+            is_store,
+            backing,
+            |row, word| parity[row] = code.encode(word),
+        )
     }
 
     /// Loads a word; faults in clean data re-fetch, faults in dirty data
@@ -193,30 +218,54 @@ impl OneDimParityCache {
         self.inner.store_byte_in_place(set, way, w, byte, value);
         self.refresh_parity(set, way, w);
     }
+}
 
-    /// Applies a fault pattern to the data array; returns bits flipped.
-    pub fn inject(&mut self, pattern: &FaultPattern) -> usize {
-        let mut applied = 0;
-        for flip in pattern.flips() {
-            let (set, way, word) = self.layout.location_of(flip.row);
-            if self.inner.block(set, way).is_valid() {
-                self.inner.block_mut(set, way).flip_bit(word, flip.col);
-                applied += 1;
-            }
-        }
-        applied
+impl ProtectionScheme for OneDimParityCache {
+    fn write_word(
+        &mut self,
+        addr: u64,
+        value: u64,
+        mem: &mut MainMemory,
+    ) -> Result<(), SchemeFault> {
+        self.store_word(addr, value, mem);
+        Ok(())
     }
 
-    /// Reads the resident word without side effects.
-    #[must_use]
-    pub fn peek_word(&self, addr: u64) -> Option<u64> {
+    fn read_word(&mut self, addr: u64, mem: &mut MainMemory) -> Result<u64, SchemeFault> {
+        self.load_word(addr, mem).map_err(SchemeFault::from)
+    }
+
+    fn peek_word(&self, addr: u64) -> Option<u64> {
         self.inner.peek_word(addr)
     }
 
-    /// Writes every dirty block back to `backing` (the data is written
-    /// back as stored, so the parity over it stays valid).
-    pub fn flush<B: Backing>(&mut self, backing: &mut B) {
-        self.inner.flush(backing);
+    fn layout(&self) -> &PhysicalLayout {
+        &self.layout
+    }
+
+    fn inject(&mut self, pattern: &FaultPattern) -> usize {
+        apply_flips(&mut self.inner, &self.layout, pattern.flips())
+    }
+
+    fn classify(&mut self, truth: &[(u64, u64)], mem: &mut MainMemory) -> Outcome {
+        // A run where every load matches had every flipped bit hidden by
+        // even flips per parity group: harmless this time — masked by
+        // parity blindness.
+        grade_loads(truth, Outcome::Masked, |addr| self.load_word(addr, mem))
+    }
+
+    fn ops(&self) -> SchemeOps {
+        let stats = self.inner.stats();
+        SchemeOps {
+            writes: stats.store_hits + stats.fills,
+            corrected: self.corrected_clean,
+            dues: self.dues,
+            ..SchemeOps::default()
+        }
+    }
+
+    fn cache_stats(&self) -> &CacheStats {
+        self.inner.stats()
     }
 }
 
@@ -224,32 +273,29 @@ impl OneDimParityCache {
 // SECDED
 // ======================================================================
 
-/// A write-back cache protected by a (72,64) SECDED code per word, with
-/// optional 8-way physical bit interleaving (the paper's L1 SECDED
-/// baseline combines both).
+/// A write-back cache protected by a (72,64) SECDED code per word, over
+/// an 8-way physically bit-interleaved array (the paper's L1 SECDED
+/// baseline).
 #[derive(Debug, Clone)]
 pub struct SecdedCache {
     inner: Cache,
     check: Vec<u16>,
     layout: PhysicalLayout,
-    interleaved: bool,
     corrected: u64,
     dues: u64,
     rmw_reads: u64,
 }
 
 impl SecdedCache {
-    /// Creates the cache. `interleaved` enables 8-way physical bit
-    /// interleaving (spatial-MBE tolerance at 8x bitline energy).
+    /// Creates the cache.
     #[must_use]
-    pub fn new(geo: CacheGeometry, interleaved: bool, policy: ReplacementPolicy) -> Self {
+    pub fn new(geo: CacheGeometry, policy: ReplacementPolicy) -> Self {
         let layout =
             PhysicalLayout::new(geo.num_sets(), geo.associativity(), geo.words_per_block());
         SecdedCache {
             inner: Cache::new(geo, policy),
             check: vec![Secded64::encode(0).check_bits(); layout.num_rows()],
             layout,
-            interleaved,
             corrected: 0,
             dues: 0,
             rmw_reads: 0,
@@ -265,12 +311,6 @@ impl SecdedCache {
         self.rmw_reads
     }
 
-    /// Generic cache statistics.
-    #[must_use]
-    pub fn cache_stats(&self) -> &CacheStats {
-        self.inner.stats()
-    }
-
     /// Single-bit corrections performed.
     #[must_use]
     pub fn corrected(&self) -> u64 {
@@ -281,12 +321,6 @@ impl SecdedCache {
     #[must_use]
     pub fn dues(&self) -> u64 {
         self.dues
-    }
-
-    /// The physical layout (for fault targeting).
-    #[must_use]
-    pub fn layout(&self) -> &PhysicalLayout {
-        &self.layout
     }
 
     fn refresh_check(&mut self, set: usize, way: usize, w: usize) {
@@ -300,21 +334,16 @@ impl SecdedCache {
         is_store: bool,
         backing: &mut B,
     ) -> (usize, usize) {
-        if let Some((set, way)) = self.inner.probe(addr) {
-            self.inner.record_access(is_store, true);
-            self.inner.touch(set, way);
-            return (set, way);
-        }
-        self.inner.record_access(is_store, false);
-        let set = self.inner.geometry().set_index(addr);
-        let way = self.inner.choose_way_for_fill(set);
-        let _ = self.inner.fill_into(addr, way, backing);
-        for w in 0..self.inner.geometry().words_per_block() {
-            self.refresh_check(set, way, w);
-        }
-        (set, way)
+        let check = &mut self.check;
+        probe_or_fill(
+            &mut self.inner,
+            &self.layout,
+            addr,
+            is_store,
+            backing,
+            |row, word| check[row] = Secded64::encode(word).check_bits(),
+        )
     }
-
     /// Loads a word, decoding the SECDED codeword: single-bit errors are
     /// corrected in place, double-bit errors are fatal.
     ///
@@ -390,91 +419,108 @@ impl SecdedCache {
         Ok(())
     }
 
-    /// Applies a fault pattern in *logical* coordinates (no
-    /// interleaving translation); returns bits flipped.
-    pub fn inject(&mut self, pattern: &FaultPattern) -> usize {
-        let mut applied = 0;
-        for flip in pattern.flips() {
-            let (set, way, word) = self.layout.location_of(flip.row);
-            if self.inner.block(set, way).is_valid() {
-                self.inner.block_mut(set, way).flip_bit(word, flip.col);
-                applied += 1;
-            }
-        }
-        applied
-    }
-
-    /// Applies a *physical* spatial fault. With interleaving enabled, a
-    /// physical row holds bits of 8 consecutive logical rows
-    /// bit-interleaved, so an NxM strike at physical `(row0, col0)`
-    /// decomposes into ≤1 flip per word for M ≤ 8 — the mechanism that
-    /// makes interleaved SECDED spatial-MBE tolerant. Without
-    /// interleaving the pattern applies directly.
-    ///
-    /// Returns the bit flips actually applied (in logical coordinates).
+    /// The logical flips of an `rows` x `cols` strike at physical
+    /// `(row0, col0)`: physical row `r` holds logical rows `8r..8r+7`
+    /// bit-interleaved, so physical column `c` maps to logical row
+    /// `8r + c % 8`, bit `c / 8`. Rows past the array are dropped.
     ///
     /// # Panics
     ///
-    /// Panics if the footprint leaves the array.
-    pub fn inject_spatial(
-        &mut self,
-        row0: usize,
-        col0: u32,
-        rows: usize,
-        cols: u32,
-    ) -> Vec<BitFlip> {
+    /// Panics if the footprint leaves the 512-column physical row.
+    fn interleaved_flips(&self, row0: usize, col0: u32, rows: usize, cols: u32) -> Vec<BitFlip> {
+        assert!(col0 + cols <= 512, "physical strike leaves the row");
         let mut flips = Vec::new();
-        if self.interleaved {
-            // Physical row r holds logical rows 8r..8r+7 interleaved:
-            // physical column c maps to logical row 8r + (c % 8),
-            // bit c / 8. Strike columns live in 0..512.
-            assert!(col0 + cols <= 512, "physical strike leaves the row");
-            for dr in 0..rows {
-                for dc in 0..cols {
-                    let c = col0 + dc;
-                    let logical_row = 8 * (row0 + dr) + (c % 8) as usize;
-                    if logical_row < self.layout.num_rows() {
-                        flips.push(BitFlip {
-                            row: logical_row,
-                            col: c / 8,
-                        });
-                    }
-                }
-            }
-        } else {
-            for dr in 0..rows {
-                for dc in 0..cols {
-                    flips.push(BitFlip {
-                        row: row0 + dr,
-                        col: col0 + dc,
-                    });
+        for dr in 0..rows {
+            for dc in 0..cols {
+                let c = col0 + dc;
+                let row = 8 * (row0 + dr) + (c % 8) as usize;
+                if row < self.layout.num_rows() {
+                    flips.push(BitFlip { row, col: c / 8 });
                 }
             }
         }
-        let mut applied = Vec::new();
-        for flip in flips {
-            if flip.row >= self.layout.num_rows() {
-                continue;
-            }
-            let (set, way, word) = self.layout.location_of(flip.row);
-            if self.inner.block(set, way).is_valid() {
-                self.inner.block_mut(set, way).flip_bit(word, flip.col);
-                applied.push(flip);
-            }
-        }
-        applied
+        flips
     }
 
-    /// Reads the resident word without side effects or decoding.
-    #[must_use]
-    pub fn peek_word(&self, addr: u64) -> Option<u64> {
+    /// Applies a *physical* spatial fault on the 8-way interleaved
+    /// array: an NxM strike at physical `(row0, col0)` decomposes into
+    /// ≤1 flip per word for M ≤ 8 — the mechanism that makes interleaved
+    /// SECDED spatial-MBE tolerant. Returns the number of bits flipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the footprint leaves the 512-column physical row.
+    pub fn inject_spatial(&mut self, row0: usize, col0: u32, rows: usize, cols: u32) -> usize {
+        let flips = self.interleaved_flips(row0, col0, rows, cols);
+        apply_flips(&mut self.inner, &self.layout, &flips)
+    }
+}
+
+impl ProtectionScheme for SecdedCache {
+    fn write_word(
+        &mut self,
+        addr: u64,
+        value: u64,
+        mem: &mut MainMemory,
+    ) -> Result<(), SchemeFault> {
+        self.store_word(addr, value, mem);
+        Ok(())
+    }
+
+    fn read_word(&mut self, addr: u64, mem: &mut MainMemory) -> Result<u64, SchemeFault> {
+        self.load_word(addr, mem).map_err(SchemeFault::from)
+    }
+
+    fn peek_word(&self, addr: u64) -> Option<u64> {
         self.inner.peek_word(addr)
     }
 
-    /// Writes every dirty block back to `backing` (data written back as
-    /// stored; the per-word check bits stay consistent with it).
-    pub fn flush<B: Backing>(&mut self, backing: &mut B) {
-        self.inner.flush(backing);
+    fn layout(&self) -> &PhysicalLayout {
+        &self.layout
+    }
+
+    /// Applies a pattern in *logical* row coordinates (no interleaving
+    /// translation).
+    fn inject(&mut self, pattern: &FaultPattern) -> usize {
+        apply_flips(&mut self.inner, &self.layout, pattern.flips())
+    }
+
+    fn inject_model(&mut self, model: FaultModel, rng: &mut StdRng) -> usize {
+        let logical_rows = self.layout.num_rows() / 2;
+        // Translate the fault model into a physical strike on the
+        // interleaved array (8 logical rows per physical row) — the
+        // same translation (and RNG draw order) as the historical
+        // coverage-matrix closure.
+        let (rows, cols) = match model {
+            FaultModel::TemporalSingleBit | FaultModel::TemporalMultiBit { .. } => (1, 1),
+            FaultModel::VerticalStripe { rows } => (rows, 1),
+            FaultModel::HorizontalBurst { cols } => (1, cols),
+            FaultModel::SpatialSquare { rows, cols, .. } => (rows, cols),
+        };
+        let physical_rows = logical_rows / 8;
+        let prows = rows.div_ceil(8).max(1).min(physical_rows);
+        let row0 = rng.random_range(0..=(physical_rows - prows));
+        let col0 = rng.random_range(0..=(512 - cols));
+        self.inject_spatial(row0, col0, prows, cols)
+    }
+
+    fn classify(&mut self, truth: &[(u64, u64)], mem: &mut MainMemory) -> Outcome {
+        grade_loads(truth, Outcome::Corrected, |addr| self.load_word(addr, mem))
+    }
+
+    fn ops(&self) -> SchemeOps {
+        let stats = self.inner.stats();
+        SchemeOps {
+            writes: stats.store_hits + stats.fills,
+            rmw_reads: self.rmw_reads,
+            corrected: self.corrected,
+            dues: self.dues,
+            ..SchemeOps::default()
+        }
+    }
+
+    fn cache_stats(&self) -> &CacheStats {
+        self.inner.stats()
     }
 }
 
@@ -517,18 +563,12 @@ impl TwoDimParityCache {
             inner: Cache::new(geo, policy),
             horizontal: vec![0; layout.num_rows()],
             vertical: vec![0; vertical_rows],
-            code: InterleavedParity::new(8),
+            code: InterleavedParity::new(PARITY_WAYS),
             layout,
             read_before_writes: 0,
             corrected: 0,
             dues: 0,
         }
-    }
-
-    /// Generic cache statistics.
-    #[must_use]
-    pub fn cache_stats(&self) -> &CacheStats {
-        self.inner.stats()
     }
 
     /// Read-before-write operations performed (every store + every word
@@ -548,12 +588,6 @@ impl TwoDimParityCache {
     #[must_use]
     pub fn dues(&self) -> u64 {
         self.dues
-    }
-
-    /// The physical layout (for fault targeting).
-    #[must_use]
-    pub fn layout(&self) -> &PhysicalLayout {
-        &self.layout
     }
 
     fn vgroup(&self, row: usize) -> usize {
@@ -699,37 +733,59 @@ impl TwoDimParityCache {
         }
         Ok(())
     }
+}
 
-    /// Applies a fault pattern to the data array; returns bits flipped.
-    pub fn inject(&mut self, pattern: &FaultPattern) -> usize {
-        let mut applied = 0;
-        for flip in pattern.flips() {
-            let (set, way, word) = self.layout.location_of(flip.row);
-            if self.inner.block(set, way).is_valid() {
-                self.inner.block_mut(set, way).flip_bit(word, flip.col);
-                applied += 1;
-            }
-        }
-        applied
+impl ProtectionScheme for TwoDimParityCache {
+    fn write_word(
+        &mut self,
+        addr: u64,
+        value: u64,
+        mem: &mut MainMemory,
+    ) -> Result<(), SchemeFault> {
+        self.store_word(addr, value, mem);
+        Ok(())
     }
 
-    /// Reads the resident word without side effects.
-    #[must_use]
-    pub fn peek_word(&self, addr: u64) -> Option<u64> {
+    fn read_word(&mut self, addr: u64, mem: &mut MainMemory) -> Result<u64, SchemeFault> {
+        self.load_word(addr, mem).map_err(SchemeFault::from)
+    }
+
+    fn peek_word(&self, addr: u64) -> Option<u64> {
         self.inner.peek_word(addr)
     }
 
-    /// Writes every dirty block back to `backing` (data written back as
-    /// stored; horizontal and vertical parity stay consistent with it).
-    pub fn flush<B: Backing>(&mut self, backing: &mut B) {
-        self.inner.flush(backing);
+    fn layout(&self) -> &PhysicalLayout {
+        &self.layout
+    }
+
+    fn inject(&mut self, pattern: &FaultPattern) -> usize {
+        apply_flips(&mut self.inner, &self.layout, pattern.flips())
+    }
+
+    fn classify(&mut self, truth: &[(u64, u64)], _mem: &mut MainMemory) -> Outcome {
+        let recovered = self.recover_all().is_ok();
+        grade_recovered(recovered, truth, |addr| self.inner.peek_word(addr))
+    }
+
+    fn ops(&self) -> SchemeOps {
+        let stats = self.inner.stats();
+        SchemeOps {
+            writes: stats.store_hits + stats.fills,
+            read_before_writes: self.read_before_writes,
+            corrected: self.corrected,
+            dues: self.dues,
+            ..SchemeOps::default()
+        }
+    }
+
+    fn cache_stats(&self) -> &CacheStats {
+        self.inner.stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cppc_cache_sim::memory::MainMemory;
 
     fn geo() -> CacheGeometry {
         CacheGeometry::new(1024, 2, 32).unwrap()
@@ -741,7 +797,7 @@ mod tests {
     fn parity_clean_fault_refetched() {
         let mut mem = MainMemory::new();
         mem.write_word(0x40, 7);
-        let mut c = OneDimParityCache::new(geo(), 8, ReplacementPolicy::Lru);
+        let mut c = OneDimParityCache::new(geo(), ReplacementPolicy::Lru);
         assert_eq!(c.load_word(0x40, &mut mem).unwrap(), 7);
         // corrupt the clean word
         let (set, way) = (geo().set_index(0x40), 0);
@@ -754,7 +810,7 @@ mod tests {
     #[test]
     fn parity_dirty_fault_is_fatal() {
         let mut mem = MainMemory::new();
-        let mut c = OneDimParityCache::new(geo(), 8, ReplacementPolicy::Lru);
+        let mut c = OneDimParityCache::new(geo(), ReplacementPolicy::Lru);
         c.store_word(0x40, 99, &mut mem);
         let (set, _) = (geo().set_index(0x40), 0);
         let row = c.layout().row_of(set, 0, 0);
@@ -769,7 +825,7 @@ mod tests {
     #[test]
     fn parity_store_needs_no_read() {
         let mut mem = MainMemory::new();
-        let mut c = OneDimParityCache::new(geo(), 8, ReplacementPolicy::Lru);
+        let mut c = OneDimParityCache::new(geo(), ReplacementPolicy::Lru);
         c.store_word(0x40, 1, &mut mem);
         c.store_word(0x40, 2, &mut mem);
         assert_eq!(c.load_word(0x40, &mut mem).unwrap(), 2);
@@ -780,7 +836,7 @@ mod tests {
     #[test]
     fn secded_corrects_single_bit_in_dirty() {
         let mut mem = MainMemory::new();
-        let mut c = SecdedCache::new(geo(), false, ReplacementPolicy::Lru);
+        let mut c = SecdedCache::new(geo(), ReplacementPolicy::Lru);
         c.store_word(0x40, 0xDEAD, &mut mem);
         let row = c.layout().row_of(geo().set_index(0x40), 0, 0);
         c.inject(&FaultPattern::new(vec![BitFlip { row, col: 15 }]));
@@ -791,7 +847,7 @@ mod tests {
     #[test]
     fn secded_double_bit_is_fatal() {
         let mut mem = MainMemory::new();
-        let mut c = SecdedCache::new(geo(), false, ReplacementPolicy::Lru);
+        let mut c = SecdedCache::new(geo(), ReplacementPolicy::Lru);
         c.store_word(0x40, 5, &mut mem);
         let row = c.layout().row_of(geo().set_index(0x40), 0, 0);
         c.inject(&FaultPattern::new(vec![
@@ -807,7 +863,7 @@ mod tests {
     #[test]
     fn secded_interleaved_survives_spatial_burst() {
         let mut mem = MainMemory::new();
-        let mut c = SecdedCache::new(geo(), true, ReplacementPolicy::Lru);
+        let mut c = SecdedCache::new(geo(), ReplacementPolicy::Lru);
         // Fill two blocks (8 logical rows = 1 physical interleaved row).
         for i in 0..8u64 {
             c.store_word(0x40 + i * 8, 0x1111 * (i + 1), &mut mem);
@@ -817,8 +873,7 @@ mod tests {
         let first_row = c.layout().row_of(geo().set_index(0x40), 0, 0);
         assert_eq!(first_row % 8, 0, "test assumes an aligned row band");
         // 1x8 physical burst: one bit in each of 8 logical rows.
-        let flips = c.inject_spatial(first_row / 8, 100, 1, 8);
-        assert!(!flips.is_empty());
+        assert_eq!(c.inject_spatial(first_row / 8, 100, 1, 8), 8);
         for i in 0..8u64 {
             assert_eq!(
                 c.load_word(0x40 + i * 8, &mut mem).unwrap(),
@@ -829,27 +884,12 @@ mod tests {
     }
 
     #[test]
-    fn secded_non_interleaved_dies_on_horizontal_burst() {
-        let mut mem = MainMemory::new();
-        let mut c = SecdedCache::new(geo(), false, ReplacementPolicy::Lru);
-        c.store_word(0x40, 5, &mut mem);
-        let row = c.layout().row_of(geo().set_index(0x40), 0, 0);
-        let flips = c.inject_spatial(row, 10, 1, 2);
-        assert_eq!(flips.len(), 2);
-        assert!(c.load_word(0x40, &mut mem).is_err());
-    }
-
-    #[test]
     fn interleaving_gives_each_word_at_most_one_flip_up_to_eight_columns() {
         // Physical column c of interleaved row r holds bit c / 8 of
         // logical row 8r + c % 8, so a strike up to eight columns wide
         // flips at most one bit per word; nine columns reach one word
         // twice.
-        let mut mem = MainMemory::new();
-        let mut c = SecdedCache::new(geo(), true, ReplacementPolicy::Lru);
-        for addr in (0..1024u64).step_by(8) {
-            c.store_word(addr, addr, &mut mem);
-        }
+        let c = SecdedCache::new(geo(), ReplacementPolicy::Lru);
         let rows = c.layout().num_rows();
         let most_flips_in_one_word = |flips: &[BitFlip]| {
             let mut per_row = vec![0u32; rows];
@@ -860,7 +900,7 @@ mod tests {
         };
         for width in 1..=8u32 {
             for col0 in 0..=512 - width {
-                let flips = c.inject_spatial(1, col0, 2, width);
+                let flips = c.interleaved_flips(1, col0, 2, width);
                 assert_eq!(flips.len(), 2 * width as usize, "width {width} col0 {col0}");
                 assert_eq!(
                     most_flips_in_one_word(&flips),
@@ -870,7 +910,7 @@ mod tests {
             }
         }
         for col0 in 0..=512 - 9 {
-            let flips = c.inject_spatial(1, col0, 2, 9);
+            let flips = c.interleaved_flips(1, col0, 2, 9);
             assert_eq!(most_flips_in_one_word(&flips), 2, "col0 {col0}");
         }
     }

@@ -787,14 +787,7 @@ impl CppcCache {
     /// invalid ways are dropped (nothing is stored there). Returns the
     /// number of bits actually flipped.
     pub fn inject(&mut self, pattern: &FaultPattern) -> usize {
-        let mut applied = 0;
-        for flip in pattern.flips() {
-            let (set, way, word) = self.layout.location_of(flip.row);
-            if self.inner.block(set, way).is_valid() {
-                self.inner.block_mut(set, way).flip_bit(word, flip.col);
-                applied += 1;
-            }
-        }
+        let applied = crate::scheme::apply_flips(&mut self.inner, &self.layout, pattern.flips());
         crate::obs::register_metrics();
         crate::obs::FAULTS_INJECTED.add(applied as u64);
         cppc_obs::record_event("cppc.inject", || {

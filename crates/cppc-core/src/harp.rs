@@ -11,10 +11,10 @@
 //! up its hands (or miscorrects against the reference), and repair
 //! them from the copy before they become failures.
 //!
-//! The model here: a per-word (72,64) SECDED array (non-interleaved —
-//! the on-die design point pays no interleaving wiring) operated
-//! **write-through**, so main memory always holds the last written
-//! value of every profiled word. [`HarpOdeccScheme::profile`] is the
+//! The model here: a per-word (72,64) SECDED array struck in logical
+//! rows (non-interleaved — the on-die design point pays no
+//! interleaving wiring) operated **write-through**, so main memory
+//! always holds the last written value of every profiled word. [`HarpOdeccScheme::profile`] is the
 //! error-profiling pass: it re-reads every address the program wrote,
 //! counts the reads the on-die code flags uncorrectable
 //! (`scheme.harp.profiled_uncorrectable`), and repairs each from the
@@ -76,7 +76,7 @@ impl HarpOdeccScheme {
         // once; sizing the list and set for that spares their growth.
         let words = geo.total_words();
         HarpOdeccScheme {
-            inner: SecdedCache::new(geo, false, policy),
+            inner: SecdedCache::new(geo, policy),
             written: Vec::with_capacity(words),
             seen: WordSet::with_capacity_and_hasher(words, Default::default()),
             profiled_uncorrectable: 0,
@@ -124,10 +124,6 @@ impl HarpOdeccScheme {
 }
 
 impl ProtectionScheme for HarpOdeccScheme {
-    fn descriptor(&self) -> &'static SchemeDescriptor {
-        &HARP_ODECC_DESCRIPTOR
-    }
-
     fn write_word(
         &mut self,
         addr: u64,
@@ -155,11 +151,6 @@ impl ProtectionScheme for HarpOdeccScheme {
         self.inner.layout()
     }
 
-    fn flush(&mut self, mem: &mut MainMemory) -> Result<(), SchemeFault> {
-        self.inner.flush(mem);
-        Ok(())
-    }
-
     fn inject(&mut self, pattern: &FaultPattern) -> usize {
         self.inner.inject(pattern)
     }
@@ -169,14 +160,7 @@ impl ProtectionScheme for HarpOdeccScheme {
         // are repaired from the write-through copy instead of ending
         // the run as DUEs.
         self.profile(mem);
-        for &(addr, v) in truth {
-            match self.inner.load_word(addr, mem) {
-                Err(_) => return Outcome::DetectedUnrecoverable,
-                Ok(got) if got != v => return Outcome::SilentCorruption,
-                Ok(_) => {}
-            }
-        }
-        Outcome::Corrected
+        self.inner.classify(truth, mem)
     }
 
     fn ops(&self) -> SchemeOps {

@@ -223,15 +223,7 @@ impl IcrCache {
 
     /// Applies a fault pattern to the data side; returns bits flipped.
     pub fn inject(&mut self, pattern: &FaultPattern) -> usize {
-        let mut applied = 0;
-        for flip in pattern.flips() {
-            let (set, way, word) = self.layout.location_of(flip.row);
-            if self.inner.block(set, way).is_valid() {
-                self.inner.block_mut(set, way).flip_bit(word, flip.col);
-                applied += 1;
-            }
-        }
-        applied
+        crate::scheme::apply_flips(&mut self.inner, &self.layout, pattern.flips())
     }
 
     /// Reads a resident word without side effects.

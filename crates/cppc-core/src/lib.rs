@@ -18,7 +18,7 @@
 //!   parity.
 //! * [`scheme`] — the pluggable [`scheme::ProtectionScheme`] trait and
 //!   [`scheme::SchemeKind`] selector the campaign drivers parameterize
-//!   over, with CPPC and the baselines ported onto it.
+//!   over; CPPC and the baselines implement the trait themselves.
 //! * [`silent`], [`harp`] — the related-work zoo: silent-write-aware
 //!   low-power ECC and HARP-style on-die ECC with error profiling.
 //!

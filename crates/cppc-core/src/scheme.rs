@@ -11,9 +11,7 @@
 //!   (CPPC additionally folds the old/new values into R1; 2D parity
 //!   performs its read-before-write). Dirty evictions triggered by a
 //!   conflicting fill run each scheme's per-eviction maintenance
-//!   internally (CPPC's R2 update, 2D parity's vertical-row rewrite);
-//!   [`ProtectionScheme::flush`] exposes that eviction path explicitly
-//!   by retiring every dirty block through it.
+//!   internally (CPPC's R2 update, 2D parity's vertical-row rewrite).
 //! * **check / correct** — [`ProtectionScheme::read_word`] verifies the
 //!   code on the read path and corrects (or refuses) on a mismatch;
 //!   [`ProtectionScheme::classify`] runs the scheme's whole-array
@@ -29,22 +27,24 @@
 //!   read-modify-writes, read-before-writes) and
 //!   [`ProtectionScheme::cache_stats`] the generic traffic counters
 //!   the area/energy models consume.
-//! * **self-description** — [`ProtectionScheme::descriptor`] returns
-//!   static name/overhead metadata plus the scheme's `pricing`, the
-//!   model class the timing, energy, area and MTTF models read;
-//!   `cppc-cli docs` renders `docs/SCHEMES.md` from exactly these
-//!   descriptors.
+//! * **self-description** — [`SchemeKind::descriptor`] returns static
+//!   name/overhead metadata plus the scheme's `pricing`, the model class
+//!   the timing, energy, area and MTTF models read; `cppc-cli docs`
+//!   renders `docs/SCHEMES.md` from exactly these descriptors.
 //!
-//! The four ported schemes (`cppc`, `parity1d`, `secded-interleaved`,
-//! `parity2d`) reproduce the historical baked-in campaign closures
-//! **bit for bit**: they consume the trial RNG stream in the same
-//! order and classify with the same rules, so campaign tallies and
-//! checkpoint bytes are identical to the pre-refactor paths (the
-//! `scheme_equivalence` integration suite pins this at 1, 2 and 8
-//! threads). The zoo's two related-work additions live in
-//! [`crate::silent`] (silent-write-aware ECC) and [`crate::harp`]
-//! (HARP-style on-die ECC with an error-profiling pass).
+//! The zoo members are the protected caches themselves: the trait is
+//! implemented on [`CppcCache`] (below) and on the three §6 baselines
+//! in [`crate::baselines`]. The two related-work additions wrap a
+//! [`SecdedCache`] to add their own state: [`crate::silent`]
+//! (silent-write-aware ECC) and [`crate::harp`] (HARP-style on-die ECC
+//! with an error-profiling pass). The four paper schemes reproduce the
+//! historical baked-in campaign closures **bit for bit**: they consume
+//! the trial RNG stream in the same order and classify with the same
+//! rules, so campaign tallies and checkpoint bytes are identical to the
+//! pre-refactor paths (the `scheme_equivalence` integration suite pins
+//! every member at 1, 2 and 8 threads).
 
+use cppc_cache_sim::cache::Cache;
 use cppc_cache_sim::geometry::CacheGeometry;
 use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
@@ -54,7 +54,7 @@ use cppc_campaign::rng::RngExt;
 use cppc_energy::ProtectionKind;
 use cppc_fault::campaign::Outcome;
 use cppc_fault::layout::PhysicalLayout;
-use cppc_fault::model::{FaultGenerator, FaultModel, FaultPattern};
+use cppc_fault::model::{BitFlip, FaultGenerator, FaultModel, FaultPattern};
 
 use crate::baselines::{OneDimParityCache, SecdedCache, TwoDimParityCache};
 use crate::cache::{CppcCache, Due};
@@ -75,8 +75,7 @@ pub fn register_metrics() {
 }
 
 /// A fault the scheme detected but cannot repair, surfaced from
-/// [`ProtectionScheme::read_word`] / [`ProtectionScheme::write_word`] /
-/// [`ProtectionScheme::flush`].
+/// [`ProtectionScheme::read_word`] / [`ProtectionScheme::write_word`].
 ///
 /// Each implementation's native error type (CPPC's [`Due`], the
 /// baselines' [`UnrecoverableFault`](crate::baselines::UnrecoverableFault))
@@ -164,15 +163,11 @@ pub struct SchemeOps {
 
 /// One protected cache in the zoo, as a campaign sees it.
 ///
-/// Implementations wrap a concrete protected cache over the shared
+/// Implemented by the protected caches over the shared
 /// `cppc-cache-sim` substrate; the trait is object-safe so campaign
 /// drivers hold a `Box<dyn ProtectionScheme>` built by
 /// [`SchemeKind::build`].
 pub trait ProtectionScheme {
-    /// Static name/geometry/overhead metadata (the `docs/SCHEMES.md`
-    /// source of truth).
-    fn descriptor(&self) -> &'static SchemeDescriptor;
-
     /// The per-write callback: store `value` at `addr`, refreshing the
     /// scheme's code (and running any scheme-specific write plumbing —
     /// CPPC's R1 XOR fold, 2D parity's read-before-write).
@@ -201,17 +196,6 @@ pub trait ProtectionScheme {
 
     /// The physical data-array layout (for fault targeting).
     fn layout(&self) -> &PhysicalLayout;
-
-    /// The per-eviction callback, applied to the whole cache: retire
-    /// every dirty block through the scheme's eviction path (write-back
-    /// plus eviction maintenance — CPPC folds evicted dirty words into
-    /// R2).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchemeFault`] when a dirty block under eviction holds
-    /// a fault the scheme cannot repair.
-    fn flush(&mut self, mem: &mut MainMemory) -> Result<(), SchemeFault>;
 
     /// Applies a raw bit-flip pattern to the data array, returning how
     /// many flips landed on resident blocks.
@@ -250,6 +234,56 @@ pub trait ProtectionScheme {
 
     /// Generic cache traffic statistics (hits, fills, write-backs).
     fn cache_stats(&self) -> &CacheStats;
+}
+
+/// Applies each flip of `flips` that lands on a valid block of `cache`
+/// (rows map to blocks through `layout`) and drops the rest: nothing is
+/// stored in an invalid way. Returns how many landed. Every protected
+/// cache's fault injection ends here.
+pub(crate) fn apply_flips(cache: &mut Cache, layout: &PhysicalLayout, flips: &[BitFlip]) -> usize {
+    let mut applied = 0;
+    for flip in flips {
+        let (set, way, word) = layout.location_of(flip.row);
+        if cache.block(set, way).is_valid() {
+            cache.block_mut(set, way).flip_bit(word, flip.col);
+            applied += 1;
+        }
+    }
+    applied
+}
+
+/// Grades a run by loading every truth word through `load`, in order:
+/// a refused load is a DUE, a wrong value an SDC, and a run in which
+/// every load returns its truth value grades `clean`.
+pub(crate) fn grade_loads<E>(
+    truth: &[(u64, u64)],
+    clean: Outcome,
+    mut load: impl FnMut(u64) -> Result<u64, E>,
+) -> Outcome {
+    for &(addr, v) in truth {
+        match load(addr) {
+            Err(_) => return Outcome::DetectedUnrecoverable,
+            Ok(got) if got != v => return Outcome::SilentCorruption,
+            Ok(_) => {}
+        }
+    }
+    clean
+}
+
+/// Grades a whole-array recovery: a failed one is a DUE; after a
+/// successful one, a truth word that does not read back is an SDC.
+pub(crate) fn grade_recovered(
+    recovered: bool,
+    truth: &[(u64, u64)],
+    peek: impl Fn(u64) -> Option<u64>,
+) -> Outcome {
+    if !recovered {
+        Outcome::DetectedUnrecoverable
+    } else if truth.iter().all(|&(addr, v)| peek(addr) == Some(v)) {
+        Outcome::Corrected
+    } else {
+        Outcome::SilentCorruption
+    }
 }
 
 /// The scheme selector: every member of the zoo, by wire name.
@@ -334,10 +368,10 @@ impl SchemeKind {
         register_metrics();
         let policy = ReplacementPolicy::Lru;
         Ok(match self {
-            SchemeKind::Cppc => Box::new(CppcScheme::new(geo, config, policy)?),
-            SchemeKind::Parity1d => Box::new(Parity1dScheme::new(geo, policy)),
-            SchemeKind::SecdedInterleaved => Box::new(SecdedInterleavedScheme::new(geo, policy)),
-            SchemeKind::Parity2d => Box::new(Parity2dScheme::new(geo, policy)),
+            SchemeKind::Cppc => Box::new(CppcCache::new_l1(geo, config, policy)?),
+            SchemeKind::Parity1d => Box::new(OneDimParityCache::new(geo, policy)),
+            SchemeKind::SecdedInterleaved => Box::new(SecdedCache::new(geo, policy)),
+            SchemeKind::Parity2d => Box::new(TwoDimParityCache::new(geo, 1, policy)),
             SchemeKind::SilentWriteEcc => {
                 Box::new(crate::silent::SilentWriteEccScheme::new(geo, policy))
             }
@@ -353,7 +387,7 @@ impl fmt::Display for SchemeKind {
 }
 
 // ======================================================================
-// The four ported schemes
+// The paper's four schemes (the baselines' impls live in `baselines`)
 // ======================================================================
 
 static CPPC_DESCRIPTOR: SchemeDescriptor = SchemeDescriptor {
@@ -419,80 +453,39 @@ static PARITY2D_DESCRIPTOR: SchemeDescriptor = SchemeDescriptor {
     correction: "any single faulty row per vertical parity group",
 };
 
-/// CPPC behind the trait: delegates to [`CppcCache`] (L1 variant).
-pub struct CppcScheme {
-    inner: CppcCache,
-}
-
-impl CppcScheme {
-    /// Builds an L1 CPPC with `config`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when `config` is invalid.
-    pub fn new(
-        geo: CacheGeometry,
-        config: CppcConfig,
-        policy: ReplacementPolicy,
-    ) -> Result<Self, ConfigError> {
-        Ok(CppcScheme {
-            inner: CppcCache::new_l1(geo, config, policy)?,
-        })
-    }
-}
-
-impl ProtectionScheme for CppcScheme {
-    fn descriptor(&self) -> &'static SchemeDescriptor {
-        &CPPC_DESCRIPTOR
-    }
-
+impl ProtectionScheme for CppcCache {
     fn write_word(
         &mut self,
         addr: u64,
         value: u64,
         mem: &mut MainMemory,
     ) -> Result<(), SchemeFault> {
-        self.inner
-            .store_word(addr, value, mem)
-            .map_err(SchemeFault::from)
+        self.store_word(addr, value, mem).map_err(SchemeFault::from)
     }
 
     fn read_word(&mut self, addr: u64, mem: &mut MainMemory) -> Result<u64, SchemeFault> {
-        self.inner.load_word(addr, mem).map_err(SchemeFault::from)
+        self.load_word(addr, mem).map_err(SchemeFault::from)
     }
 
     fn peek_word(&self, addr: u64) -> Option<u64> {
-        self.inner.peek_word(addr)
+        CppcCache::peek_word(self, addr)
     }
 
     fn layout(&self) -> &PhysicalLayout {
-        self.inner.layout()
-    }
-
-    fn flush(&mut self, mem: &mut MainMemory) -> Result<(), SchemeFault> {
-        self.inner.flush(mem).map(|_| ()).map_err(SchemeFault::from)
+        CppcCache::layout(self)
     }
 
     fn inject(&mut self, pattern: &FaultPattern) -> usize {
-        self.inner.inject(pattern)
+        CppcCache::inject(self, pattern)
     }
 
     fn classify(&mut self, truth: &[(u64, u64)], mem: &mut MainMemory) -> Outcome {
-        match self.inner.recover_all(mem) {
-            Err(_) => Outcome::DetectedUnrecoverable,
-            Ok(_) => {
-                for &(addr, v) in truth {
-                    if self.inner.peek_word(addr) != Some(v) {
-                        return Outcome::SilentCorruption;
-                    }
-                }
-                Outcome::Corrected
-            }
-        }
+        let recovered = self.recover_all(mem).is_ok();
+        grade_recovered(recovered, truth, |addr| CppcCache::peek_word(self, addr))
     }
 
     fn ops(&self) -> SchemeOps {
-        let stats = self.inner.cache_stats();
+        let stats = CppcCache::cache_stats(self);
         SchemeOps {
             writes: stats.store_hits + stats.fills,
             read_before_writes: stats.stores_to_dirty,
@@ -501,279 +494,7 @@ impl ProtectionScheme for CppcScheme {
     }
 
     fn cache_stats(&self) -> &CacheStats {
-        self.inner.cache_stats()
-    }
-}
-
-/// 1D parity behind the trait: delegates to [`OneDimParityCache`]
-/// (8-way parity, the paper configuration).
-pub struct Parity1dScheme {
-    inner: OneDimParityCache,
-}
-
-impl Parity1dScheme {
-    /// Builds the cache with the paper's 8-way interleaved parity.
-    #[must_use]
-    pub fn new(geo: CacheGeometry, policy: ReplacementPolicy) -> Self {
-        Parity1dScheme {
-            inner: OneDimParityCache::new(geo, 8, policy),
-        }
-    }
-}
-
-impl ProtectionScheme for Parity1dScheme {
-    fn descriptor(&self) -> &'static SchemeDescriptor {
-        &PARITY1D_DESCRIPTOR
-    }
-
-    fn write_word(
-        &mut self,
-        addr: u64,
-        value: u64,
-        mem: &mut MainMemory,
-    ) -> Result<(), SchemeFault> {
-        self.inner.store_word(addr, value, mem);
-        Ok(())
-    }
-
-    fn read_word(&mut self, addr: u64, mem: &mut MainMemory) -> Result<u64, SchemeFault> {
-        self.inner.load_word(addr, mem).map_err(SchemeFault::from)
-    }
-
-    fn peek_word(&self, addr: u64) -> Option<u64> {
-        self.inner.peek_word(addr)
-    }
-
-    fn layout(&self) -> &PhysicalLayout {
-        self.inner.layout()
-    }
-
-    fn flush(&mut self, mem: &mut MainMemory) -> Result<(), SchemeFault> {
-        self.inner.flush(mem);
-        Ok(())
-    }
-
-    fn inject(&mut self, pattern: &FaultPattern) -> usize {
-        self.inner.inject(pattern)
-    }
-
-    fn classify(&mut self, truth: &[(u64, u64)], mem: &mut MainMemory) -> Outcome {
-        for &(addr, v) in truth {
-            match self.inner.load_word(addr, mem) {
-                Err(_) => return Outcome::DetectedUnrecoverable,
-                Ok(got) if got != v => return Outcome::SilentCorruption,
-                Ok(_) => {}
-            }
-        }
-        // Every flipped bit was hidden by even flips per parity group:
-        // harmless this time — masked by parity blindness.
-        Outcome::Masked
-    }
-
-    fn ops(&self) -> SchemeOps {
-        let stats = self.inner.cache_stats();
-        SchemeOps {
-            writes: stats.store_hits + stats.fills,
-            corrected: self.inner.corrected_clean(),
-            dues: self.inner.dues(),
-            ..SchemeOps::default()
-        }
-    }
-
-    fn cache_stats(&self) -> &CacheStats {
-        self.inner.cache_stats()
-    }
-}
-
-/// Interleaved SECDED behind the trait: delegates to [`SecdedCache`]
-/// with 8-way physical bit interleaving.
-pub struct SecdedInterleavedScheme {
-    inner: SecdedCache,
-}
-
-impl SecdedInterleavedScheme {
-    /// Builds the cache with 8-way physical interleaving.
-    #[must_use]
-    pub fn new(geo: CacheGeometry, policy: ReplacementPolicy) -> Self {
-        SecdedInterleavedScheme {
-            inner: SecdedCache::new(geo, true, policy),
-        }
-    }
-}
-
-impl ProtectionScheme for SecdedInterleavedScheme {
-    fn descriptor(&self) -> &'static SchemeDescriptor {
-        &SECDED_DESCRIPTOR
-    }
-
-    fn write_word(
-        &mut self,
-        addr: u64,
-        value: u64,
-        mem: &mut MainMemory,
-    ) -> Result<(), SchemeFault> {
-        self.inner.store_word(addr, value, mem);
-        Ok(())
-    }
-
-    fn read_word(&mut self, addr: u64, mem: &mut MainMemory) -> Result<u64, SchemeFault> {
-        self.inner.load_word(addr, mem).map_err(SchemeFault::from)
-    }
-
-    fn peek_word(&self, addr: u64) -> Option<u64> {
-        self.inner.peek_word(addr)
-    }
-
-    fn layout(&self) -> &PhysicalLayout {
-        self.inner.layout()
-    }
-
-    fn flush(&mut self, mem: &mut MainMemory) -> Result<(), SchemeFault> {
-        self.inner.flush(mem);
-        Ok(())
-    }
-
-    fn inject(&mut self, pattern: &FaultPattern) -> usize {
-        self.inner.inject(pattern)
-    }
-
-    fn inject_model(&mut self, model: FaultModel, rng: &mut StdRng) -> usize {
-        let logical_rows = self.inner.layout().num_rows() / 2;
-        // Translate the fault model into a physical strike on the
-        // interleaved array (8 logical rows per physical row) — the
-        // same translation (and RNG draw order) as the historical
-        // coverage-matrix closure.
-        let (rows, cols) = match model {
-            FaultModel::TemporalSingleBit | FaultModel::TemporalMultiBit { .. } => (1, 1),
-            FaultModel::VerticalStripe { rows } => (rows, 1),
-            FaultModel::HorizontalBurst { cols } => (1, cols),
-            FaultModel::SpatialSquare { rows, cols, .. } => (rows, cols),
-        };
-        let physical_rows = logical_rows / 8;
-        let prows = rows.div_ceil(8).max(1).min(physical_rows);
-        let row0 = rng.random_range(0..=(physical_rows - prows));
-        let col0 = rng.random_range(0..=(512 - cols));
-        self.inner.inject_spatial(row0, col0, prows, cols).len()
-    }
-
-    fn classify(&mut self, truth: &[(u64, u64)], mem: &mut MainMemory) -> Outcome {
-        for &(addr, v) in truth {
-            match self.inner.load_word(addr, mem) {
-                Err(_) => return Outcome::DetectedUnrecoverable,
-                Ok(got) if got != v => return Outcome::SilentCorruption,
-                Ok(_) => {}
-            }
-        }
-        Outcome::Corrected
-    }
-
-    fn ops(&self) -> SchemeOps {
-        let stats = self.inner.cache_stats();
-        SchemeOps {
-            writes: stats.store_hits + stats.fills,
-            rmw_reads: self.inner.rmw_reads(),
-            corrected: self.inner.corrected(),
-            dues: self.inner.dues(),
-            ..SchemeOps::default()
-        }
-    }
-
-    fn cache_stats(&self) -> &CacheStats {
-        self.inner.cache_stats()
-    }
-}
-
-/// 2D parity behind the trait: delegates to [`TwoDimParityCache`]
-/// with the paper's single vertical parity row.
-pub struct Parity2dScheme {
-    inner: TwoDimParityCache,
-}
-
-impl Parity2dScheme {
-    /// Builds the cache with one vertical parity row (the paper's
-    /// evaluated configuration).
-    #[must_use]
-    pub fn new(geo: CacheGeometry, policy: ReplacementPolicy) -> Self {
-        Self::with_vertical_rows(geo, 1, policy)
-    }
-
-    /// Builds the cache with `vertical_rows` vertical parity rows (the
-    /// coverage matrix also runs an eight-row variant).
-    #[must_use]
-    pub fn with_vertical_rows(
-        geo: CacheGeometry,
-        vertical_rows: usize,
-        policy: ReplacementPolicy,
-    ) -> Self {
-        Parity2dScheme {
-            inner: TwoDimParityCache::new(geo, vertical_rows, policy),
-        }
-    }
-}
-
-impl ProtectionScheme for Parity2dScheme {
-    fn descriptor(&self) -> &'static SchemeDescriptor {
-        &PARITY2D_DESCRIPTOR
-    }
-
-    fn write_word(
-        &mut self,
-        addr: u64,
-        value: u64,
-        mem: &mut MainMemory,
-    ) -> Result<(), SchemeFault> {
-        self.inner.store_word(addr, value, mem);
-        Ok(())
-    }
-
-    fn read_word(&mut self, addr: u64, mem: &mut MainMemory) -> Result<u64, SchemeFault> {
-        self.inner.load_word(addr, mem).map_err(SchemeFault::from)
-    }
-
-    fn peek_word(&self, addr: u64) -> Option<u64> {
-        self.inner.peek_word(addr)
-    }
-
-    fn layout(&self) -> &PhysicalLayout {
-        self.inner.layout()
-    }
-
-    fn flush(&mut self, mem: &mut MainMemory) -> Result<(), SchemeFault> {
-        self.inner.flush(mem);
-        Ok(())
-    }
-
-    fn inject(&mut self, pattern: &FaultPattern) -> usize {
-        self.inner.inject(pattern)
-    }
-
-    fn classify(&mut self, truth: &[(u64, u64)], _mem: &mut MainMemory) -> Outcome {
-        match self.inner.recover_all() {
-            Err(_) => Outcome::DetectedUnrecoverable,
-            Ok(()) => {
-                for &(addr, v) in truth {
-                    if self.inner.peek_word(addr) != Some(v) {
-                        return Outcome::SilentCorruption;
-                    }
-                }
-                Outcome::Corrected
-            }
-        }
-    }
-
-    fn ops(&self) -> SchemeOps {
-        let stats = self.inner.cache_stats();
-        SchemeOps {
-            writes: stats.store_hits + stats.fills,
-            read_before_writes: self.inner.read_before_writes(),
-            corrected: self.inner.corrected(),
-            dues: self.inner.dues(),
-            ..SchemeOps::default()
-        }
-    }
-
-    fn cache_stats(&self) -> &CacheStats {
-        self.inner.cache_stats()
+        CppcCache::cache_stats(self)
     }
 }
 
@@ -887,19 +608,6 @@ mod tests {
             assert!(landed > 0, "{kind}: strike must land on the dirty way");
             let outcome = scheme.classify(&truth, &mut mem);
             assert_ne!(outcome, Outcome::SilentCorruption, "{kind}");
-        }
-    }
-
-    #[test]
-    fn flush_leaves_memory_matching_truth() {
-        for kind in SchemeKind::ALL {
-            let mut mem = MainMemory::new();
-            let mut scheme = kind.build(geometry(), CppcConfig::paper()).unwrap();
-            let truth = fill(scheme.as_mut(), &mut mem);
-            scheme.flush(&mut mem).unwrap();
-            for &(addr, v) in &truth {
-                assert_eq!(mem.peek_word(addr), v, "{kind}");
-            }
         }
     }
 }

@@ -15,10 +15,10 @@
 //! energy saved, surfaced via [`SchemeOps::silent_writes`] and the
 //! `scheme.silent_writes` metric).
 //!
-//! The underlying code here is per-word (72,64) SECDED **without**
-//! physical interleaving — the low-power design point: silent-write
-//! elision recovers write energy instead of paying the 8x bitline
-//! activation interleaving costs on every access. The trade shows up
+//! The underlying code here is per-word (72,64) SECDED struck in
+//! logical rows, **without** physical interleaving — the low-power
+//! design point: silent-write elision recovers write energy instead of
+//! paying the 8x bitline activation interleaving costs on every access. The trade shows up
 //! in campaigns: wide spatial strikes can defeat a non-interleaved
 //! SECDED word (miscorrection → SDC), which the comparison table in
 //! `docs/SCHEMES.md` makes visible next to the interleaved baseline.
@@ -65,7 +65,7 @@ impl SilentWriteEccScheme {
     #[must_use]
     pub fn new(geo: CacheGeometry, policy: ReplacementPolicy) -> Self {
         SilentWriteEccScheme {
-            inner: SecdedCache::new(geo, false, policy),
+            inner: SecdedCache::new(geo, policy),
             silent_writes: 0,
         }
     }
@@ -78,10 +78,6 @@ impl SilentWriteEccScheme {
 }
 
 impl ProtectionScheme for SilentWriteEccScheme {
-    fn descriptor(&self) -> &'static SchemeDescriptor {
-        &SILENT_WRITE_ECC_DESCRIPTOR
-    }
-
     fn write_word(
         &mut self,
         addr: u64,
@@ -113,24 +109,12 @@ impl ProtectionScheme for SilentWriteEccScheme {
         self.inner.layout()
     }
 
-    fn flush(&mut self, mem: &mut MainMemory) -> Result<(), SchemeFault> {
-        self.inner.flush(mem);
-        Ok(())
-    }
-
     fn inject(&mut self, pattern: &FaultPattern) -> usize {
         self.inner.inject(pattern)
     }
 
     fn classify(&mut self, truth: &[(u64, u64)], mem: &mut MainMemory) -> Outcome {
-        for &(addr, v) in truth {
-            match self.inner.load_word(addr, mem) {
-                Err(_) => return Outcome::DetectedUnrecoverable,
-                Ok(got) if got != v => return Outcome::SilentCorruption,
-                Ok(_) => {}
-            }
-        }
-        Outcome::Corrected
+        self.inner.classify(truth, mem)
     }
 
     fn ops(&self) -> SchemeOps {

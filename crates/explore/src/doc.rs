@@ -21,56 +21,6 @@ use std::fmt::Write as _;
 /// Schema tag of explore documents.
 pub const SCHEMA: &str = "cppc-explore/1";
 
-/// Pretty-prints a document: 2-space indent, trailing newline — the
-/// byte format of every committed `docs/results/*.json`.
-#[must_use]
-pub fn pretty(v: &Json) -> String {
-    let mut out = String::new();
-    write_pretty(v, 0, &mut out);
-    out.push('\n');
-    out
-}
-
-fn write_pretty(v: &Json, depth: usize, out: &mut String) {
-    match v {
-        Json::Arr(items) if !items.is_empty() => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                indent(depth + 1, out);
-                write_pretty(item, depth + 1, out);
-                if i + 1 < items.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            indent(depth, out);
-            out.push(']');
-        }
-        Json::Obj(pairs) if !pairs.is_empty() => {
-            out.push_str("{\n");
-            for (i, (k, val)) in pairs.iter().enumerate() {
-                indent(depth + 1, out);
-                out.push_str(&Json::Str(k.clone()).to_string_compact());
-                out.push_str(": ");
-                write_pretty(val, depth + 1, out);
-                if i + 1 < pairs.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            indent(depth, out);
-            out.push('}');
-        }
-        other => out.push_str(&other.to_string_compact()),
-    }
-}
-
-fn indent(depth: usize, out: &mut String) {
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-}
-
 fn scrub_json(iv: Option<u64>) -> Json {
     iv.map_or(Json::Null, Json::UInt)
 }
@@ -614,11 +564,11 @@ mod tests {
 
     #[test]
     fn doc_bytes_are_deterministic_and_parse_back() {
-        let a = pretty(&tiny_doc());
-        let b = pretty(&tiny_doc());
+        let a = tiny_doc().to_string_pretty();
+        let b = tiny_doc().to_string_pretty();
         assert_eq!(a, b);
         let parsed = Json::parse(&a).unwrap();
-        assert_eq!(pretty(&parsed), a);
+        assert_eq!(parsed.to_string_pretty(), a);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use cppc_bench::experiments::built_experiment;
 use cppc_cache_sim::geometry::CacheGeometry;
 use cppc_cache_sim::replacement::ReplacementPolicy;
-use cppc_core::scheme::Parity2dScheme;
+use cppc_core::baselines::TwoDimParityCache;
 use cppc_core::{CppcConfig, ProtectionScheme, SchemeKind};
 use cppc_fault::campaign::{Campaign, OutcomeTally};
 use cppc_fault::model::FaultModel;
@@ -135,11 +135,7 @@ pub fn scheme_rows() -> [(&'static str, SchemeBuilder); 7] {
             zoo(SchemeKind::Parity2d, g, CppcConfig::paper())
         }),
         ("2D parity (8 rows)", |g| {
-            Box::new(Parity2dScheme::with_vertical_rows(
-                g,
-                8,
-                ReplacementPolicy::Lru,
-            ))
+            Box::new(TwoDimParityCache::new(g, 8, ReplacementPolicy::Lru))
         }),
     ]
 }

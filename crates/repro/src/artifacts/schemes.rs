@@ -23,7 +23,8 @@
 //! trade they make for lower energy (silent-write ECC) or on-die
 //! repairability (HARP).
 
-use cppc_bench::experiments::{inject_geometry, scheme_experiment};
+use cppc_bench::experiments::scheme_experiment;
+use cppc_bench::mbe;
 use cppc_cache_sim::memory::MainMemory;
 use cppc_campaign::rng::rngs::StdRng;
 use cppc_campaign::rng::{RngExt, SeedableRng};
@@ -124,7 +125,7 @@ fn campaign(kind: SchemeKind, trials: u64, threads: usize) -> OutcomeTally {
 /// (elided or not) so the schemes are priced on identical traffic and
 /// the elision shows up only through the `silent_writes` discount.
 fn probe_counts(kind: SchemeKind) -> AccessCounts {
-    let geo = inject_geometry();
+    let geo = mbe::geometry();
     let mut mem = MainMemory::new();
     let mut scheme = kind.build(geo, CppcConfig::paper()).expect("paper config");
     let mut rng = StdRng::seed_from_u64(PROBE_SEED);

@@ -1,5 +1,5 @@
-//! The artifact JSON document: construction, golden merging, pretty
-//! printing and field access.
+//! The artifact JSON document: construction, golden merging and field
+//! access (pretty printing is [`Json::to_string_pretty`]).
 //!
 //! One document per artifact lives at `docs/results/<name>.json` (the
 //! schema is documented in `docs/results/README.md`). Each metric
@@ -137,56 +137,6 @@ pub fn artifact_json(
     ])
 }
 
-/// Pretty-prints a document with two-space indentation (stable byte
-/// output — the round-trip and freshness gates depend on it).
-#[must_use]
-pub fn pretty(v: &Json) -> String {
-    let mut out = String::new();
-    write_pretty(v, 0, &mut out);
-    out.push('\n');
-    out
-}
-
-fn write_pretty(v: &Json, depth: usize, out: &mut String) {
-    match v {
-        Json::Arr(items) if !items.is_empty() => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                indent(depth + 1, out);
-                write_pretty(item, depth + 1, out);
-                if i + 1 < items.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            indent(depth, out);
-            out.push(']');
-        }
-        Json::Obj(pairs) if !pairs.is_empty() => {
-            out.push_str("{\n");
-            for (i, (k, val)) in pairs.iter().enumerate() {
-                indent(depth + 1, out);
-                out.push_str(&Json::Str(k.clone()).to_string_compact());
-                out.push_str(": ");
-                write_pretty(val, depth + 1, out);
-                if i + 1 < pairs.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            indent(depth, out);
-            out.push('}');
-        }
-        other => out.push_str(&other.to_string_compact()),
-    }
-}
-
-fn indent(depth: usize, out: &mut String) {
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,7 +152,7 @@ mod tests {
     #[test]
     fn pretty_output_parses_back() {
         let doc = Json::parse(r#"{"a":[1,2,{"b":"x"}],"empty_arr":[],"empty_obj":{}}"#).unwrap();
-        let text = pretty(&doc);
+        let text = doc.to_string_pretty();
         assert_eq!(Json::parse(&text).unwrap(), doc);
         assert!(text.ends_with('\n'));
         assert!(text.contains("  \"a\": ["));

@@ -176,7 +176,7 @@ pub fn write_artifact(
         obs::GOLDENS_UPDATED.add(out.metrics.len() as u64);
     }
     fs::create_dir_all(results_dir(root))?;
-    fs::write(&path, jsonio::pretty(&doc))?;
+    fs::write(&path, doc.to_string_pretty())?;
     obs::RESULT_WRITES.add(1);
     Ok(doc)
 }

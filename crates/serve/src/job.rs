@@ -100,6 +100,15 @@ impl JobKind {
     }
 }
 
+/// Most shards one spec may ask for (`trials / shard_size`, rounded
+/// up): the engine holds one result slot per shard from the start, so
+/// admission bounds that allocation before a worker can abort on it.
+const MAX_SHARDS: u64 = 1 << 20;
+
+/// Largest `batch` one spec may ask for: the batch engine's lane arenas
+/// grow to it.
+const MAX_BATCH: usize = 4096;
+
 /// Everything needed to run a job's campaign deterministically.
 ///
 /// `seed`, `trials` and `shard_size` form the campaign identity
@@ -140,9 +149,10 @@ impl JobSpec {
         }
     }
 
-    /// Checks the spec is runnable: positive sizes and, for `inject`,
-    /// known config/fault names. Submissions with a bad spec are
-    /// rejected at the socket instead of failing later in a worker.
+    /// Checks the spec is runnable: positive sizes, at most 2^20 shards,
+    /// a `batch` of at most 4096 and, for `inject`, known config/fault
+    /// names. Submissions with a bad spec are rejected at the socket
+    /// instead of failing later in a worker.
     ///
     /// # Errors
     ///
@@ -153,6 +163,16 @@ impl JobSpec {
         }
         if self.shard_size == 0 {
             return Err("shard_size must be positive".into());
+        }
+        let shards = self.trials.div_ceil(self.shard_size);
+        if shards > MAX_SHARDS {
+            return Err(format!(
+                "trials / shard_size asks for {shards} shards, more than {MAX_SHARDS}; \
+                 raise shard_size"
+            ));
+        }
+        if self.batch > MAX_BATCH {
+            return Err(format!("batch {} is larger than {MAX_BATCH}", self.batch));
         }
         match &self.kind {
             JobKind::Inject { config, fault } => {
@@ -661,6 +681,33 @@ mod tests {
             1,
         );
         assert!(bad_trace.validate().unwrap_err().contains("path"));
+    }
+
+    #[test]
+    fn shard_count_is_capped_at_admission() {
+        let mut spec = JobSpec::new(JobKind::Sleep { millis: 0 }, MAX_SHARDS, 1);
+        spec.shard_size = 1;
+        assert_eq!(spec.validate(), Ok(()), "exactly at the cap");
+        spec.trials = MAX_SHARDS + 1;
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("shard_size"), "{err}");
+        // A larger shard brings the same trials back under the cap.
+        spec.shard_size = 2;
+        assert_eq!(spec.validate(), Ok(()));
+        // The spec that used to abort the engine's slot allocation.
+        spec.trials = 1_000_000_000_000;
+        spec.shard_size = 1;
+        assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn batch_is_capped_at_admission() {
+        let mut spec = JobSpec::new(JobKind::Mbe, 10, 1);
+        spec.batch = MAX_BATCH;
+        assert_eq!(spec.validate(), Ok(()), "exactly at the cap");
+        spec.batch = MAX_BATCH + 1;
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("batch"), "{err}");
     }
 
     #[test]

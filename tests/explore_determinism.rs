@@ -5,7 +5,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use cppc::explore::doc::{pretty, sweep_doc};
+use cppc::explore::doc::sweep_doc;
 use cppc::explore::{run_sweep, SweepOptions, SweepOutcome, SweepSpec};
 
 /// A sweep small enough to run in a test but wide enough to exercise
@@ -21,7 +21,7 @@ fn tiny_spec() -> SweepSpec {
 
 fn doc_bytes(spec: &SweepSpec, opts: &SweepOptions) -> String {
     match run_sweep(spec, opts, None).expect("sweep runs") {
-        SweepOutcome::Complete(points) => pretty(&sweep_doc(spec, &points)),
+        SweepOutcome::Complete(points) => sweep_doc(spec, &points).to_string_pretty(),
         SweepOutcome::Interrupted { .. } => unreachable!("no interrupt flag"),
     }
 }

@@ -1,17 +1,18 @@
-//! Golden equivalence for the `ProtectionScheme` refactor: the four
-//! ported schemes (`cppc`, `parity1d`, `secded-interleaved`,
-//! `parity2d`) must reproduce the historical baked-in campaign
-//! closures **bit for bit** — same tallies, same checkpoint bytes — at
-//! 1, 2 and 8 threads.
+//! Golden equivalence for the `ProtectionScheme` zoo: every member must
+//! reproduce its frozen reference campaign body **bit for bit** — same
+//! tallies, same checkpoint bytes — at 1, 2 and 8 threads.
 //!
-//! The "legacy" closures below are the pre-refactor campaign bodies,
-//! kept inline here as the frozen reference: each drives the concrete
-//! cache type directly (no trait), fills way 0 from the trial-seeded
+//! The "legacy" closures below are the reference bodies, kept inline
+//! here: each drives a concrete cache type directly (never a zoo
+//! member or `SchemeKind::build`), fills way 0 from the trial-seeded
 //! RNG, strikes with the model's historical draw order (one `u64`
 //! strike seed — or interleaved SECDED's two physical-range draws) and
-//! classifies with the historical rules. If a scheme wrapper ever
-//! consumes the RNG stream differently or reorders a classification
-//! branch, these tests fail.
+//! classifies with the historical rules. The four paper schemes'
+//! bodies are the pre-`ProtectionScheme` campaign closures; the
+//! silent-write ECC and HARP bodies spell out those members' protocols
+//! over a bare `SecdedCache` (store elision, write-through copy,
+//! profiling pass). If a member ever consumes the RNG stream
+//! differently or reorders a classification branch, these tests fail.
 //!
 //! The same bodies, parameterised by fault class and configuration,
 //! are the historical `mbe_coverage` matrix closures, so they also pin
@@ -19,14 +20,15 @@
 
 use std::path::PathBuf;
 
-use cppc_bench::experiments::{built_experiment, inject_geometry, scheme_experiment};
+use cppc_bench::experiments::{built_experiment, scheme_experiment};
+use cppc_bench::mbe::geometry as inject_geometry;
 use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_campaign::rng::rngs::StdRng;
 use cppc_campaign::rng::{RngExt, SeedableRng};
 use cppc_campaign::{run, run_with, CampaignConfig, CheckpointPolicy, PerTrial, RunOpts};
 use cppc_core::baselines::{OneDimParityCache, SecdedCache, TwoDimParityCache};
-use cppc_core::{CppcCache, CppcConfig, SchemeKind};
+use cppc_core::{CppcCache, CppcConfig, ProtectionScheme, SchemeKind};
 use cppc_fault::campaign::{Campaign, Outcome, OutcomeTally};
 use cppc_fault::model::{FaultGenerator, FaultModel};
 use cppc_repro::artifacts::mbe;
@@ -83,7 +85,7 @@ fn legacy_cppc(config: CppcConfig, model: FaultModel, rng: &mut StdRng, trial: u
 /// all loads surviving means the flips were parity-masked).
 fn legacy_parity1d(model: FaultModel, rng: &mut StdRng, trial: u64) -> Outcome {
     let mut mem = MainMemory::new();
-    let mut cache = OneDimParityCache::new(inject_geometry(), 8, ReplacementPolicy::Lru);
+    let mut cache = OneDimParityCache::new(inject_geometry(), ReplacementPolicy::Lru);
     let truth = fill(trial, |a, v| cache.store_word(a, v, &mut mem));
     let mut generator = FaultGenerator::new(cache.layout().num_rows() / 2, rng.random());
     if cache.inject(&generator.sample(model)) == 0 {
@@ -103,7 +105,7 @@ fn legacy_parity1d(model: FaultModel, rng: &mut StdRng, trial: u64) -> Outcome {
 /// physical-strike translation and its two-range RNG draw order.
 fn legacy_secded(model: FaultModel, rng: &mut StdRng, trial: u64) -> Outcome {
     let mut mem = MainMemory::new();
-    let mut cache = SecdedCache::new(inject_geometry(), true, ReplacementPolicy::Lru);
+    let mut cache = SecdedCache::new(inject_geometry(), ReplacementPolicy::Lru);
     let truth = fill(trial, |a, v| cache.store_word(a, v, &mut mem));
     let logical_rows = cache.layout().num_rows() / 2;
     let (rows, cols) = match model {
@@ -116,7 +118,7 @@ fn legacy_secded(model: FaultModel, rng: &mut StdRng, trial: u64) -> Outcome {
     let prows = rows.div_ceil(8).max(1).min(physical_rows);
     let row0 = rng.random_range(0..=(physical_rows - prows));
     let col0 = rng.random_range(0..=(512 - cols));
-    if cache.inject_spatial(row0, col0, prows, cols).is_empty() {
+    if cache.inject_spatial(row0, col0, prows, cols) == 0 {
         return Outcome::Masked;
     }
     for &(addr, v) in &truth {
@@ -157,6 +159,70 @@ fn legacy_parity2d(
     }
 }
 
+/// Loads every truth word: a refused load is a DUE, a wrong value an
+/// SDC, and a clean run is Corrected (the SECDED-family grade).
+fn grade_secded_loads(
+    cache: &mut SecdedCache,
+    truth: &[(u64, u64)],
+    mem: &mut MainMemory,
+) -> Outcome {
+    for &(addr, v) in truth {
+        match cache.load_word(addr, mem) {
+            Err(_) => return Outcome::DetectedUnrecoverable,
+            Ok(got) if got != v => return Outcome::SilentCorruption,
+            Ok(_) => {}
+        }
+    }
+    Outcome::Corrected
+}
+
+/// Silent-write-aware ECC: non-interleaved SECDED whose stores are
+/// elided when the resident word already holds the value, struck in
+/// logical rows.
+fn legacy_silent(model: FaultModel, rng: &mut StdRng, trial: u64) -> Outcome {
+    let mut mem = MainMemory::new();
+    let mut cache = SecdedCache::new(inject_geometry(), ReplacementPolicy::Lru);
+    let truth = fill(trial, |a, v| {
+        if cache.peek_word(a) != Some(v) {
+            cache.store_word(a, v, &mut mem);
+        }
+    });
+    let mut generator = FaultGenerator::new(cache.layout().num_rows() / 2, rng.random());
+    if cache.inject(&generator.sample(model)) == 0 {
+        return Outcome::Masked;
+    }
+    grade_secded_loads(&mut cache, &truth, &mut mem)
+}
+
+/// HARP-style on-die ECC: non-interleaved SECDED operated
+/// write-through, struck in logical rows; before the grade, a profiling
+/// pass re-reads every written address (deduplicated, first-write
+/// order) and repairs each resident word the code refuses from the
+/// write-through copy.
+fn legacy_harp(model: FaultModel, rng: &mut StdRng, trial: u64) -> Outcome {
+    let mut mem = MainMemory::new();
+    let mut cache = SecdedCache::new(inject_geometry(), ReplacementPolicy::Lru);
+    let mut written: Vec<u64> = Vec::new();
+    let truth = fill(trial, |a, v| {
+        cache.store_word(a, v, &mut mem);
+        mem.write_word(a, v);
+        if !written.contains(&a) {
+            written.push(a);
+        }
+    });
+    let mut generator = FaultGenerator::new(cache.layout().num_rows() / 2, rng.random());
+    if cache.inject(&generator.sample(model)) == 0 {
+        return Outcome::Masked;
+    }
+    for &addr in &written {
+        if cache.peek_word(addr).is_some() && cache.load_word(addr, &mut mem).is_err() {
+            let reference = mem.peek_word(addr);
+            cache.store_word(addr, reference, &mut mem);
+        }
+    }
+    grade_secded_loads(&mut cache, &truth, &mut mem)
+}
+
 type Legacy = Box<dyn Fn(&mut StdRng, u64) -> Outcome + Sync>;
 
 fn legacy_of(kind: SchemeKind) -> Legacy {
@@ -165,7 +231,8 @@ fn legacy_of(kind: SchemeKind) -> Legacy {
         SchemeKind::Parity1d => Box::new(|r, t| legacy_parity1d(FAULT, r, t)),
         SchemeKind::SecdedInterleaved => Box::new(|r, t| legacy_secded(FAULT, r, t)),
         SchemeKind::Parity2d => Box::new(|r, t| legacy_parity2d(1, FAULT, r, t)),
-        other => panic!("{other} has no pre-refactor path"),
+        SchemeKind::SilentWriteEcc => Box::new(|r, t| legacy_silent(FAULT, r, t)),
+        SchemeKind::HarpOdecc => Box::new(|r, t| legacy_harp(FAULT, r, t)),
     }
 }
 
@@ -182,13 +249,6 @@ fn legacy_matrix_row(name: &str, model: FaultModel) -> Legacy {
         other => panic!("matrix row '{other}' has no historical body"),
     }
 }
-
-const PORTED: [SchemeKind; 4] = [
-    SchemeKind::Cppc,
-    SchemeKind::Parity1d,
-    SchemeKind::SecdedInterleaved,
-    SchemeKind::Parity2d,
-];
 
 fn cfg(threads: usize) -> CampaignConfig {
     CampaignConfig::new(SEED, TRIALS)
@@ -229,7 +289,7 @@ where
 
 #[test]
 fn ported_schemes_match_legacy_tallies_and_checkpoint_bytes() {
-    for kind in PORTED {
+    for kind in SchemeKind::ALL {
         let legacy = legacy_of(kind);
         for threads in [1usize, 2, 8] {
             let (legacy_tally, legacy_bytes) =
@@ -253,8 +313,8 @@ fn ported_schemes_match_legacy_tallies_and_checkpoint_bytes() {
 
 #[test]
 fn tallies_are_thread_invariant_for_every_scheme() {
-    // The zoo additions have no legacy path; pin their determinism the
-    // same way the engine guarantees it for the ported four.
+    // Thread invariance of the zoo itself, independent of the frozen
+    // reference bodies.
     for kind in SchemeKind::ALL {
         let base: OutcomeTally =
             run(&cfg(1), scheme_experiment(kind, CppcConfig::paper(), FAULT)).result;
