@@ -129,8 +129,12 @@ echo "== explore quick-tier gate (committed frontier matches the code)"
 echo "== explore full-tier gate (committed explore_full.json matches the code)"
 # The same byte gate for the full tier: its 432 configs price every
 # scheme x interleave x scrub point through the timing, energy, area
-# and MTTF models (a few seconds on two cores).
-"$CLI" explore --check
+# and MTTF models, each after a fault campaign of its scheme (about a
+# second on two cores). `time` prints the check's wall time
+# (informational), as for `repro --check`; the exit status passes
+# through.
+TIMEFORMAT='explore --check wall time: %R s'
+time "$CLI" explore --check
 
 echo "== generated docs freshness"
 # docs/{RESULTS,SCHEMES,EXPLORER,METRICS}.md are pure functions of the

@@ -16,7 +16,8 @@ use std::time::Instant;
 use cppc_bench::gate::BenchArgs;
 use cppc_bench::mbe::{experiment, pool, SEED};
 use cppc_campaign::json::Json;
-use cppc_fault::campaign::{Campaign, OutcomeTally};
+use cppc_campaign::CampaignConfig;
+use cppc_fault::campaign::OutcomeTally;
 
 /// Warm-pool activity during one benchmark leg: how many warmup
 /// captures the leg ran and how many trials reused a pooled snapshot.
@@ -28,7 +29,8 @@ struct PoolDelta {
 fn timed_run(trials: u64, threads: usize) -> (OutcomeTally, f64, PoolDelta) {
     let (captures0, restores0) = (pool().captures(), pool().restores());
     let start = Instant::now();
-    let tally = Campaign::new(SEED).run_parallel(trials, threads, experiment);
+    let cfg = CampaignConfig::new(SEED, trials).threads(threads);
+    let tally = cppc_campaign::run(&cfg, experiment).result;
     let secs = start.elapsed().as_secs_f64();
     let delta = PoolDelta {
         captures: pool().captures() - captures0,

@@ -4,8 +4,8 @@
 //! parity kernels under it, and writes all three to
 //! `BENCH_hotpath.json` (the campaign legs next to their baselines):
 //!
-//! * **sequential** — the per-trial reference path (restore snapshot,
-//!   inject, recover, classify), against the pre-snapshot-rework
+//! * **sequential** — the per-trial reference path (restore the warm
+//!   copy, inject, recover, classify), against the pre-snapshot-rework
 //!   baseline (commit 918b4f9).
 //! * **batched** — the cross-trial batch engine
 //!   ([`cppc_bench::mbe::MbeBatchExec`]): fault patterns of a whole
@@ -51,7 +51,7 @@ use cppc_campaign::rng::rngs::StdRng;
 use cppc_campaign::rng::{RngExt, SeedableRng};
 use cppc_campaign::{run_exec, CampaignConfig};
 use cppc_ecc::kernels::{self, swar, KernelKind};
-use cppc_fault::campaign::{Campaign, OutcomeTally};
+use cppc_fault::campaign::OutcomeTally;
 
 /// Sequential trials/sec measured at the pre-snapshot tree (commit
 /// 918b4f9) with `--trials 100000`, median of three runs.
@@ -72,7 +72,7 @@ const DEFAULT_BATCH: usize = 64;
 
 fn timed_run(trials: u64) -> (OutcomeTally, f64) {
     let start = Instant::now();
-    let tally = Campaign::new(SEED).run_parallel(trials, 1, experiment);
+    let tally = cppc_campaign::run(&CampaignConfig::new(SEED, trials), experiment).result;
     (tally, start.elapsed().as_secs_f64())
 }
 

@@ -13,10 +13,10 @@ use std::time::Duration;
 
 use cppc_cache_sim::geometry::CacheGeometry;
 use cppc_cache_sim::hierarchy::TwoLevelHierarchy;
-use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_campaign::rng::rngs::StdRng;
 use cppc_campaign::rng::RngExt;
+use cppc_campaign::snapshot::WarmPool;
 use cppc_core::{CppcConfig, ProtectionScheme, SchemeKind};
 use cppc_fault::campaign::Outcome;
 use cppc_fault::model::FaultModel;
@@ -84,11 +84,12 @@ pub fn parse_scheme(name: &str) -> Result<SchemeKind, String> {
 /// `ProtectionScheme` trait. `inject` is this body at
 /// [`SchemeKind::Cppc`].
 ///
-/// For the ported schemes this is **bit-identical** to the historical
-/// baked-in closures: the fill order, the RNG draws (one `u64` for the
+/// For the ported schemes the tallies are **bit-identical** to the
+/// historical baked-in closures: the RNG draws (one `u64` for the
 /// strike seed — or the two-range draws of interleaved SECDED's
 /// physical-strike translation) and the classification rules are
-/// exactly theirs, so tallies and checkpoint bytes match the
+/// exactly theirs, and the warm fill cannot change an outcome (see
+/// [`mbe::WarmTrial`]), so tallies and checkpoint bytes match the
 /// pre-refactor paths (pinned by the `scheme_equivalence` suite).
 /// `config` parameterizes CPPC only; the other schemes use their paper
 /// configurations.
@@ -105,8 +106,9 @@ pub fn scheme_experiment(
 
 /// [`scheme_experiment`]'s protocol over any scheme `build` makes from
 /// [`mbe::geometry`], including variants outside the zoo's paper
-/// configurations (the coverage matrix's eight-row 2D parity). Trial
-/// `trial` fills way 0 with [`mbe::oracle`]`(trial)`.
+/// configurations (the coverage matrix's eight-row 2D parity). Each
+/// worker builds and fills one [`mbe::WarmTrial`] from a pool the
+/// returned experiment owns, and every trial restores it.
 pub fn built_experiment<B>(
     build: B,
     fault: FaultModel,
@@ -114,17 +116,10 @@ pub fn built_experiment<B>(
 where
     B: Fn(CacheGeometry) -> Box<dyn ProtectionScheme> + Sync,
 {
-    move |rng, trial| {
-        let mut mem = MainMemory::new();
-        let mut scheme = build(mbe::geometry());
-        let truth = mbe::oracle(trial);
-        for &(addr, v) in &truth {
-            scheme.write_word(addr, v, &mut mem).expect("no faults yet");
-        }
-        if scheme.inject_model(fault, rng) == 0 {
-            return Outcome::Masked;
-        }
-        scheme.classify(&truth, &mut mem)
+    let pool = WarmPool::new();
+    move |rng, _trial| {
+        let warm = || mbe::WarmTrial::pooled(build(mbe::geometry()));
+        pool.with(0, warm, |trial: &mut mbe::WarmTrial| trial.run(fault, rng))
     }
 }
 
@@ -170,29 +165,16 @@ pub fn trace_digest(h: &TwoLevelHierarchy) -> u64 {
     acc
 }
 
-/// Loads a trace file for the `trace` experiment, sniffing the format
-/// from the leading bytes: binary (`docs/TRACES.md`) if the file opens
-/// with the `CPPCT` magic, text v1 otherwise.
+/// Loads a trace file for the `trace` experiment in the format its
+/// leading bytes show: binary (`docs/TRACES.md`), text v1 or Dinero
+/// `din` ([`cppc_workloads::TraceFormat::sniff`]).
 ///
 /// # Errors
 ///
 /// Returns a human-readable message on I/O failures or malformed
-/// content in either format.
+/// content in any format.
 pub fn load_trace(path: &str) -> Result<SharedTrace, String> {
-    use std::io::Read;
-    let mut probe = [0u8; cppc_workloads::binfmt::MAGIC.len()];
-    let mut file = std::fs::File::open(path).map_err(|e| format!("cannot open '{path}': {e}"))?;
-    let sniffed = file
-        .read(&mut probe)
-        .map_err(|e| format!("cannot read '{path}': {e}"))?;
-    if probe[..sniffed] == cppc_workloads::binfmt::MAGIC {
-        SharedTrace::from_binary_file(path).map_err(|e| format!("bad binary trace '{path}': {e}"))
-    } else {
-        let file = std::fs::File::open(path).map_err(|e| format!("cannot open '{path}': {e}"))?;
-        let ops = cppc_workloads::read_trace(std::io::BufReader::new(file))
-            .map_err(|e| format!("bad text trace '{path}': {e}"))?;
-        Ok(SharedTrace::from_ops(ops))
-    }
+    cppc_workloads::read_trace_file(path, None).map(SharedTrace::from_ops)
 }
 
 /// The trace-driven experiment behind `cppc-cli campaign --kind trace`

@@ -1,45 +1,43 @@
-//! The `mbe_coverage`-style fault-injection campaign shared by the
-//! scaling and hot-path benchmark binaries: CPPC paper config, spatial
-//! square strikes on a 2 KiB / 2-way cache.
+//! The fault-injection trial every campaign of the repo runs, and the
+//! `mbe_coverage`-style CPPC campaign the scaling and hot-path
+//! benchmark binaries share: CPPC paper config, spatial square strikes
+//! on a 2 KiB / 2-way cache.
 //!
-//! # Warm-state snapshots
+//! # One warm-trial protocol
 //!
-//! Every trial of this campaign starts from the *same* warm cache state
-//! (way 0 fully dirty); only the injected fault differs. The hot path
-//! therefore simulates the warmup prefix once per worker thread,
-//! captures it ([`CppcCache::snapshot`] + [`MainMemory::snapshot`]) and
-//! serves each trial by restoring the snapshot into the thread's
-//! existing arenas via the process-wide [`WarmPool`] — no allocation
-//! and no warmup replay in steady state. The batched executor
-//! ([`MbeBatchExec`]) keeps its lane arenas ([`TrialBatch`]) and its
-//! certified [`BatchSim`] in the same pooled context, so a worker's
-//! steady-state shard allocates nothing either.
-//!
-//! The warm truth is `oracle(SEED)` for every trial (the cold path
-//! historically used `oracle(trial)`); outcomes are unaffected because
-//! the classification is value-independent: Masked is decided by fault
-//! geometry alone, parity syndromes and R3 are XOR-linear (the error
-//! contribution separates from the data), and a successful recovery
-//! reconstructs the exact pre-fault values. The replay-from-cold path
-//! lives on as a test oracle (`tests/snapshot_oracle.rs`), which checks
-//! the equivalence trial by trial.
+//! Every trial starts from the *same* warm state (way 0 fully dirty);
+//! only the injected fault differs. A [`WarmTrial`] fills a scheme
+//! once, keeps that filled copy, and serves each trial by restoring the
+//! copy over a live scheme in place
+//! ([`cppc_core::WarmClone::restore`], the members' buffer-reusing
+//! `clone_from`), striking the live one and classifying it: no
+//! allocation and no refill in steady state. The scheme-zoo campaigns
+//! ([`crate::experiments::scheme_experiment`]) hold one per worker in
+//! a per-campaign [`WarmPool`]; this module's
+//! CPPC campaign holds one in the process-wide pool, next to the
+//! batched executor's lane arenas ([`TrialBatch`]) and its certified
+//! [`BatchSim`], so a worker's steady-state shard allocates nothing
+//! either. Why one warm fill serves every trial is set out on
+//! [`WarmTrial`]; the cold refill-per-trial body lives on as a test
+//! oracle (`tests/snapshot_oracle.rs`), which checks the equivalence
+//! trial by trial for every member.
+
+use std::any::Any;
 
 use cppc_cache_sim::geometry::CacheGeometry;
 use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
-use cppc_cache_sim::snapshot::MemorySnapshot;
 use cppc_campaign::rng::rngs::StdRng;
 use cppc_campaign::rng::{RngExt, SeedableRng};
 use cppc_campaign::snapshot::WarmPool;
 use cppc_campaign::{trial_rng, Accumulator, TrialExec};
-use cppc_core::{
-    BatchOutcome, BatchScratch, BatchSim, CppcCache, CppcConfig, ProtectionScheme, SimSnapshot,
-};
+use cppc_core::{BatchOutcome, BatchScratch, BatchSim, CppcCache, CppcConfig, ProtectionScheme};
 use cppc_fault::campaign::Outcome;
 use cppc_fault::model::{FaultGenerator, FaultModel, FaultPattern};
 
 /// Campaign seed shared by every binary that runs this experiment, so
-/// their tallies are comparable.
+/// their tallies are comparable. [`WarmTrial`] fills from
+/// [`oracle`]`(SEED)`.
 pub const SEED: u64 = 0xC0DE;
 
 /// The benchmark's solid 4x4 spatial strike.
@@ -84,17 +82,105 @@ pub fn oracle(seed: u64) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// A worker thread's reusable trial state: the simulator pair, the warm
-/// snapshots restored at the top of every trial, the fault-pattern
-/// buffer, the ground-truth table and the batch engine's lane arenas.
-#[derive(Debug)]
-pub struct TrialContext {
-    cache: CppcCache,
+/// One worker's warm trial state for any member of the scheme zoo: the
+/// filled warm scheme and memory, the live pair each trial strikes, the
+/// ground-truth table and the fault-pattern buffer.
+///
+/// # Why one warm fill serves trials with different data values
+///
+/// The warm copy is filled once with [`oracle`]`(SEED)`, while the
+/// historical cold body filled every trial with `oracle(trial)`. No
+/// outcome depends on which values fill way 0:
+///
+/// * **Masked** is decided by fault geometry alone: whether a flip
+///   lands on a valid block.
+/// * **Parity and Hamming codes are XOR-linear.** A parity bit is the
+///   XOR of the bits it covers and a SECDED syndrome is a linear map of
+///   the flipped bits, so a fault's syndrome separates from the data;
+///   detection, SECDED's correct / refuse / miscorrect decision and 1D
+///   and 2D parity's row location depend only on the flip pattern.
+/// * **CPPC's registers are XOR-linear too.** R1 and R2 hold running
+///   XORs of the words committed to and dirty in each domain, so the
+///   R1^R2 reconstruction and the locator's decisions depend only on
+///   the error geometry and on which words are dirty; a successful
+///   recovery rebuilds the exact pre-fault values, and SDC is a
+///   residual-mask test.
+/// * **Silent-write ECC** elides a fill store only when the value equals
+///   the word already resident (a fill-zeroed 0). An elided store leaves
+///   the same word and check bits a performed one would; only its dirty
+///   bit differs, and SECDED's load-and-decode grade never reads it.
+/// * **HARP's** profiling pass compares each written word against its
+///   write-through copy, which always holds the value the fill wrote,
+///   so the words it flags and repairs depend only on the flip pattern.
+///
+/// `tests/snapshot_oracle.rs` pins the equivalence trial by trial for
+/// every member against the cold refill-per-trial body.
+pub struct WarmTrial {
+    warm: Box<dyn ProtectionScheme>,
+    warm_mem: MainMemory,
+    scheme: Box<dyn ProtectionScheme>,
     mem: MainMemory,
-    cache_snap: SimSnapshot,
-    mem_snap: MemorySnapshot,
-    pattern: FaultPattern,
     truth: Vec<(u64, u64)>,
+    pattern: FaultPattern,
+}
+
+impl WarmTrial {
+    /// Fills way 0 of `scheme` (built over [`geometry`]) with
+    /// [`oracle`]`(SEED)` and keeps it as the warm copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault-free fill is refused (it is not).
+    #[must_use]
+    pub fn new(mut warm: Box<dyn ProtectionScheme>) -> Self {
+        let mut warm_mem = MainMemory::new();
+        let truth = oracle(SEED);
+        for &(addr, v) in &truth {
+            warm.write_word(addr, v, &mut warm_mem)
+                .expect("no faults yet");
+        }
+        WarmTrial {
+            scheme: warm.clone_boxed(),
+            mem: warm_mem.clone(),
+            warm,
+            warm_mem,
+            truth,
+            pattern: FaultPattern::empty(),
+        }
+    }
+
+    /// The filled warm copy every trial restores from.
+    #[must_use]
+    pub fn warm(&self) -> &dyn ProtectionScheme {
+        self.warm.as_ref()
+    }
+
+    /// One trial: restore the warm copy, sample a strike of `model` from
+    /// `rng` into the pattern buffer and apply it, then recover and
+    /// grade through the scheme's own classification.
+    pub fn run(&mut self, model: FaultModel, rng: &mut StdRng) -> Outcome {
+        self.scheme.restore(self.warm.as_ref());
+        self.mem.clone_from(&self.warm_mem);
+        if self.scheme.inject_model(model, rng, &mut self.pattern) == 0 {
+            return Outcome::Masked;
+        }
+        self.scheme.classify(&self.truth, &mut self.mem)
+    }
+
+    /// A new warm trial for a [`WarmPool`], with the warm copy's
+    /// data-array bytes for the `snapshot.bytes` gauge.
+    #[must_use]
+    pub fn pooled(scheme: Box<dyn ProtectionScheme>) -> (Self, u64) {
+        let bytes = (scheme.layout().num_rows() * 8) as u64;
+        (WarmTrial::new(scheme), bytes)
+    }
+}
+
+/// The CPPC campaign's per-worker context: a [`WarmTrial`] over the
+/// paper-configured CPPC plus the batch engine's certified evaluator
+/// and lane arenas.
+pub struct TrialContext {
+    trial: WarmTrial,
     /// Lazily built value-independent batch evaluator for this warm
     /// state (`None` until the first batched shard runs).
     batch_sim: Option<BatchSim>,
@@ -140,64 +226,27 @@ pub fn warm_identity() -> u64 {
     h
 }
 
-/// Simulates the warmup prefix from cold and captures it. Returns the
-/// context plus its snapshot payload size for the `snapshot.bytes`
-/// gauge.
+/// Fills the paper-configured CPPC's warm trial from cold.
 fn warm_context() -> (TrialContext, u64) {
-    let mut mem = MainMemory::new();
-    let mut cache =
-        CppcCache::new_l1(geometry(), CppcConfig::paper(), ReplacementPolicy::Lru).unwrap();
-    let truth = oracle(SEED);
-    for &(addr, v) in &truth {
-        cache.store_word(addr, v, &mut mem).unwrap();
-    }
-    let cache_snap = cache.snapshot();
-    let mem_snap = mem.snapshot();
-    let bytes = cache_snap.bytes() + mem_snap.bytes();
-    (
-        TrialContext {
-            cache,
-            mem,
-            cache_snap,
-            mem_snap,
-            pattern: FaultPattern::empty(),
-            truth,
-            batch_sim: None,
-            batch: TrialBatch::new(),
-        },
-        bytes,
-    )
-}
-
-/// One trial against a restored warm context: restore, strike, then
-/// recover and grade through the zoo's CPPC classification. The strike
-/// is sampled into the context's pattern buffer, so the trial allocates
-/// nothing.
-fn run_trial(ctx: &mut TrialContext, model: FaultModel, rng: &mut StdRng) -> Outcome {
-    ctx.cache.restore_snapshot(&ctx.cache_snap);
-    ctx.mem.restore_snapshot(&ctx.mem_snap);
-    let rows = ctx.cache.layout().num_rows() / 2;
-    let mut generator = FaultGenerator::new(rows, rng.random());
-    generator.sample_into(model, &mut ctx.pattern);
-    if ctx.cache.inject(&ctx.pattern) == 0 {
-        return Outcome::Masked;
-    }
-    ProtectionScheme::classify(&mut ctx.cache, &ctx.truth, &mut ctx.mem)
+    let cache = CppcCache::new_l1(geometry(), CppcConfig::paper(), ReplacementPolicy::Lru);
+    let (trial, bytes) = WarmTrial::pooled(Box::new(cache.expect("paper config is valid")));
+    let ctx = TrialContext {
+        trial,
+        batch_sim: None,
+        batch: TrialBatch::new(),
+    };
+    (ctx, bytes)
 }
 
 /// One fault-injection trial of `model` on the shared warm pool.
 pub fn experiment_model(model: FaultModel, rng: &mut StdRng) -> Outcome {
     POOL.with(warm_identity(), warm_context, |ctx| {
-        run_trial(ctx, model, rng)
+        ctx.trial.run(model, rng)
     })
 }
 
 /// One fault-injection trial: restore the warm way-0 fill, strike a 4x4
-/// solid square, recover, classify. Snapshot-backed hot path.
-///
-/// # Panics
-///
-/// Panics if the paper configuration is rejected (it is not).
+/// solid square, recover, classify.
 pub fn experiment(rng: &mut StdRng, _trial: u64) -> Outcome {
     experiment_model(SOLID_MODEL, rng)
 }
@@ -277,11 +326,12 @@ pub fn simulate_batch_into<A: Accumulator<Item = Outcome>>(
     let (lo, hi) = (trials.start, trials.end);
     let batch = batch.max(1) as u64;
     if ctx.batch_sim.is_none() {
-        // The pooled context may sit in an arbitrary post-trial state;
-        // certify from the restored warm baseline.
-        ctx.cache.restore_snapshot(&ctx.cache_snap);
-        ctx.mem.restore_snapshot(&ctx.mem_snap);
-        ctx.batch_sim = ctx.cache.batch_sim();
+        // Certify the warm copy, never the live scheme a trial struck.
+        let warm: &dyn Any = ctx.trial.warm();
+        ctx.batch_sim = warm
+            .downcast_ref::<CppcCache>()
+            .expect("a CPPC")
+            .batch_sim();
         if ctx.batch_sim.is_none() {
             crate::obs::BATCH_WHOLESALE_FALLBACKS.inc();
         }
@@ -289,7 +339,7 @@ pub fn simulate_batch_into<A: Accumulator<Item = Outcome>>(
     let Some(sim) = ctx.batch_sim.take() else {
         for trial in lo..hi {
             let mut rng = trial_rng(seed, trial);
-            acc.record(trial, run_trial(ctx, model, &mut rng));
+            acc.record(trial, ctx.trial.run(model, &mut rng));
         }
         return;
     };
@@ -304,9 +354,9 @@ pub fn simulate_batch_into<A: Accumulator<Item = Outcome>>(
             // trial_rng seeds the generator, which samples the pattern.
             let mut rng = trial_rng(seed, trial);
             let mut generator = FaultGenerator::new(sample_rows, rng.random());
-            generator.sample_into(model, &mut ctx.pattern);
+            generator.sample_into(model, &mut ctx.trial.pattern);
             let arena_lo = batch_buf.rows.len();
-            let applied = sim.gather(&ctx.pattern, &mut batch_buf.rows, &mut batch_buf.errs);
+            let applied = sim.gather(&ctx.trial.pattern, &mut batch_buf.rows, &mut batch_buf.errs);
             batch_buf.lanes.push(BatchLane {
                 trial,
                 lo: arena_lo,
@@ -336,8 +386,7 @@ pub fn simulate_batch_into<A: Accumulator<Item = Outcome>>(
                     BatchOutcome::Recovered { residual: true } => Outcome::SilentCorruption,
                     BatchOutcome::NeedsFull => {
                         crate::obs::BATCH_TAIL_FALLBACKS.inc();
-                        let mut rng = trial_rng(seed, lane.trial);
-                        run_trial(ctx, model, &mut rng)
+                        ctx.trial.run(model, &mut trial_rng(seed, lane.trial))
                     }
                 }
             };

@@ -10,7 +10,6 @@
 use crate::geometry::{CacheGeometry, WORD_BYTES};
 use crate::memory::MainMemory;
 use crate::replacement::{ReplacementArena, ReplacementPolicy};
-use crate::snapshot::CacheSnapshot;
 use crate::stats::CacheStats;
 
 /// Anything that can stand below a cache: the next cache level or main
@@ -176,7 +175,10 @@ impl BlockMut<'_> {
 /// assert_eq!(c.stats().load_hits, 1);
 /// # Ok::<(), cppc_cache_sim::GeometryError>(())
 /// ```
-#[derive(Debug, Clone)]
+///
+/// `clone_from` copies into the existing arenas, so restoring a warm
+/// cache of the same geometry allocates nothing.
+#[derive(Debug)]
 pub struct Cache {
     geo: CacheGeometry,
     tags: Vec<u64>,
@@ -188,6 +190,10 @@ pub struct Cache {
     dirty_words: u64,
     scrub_cursor: usize,
     scratch_fetches: u64,
+}
+
+crate::clone_in_place! {
+    Cache { geo, tags, valid, dirty, words, repl, stats, dirty_words, scrub_cursor, scratch_fetches }
 }
 
 impl Cache {
@@ -777,59 +783,6 @@ impl Cache {
         })
     }
 
-    /// Captures the cache's complete mutable state into a fresh
-    /// [`CacheSnapshot`].
-    #[must_use]
-    pub fn snapshot(&self) -> CacheSnapshot {
-        let mut snap = CacheSnapshot::default();
-        self.capture_snapshot(&mut snap);
-        snap
-    }
-
-    /// Captures the cache's complete mutable state into `snap`, reusing
-    /// its buffers.
-    pub fn capture_snapshot(&self, snap: &mut CacheSnapshot) {
-        snap.tags.clone_from(&self.tags);
-        snap.valid.clone_from(&self.valid);
-        snap.dirty.clone_from(&self.dirty);
-        snap.words.clone_from(&self.words);
-        snap.repl.clone_from(&self.repl);
-        snap.stats = self.stats;
-        snap.dirty_words = self.dirty_words;
-        snap.scrub_cursor = self.scrub_cursor;
-        snap.scratch_fetches = self.scratch_fetches;
-    }
-
-    /// Restores the state captured by [`Cache::snapshot`] into the
-    /// existing arenas — pure `copy_from_slice`, no allocation. The
-    /// geometry itself is immutable, so a snapshot taken from this cache
-    /// (or any cache of identical geometry) always fits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot came from a different geometry.
-    pub fn restore_snapshot(&mut self, snap: &CacheSnapshot) {
-        assert_eq!(
-            self.tags.len(),
-            snap.tags.len(),
-            "snapshot from a different geometry"
-        );
-        assert_eq!(
-            self.words.len(),
-            snap.words.len(),
-            "snapshot from a different geometry"
-        );
-        self.tags.copy_from_slice(&snap.tags);
-        self.valid.copy_from_slice(&snap.valid);
-        self.dirty.copy_from_slice(&snap.dirty);
-        self.words.copy_from_slice(&snap.words);
-        self.repl.copy_from(&snap.repl);
-        self.stats = snap.stats;
-        self.dirty_words = snap.dirty_words;
-        self.scrub_cursor = snap.scrub_cursor;
-        self.scratch_fetches = snap.scratch_fetches;
-    }
-
     #[inline]
     fn block_ref(&self, idx: usize) -> BlockRef<'_> {
         BlockRef {
@@ -1109,5 +1062,86 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn warm_pair() -> (Cache, MainMemory) {
+        let geo = CacheGeometry::new(2048, 2, 32).unwrap();
+        let mut mem = MainMemory::new();
+        let mut cache = Cache::new(geo, ReplacementPolicy::Lru);
+        for i in 0..512u64 {
+            cache.store_word(i * 8, i.wrapping_mul(0x9E37), &mut mem);
+            if i % 3 == 0 {
+                cache.load_word(i * 8, &mut mem);
+            }
+        }
+        (cache, mem)
+    }
+
+    /// Every field `clone_from` must restore, as one comparable value.
+    #[allow(clippy::type_complexity)]
+    fn state(
+        c: &Cache,
+    ) -> (
+        &[u64],
+        &[bool],
+        &[u64],
+        &[u64],
+        &ReplacementArena,
+        CacheStats,
+        u64,
+        usize,
+        u64,
+    ) {
+        (
+            &c.tags,
+            &c.valid,
+            &c.dirty,
+            &c.words,
+            &c.repl,
+            c.stats,
+            c.dirty_words,
+            c.scrub_cursor,
+            c.scratch_fetches,
+        )
+    }
+
+    #[test]
+    fn clone_from_restores_the_warm_state_in_place() {
+        let (warm, warm_mem) = warm_pair();
+        let (mut cache, mut mem) = (warm.clone(), warm_mem.clone());
+        let words_at = cache.words.as_ptr();
+
+        // Diverge well past the warm state.
+        for i in 0..256u64 {
+            cache.store_word(0x4000 + i * 8, i, &mut mem);
+        }
+        cache.flush(&mut mem);
+        assert_ne!(cache.stats, warm.stats);
+
+        cache.clone_from(&warm);
+        mem.clone_from(&warm_mem);
+        assert_eq!(state(&cache), state(&warm));
+        assert_eq!(mem, warm_mem);
+        assert_eq!(
+            cache.words.as_ptr(),
+            words_at,
+            "restored into the same arena"
+        );
+    }
+
+    #[test]
+    fn dirty_word_iteration_matches_blockwise_scan() {
+        let (cache, _mem) = warm_pair();
+        let walked: Vec<_> = cache.iter_dirty_words().collect();
+        let scanned: Vec<_> = cache
+            .iter_blocks()
+            .flat_map(|(s, w, b)| {
+                (0..b.words().len())
+                    .filter(move |&i| b.is_word_dirty(i))
+                    .map(move |i| (s, w, i, b.word(i)))
+            })
+            .collect();
+        assert!(!walked.is_empty());
+        assert_eq!(walked, scanned);
     }
 }

@@ -16,8 +16,9 @@
 //!   producing the operation counts that drive the paper's energy and
 //!   performance models (read hits, write hits, stores-to-dirty,
 //!   misses, write-backs at both levels).
-//! * [`snapshot`] — warm-state capture/restore, so fault-injection
-//!   campaigns replay the warmup prefix once and restore it per trial.
+//! * [`clone_in_place!`] — `Clone` with a buffer-reusing `clone_from`,
+//!   so a fault-injection campaign restores a warm clone per trial
+//!   without allocating.
 //! * [`stats`] — counter bundles shared by all of the above.
 //!
 //! # Example
@@ -39,6 +40,31 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+/// Implements `Clone` for a struct from the list of its fields, with a
+/// `clone_from` that clones field by field into the existing value.
+///
+/// `#[derive(Clone)]` keeps the default `clone_from`, which builds a
+/// whole new value and so allocates every buffer again; here each
+/// field's own `clone_from` runs instead, and a `Vec` of the same
+/// length is overwritten in place. `clone` builds the struct from the
+/// same list, so a field left out of it fails to compile.
+#[macro_export]
+macro_rules! clone_in_place {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl Clone for $ty {
+            fn clone(&self) -> Self {
+                $ty {
+                    $($field: self.$field.clone()),+
+                }
+            }
+
+            fn clone_from(&mut self, src: &Self) {
+                $(self.$field.clone_from(&src.$field);)+
+            }
+        }
+    };
+}
+
 pub mod batch;
 pub mod cache;
 pub mod geometry;
@@ -47,7 +73,6 @@ pub mod hierarchy3;
 pub mod memory;
 pub mod obs;
 pub mod replacement;
-pub mod snapshot;
 pub mod stats;
 pub mod wordmap;
 pub mod write_through;
@@ -59,6 +84,5 @@ pub use hierarchy::TwoLevelHierarchy;
 pub use hierarchy3::ThreeLevelHierarchy;
 pub use memory::MainMemory;
 pub use replacement::ReplacementPolicy;
-pub use snapshot::{CacheSnapshot, MemorySnapshot};
 pub use stats::CacheStats;
 pub use write_through::WriteThroughCache;

@@ -38,7 +38,7 @@ const PAGE_WORDS: usize = (PAGE_BYTES / WORD_BYTES as u64) as usize;
 /// assert_eq!(mem.read_word(0x40), 7);
 /// assert_eq!(mem.read_word(0x48), 0);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct MainMemory {
     /// Page number (`addr / PAGE_BYTES`) → slot index into `arena`.
     /// Slots are handed out in allocation order.
@@ -193,50 +193,11 @@ impl MainMemory {
         }
     }
 
-    /// Captures the memory's complete state into a fresh
-    /// [`crate::snapshot::MemorySnapshot`].
+    /// A clone of the whole memory: the warm copy a fault campaign
+    /// restores into its live memory with `clone_from` each trial.
     #[must_use]
-    pub fn snapshot(&self) -> crate::snapshot::MemorySnapshot {
-        let mut snap = crate::snapshot::MemorySnapshot::default();
-        self.capture_snapshot(&mut snap);
-        snap
-    }
-
-    /// Captures the memory's complete state into `snap`, reusing its
-    /// buffers.
-    pub fn capture_snapshot(&self, snap: &mut crate::snapshot::MemorySnapshot) {
-        snap.pages.clone_from(&self.pages);
-        snap.arena.clone_from(&self.arena);
-        snap.nonzero = self.nonzero;
-        snap.reads = self.reads;
-        snap.writes = self.writes;
-    }
-
-    /// Restores the state captured by [`MainMemory::snapshot`].
-    ///
-    /// Allocation-free in steady state. Slots are handed out in order, so
-    /// pages a trial allocated after the capture are exactly those with a
-    /// slot past the snapshot's; dropping them leaves the page table
-    /// equal to the snapshot's and only the word arena is copied back in
-    /// place. A memory with a different history is rebuilt from the
-    /// snapshot.
-    pub fn restore_snapshot(&mut self, snap: &crate::snapshot::MemorySnapshot) {
-        let captured = snap.arena.len() / PAGE_WORDS;
-        if self.pages.len() > captured {
-            self.pages.retain(|_, slot| *slot < captured);
-        }
-        if self.pages != snap.pages {
-            self.pages.clone_from(&snap.pages);
-        }
-        if self.arena.len() == snap.arena.len() {
-            self.arena.copy_from_slice(&snap.arena);
-        } else {
-            self.arena.clear();
-            self.arena.extend_from_slice(&snap.arena);
-        }
-        self.nonzero = snap.nonzero;
-        self.reads = snap.reads;
-        self.writes = snap.writes;
+    pub fn snapshot(&self) -> MainMemory {
+        self.clone()
     }
 
     /// Total word reads serviced.
@@ -266,6 +227,38 @@ impl MainMemory {
                 .filter(|&(_, &v)| v != 0)
                 .map(move |(w, &v)| (page_no * PAGE_BYTES + (w * WORD_BYTES) as u64, v))
         })
+    }
+}
+
+/// `clone_from` restores a warm memory in place and allocates nothing
+/// in steady state. Slots are handed out in order, so the pages `self`
+/// allocated after it was cloned from `src` are exactly those with a
+/// slot past `src`'s; dropping them leaves the page table equal to
+/// `src`'s and only the word arena is copied back. A memory with a
+/// different history is rebuilt from `src`.
+impl Clone for MainMemory {
+    fn clone(&self) -> Self {
+        MainMemory {
+            pages: self.pages.clone(),
+            arena: self.arena.clone(),
+            nonzero: self.nonzero,
+            reads: self.reads,
+            writes: self.writes,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let captured = src.arena.len() / PAGE_WORDS;
+        if self.pages.len() > captured {
+            self.pages.retain(|_, slot| *slot < captured);
+        }
+        if self.pages != src.pages {
+            self.pages.clone_from(&src.pages);
+        }
+        self.arena.clone_from(&src.arena);
+        self.nonzero = src.nonzero;
+        self.reads = src.reads;
+        self.writes = src.writes;
     }
 }
 
@@ -372,19 +365,27 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// The page table and word arena exactly, not just the contents.
+    fn layout_of(m: &MainMemory) -> (&WordMap<usize>, &[u64]) {
+        (&m.pages, &m.arena)
+    }
+
     #[test]
     fn restore_drops_pages_allocated_after_the_capture() {
         let mut m = MainMemory::new();
         m.write_word(0x40, 1);
         m.write_word(3 * PAGE_BYTES, 2);
-        let captured = m.clone();
-        let snap = m.snapshot();
-        m.write_word(0x48, 3); // captured page
+        let warm = m.clone();
+        m.write_word(0x48, 3); // warm page
         m.write_word(7 * PAGE_BYTES, 4); // fresh pages
         m.write_word(9 * PAGE_BYTES + 8, 5);
-        m.restore_snapshot(&snap);
-        assert_eq!(m, captured);
-        assert_eq!(m.snapshot(), snap, "page table and arena as captured");
+        m.clone_from(&warm);
+        assert_eq!(m, warm);
+        assert_eq!(
+            layout_of(&m),
+            layout_of(&warm),
+            "page table and arena as cloned"
+        );
         assert_eq!(m.peek_word(7 * PAGE_BYTES), 0);
     }
 
@@ -393,15 +394,14 @@ mod tests {
         let mut source = MainMemory::new();
         source.write_word(PAGE_BYTES, 11);
         source.write_word(5 * PAGE_BYTES + 16, 12);
-        let snap = source.snapshot();
         // Same number of pages, different page numbers and slot order.
         let mut other = MainMemory::new();
         other.write_word(5 * PAGE_BYTES, 21);
         other.write_word(2 * PAGE_BYTES, 22);
         other.write_word(40 * PAGE_BYTES, 23);
-        other.restore_snapshot(&snap);
+        other.clone_from(&source);
         assert_eq!(other, source);
-        assert_eq!(other.snapshot(), snap);
+        assert_eq!(layout_of(&other), layout_of(&source));
         assert_eq!(other.peek_word(PAGE_BYTES), 11);
         assert_eq!(other.peek_word(5 * PAGE_BYTES + 16), 12);
         assert_eq!(other.peek_word(5 * PAGE_BYTES), 0);

@@ -24,10 +24,10 @@ pub enum ReplacementPolicy {
 /// Replacement bookkeeping for every set of one cache, in one flat
 /// arena: a `sets × ways` order array plus, under
 /// [`ReplacementPolicy::Random`], one xorshift state per set. The whole
-/// state is two buffers, so a snapshot restore is a `copy_from_slice`
-/// and a cache of 8,192 sets costs no more allocations than one of one
-/// set.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// state is two buffers, so restoring a warm clone (`clone_from`) is two
+/// in-place copies and a cache of 8,192 sets costs no more allocations
+/// than one of one set.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct ReplacementArena {
     policy: ReplacementPolicy,
     ways: usize,
@@ -38,6 +38,8 @@ pub(crate) struct ReplacementArena {
     /// Per-set xorshift state; empty unless the policy is Random.
     rng: Vec<u64>,
 }
+
+crate::clone_in_place! { ReplacementArena { policy, ways, order, rng } }
 
 impl ReplacementArena {
     /// Creates state for `sets` sets of `ways` ways. Set `s`'s Random
@@ -61,29 +63,6 @@ impl ReplacementArena {
             order: (0..sets).flat_map(|_| 0..ways32).collect(),
             rng,
         }
-    }
-
-    /// Copies `src`'s state into `self` without allocating. Used by
-    /// snapshot restore, where both sides come from the same geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two arenas have different shapes.
-    pub(crate) fn copy_from(&mut self, src: &Self) {
-        assert_eq!(
-            self.order.len(),
-            src.order.len(),
-            "replacement state from a different geometry"
-        );
-        self.policy = src.policy;
-        self.ways = src.ways;
-        self.order.copy_from_slice(&src.order);
-        self.rng.clone_from(&src.rng);
-    }
-
-    /// Approximate heap bytes held by the arena.
-    pub(crate) fn bytes(&self) -> usize {
-        self.order.len() * std::mem::size_of::<u32>() + self.rng.len() * 8
     }
 
     /// Records an access (hit) to `way` of `set`.
@@ -292,7 +271,7 @@ mod tests {
                 live.filled(set, 1);
                 let _ = live.victim(set);
             }
-            live.copy_from(&saved);
+            live.clone_from(&saved);
             assert_eq!(live, saved, "{policy:?}");
         }
     }

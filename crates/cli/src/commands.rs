@@ -17,7 +17,7 @@ use cppc_reliability::mttf::{mttf_cppc_years, mttf_one_dim_parity_years, mttf_se
 use cppc_reliability::{ReliabilityParams, SeuRate};
 use cppc_serve::runner::RunEnd;
 use cppc_timing::{counts_from_stats, L1Scheme, MachineConfig, TimingModel};
-use cppc_workloads::spec2000_profiles;
+use cppc_workloads::{read_trace_file, spec2000_profiles, TraceFormat};
 
 use crate::args::ParsedArgs;
 
@@ -427,43 +427,6 @@ pub fn mttf(args: &ParsedArgs) -> CliResult {
     Ok(())
 }
 
-/// Which on-disk trace format a file holds, judged from its first
-/// bytes: the binary magic, the text header, or (failing both) the
-/// Dinero `din` layout, which has no signature of its own.
-fn sniff_trace_format(path: &str) -> Result<&'static str, Box<dyn Error>> {
-    use std::io::Read;
-    let mut head = [0u8; 64];
-    let mut f = std::fs::File::open(path).map_err(|e| format!("cannot open '{path}': {e}"))?;
-    let n = f.read(&mut head)?;
-    let head = &head[..n];
-    if head.starts_with(&cppc_workloads::binfmt::MAGIC) {
-        return Ok("bin");
-    }
-    if head.starts_with(cppc_workloads::trace_io::HEADER.as_bytes()) {
-        return Ok("text");
-    }
-    Ok("din")
-}
-
-/// Loads a whole trace file into memory as ops, in any of the three
-/// supported formats.
-fn load_trace_ops(
-    path: &str,
-    format: &str,
-) -> Result<Vec<cppc_cache_sim::hierarchy::MemOp>, Box<dyn Error>> {
-    use std::io::BufReader;
-    let open = || -> Result<std::fs::File, Box<dyn Error>> {
-        Ok(std::fs::File::open(path).map_err(|e| format!("cannot open '{path}': {e}"))?)
-    };
-    Ok(match format {
-        "text" => cppc_workloads::read_trace(BufReader::new(open()?))?,
-        // No BufReader: the binary reader does its own chunked buffering.
-        "bin" => cppc_workloads::read_bin_trace(open()?)?,
-        "din" => cppc_workloads::read_din_trace(BufReader::new(open()?))?,
-        other => return Err(format!("unknown trace format '{other}' (use text|bin|din)").into()),
-    })
-}
-
 /// `trace` / `trace record`
 pub fn trace(args: &ParsedArgs) -> CliResult {
     use cppc_workloads::{write_trace, BinTraceWriter, TraceGenerator};
@@ -511,12 +474,12 @@ pub fn trace_convert(args: &ParsedArgs) -> CliResult {
     let in_path = args.get("in").ok_or("missing --in <path>")?;
     let out_path = args.get("out").ok_or("missing --out <path>")?;
     let from = match args.get("from") {
-        Some(f) => f.to_string(),
-        None => sniff_trace_format(in_path)?.to_string(),
+        Some(f) => TraceFormat::parse(f)?,
+        None => TraceFormat::sniff(in_path)?,
     };
     let to = args.get_or("to", "bin");
     let _span = cppc_workloads::obs::TRACE_CONVERT.start();
-    let ops = load_trace_ops(in_path, &from)?;
+    let ops = read_trace_file(in_path, Some(from))?;
     match to {
         "text" => {
             let mut out = std::io::BufWriter::new(std::fs::File::create(out_path)?);
@@ -541,14 +504,14 @@ pub fn trace_convert(args: &ParsedArgs) -> CliResult {
 pub fn trace_info(args: &ParsedArgs) -> CliResult {
     use cppc_cache_sim::hierarchy::MemOp;
     let path = args.get("in").ok_or("missing --in <path>")?;
-    let format = sniff_trace_format(path)?;
+    let format = TraceFormat::sniff(path)?;
     let file_bytes = std::fs::metadata(path)?.len();
-    let declared: Option<u64> = if format == "bin" {
+    let declared: Option<u64> = if format == TraceFormat::Bin {
         cppc_workloads::BinTraceReader::open(path)?.declared_ops()
     } else {
         None
     };
-    let ops = load_trace_ops(path, format)?;
+    let ops = read_trace_file(path, Some(format))?;
     let (mut loads, mut stores, mut byte_stores) = (0u64, 0u64, 0u64);
     for op in &ops {
         match op {
@@ -560,7 +523,9 @@ pub fn trace_info(args: &ParsedArgs) -> CliResult {
     println!("{path}: {format} trace, {file_bytes} bytes");
     match declared {
         Some(n) => println!("  declared ops: {n}"),
-        None if format == "bin" => println!("  declared ops: unknown (unfinished writer)"),
+        None if format == TraceFormat::Bin => {
+            println!("  declared ops: unknown (unfinished writer)")
+        }
         None => {}
     }
     println!("  ops:          {}", ops.len());
@@ -581,7 +546,7 @@ pub fn trace_bench(args: &ParsedArgs) -> CliResult {
     let path = args.get("in").ok_or("missing --in <path>")?;
     let reps: usize = args.get_parsed("reps", 3)?;
     let reps = reps.max(1);
-    let format = sniff_trace_format(path)?;
+    let format = TraceFormat::sniff(path)?;
 
     let mut materialize_best = f64::INFINITY;
     let mut ops_count = 0usize;
@@ -601,7 +566,7 @@ pub fn trace_bench(args: &ParsedArgs) -> CliResult {
     println!("{path}: {ops_count} ops ({format}), best of {reps}");
     println!("  materialize: {materialize_rate:>12.0} ops/s");
 
-    if format == "bin" {
+    if format == TraceFormat::Bin {
         let mut streaming_best = f64::INFINITY;
         for _ in 0..reps {
             let t0 = std::time::Instant::now();

@@ -108,7 +108,7 @@ fn probe_or_fill<B: Backing>(
 
 /// A write-back cache protected by 8-way interleaved parity per word —
 /// detection only.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct OneDimParityCache {
     inner: Cache,
     parity: Vec<u64>,
@@ -116,6 +116,10 @@ pub struct OneDimParityCache {
     layout: PhysicalLayout,
     corrected_clean: u64,
     dues: u64,
+}
+
+cppc_cache_sim::clone_in_place! {
+    OneDimParityCache { inner, parity, code, layout, corrected_clean, dues }
 }
 
 impl OneDimParityCache {
@@ -276,7 +280,7 @@ impl ProtectionScheme for OneDimParityCache {
 /// A write-back cache protected by a (72,64) SECDED code per word, over
 /// an 8-way physically bit-interleaved array (the paper's L1 SECDED
 /// baseline).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SecdedCache {
     inner: Cache,
     check: Vec<u16>,
@@ -284,6 +288,10 @@ pub struct SecdedCache {
     corrected: u64,
     dues: u64,
     rmw_reads: u64,
+}
+
+cppc_cache_sim::clone_in_place! {
+    SecdedCache { inner, check, layout, corrected, dues, rmw_reads }
 }
 
 impl SecdedCache {
@@ -485,7 +493,7 @@ impl ProtectionScheme for SecdedCache {
         apply_flips(&mut self.inner, &self.layout, pattern.flips())
     }
 
-    fn inject_model(&mut self, model: FaultModel, rng: &mut StdRng) -> usize {
+    fn inject_model(&mut self, model: FaultModel, rng: &mut StdRng, _: &mut FaultPattern) -> usize {
         let logical_rows = self.layout.num_rows() / 2;
         // Translate the fault model into a physical strike on the
         // interleaved array (8 logical rows per physical row) — the
@@ -536,7 +544,7 @@ impl ProtectionScheme for SecdedCache {
 /// The paper's evaluated configuration uses a single vertical row
 /// (matching CPPC's hardware budget), which sacrifices spatial-MBE
 /// correction; eight rows restore it.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TwoDimParityCache {
     inner: Cache,
     horizontal: Vec<u64>,
@@ -546,6 +554,12 @@ pub struct TwoDimParityCache {
     read_before_writes: u64,
     corrected: u64,
     dues: u64,
+}
+
+cppc_cache_sim::clone_in_place! {
+    TwoDimParityCache {
+        inner, horizontal, vertical, code, layout, read_before_writes, corrected, dues,
+    }
 }
 
 impl TwoDimParityCache {

@@ -4,10 +4,10 @@
 //! syndromes, the R1/R2 dirty-XOR invariant and R3 all separate into
 //! `f(warm ^ error) = f(warm) ^ f(error)`, and on a *fault-free warm
 //! state* the `f(warm)` terms cancel against the stored parities and
-//! registers (the same argument that justifies the warm-snapshot
-//! oracle in `cppc-bench`). A trial's outcome therefore depends only
-//! on the fault geometry and the warm state's valid/dirty maps — never
-//! on the stored data values.
+//! registers (the same argument that lets every campaign trial restore
+//! one warm fill, `cppc_bench::mbe::WarmTrial`). A trial's outcome
+//! therefore depends only on the fault geometry and the warm state's
+//! valid/dirty maps — never on the stored data values.
 //!
 //! [`BatchSim`] exploits this: it is built once from a warm
 //! [`CppcCache`](crate::CppcCache) (via
@@ -400,8 +400,7 @@ mod tests {
     fn classify_matches_full_simulator() {
         for l2 in [false, true] {
             let (mut cache, mut mem, probes) = warm(l2, 0xBA7C + u64::from(l2));
-            let snap = cache.snapshot();
-            let mem_snap = mem.snapshot();
+            let (warm, warm_mem) = (cache.clone(), mem.clone());
             let sim = cache.batch_sim().expect("warm state certifies");
             let models = [
                 FaultModel::TemporalSingleBit,
@@ -435,8 +434,8 @@ mod tests {
                     sim.classify(&rows, &mut errs, &syns, &mut scratch)
                 };
 
-                cache.restore_snapshot(&snap);
-                mem.restore_snapshot(&mem_snap);
+                cache.clone_from(&warm);
+                mem.clone_from(&warm_mem);
                 let full = full_outcome(&mut cache, &mut mem, &pattern, &probes);
                 match batch {
                     // A locate-refusal: the reference path owns the

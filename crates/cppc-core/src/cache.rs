@@ -30,7 +30,6 @@
 use cppc_cache_sim::cache::{Backing, Cache};
 use cppc_cache_sim::geometry::CacheGeometry;
 use cppc_cache_sim::replacement::ReplacementPolicy;
-use cppc_cache_sim::snapshot::CacheSnapshot;
 use cppc_cache_sim::stats::CacheStats;
 use cppc_ecc::interleaved::InterleavedParity;
 use cppc_fault::layout::PhysicalLayout;
@@ -53,8 +52,9 @@ type DomainWord = (usize, usize, usize, usize, u64);
 /// Reusable working buffers for [`CppcCache::recover_all`], so steady-state
 /// recovery performs no heap allocation. Taken out of the cache with
 /// `mem::take` for the duration of a pass (sidestepping `&mut self`
-/// aliasing) and put back afterwards.
-#[derive(Debug, Clone, Default)]
+/// aliasing) and put back afterwards. `clone_from` keeps the buffers, so
+/// the first recovery after a warm restore does not grow them again.
+#[derive(Debug, Default)]
 struct RecoveryScratch {
     /// Faulty clean words `(set, way, word)` found by the scan.
     faulty_clean: Vec<(usize, usize, usize)>,
@@ -70,51 +70,8 @@ struct RecoveryScratch {
     masks: Vec<u64>,
 }
 
-/// Complete warm state of a [`CppcCache`]: the inner cache arenas, the
-/// parity code array, the R1/R2 register file and the CPPC counters.
-///
-/// Produced by [`CppcCache::snapshot`] / [`CppcCache::capture_snapshot`],
-/// consumed by [`CppcCache::restore_snapshot`]. A snapshot is only valid
-/// for a cache of the identical geometry and configuration (enforced by
-/// the restore asserts), which makes every restore a set of in-place
-/// `memcpy`s — no allocation in steady state.
-///
-/// # Why one snapshot serves trials with different data values
-///
-/// Fault campaigns capture the warm state once and reuse it even though
-/// each trial conceptually works on different data. This is sound
-/// because every protection invariant in a CPPC is **XOR-linear**:
-/// a parity bit is the XOR of the bits it covers, and each checkpoint
-/// register holds the running XOR of the words committed to (R1) or
-/// currently dirty in (R2) its domain. XOR forms a group, so the state
-/// after restoring a snapshot and then storing new values through the
-/// normal write path (`r ^= old ^ new`) satisfies exactly the same
-/// invariants as a cold simulation that stored those values directly —
-/// the contribution of the snapshot's fill values cancels term by term.
-/// Likewise a fault flips bits, and its syndrome contribution separates
-/// from the data by the same linearity, so detection and the R1^R2
-/// recovery outcome depend only on fault geometry and on which words
-/// are dirty, never on the particular values captured in the snapshot.
-/// The campaign-facing consequence is spelled out in `cppc-bench`'s
-/// `mbe` module: warm-pool replays are outcome-equivalent to
-/// replay-from-cold, trial by trial.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimSnapshot {
-    cache: CacheSnapshot,
-    parity: Vec<u64>,
-    regs: RegisterFile,
-    stats: CppcStats,
-}
-
-impl SimSnapshot {
-    /// Approximate heap bytes held by this snapshot (feeds the
-    /// `snapshot.bytes` campaign gauge).
-    #[must_use]
-    pub fn bytes(&self) -> u64 {
-        // Each register lane holds R1 + R2 (8 bytes each) + 2 parity bytes.
-        let reg_bytes = (self.regs.pairs() * self.regs.lanes() * 18) as u64;
-        self.cache.bytes() + (self.parity.len() * 8) as u64 + reg_bytes
-    }
+cppc_cache_sim::clone_in_place! {
+    RecoveryScratch { faulty_clean, faulty_dirty, group, domain_words, suspects, masks }
 }
 
 /// Write granularity of a CPPC: words (L1) or whole L1 blocks (L2).
@@ -237,7 +194,11 @@ pub struct CppcStats {
 /// assert_eq!(cppc.load_word(0x100, &mut mem).unwrap(), 0xDEAD_BEEF);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
+///
+/// `clone_from` copies into the existing arenas, registers and scratch
+/// buffers, so restoring a warm clone of the same configuration
+/// allocates nothing.
+#[derive(Debug)]
 pub struct CppcCache {
     inner: Cache,
     parity: Vec<u64>,
@@ -258,6 +219,13 @@ pub struct CppcCache {
     pair_of: [usize; ROTATION_CLASSES],
     /// Per-rotation-class byte rotation, precomputed likewise.
     rot_of: [u32; ROTATION_CLASSES],
+}
+
+cppc_cache_sim::clone_in_place! {
+    CppcCache {
+        inner, parity, code, layout, config, regs, lane_mode, stats, fetch_scratch,
+        recovery_scratch, pair_of, rot_of,
+    }
 }
 
 impl CppcCache {
@@ -1292,60 +1260,11 @@ impl CppcCache {
         Some(sim)
     }
 
-    // ------------------------------------------------------------------
-    // Warm-state snapshot / restore
-    // ------------------------------------------------------------------
-
-    /// Captures the complete mutable state — inner cache arenas, parity
-    /// array, register file, CPPC counters — into a fresh [`SimSnapshot`].
+    /// A clone of the whole cache: the warm copy a fault campaign
+    /// restores into its live cache with `clone_from` each trial.
     #[must_use]
-    pub fn snapshot(&self) -> SimSnapshot {
-        SimSnapshot {
-            cache: self.inner.snapshot(),
-            parity: self.parity.clone(),
-            regs: self.regs.clone(),
-            stats: self.stats,
-        }
-    }
-
-    /// Re-captures into an existing snapshot of the same shape without
-    /// reallocating its buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snap` came from a cache of a different geometry or
-    /// configuration.
-    pub fn capture_snapshot(&self, snap: &mut SimSnapshot) {
-        self.inner.capture_snapshot(&mut snap.cache);
-        assert_eq!(
-            snap.parity.len(),
-            self.parity.len(),
-            "snapshot from a different layout"
-        );
-        snap.parity.copy_from_slice(&self.parity);
-        snap.regs.copy_state_from(&self.regs);
-        snap.stats = self.stats;
-    }
-
-    /// Restores the cache to the snapshotted warm state. Every buffer is
-    /// overwritten in place (`copy_from_slice`), so the steady-state
-    /// restore performs no heap allocation — this is what lets a fault
-    /// campaign replay the warmup prefix once and reuse it per trial.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snap` came from a cache of a different geometry or
-    /// configuration.
-    pub fn restore_snapshot(&mut self, snap: &SimSnapshot) {
-        self.inner.restore_snapshot(&snap.cache);
-        assert_eq!(
-            self.parity.len(),
-            snap.parity.len(),
-            "snapshot from a different layout"
-        );
-        self.parity.copy_from_slice(&snap.parity);
-        self.regs.copy_state_from(&snap.regs);
-        self.stats = snap.stats;
+    pub fn snapshot(&self) -> CppcCache {
+        self.clone()
     }
 }
 

@@ -67,6 +67,10 @@ pub struct HarpOdeccScheme {
     repaired: u64,
 }
 
+cppc_cache_sim::clone_in_place! {
+    HarpOdeccScheme { inner, written, seen, profiled_uncorrectable, repaired }
+}
+
 impl HarpOdeccScheme {
     /// Builds the scheme over a cache of geometry `geo`
     /// (non-interleaved SECDED, write-through).

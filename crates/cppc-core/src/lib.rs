@@ -57,13 +57,15 @@ pub mod silent;
 pub mod tags;
 
 pub use batch::{BatchOutcome, BatchScratch, BatchSim};
-pub use cache::{CppcCache, CppcStats, Due, DueReason, RecoveryReport, SimSnapshot};
+pub use cache::{CppcCache, CppcStats, Due, DueReason, RecoveryReport};
 pub use config::{ConfigError, CppcConfig, ROTATION_CLASSES};
 pub use full::{FullyProtectedCache, ProtectedFault};
 pub use harp::HarpOdeccScheme;
 pub use icr::{IcrCache, IcrStats};
 pub use locator::{locate_spatial, locate_spatial_into, LocateError, Suspect};
 pub use registers::RegisterFile;
-pub use scheme::{ProtectionScheme, SchemeDescriptor, SchemeFault, SchemeKind, SchemeOps};
+pub use scheme::{
+    ProtectionScheme, SchemeDescriptor, SchemeFault, SchemeKind, SchemeOps, WarmClone,
+};
 pub use silent::SilentWriteEccScheme;
 pub use tags::{TagCppc, TagDue};

@@ -25,7 +25,9 @@ use crate::rotate::rotate_left_bytes;
 /// detected register fault is repaired by re-deriving the registers
 /// from the cache's dirty words (`reset_to`, driven by
 /// `CppcCache::repair_registers`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// `clone_from` copies into the existing registers without allocating.
+#[derive(Debug, PartialEq, Eq)]
 pub struct RegisterFile {
     r1: Vec<u64>,
     r2: Vec<u64>,
@@ -34,6 +36,8 @@ pub struct RegisterFile {
     pairs: usize,
     lanes: usize,
 }
+
+cppc_cache_sim::clone_in_place! { RegisterFile { r1, r2, r1_parity, r2_parity, pairs, lanes } }
 
 impl RegisterFile {
     /// Creates a zeroed register file.
@@ -179,25 +183,6 @@ impl RegisterFile {
         (0..self.pairs)
             .map(|p| (0..self.lanes).map(|l| self.dirty_xor(p, l)).collect())
             .collect()
-    }
-
-    /// Copies `src`'s registers and parities into `self` without
-    /// allocating — the snapshot-restore path. (The derived
-    /// `Clone::clone_from` would reallocate the four vectors.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two files have different dimensions.
-    pub fn copy_state_from(&mut self, src: &Self) {
-        assert_eq!(
-            (self.pairs, self.lanes),
-            (src.pairs, src.lanes),
-            "register file from a different configuration"
-        );
-        self.r1.copy_from_slice(&src.r1);
-        self.r2.copy_from_slice(&src.r2);
-        self.r1_parity.copy_from_slice(&src.r1_parity);
-        self.r2_parity.copy_from_slice(&src.r2_parity);
     }
 }
 

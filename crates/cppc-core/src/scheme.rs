@@ -18,10 +18,15 @@
 //!   recovery procedure against ground truth and grades the outcome.
 //! * **fault interface** — [`ProtectionScheme::inject`] applies a raw
 //!   bit-flip pattern; [`ProtectionScheme::inject_model`] samples a
-//!   strike from a [`FaultModel`] the way the scheme's physical array
-//!   is actually organised (interleaved SECDED translates logical
-//!   strikes onto its 8-way interleaved array, everything else strikes
-//!   logical rows directly).
+//!   strike from a [`FaultModel`] into a caller-owned pattern buffer
+//!   the way the scheme's physical array is actually organised
+//!   (interleaved SECDED translates logical strikes onto its 8-way
+//!   interleaved array, everything else strikes logical rows directly).
+//! * **warm restore** — [`WarmClone::restore`] copies a filled warm
+//!   copy of the scheme back over a struck one in place, so a campaign
+//!   fills once per worker and every trial starts from the same warm
+//!   state without allocating. Every member implements it through its
+//!   `Clone`, whose `clone_from` reuses the member's buffers.
 //! * **accounting** — [`ProtectionScheme::ops`] surfaces the
 //!   energy-relevant operation counts (writes, silent-write elisions,
 //!   read-modify-writes, read-before-writes) and
@@ -60,6 +65,7 @@ use crate::baselines::{OneDimParityCache, SecdedCache, TwoDimParityCache};
 use crate::cache::{CppcCache, Due};
 use crate::config::{ConfigError, CppcConfig};
 
+use std::any::Any;
 use std::fmt;
 
 cppc_obs::metrics! {
@@ -161,13 +167,41 @@ pub struct SchemeOps {
     pub dues: u64,
 }
 
+/// The warm-trial half of [`ProtectionScheme`], implemented for every
+/// member through its `Clone`.
+pub trait WarmClone {
+    /// A boxed clone of this scheme.
+    fn clone_boxed(&self) -> Box<dyn ProtectionScheme>;
+
+    /// Restores this scheme to `warm`'s state in place (`clone_from`),
+    /// allocating nothing when `warm` is a clone of the same build.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `warm` is a different type of scheme.
+    fn restore(&mut self, warm: &dyn ProtectionScheme);
+}
+
+impl<T: ProtectionScheme + Clone> WarmClone for T {
+    fn clone_boxed(&self) -> Box<dyn ProtectionScheme> {
+        Box::new(self.clone())
+    }
+
+    fn restore(&mut self, warm: &dyn ProtectionScheme) {
+        let warm: &dyn Any = warm;
+        self.clone_from(warm.downcast_ref().expect("warm copy of the same scheme"));
+    }
+}
+
 /// One protected cache in the zoo, as a campaign sees it.
 ///
 /// Implemented by the protected caches over the shared
 /// `cppc-cache-sim` substrate; the trait is object-safe so campaign
 /// drivers hold a `Box<dyn ProtectionScheme>` built by
-/// [`SchemeKind::build`].
-pub trait ProtectionScheme {
+/// [`SchemeKind::build`]. A member is `Clone` with an in-place
+/// `clone_from` (`cppc_cache_sim::clone_in_place!`), which gives it
+/// [`WarmClone`].
+pub trait ProtectionScheme: WarmClone + Any + Send {
     /// The per-write callback: store `value` at `addr`, refreshing the
     /// scheme's code (and running any scheme-specific write plumbing —
     /// CPPC's R1 XOR fold, 2D parity's read-before-write).
@@ -201,8 +235,8 @@ pub trait ProtectionScheme {
     /// many flips landed on resident blocks.
     fn inject(&mut self, pattern: &FaultPattern) -> usize;
 
-    /// Samples one strike from `model` and applies it, returning the
-    /// number of flips that landed.
+    /// Samples one strike from `model` into `pattern` and applies it,
+    /// returning the number of flips that landed.
     ///
     /// The default samples a logical-row pattern over the way-0 half of
     /// the array (the coverage-matrix methodology: way 0 is the dirty
@@ -210,12 +244,16 @@ pub trait ProtectionScheme {
     /// historical baked-in campaign closures draw for draw. Schemes
     /// whose physical array is organised differently override this —
     /// interleaved SECDED translates the model into a physical strike
-    /// on its 8-way interleaved array.
-    fn inject_model(&mut self, model: FaultModel, rng: &mut StdRng) -> usize {
+    /// on its 8-way interleaved array and leaves `pattern` alone.
+    fn inject_model(
+        &mut self,
+        model: FaultModel,
+        rng: &mut StdRng,
+        pattern: &mut FaultPattern,
+    ) -> usize {
         let rows = self.layout().num_rows() / 2;
-        let mut generator = FaultGenerator::new(rows, rng.random());
-        let pattern = generator.sample(model);
-        self.inject(&pattern)
+        FaultGenerator::new(rows, rng.random()).sample_into(model, pattern);
+        self.inject(pattern)
     }
 
     /// Runs the scheme's whole-array recovery procedure and grades the
@@ -604,7 +642,8 @@ mod tests {
             let mut scheme = kind.build(geometry(), CppcConfig::paper()).unwrap();
             let truth = fill(scheme.as_mut(), &mut mem);
             let mut rng = StdRng::seed_from_u64(11);
-            let landed = scheme.inject_model(FaultModel::TemporalSingleBit, &mut rng);
+            let mut pattern = FaultPattern::empty();
+            let landed = scheme.inject_model(FaultModel::TemporalSingleBit, &mut rng, &mut pattern);
             assert!(landed > 0, "{kind}: strike must land on the dirty way");
             let outcome = scheme.classify(&truth, &mut mem);
             assert_ne!(outcome, Outcome::SilentCorruption, "{kind}");

@@ -59,6 +59,8 @@ pub struct SilentWriteEccScheme {
     silent_writes: u64,
 }
 
+cppc_cache_sim::clone_in_place! { SilentWriteEccScheme { inner, silent_writes } }
+
 impl SilentWriteEccScheme {
     /// Builds the scheme over a cache of geometry `geo`
     /// (non-interleaved SECDED — the low-power design point).

@@ -8,14 +8,12 @@
 //! paper uses: corrected events, Detected-Unrecoverable Errors (DUE)
 //! and Silent Data Corruptions (SDC).
 //!
-//! Campaigns execute through the [`cppc_campaign`] engine: the
-//! sequential [`Campaign::run`] and the sharded, multi-threaded
-//! [`Campaign::run_parallel`] derive identical per-trial RNG streams
-//! and therefore produce **bit-identical tallies at any thread count**.
+//! Campaigns execute through the [`cppc_campaign`] engine
+//! (`cppc_campaign::run` over an [`OutcomeTally`]), whose per-trial RNG
+//! streams make tallies **bit-identical at any thread count**.
 
 use cppc_campaign::json::Json;
-use cppc_campaign::rng::rngs::StdRng;
-use cppc_campaign::{Accumulator, CampaignConfig, Persist};
+use cppc_campaign::{Accumulator, Persist};
 
 /// The outcome of one injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,81 +128,9 @@ impl Persist for OutcomeTally {
     }
 }
 
-/// A deterministic fault-injection campaign.
-///
-/// # Example
-///
-/// ```
-/// use cppc_fault::campaign::{Campaign, Outcome};
-///
-/// // A toy "system" that always corrects:
-/// let tally = Campaign::new(0xC0FFEE).run(100, |_rng, _trial| Outcome::Corrected);
-/// assert_eq!(tally.corrected, 100);
-/// assert_eq!(tally.coverage(), 1.0);
-///
-/// // The multi-threaded path gives bit-identical results:
-/// let par = Campaign::new(0xC0FFEE).run_parallel(100, 4, |_rng, _trial| Outcome::Corrected);
-/// assert_eq!(tally, par);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Campaign {
-    seed: u64,
-}
-
-impl Campaign {
-    /// Creates a campaign with a master seed; every trial derives its own
-    /// independent RNG from it.
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        Campaign { seed }
-    }
-
-    /// The master seed.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The engine configuration equivalent to this campaign — the entry
-    /// point for checkpointed / metered runs through
-    /// [`cppc_campaign::run_with`].
-    #[must_use]
-    pub fn config(&self, trials: u64) -> CampaignConfig {
-        CampaignConfig::new(self.seed, trials)
-    }
-
-    /// Runs `trials` experiments sequentially. `experiment` receives a
-    /// per-trial RNG and the trial index.
-    pub fn run<F>(&self, trials: u64, mut experiment: F) -> OutcomeTally
-    where
-        F: FnMut(&mut StdRng, u64) -> Outcome,
-    {
-        let mut tally = OutcomeTally::default();
-        for trial in 0..trials {
-            // The same stream derivation the parallel engine uses, so
-            // both paths see identical randomness.
-            let mut rng = cppc_campaign::trial_rng(self.seed, trial);
-            OutcomeTally::record(&mut tally, experiment(&mut rng, trial));
-        }
-        tally
-    }
-
-    /// Runs `trials` experiments across `threads` workers (0 = all CPUs)
-    /// through the campaign engine. Bit-identical to [`Campaign::run`]
-    /// at any thread count.
-    pub fn run_parallel<F>(&self, trials: u64, threads: usize, experiment: F) -> OutcomeTally
-    where
-        F: Fn(&mut StdRng, u64) -> Outcome + Sync,
-    {
-        cppc_campaign::run::<OutcomeTally, _>(&self.config(trials).threads(threads), experiment)
-            .result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cppc_campaign::rng::RngExt;
 
     #[test]
     fn tally_records_all_kinds() {
@@ -255,64 +181,6 @@ mod tests {
     #[test]
     fn sdc_rate_zero_when_empty() {
         assert_eq!(OutcomeTally::default().sdc_rate(), 0.0);
-    }
-
-    #[test]
-    fn campaign_trials_are_reproducible() {
-        let collect = |seed| {
-            let mut values = Vec::new();
-            Campaign::new(seed).run(10, |rng, _| {
-                values.push(rng.random::<u64>());
-                Outcome::Masked
-            });
-            values
-        };
-        assert_eq!(collect(7), collect(7));
-        assert_ne!(collect(7), collect(8));
-    }
-
-    #[test]
-    fn campaign_passes_trial_index() {
-        let mut indices = Vec::new();
-        Campaign::new(1).run(5, |_, t| {
-            indices.push(t);
-            Outcome::Corrected
-        });
-        assert_eq!(indices, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn per_trial_rngs_are_independent() {
-        let mut firsts = Vec::new();
-        Campaign::new(123).run(20, |rng, _| {
-            firsts.push(rng.random::<u64>());
-            Outcome::Masked
-        });
-        let mut dedup = firsts.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), firsts.len(), "trial streams must differ");
-    }
-
-    /// A deterministic experiment whose outcome depends on the trial's
-    /// RNG stream — any divergence between paths shows up as a
-    /// different tally.
-    fn stream_sensitive(rng: &mut StdRng, _trial: u64) -> Outcome {
-        match rng.random_range(0..4u32) {
-            0 => Outcome::Masked,
-            1 => Outcome::Corrected,
-            2 => Outcome::DetectedUnrecoverable,
-            _ => Outcome::SilentCorruption,
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_exactly() {
-        let c = Campaign::new(0xBEEF);
-        let seq = c.run(513, stream_sensitive);
-        for threads in [1, 2, 8] {
-            assert_eq!(c.run_parallel(513, threads, stream_sensitive), seq);
-        }
     }
 
     #[test]

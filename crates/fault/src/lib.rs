@@ -31,6 +31,6 @@ pub mod campaign;
 pub mod layout;
 pub mod model;
 
-pub use campaign::{Campaign, Outcome, OutcomeTally};
+pub use campaign::{Outcome, OutcomeTally};
 pub use layout::PhysicalLayout;
 pub use model::{BitFlip, FaultModel, FaultPattern};

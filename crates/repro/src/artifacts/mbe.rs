@@ -14,9 +14,10 @@
 use cppc_bench::experiments::built_experiment;
 use cppc_cache_sim::geometry::CacheGeometry;
 use cppc_cache_sim::replacement::ReplacementPolicy;
+use cppc_campaign::CampaignConfig;
 use cppc_core::baselines::TwoDimParityCache;
 use cppc_core::{CppcConfig, ProtectionScheme, SchemeKind};
-use cppc_fault::campaign::{Campaign, OutcomeTally};
+use cppc_fault::campaign::OutcomeTally;
 use cppc_fault::model::FaultModel;
 
 use crate::artifact::{Artifact, ArtifactOutput, MetricValue, RunConfig, Table, Tier, Tolerance};
@@ -155,8 +156,9 @@ fn run(cfg: &RunConfig) -> ArtifactOutput {
     for (fault_name, model) in fault_models() {
         let mut rows = Vec::new();
         for (scheme_name, build) in scheme_rows() {
-            let experiment = built_experiment(build, model);
-            let tally = Campaign::new(SEED).run_parallel(trials, threads, experiment);
+            let cfg = CampaignConfig::new(SEED, trials).threads(threads);
+            let tally: OutcomeTally =
+                cppc_campaign::run(&cfg, built_experiment(build, model)).result;
             sdc_total += tally.sdc;
             rows.push(vec![
                 scheme_name.to_string(),

@@ -24,7 +24,7 @@ use cppc_campaign::{
     RunOpts, TrialExec,
 };
 use cppc_core::SchemeKind;
-use cppc_fault::campaign::{Outcome, OutcomeTally};
+use cppc_fault::campaign::OutcomeTally;
 use cppc_reliability::montecarlo::{simulate_trial_into, MonteCarloAccumulator, MonteCarloConfig};
 
 use crate::job::{JobKind, JobSpec};
@@ -259,13 +259,6 @@ pub fn montecarlo_result_json(acc: &MonteCarloAccumulator) -> Json {
         Json::from_f64_bits(result.mean_faults_to_failure),
     ));
     Json::Obj(pairs)
-}
-
-/// Classifies interrupted-vs-complete for tests without exposing the
-/// engine report (re-exported for the integration suite).
-#[must_use]
-pub fn synthetic_outcome(rng: &mut StdRng, trial: u64) -> Outcome {
-    cppc_bench::experiments::synthetic_outcome(rng, trial)
 }
 
 #[cfg(test)]

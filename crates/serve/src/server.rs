@@ -54,6 +54,9 @@ const WATCH_TICK: Duration = Duration::from_millis(50);
 /// Longest request line (newline included) a connection may send;
 /// a longer one gets an error response and the connection closes.
 const MAX_REQUEST_LINE: usize = 1 << 20;
+/// Input discarded after refusing an over-long line, so the close that
+/// follows is a clean end of stream rather than a reset.
+const REFUSED_LINE_DRAIN: u64 = 4 << 20;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -519,10 +522,11 @@ where
 }
 
 /// The `set_read_timeout` surface shared by unix and TCP streams
-/// (std does not unify it in a trait).
+/// (std does not unify it in a trait), with the write-half shutdown.
 trait SetReadTimeout {
     fn set_read_timeout_(&self, t: Option<Duration>) -> io::Result<()>;
     fn set_blocking(&self) -> io::Result<()>;
+    fn shutdown_write(&self) -> io::Result<()>;
 }
 
 impl SetReadTimeout for std::os::unix::net::UnixStream {
@@ -531,6 +535,9 @@ impl SetReadTimeout for std::os::unix::net::UnixStream {
     }
     fn set_blocking(&self) -> io::Result<()> {
         self.set_nonblocking(false)
+    }
+    fn shutdown_write(&self) -> io::Result<()> {
+        self.shutdown(std::net::Shutdown::Write)
     }
 }
 
@@ -541,12 +548,19 @@ impl SetReadTimeout for std::net::TcpStream {
     fn set_blocking(&self) -> io::Result<()> {
         self.set_nonblocking(false)
     }
+    fn shutdown_write(&self) -> io::Result<()> {
+        self.shutdown(std::net::Shutdown::Write)
+    }
 }
 
 /// Serves one connection: a loop of request lines, each answered on
 /// the same stream. Read timeouts keep the loop responsive to
 /// shutdown; any I/O error simply ends the connection, and so does a
-/// line longer than [`MAX_REQUEST_LINE`] (after an error response).
+/// line longer than [`MAX_REQUEST_LINE`]: after the error response the
+/// daemon shuts its write half and discards input until end of stream,
+/// one read timeout or [`REFUSED_LINE_DRAIN`] bytes. Closing with the
+/// line's tail unread would make the kernel reset the connection, and
+/// the client could lose the response to the reset.
 fn handle_connection<S: Read + Write + SetReadTimeout>(shared: &Arc<Shared>, stream: S) {
     // Accepted sockets can inherit the listener's nonblocking mode.
     if stream.set_blocking().is_err() || stream.set_read_timeout_(Some(POLL * 10)).is_err() {
@@ -564,6 +578,8 @@ fn handle_connection<S: Read + Write + SetReadTimeout>(shared: &Arc<Shared>, str
                 obs::REQUESTS.inc();
                 let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
                 let _ = write_json(reader.get_mut(), &error_response(&message, None));
+                let _ = reader.get_ref().shutdown_write();
+                let _ = io::copy(&mut reader.take(REFUSED_LINE_DRAIN), &mut io::sink());
                 return;
             }
             Ok(_) => {

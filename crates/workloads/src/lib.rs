@@ -32,4 +32,4 @@ pub use cppc_cache_sim::batch::OpBatch;
 pub use generator::TraceGenerator;
 pub use profile::{spec2000_profiles, BenchmarkProfile};
 pub use shared::{Replay, SharedTrace};
-pub use trace_io::{read_din_trace, read_trace, write_trace};
+pub use trace_io::{read_din_trace, read_trace, read_trace_file, write_trace, TraceFormat};

@@ -197,6 +197,96 @@ pub fn read_din_trace<R: BufRead>(input: R) -> Result<Vec<MemOp>, TraceError> {
     Ok(ops)
 }
 
+/// The on-disk trace formats a trace file can hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraceFormat {
+    /// Text v1, this module's line format.
+    Text,
+    /// Binary v1 (`docs/TRACES.md`).
+    Bin,
+    /// Dinero `din` ([`read_din_trace`]).
+    Din,
+}
+
+impl TraceFormat {
+    /// The format's name: `text`, `bin` or `din`.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            TraceFormat::Text => "text",
+            TraceFormat::Bin => "bin",
+            TraceFormat::Din => "din",
+        }
+    }
+
+    /// Parses a format name.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the unknown format.
+    pub fn parse(name: &str) -> Result<Self, String> {
+        [TraceFormat::Text, TraceFormat::Bin, TraceFormat::Din]
+            .into_iter()
+            .find(|f| f.name() == name)
+            .ok_or_else(|| format!("unknown trace format '{name}' (use text|bin|din)"))
+    }
+
+    /// The format of the file at `path`, judged from its first bytes:
+    /// the binary magic, the text header, or (failing both) `din`,
+    /// which has no signature of its own.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the file when it cannot be read.
+    pub fn sniff(path: &str) -> Result<Self, String> {
+        use std::io::Read;
+        let mut head = [0u8; HEADER.len()];
+        let mut file = open(path)?;
+        let n = file
+            .read(&mut head)
+            .map_err(|e| format!("cannot read '{path}': {e}"))?;
+        Ok(if head[..n].starts_with(&crate::binfmt::MAGIC) {
+            TraceFormat::Bin
+        } else if head[..n] == *HEADER.as_bytes() {
+            TraceFormat::Text
+        } else {
+            TraceFormat::Din
+        })
+    }
+}
+
+impl fmt::Display for TraceFormat {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+fn open(path: &str) -> Result<std::fs::File, String> {
+    std::fs::File::open(path).map_err(|e| format!("cannot open '{path}': {e}"))
+}
+
+/// Reads the whole trace file at `path` in `format`, or in the format
+/// [`TraceFormat::sniff`] finds when `format` is `None`.
+///
+/// # Errors
+///
+/// Returns a message naming the file on I/O failures or malformed
+/// content.
+pub fn read_trace_file(path: &str, format: Option<TraceFormat>) -> Result<Vec<MemOp>, String> {
+    let format = match format {
+        Some(format) => format,
+        None => TraceFormat::sniff(path)?,
+    };
+    let file = open(path)?;
+    let bad = |e: &dyn fmt::Display| format!("bad {format} trace '{path}': {e}");
+    match format {
+        TraceFormat::Text => read_trace(io::BufReader::new(file)).map_err(|e| bad(&e)),
+        // No BufReader: the binary reader does its own chunked buffering.
+        TraceFormat::Bin => crate::read_bin_trace(file).map_err(|e| bad(&e)),
+        TraceFormat::Din => read_din_trace(io::BufReader::new(file)).map_err(|e| bad(&e)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,5 +426,40 @@ mod tests {
         };
         assert!(e.to_string().contains("line 3"));
         assert!(e.to_string().contains("trailing garbage"));
+    }
+
+    #[test]
+    fn trace_formats_sniff_and_parse() {
+        let dir = std::env::temp_dir().join(format!("cppc-trace-format-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ops = [MemOp::Load(0x40), MemOp::Store(0x48, 7)];
+        let text = dir.join("t.txt");
+        let mut out = Vec::new();
+        write_trace(&mut out, ops).unwrap();
+        std::fs::write(&text, out).unwrap();
+        let bin = dir.join("t.cppct");
+        crate::binfmt::write_bin_trace_file(&bin, &ops).unwrap();
+        let din = dir.join("t.din");
+        std::fs::write(&din, "0 40\n1 48\n").unwrap();
+        for (path, format) in [
+            (&text, TraceFormat::Text),
+            (&bin, TraceFormat::Bin),
+            (&din, TraceFormat::Din),
+        ] {
+            let path = path.to_str().unwrap();
+            assert_eq!(TraceFormat::sniff(path), Ok(format), "{path}");
+            assert_eq!(TraceFormat::parse(format.name()), Ok(format));
+            let read = read_trace_file(path, None).unwrap();
+            let values_kept = format != TraceFormat::Din; // din carries no data values
+            assert_eq!(read[0], ops[0], "{path}");
+            assert_eq!(read[1] == ops[1], values_kept, "{path}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(TraceFormat::parse("csv")
+            .unwrap_err()
+            .contains("text|bin|din"));
+        assert!(read_trace_file("/nonexistent/t.txt", None)
+            .unwrap_err()
+            .contains("cannot open"));
     }
 }

@@ -3,50 +3,18 @@
 //!
 //! Run with `cargo run --release --example fault_campaign [trials]`.
 
-use cppc::cache_sim::{CacheGeometry, MainMemory};
-use cppc::core::{CppcConfig, ProtectionScheme, SchemeKind};
-use cppc::fault::campaign::{Campaign, Outcome, OutcomeTally};
+use cppc::campaign::CampaignConfig;
+use cppc::core::{CppcConfig, SchemeKind};
+use cppc::fault::campaign::OutcomeTally;
 use cppc::fault::model::FaultModel;
-use cppc_campaign::rng::rngs::StdRng;
-use cppc_campaign::rng::{RngExt, SeedableRng};
+use cppc_bench::experiments::scheme_experiment;
 
-fn geometry() -> CacheGeometry {
-    CacheGeometry::new(4096, 2, 32).expect("valid geometry")
-}
-
-/// Fills way 0 with dirty random data and returns the ground truth.
-fn fill_dirty(
-    scheme: &mut dyn ProtectionScheme,
-    mem: &mut MainMemory,
-    seed: u64,
-) -> Vec<(u64, u64)> {
-    let geo = geometry();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut truth = Vec::new();
-    for set in 0..geo.num_sets() {
-        for word in 0..geo.words_per_block() {
-            let addr = geo.address_of(0, set) + (word * 8) as u64;
-            let v: u64 = rng.random();
-            scheme.write_word(addr, v, mem).expect("no faults yet");
-            truth.push((addr, v));
-        }
-    }
-    truth
-}
-
-/// One campaign body for every scheme: fill, strike, then let the
-/// scheme's own recovery procedure grade the outcome. `config`
-/// parameterizes CPPC only.
+/// One campaign through the engine: `scheme_experiment` fills way 0 of
+/// a 2 KiB L1, strikes it and lets the scheme's own recovery procedure
+/// grade the outcome. `config` parameterizes CPPC only.
 fn campaign(kind: SchemeKind, config: CppcConfig, model: FaultModel, trials: u64) -> OutcomeTally {
-    Campaign::new(0xFA11).run(trials, |rng, trial| {
-        let mut mem = MainMemory::new();
-        let mut scheme = kind.build(geometry(), config).expect("valid config");
-        let truth = fill_dirty(scheme.as_mut(), &mut mem, trial);
-        if scheme.inject_model(model, rng) == 0 {
-            return Outcome::Masked;
-        }
-        scheme.classify(&truth, &mut mem)
-    })
+    let cfg = CampaignConfig::new(0xFA11, trials);
+    cppc::campaign::run(&cfg, scheme_experiment(kind, config, model)).result
 }
 
 fn report(label: &str, tally: &OutcomeTally) {

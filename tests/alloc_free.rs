@@ -1,7 +1,8 @@
 //! Proof that the simulator hot paths are allocation-free in steady
-//! state: the hierarchy trace-replay loop, the snapshot-backed
-//! fault-injection trial cycle (restore + inject + recovery), and a
-//! shard of the cross-trial batch engine.
+//! state: the hierarchy trace-replay loop, the warm fault-injection
+//! trial cycle (restore + inject + recovery) of the CPPC campaign and
+//! of the scheme zoo, every member's warm restore, and a shard of the
+//! cross-trial batch engine.
 //!
 //! A counting global allocator wraps the system allocator and counts
 //! each thread's allocations separately, so the test harness spawning
@@ -18,13 +19,18 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Mutex;
 
-use cppc_bench::mbe::{experiment_model, MbeBatchExec, SEED, SOLID_MODEL, SPARSE_MODEL};
+use cppc_bench::experiments::scheme_experiment;
+use cppc_bench::mbe::{
+    experiment_model, geometry, oracle, MbeBatchExec, SEED, SOLID_MODEL, SPARSE_MODEL,
+};
 use cppc_cache_sim::geometry::CacheGeometry;
 use cppc_cache_sim::hierarchy::{MemOp, TwoLevelHierarchy};
 use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_campaign::{trial_rng, TrialExec};
+use cppc_core::{CppcConfig, SchemeKind};
 use cppc_fault::campaign::OutcomeTally;
+use cppc_fault::model::FaultPattern;
 use cppc_workloads::SharedTrace;
 
 thread_local! {
@@ -258,11 +264,11 @@ fn steady_state_batched_shard_allocates_nothing() {
     }
 }
 
-/// Restoring a memory snapshot after a trial wrote to pages the capture
-/// never had is allocation-free: slots are handed out in order, so the
-/// restore drops the post-capture pages and copies the word arena back
-/// in place, leaving the page table and arena capacity for the next
-/// trial.
+/// Restoring a warm memory after a trial wrote to pages the warm copy
+/// never had is allocation-free: slots are handed out in order, so
+/// `clone_from` drops the post-clone pages and copies the word arena
+/// back in place, leaving the page table and arena capacity for the
+/// next trial.
 #[test]
 fn memory_restore_after_fresh_pages_allocates_nothing() {
     let _serial = MEASURE
@@ -272,15 +278,14 @@ fn memory_restore_after_fresh_pages_allocates_nothing() {
     for i in 0..64u64 {
         mem.write_word(i * 0x1000, i + 1);
     }
-    let captured = mem.clone();
-    let snap = mem.snapshot();
-    // Every cycle writes more pages than the captured table has room
-    // for, spread over 16 MiB.
+    let warm = mem.clone();
+    // Every cycle writes more pages than the warm table has room for,
+    // spread over 16 MiB.
     let trial = |mem: &mut MainMemory| {
         for i in 0..160u64 {
             mem.write_word(0x100_0000 + i * 0x1_9980, !i);
         }
-        mem.restore_snapshot(&snap);
+        mem.clone_from(&warm);
     };
 
     // Warmup: the first cycles grow the arena and page table to hold
@@ -294,10 +299,99 @@ fn memory_restore_after_fresh_pages_allocates_nothing() {
             trial(&mut mem);
         }
     });
-    assert_eq!(mem, captured, "restore reproduces the captured memory");
-    assert_eq!(mem.snapshot(), snap, "and its exact page table");
+    assert_eq!(mem, warm, "restore reproduces the warm memory");
     assert_eq!(
         during, 0,
         "64 write-fresh-pages + restore cycles performed {during} heap allocations"
     );
+}
+
+/// Restoring a struck scheme from its warm copy allocates nothing, for
+/// every member of the zoo: each member's `clone_from` copies into the
+/// live scheme's own buffers.
+#[test]
+fn scheme_restore_allocates_nothing_for_every_member() {
+    let _serial = MEASURE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    cppc_obs::set_enabled(false);
+    let mut measured = Vec::new();
+    for kind in SchemeKind::ALL {
+        let mut warm = kind.build(geometry(), CppcConfig::paper()).unwrap();
+        let mut warm_mem = MainMemory::new();
+        let truth = oracle(SEED);
+        for &(addr, v) in &truth {
+            warm.write_word(addr, v, &mut warm_mem).unwrap();
+        }
+        let (mut live, mut mem) = (warm.clone_boxed(), warm_mem.clone());
+        let mut pattern = FaultPattern::empty();
+        let mut strike_and_restore = |trial: u64| {
+            live.inject_model(SPARSE_MODEL, &mut trial_rng(SEED, trial), &mut pattern);
+            live.classify(&truth, &mut mem);
+            counting_allocations(|| {
+                live.restore(warm.as_ref());
+                mem.clone_from(&warm_mem);
+            })
+            .1
+        };
+        for trial in 0..8 {
+            strike_and_restore(trial);
+        }
+        let during: u64 = (8..40).map(&mut strike_and_restore).sum();
+        measured.push((kind, during));
+    }
+    cppc_obs::set_enabled(true);
+    for (kind, during) in measured {
+        assert_eq!(
+            during, 0,
+            "{kind}: 32 restores performed {during} heap allocations"
+        );
+    }
+}
+
+/// A whole warm scheme trial — pool checkout, restore, strike, recovery
+/// and grade — allocates nothing in steady state for the members whose
+/// strike and recovery keep no per-trial buffers of their own.
+/// (Interleaved SECDED's physical-strike mapping and 2D parity's
+/// recovery scan still collect into a fresh `Vec` each trial.)
+#[test]
+fn steady_state_warm_scheme_trial_allocates_nothing() {
+    let _serial = MEASURE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    cppc_obs::set_enabled(false);
+    let mut measured = Vec::new();
+    for kind in [
+        SchemeKind::Cppc,
+        SchemeKind::Parity1d,
+        SchemeKind::SilentWriteEcc,
+        SchemeKind::HarpOdecc,
+    ] {
+        let mut tally = OutcomeTally::default();
+        let mut during = 0;
+        for model in [SOLID_MODEL, SPARSE_MODEL] {
+            let experiment = scheme_experiment(kind, CppcConfig::paper(), model);
+            let mut run = |trials: std::ops::Range<u64>| {
+                for trial in trials {
+                    tally.record(experiment(&mut trial_rng(SEED, trial), trial));
+                }
+            };
+            // Warmup: the first trial fills the worker's warm copy; the
+            // rest grow the pattern and recovery scratch.
+            run(0..128);
+            during += counting_allocations(|| run(128..256)).1;
+        }
+        measured.push((kind, during, tally));
+    }
+    cppc_obs::set_enabled(true);
+    for (kind, during, tally) in measured {
+        assert!(
+            tally.due + tally.sdc > 0,
+            "{kind}: the strikes reach the failure paths"
+        );
+        assert_eq!(
+            during, 0,
+            "{kind}: 256 warm trials performed {during} heap allocations"
+        );
+    }
 }

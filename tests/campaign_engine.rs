@@ -4,9 +4,10 @@
 use cppc::campaign::json::Json;
 use cppc::campaign::rng::{rngs::StdRng, RngExt};
 use cppc::campaign::{
-    run_with, Accumulator, CampaignConfig, CheckpointPolicy, PerTrial, Persist, RunOpts,
+    run, run_with, trial_rng, Accumulator, CampaignConfig, CheckpointPolicy, PerTrial, Persist,
+    RunOpts,
 };
-use cppc::fault::campaign::{Campaign, Outcome, OutcomeTally};
+use cppc::fault::campaign::{Outcome, OutcomeTally};
 use cppc::reliability::montecarlo::{simulate_double_fault_mttf_parallel, MonteCarloConfig};
 
 /// A fault-free stand-in for a real injection experiment whose outcome
@@ -30,17 +31,25 @@ fn serialized_tally(tally: &OutcomeTally) -> String {
 fn merged_reports_are_byte_identical_at_1_2_8_threads() {
     // 999 trials: not a multiple of the shard size, so the last shard is
     // ragged — the layout edge case most likely to diverge.
-    let campaign = Campaign::new(0xD37E_2011);
-    let baseline = serialized_tally(&campaign.run_parallel(999, 1, stream_sensitive));
+    const SEED: u64 = 0xD37E_2011;
+    let tally = |threads| -> OutcomeTally {
+        run(
+            &CampaignConfig::new(SEED, 999).threads(threads),
+            stream_sensitive,
+        )
+        .result
+    };
+    let baseline = serialized_tally(&tally(1));
     for threads in [2usize, 8] {
-        let report = serialized_tally(&campaign.run_parallel(999, threads, stream_sensitive));
+        let report = serialized_tally(&tally(threads));
         assert_eq!(report, baseline, "diverged at {threads} threads");
     }
-    // And the sequential (non-engine) path derives the same streams.
-    assert_eq!(
-        serialized_tally(&campaign.run(999, stream_sensitive)),
-        baseline
-    );
+    // And a plain loop over the per-trial streams gives the same tally.
+    let mut sequential = OutcomeTally::default();
+    for trial in 0..999 {
+        sequential.record(stream_sensitive(&mut trial_rng(SEED, trial), trial));
+    }
+    assert_eq!(serialized_tally(&sequential), baseline);
 }
 
 #[test]

@@ -13,13 +13,13 @@ use cppc::cache_sim::memory::MainMemory;
 use cppc::cache_sim::replacement::ReplacementPolicy;
 use cppc::cache_sim::stats::CacheStats;
 use cppc::core::{CppcCache, CppcConfig};
-use cppc::fault::campaign::{Campaign, Outcome};
+use cppc::fault::campaign::Outcome;
 use cppc::fault::model::{FaultGenerator, FaultModel};
 use cppc::timing::MachineConfig;
 use cppc::workloads::BenchmarkProfile;
 use cppc_campaign::rng::rngs::StdRng;
 use cppc_campaign::rng::{RngExt, SeedableRng};
-use cppc_campaign::{run_with, CheckpointPolicy, PerTrial, RunOpts};
+use cppc_campaign::{run, run_with, CampaignConfig, CheckpointPolicy, PerTrial, RunOpts};
 use cppc_fault::campaign::OutcomeTally;
 use cppc_workloads::{spec2000_profiles, TraceGenerator};
 
@@ -254,13 +254,14 @@ fn campaign_tallies_match_golden_at_every_thread_count() {
     let solid = mbe_experiment(solid_square());
     let sparse = mbe_experiment(sparse_square());
     for threads in [1usize, 2, 8] {
-        let t = Campaign::new(0xC0DE).run_parallel(2000, threads, &solid);
+        let cfg = |trials| CampaignConfig::new(0xC0DE, trials).threads(threads);
+        let t: OutcomeTally = run(&cfg(2000), &solid).result;
         assert_eq!(
             (t.masked, t.corrected, t.due, t.sdc),
             (0, 2000, 0, 0),
             "solid tally diverged at {threads} threads"
         );
-        let t = Campaign::new(0xC0DE).run_parallel(600, threads, &sparse);
+        let t: OutcomeTally = run(&cfg(600), &sparse).result;
         assert_eq!(
             (t.masked, t.corrected, t.due, t.sdc),
             (0, 166, 434, 0),
@@ -275,7 +276,7 @@ fn checkpoint_bytes_match_golden() {
     let _ = std::fs::create_dir_all(&dir);
     let path = dir.join("golden.ckpt");
     let _ = std::fs::remove_file(&path);
-    let cfg = Campaign::new(0xC0DE).config(500).threads(2);
+    let cfg = CampaignConfig::new(0xC0DE, 500).threads(2);
     let mut policy = CheckpointPolicy::new(&path);
     policy.every = std::time::Duration::ZERO;
     let experiment = mbe_experiment(solid_square());

@@ -29,7 +29,7 @@ use cppc_campaign::rng::{RngExt, SeedableRng};
 use cppc_campaign::{run, run_with, CampaignConfig, CheckpointPolicy, PerTrial, RunOpts};
 use cppc_core::baselines::{OneDimParityCache, SecdedCache, TwoDimParityCache};
 use cppc_core::{CppcCache, CppcConfig, ProtectionScheme, SchemeKind};
-use cppc_fault::campaign::{Campaign, Outcome, OutcomeTally};
+use cppc_fault::campaign::{Outcome, OutcomeTally};
 use cppc_fault::model::{FaultGenerator, FaultModel};
 use cppc_repro::artifacts::mbe;
 
@@ -350,9 +350,9 @@ fn coverage_matrix_rows_match_legacy_bodies() {
     // artifact, against the coverage-matrix body it replaced.
     for (fault, model) in mbe::fault_models() {
         for (name, build) in mbe::scheme_rows() {
-            let campaign = Campaign::new(SEED);
-            let legacy = campaign.run_parallel(TRIALS / 2, 2, legacy_matrix_row(name, model));
-            let row = campaign.run_parallel(TRIALS / 2, 2, built_experiment(build, model));
+            let cfg = CampaignConfig::new(SEED, TRIALS / 2).threads(2);
+            let legacy: OutcomeTally = run(&cfg, legacy_matrix_row(name, model)).result;
+            let row: OutcomeTally = run(&cfg, built_experiment(build, model)).result;
             assert_eq!(row, legacy, "{name} diverged on {fault}");
         }
     }

@@ -1,63 +1,119 @@
-//! Differential oracle for the warm-state snapshot hot path.
+//! Differential oracle for the warm-trial protocol.
 //!
-//! The snapshot subsystem replaces per-trial warmup replay with a
-//! restore from a captured warm state. These tests pin the claim that
-//! the substitution is invisible: trial by trial, tally by tally and
-//! checkpoint byte by checkpoint byte, the snapshot-backed
-//! [`cppc_bench::mbe::experiment`] must be indistinguishable from the
-//! replay-from-cold reference path defined here — including across an
-//! interrupt/resume cycle.
+//! Every fault campaign fills a scheme once per worker and restores
+//! that warm copy at the top of each trial. These tests pin the claim
+//! that the substitution is invisible: trial by trial, for every member
+//! of the scheme zoo and every fault class, and tally by tally and
+//! checkpoint byte by checkpoint byte for the CPPC campaign
+//! ([`cppc_bench::mbe::experiment`]), the warm path must be
+//! indistinguishable from the refill-from-cold reference body defined
+//! here — including across an interrupt/resume cycle.
 
 use cppc::cache_sim::memory::MainMemory;
 use cppc::cache_sim::replacement::ReplacementPolicy;
-use cppc::core::{CppcCache, CppcConfig};
-use cppc::fault::campaign::{Campaign, Outcome, OutcomeTally};
+use cppc::core::baselines::TwoDimParityCache;
+use cppc::core::{CppcCache, CppcConfig, ProtectionScheme, SchemeKind};
+use cppc::fault::campaign::{Outcome, OutcomeTally};
+use cppc_bench::experiments::{built_experiment, parse_fault};
 use cppc_bench::mbe::{
     experiment, experiment_model, geometry, oracle, SEED, SOLID_MODEL, SPARSE_MODEL,
 };
 use cppc_campaign::rng::rngs::StdRng;
-use cppc_campaign::rng::RngExt;
-use cppc_campaign::{run_with, trial_rng, CheckpointPolicy, PerTrial, RunOpts};
-use cppc_fault::model::{FaultGenerator, FaultModel};
+use cppc_campaign::{
+    run, run_with, trial_rng, CampaignConfig, CheckpointPolicy, PerTrial, RunOpts,
+};
+use cppc_fault::model::{FaultModel, FaultPattern};
 
-/// [`experiment_model`] without the warm pool: rebuilds the simulator
-/// and replays the warmup from cold every trial, warming with
-/// `oracle(trial)`. This is the pre-snapshot reference path the
-/// differential oracle test compares against.
-fn experiment_model_cold(model: FaultModel, rng: &mut StdRng, trial: u64) -> Outcome {
+/// The refill-from-cold reference body for any scheme: fill way 0 of
+/// the freshly built `scheme` with `oracle(trial)`, strike it with one
+/// sample of `model` and grade it through the scheme's own
+/// classification. This is the pre-warm-pool protocol the differential
+/// tests compare the warm path against.
+fn cold_trial(
+    mut scheme: Box<dyn ProtectionScheme>,
+    model: FaultModel,
+    rng: &mut StdRng,
+    trial: u64,
+) -> Outcome {
     let mut mem = MainMemory::new();
-    let mut cache =
-        CppcCache::new_l1(geometry(), CppcConfig::paper(), ReplacementPolicy::Lru).unwrap();
     let truth = oracle(trial);
     for &(addr, v) in &truth {
-        cache.store_word(addr, v, &mut mem).unwrap();
+        scheme.write_word(addr, v, &mut mem).unwrap();
     }
-    let rows = cache.layout().num_rows() / 2;
-    let mut generator = FaultGenerator::new(rows, rng.random());
-    let pattern = generator.sample(model);
-    if cache.inject(&pattern) == 0 {
+    if scheme.inject_model(model, rng, &mut FaultPattern::empty()) == 0 {
         return Outcome::Masked;
     }
-    match cache.recover_all(&mut mem) {
-        Err(_) => Outcome::DetectedUnrecoverable,
-        Ok(_) => {
-            for &(addr, v) in &truth {
-                if cache.peek_word(addr) != Some(v) {
-                    return Outcome::SilentCorruption;
-                }
-            }
-            Outcome::Corrected
-        }
-    }
+    scheme.classify(&truth, &mut mem)
+}
+
+fn paper_cppc() -> Box<dyn ProtectionScheme> {
+    Box::new(CppcCache::new_l1(geometry(), CppcConfig::paper(), ReplacementPolicy::Lru).unwrap())
+}
+
+/// [`experiment_model`] without the warm pool.
+fn experiment_model_cold(model: FaultModel, rng: &mut StdRng, trial: u64) -> Outcome {
+    cold_trial(paper_cppc(), model, rng, trial)
 }
 
 /// The replay-from-cold form of [`experiment`].
-///
-/// # Panics
-///
-/// Panics if the paper configuration is rejected (it is not).
 fn experiment_cold(rng: &mut StdRng, trial: u64) -> Outcome {
     experiment_model_cold(SOLID_MODEL, rng, trial)
+}
+
+/// Every zoo member plus the coverage matrix's eight-row 2D parity,
+/// each against the cold body, on every fault class: the warm fill
+/// (`oracle(SEED)`) may not change one outcome of the per-trial fill
+/// (`oracle(trial)`), for silent-write ECC's value-comparing elision
+/// and HARP's profiling pass included.
+#[test]
+fn every_member_agrees_with_the_cold_body_trial_by_trial() {
+    type Build = Box<dyn Fn() -> Box<dyn ProtectionScheme> + Sync>;
+    let mut schemes: Vec<(String, Build)> = SchemeKind::ALL
+        .into_iter()
+        .map(|kind| {
+            let build: Build =
+                Box::new(move || kind.build(geometry(), CppcConfig::paper()).unwrap());
+            (kind.to_string(), build)
+        })
+        .collect();
+    schemes.push((
+        "parity2d-8rows".into(),
+        Box::new(|| {
+            Box::new(TwoDimParityCache::new(
+                geometry(),
+                8,
+                ReplacementPolicy::Lru,
+            ))
+        }),
+    ));
+    let mut models: Vec<(&str, FaultModel)> = ["single", "2xvert", "8xhoriz", "4x4", "8x8"]
+        .into_iter()
+        .map(|name| (name, parse_fault(name).unwrap()))
+        .collect();
+    models.push(("sparse 8x8", SPARSE_MODEL));
+    let mut outcomes = OutcomeTally::default();
+    for (name, build) in &schemes {
+        for &(fault, model) in &models {
+            let warm = built_experiment(|_| build(), model);
+            for trial in 0..300u64 {
+                let w = warm(&mut trial_rng(SEED, trial), trial);
+                let cold = cold_trial(build(), model, &mut trial_rng(SEED, trial), trial);
+                assert_eq!(
+                    w, cold,
+                    "{name} {fault} trial {trial}: warm {w:?}, cold {cold:?}"
+                );
+                outcomes.record(w);
+            }
+        }
+    }
+    // Not vacuous: the comparison reaches every graded outcome.
+    let OutcomeTally {
+        corrected,
+        due,
+        sdc,
+        ..
+    } = outcomes;
+    assert!(corrected > 0 && due > 0 && sdc > 0, "{outcomes:?}");
 }
 
 /// Trial-by-trial equality: for every campaign trial index, the warm
@@ -94,14 +150,15 @@ fn warm_and_cold_paths_agree_trial_by_trial() {
 #[test]
 fn warm_campaign_tallies_match_cold_goldens() {
     for threads in [1usize, 2, 8] {
-        let t = Campaign::new(SEED).run_parallel(2000, threads, experiment);
+        let cfg = |trials| CampaignConfig::new(SEED, trials).threads(threads);
+        let t: OutcomeTally = run(&cfg(2000), experiment).result;
         assert_eq!(
             (t.masked, t.corrected, t.due, t.sdc),
             (0, 2000, 0, 0),
             "solid warm tally diverged at {threads} threads"
         );
         let sparse = |rng: &mut StdRng, _trial: u64| experiment_model(SPARSE_MODEL, rng);
-        let t = Campaign::new(SEED).run_parallel(600, threads, sparse);
+        let t: OutcomeTally = run(&cfg(600), sparse).result;
         assert_eq!(
             (t.masked, t.corrected, t.due, t.sdc),
             (0, 166, 434, 0),
@@ -123,7 +180,7 @@ fn checkpoint_path(name: &str) -> std::path::PathBuf {
 /// the snapshot path may not perturb a single serialised counter.
 #[test]
 fn warm_checkpoint_bytes_match_cold_checkpoint_bytes() {
-    let cfg = Campaign::new(SEED).config(500).threads(2);
+    let cfg = CampaignConfig::new(SEED, 500).threads(2);
     let mut policy = CheckpointPolicy::new(checkpoint_path("warm.ckpt"));
     policy.every = std::time::Duration::ZERO;
     let report =
@@ -156,7 +213,7 @@ fn warm_checkpoint_bytes_match_cold_checkpoint_bytes() {
 /// tally as the uninterrupted cold campaign.
 #[test]
 fn interrupted_warm_campaign_resumes_to_cold_result() {
-    let cfg = Campaign::new(SEED).config(500).threads(2);
+    let cfg = CampaignConfig::new(SEED, 500).threads(2);
 
     // Reference: one uninterrupted cold run.
     let mut cold_policy = CheckpointPolicy::new(checkpoint_path("resume_cold.ckpt"));
@@ -214,28 +271,25 @@ fn interrupted_warm_campaign_resumes_to_cold_result() {
     let _ = std::fs::remove_file(&cold_policy.path);
 }
 
-/// Restoring a snapshot after a destructive trial (inject + recover)
-/// reproduces the captured simulator state exactly: stats, register
-/// state and every data word match a freshly warmed twin.
+/// Restoring the warm copy after a destructive trial (inject +
+/// recover) reproduces the warm simulator state exactly: stats,
+/// register state, parity and every data word match a freshly warmed
+/// twin, and the restore lands in the live cache's own buffers.
 #[test]
 fn restore_reproduces_warm_state_after_destructive_trial() {
-    let mut mem = MainMemory::new();
-    let mut cache =
-        CppcCache::new_l1(geometry(), CppcConfig::paper(), ReplacementPolicy::Lru).unwrap();
-    let truth = oracle(SEED);
-    for &(addr, v) in &truth {
-        cache.store_word(addr, v, &mut mem).unwrap();
-    }
-    let cache_snap = cache.snapshot();
-    let mem_snap = mem.snapshot();
-
+    let warm_up = || {
+        let mut mem = MainMemory::new();
+        let mut cache =
+            CppcCache::new_l1(geometry(), CppcConfig::paper(), ReplacementPolicy::Lru).unwrap();
+        for &(addr, v) in &oracle(SEED) {
+            cache.store_word(addr, v, &mut mem).unwrap();
+        }
+        (cache, mem)
+    };
+    let (warm, warm_mem) = warm_up();
+    let (mut cache, mut mem) = (warm.clone(), warm_mem.clone());
     // A twin warmed identically, never touched afterwards.
-    let mut twin_mem = MainMemory::new();
-    let mut twin =
-        CppcCache::new_l1(geometry(), CppcConfig::paper(), ReplacementPolicy::Lru).unwrap();
-    for &(addr, v) in &truth {
-        twin.store_word(addr, v, &mut twin_mem).unwrap();
-    }
+    let (mut twin, twin_mem) = warm_up();
 
     // Run a destructive trial, then restore.
     let rows = cache.layout().num_rows() / 2;
@@ -243,18 +297,21 @@ fn restore_reproduces_warm_state_after_destructive_trial() {
     let pattern = generator.sample(SOLID_MODEL);
     assert!(cache.inject(&pattern) > 0, "strike must land");
     cache.recover_all(&mut mem).unwrap();
-    cache.restore_snapshot(&cache_snap);
-    mem.restore_snapshot(&mem_snap);
+    assert_ne!(cache.stats(), twin.stats(), "the trial moved the counters");
+    cache.clone_from(&warm);
+    mem.clone_from(&warm_mem);
 
     assert_eq!(cache.stats(), twin.stats(), "restored stats diverged");
-    for &(addr, v) in &truth {
-        assert_eq!(cache.peek_word(addr), Some(v), "restored word at {addr:#x}");
-        assert_eq!(twin.peek_word(addr), Some(v));
-    }
-    // A second snapshot of the restored cache is identical to the first.
+    assert_eq!(cache.cache_stats(), twin.cache_stats());
+    assert_eq!(mem, twin_mem, "restored memory diverged");
     assert_eq!(
-        cache.snapshot(),
-        cache_snap,
-        "re-capture after restore differs"
+        cache.registers_mut().checkpoint(),
+        twin.registers_mut().checkpoint(),
+        "restored registers diverged"
     );
+    assert!(cache.verify_invariant());
+    assert!(cache.batch_sim().is_some(), "no latent parity mismatch");
+    for &(addr, v) in &oracle(SEED) {
+        assert_eq!(cache.peek_word(addr), Some(v), "restored word at {addr:#x}");
+    }
 }

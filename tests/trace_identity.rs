@@ -13,7 +13,8 @@ use cppc_cache_sim::hierarchy::{MemOp, TwoLevelHierarchy};
 use cppc_campaign::CampaignConfig;
 use cppc_fault::campaign::OutcomeTally;
 use cppc_workloads::{
-    binfmt, spec2000_profiles, write_trace, BinTraceReader, OpBatch, SharedTrace, TraceGenerator,
+    binfmt, read_din_trace, spec2000_profiles, write_trace, BinTraceReader, OpBatch, SharedTrace,
+    TraceGenerator,
 };
 
 const OPS: usize = 30_000;
@@ -113,4 +114,27 @@ fn trace_campaign_tallies_are_thread_invariant() {
     let b: OutcomeTally = cppc_campaign::run(&quad, trace_experiment(&trace)).result;
     assert_eq!(a, b, "trace campaign tallies differ across thread counts");
     assert_eq!(a.total(), 240);
+}
+
+/// A Dinero `din` file has no signature of its own, yet `load_trace`
+/// (and with it `trace bench`, `campaign --kind trace` and served
+/// `trace` jobs) reads it to the ops `read_din_trace` returns.
+#[test]
+fn din_trace_loads_through_load_trace() {
+    let fx = Fixture::new("din");
+    let din_path = fx.dir.join("trace.din");
+    let din: String = fx
+        .ops
+        .iter()
+        .map(|op| match op {
+            MemOp::Load(a) => format!("0 {a:x}\n"),
+            MemOp::Store(a, _) | MemOp::StoreByte(a, _) => format!("1 {a:x} 8\n"),
+        })
+        .collect();
+    std::fs::write(&din_path, &din).unwrap();
+
+    let expected = read_din_trace(din.as_bytes()).unwrap();
+    assert_eq!(expected.len(), OPS);
+    let loaded = load_trace(din_path.to_str().unwrap()).unwrap();
+    assert_eq!(loaded.ops(), &expected[..]);
 }
