@@ -21,6 +21,23 @@ cargo build --release --workspace
 # Every CLI step below runs this one release binary.
 CLI=target/release/cppc-cli
 
+echo "== README examples (each built and run once)"
+# Runs every `cargo run --release --example <name> [arg]` line of
+# README.md from the release build, and fails if an examples/*.rs file
+# is missing from that list, so the list and the examples cannot drift.
+cargo build -q --release --examples
+README_EXAMPLES=$(sed -n 's/^\$ cargo run --release --example \([a-z_]*\)\( [a-z0-9]*\)\{0,1\}.*/\1\2/p' README.md)
+for f in examples/*.rs; do
+    name=$(basename "$f" .rs)
+    grep -qE "^$name( |$)" <<< "$README_EXAMPLES" || {
+        echo "example $name is not listed in README.md" >&2; exit 1
+    }
+done
+while read -r name arg; do
+    # shellcheck disable=SC2086 # `arg` is absent or one word
+    "target/release/examples/$name" $arg > /dev/null
+done <<< "$README_EXAMPLES"
+
 echo "== cargo test"
 cargo test -q --workspace
 

@@ -39,12 +39,12 @@ COMMANDS:
   campaign     run a campaign through the parallel deterministic engine
                (bit-identical results at any thread count; live metrics
                on stderr)
-                 --kind inject|scheme|montecarlo|mbe|sleep|trace|explore
-                                  (default inject)
+                 --kind scheme|montecarlo|mbe|sleep|trace|explore
+                                  (default scheme)
                  --scheme cppc|parity1d|secded-interleaved|parity2d|
                           silent-write-ecc|harp-odecc
-                                  protection scheme to campaign (implies
-                                  --kind scheme; see docs/SCHEMES.md)
+                                  protection scheme to campaign (default
+                                  cppc; see docs/SCHEMES.md)
                  --trials <n>     campaign size (default 2000)
                  --seed <n>       master seed (default 0xC11)
                  --threads <n>    workers; 0 resolves to every CPU via
@@ -62,7 +62,7 @@ COMMANDS:
                  --resume true|false  resume from checkpoint (default true)
                  --json           print only the result document on
                                   stdout (matches a serve job's result)
-                 inject and scheme kinds also take
+                 the scheme kind also takes
                    --config basic|paper|two-pairs|eight-pairs
                                   (default paper)
                    --fault single|2xvert|8xhoriz|4x4|8x8 (default 4x4);

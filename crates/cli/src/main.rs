@@ -3,7 +3,7 @@
 //! ```console
 //! $ cppc-cli help
 //! $ cppc-cli simulate --bench mcf --ops 200000
-//! $ cppc-cli campaign --kind inject --config paper --fault 4x4 --trials 500
+//! $ cppc-cli campaign --scheme cppc --config paper --fault 4x4 --trials 500
 //! $ cppc-cli mttf --level l1
 //! $ cppc-cli repro --artifact ablations
 //! $ cppc-cli benchmarks
@@ -359,14 +359,6 @@ mod tests {
         let kinds: &[&[&str]] = &[
             &[
                 "--kind",
-                "inject",
-                "--config",
-                "two-pairs",
-                "--fault",
-                "8x8",
-            ],
-            &[
-                "--kind",
                 "scheme",
                 "--scheme",
                 "secded-interleaved",
@@ -409,15 +401,7 @@ mod tests {
         }
         assert_eq!(
             names,
-            [
-                "inject",
-                "scheme",
-                "montecarlo",
-                "mbe",
-                "sleep",
-                "trace",
-                "explore"
-            ]
+            ["scheme", "montecarlo", "mbe", "sleep", "trace", "explore"]
         );
 
         let unknown = ParsedArgs::parse(words(&["campaign", "--kind", "nope"])).unwrap();
@@ -445,6 +429,19 @@ mod tests {
     }
 
     #[test]
+    fn default_kind_is_the_cppc_scheme_campaign() {
+        let spec = |argv: &[&str]| {
+            serve_cmd::spec_from_args(&ParsedArgs::parse(words(argv)).unwrap(), 0).unwrap()
+        };
+        let explicit = spec(&[
+            "campaign", "--kind", "scheme", "--scheme", "cppc", "--config", "paper", "--fault",
+            "4x4",
+        ]);
+        assert_eq!(spec(&["campaign"]), explicit);
+        assert_eq!(spec(&["campaign", "--kind", "scheme"]), explicit);
+    }
+
+    #[test]
     fn spec_defaults_differ_only_in_threads() {
         let args = ParsedArgs::parse(words(&["campaign", "--kind", "mbe"])).unwrap();
         let direct = serve_cmd::spec_from_args(&args, 0).unwrap();
@@ -464,7 +461,8 @@ mod tests {
         for bad in [
             &["--kind", "montecarlo", "--rate", "0"][..],
             &["--kind", "montecarlo", "--tavg", "-1"],
-            &["--kind", "inject", "--config", "nine-pairs"],
+            &["--kind", "inject"],
+            &["--config", "nine-pairs"],
             &["--kind", "scheme", "--scheme", "hamming"],
             &["--fault", "3x3"],
             &["--trials", "0"],

@@ -82,17 +82,7 @@ pub(crate) fn spec_from_args(
     args: &ParsedArgs,
     default_threads: usize,
 ) -> Result<JobSpec, Box<dyn Error>> {
-    // `--scheme <name>` alone selects the scheme-zoo campaign.
-    let default_kind = if args.get("scheme").is_some() {
-        "scheme"
-    } else {
-        "inject"
-    };
-    let kind = match args.get_or("kind", default_kind) {
-        "inject" => JobKind::Inject {
-            config: args.get_or("config", "paper").to_string(),
-            fault: args.get_or("fault", "4x4").to_string(),
-        },
+    let kind = match args.get_or("kind", "scheme") {
         "scheme" => JobKind::Scheme {
             scheme: args.get_or("scheme", "cppc").to_string(),
             config: args.get_or("config", "paper").to_string(),
@@ -122,7 +112,7 @@ pub(crate) fn spec_from_args(
         },
         other => {
             return Err(format!(
-                "unknown kind '{other}' (use inject|scheme|montecarlo|mbe|sleep|trace|explore)"
+                "unknown kind '{other}' (use scheme|montecarlo|mbe|sleep|trace|explore)"
             )
             .into())
         }

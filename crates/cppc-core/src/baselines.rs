@@ -288,10 +288,13 @@ pub struct SecdedCache {
     corrected: u64,
     dues: u64,
     rmw_reads: u64,
+    /// The logical flips of the last physical strike, reused so a
+    /// warm trial's injection allocates nothing.
+    flips: Vec<BitFlip>,
 }
 
 cppc_cache_sim::clone_in_place! {
-    SecdedCache { inner, check, layout, corrected, dues, rmw_reads }
+    SecdedCache { inner, check, layout, corrected, dues, rmw_reads, flips }
 }
 
 impl SecdedCache {
@@ -307,6 +310,7 @@ impl SecdedCache {
             corrected: 0,
             dues: 0,
             rmw_reads: 0,
+            flips: Vec::new(),
         }
     }
 
@@ -427,40 +431,30 @@ impl SecdedCache {
         Ok(())
     }
 
-    /// The logical flips of an `rows` x `cols` strike at physical
-    /// `(row0, col0)`: physical row `r` holds logical rows `8r..8r+7`
-    /// bit-interleaved, so physical column `c` maps to logical row
-    /// `8r + c % 8`, bit `c / 8`. Rows past the array are dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the footprint leaves the 512-column physical row.
-    fn interleaved_flips(&self, row0: usize, col0: u32, rows: usize, cols: u32) -> Vec<BitFlip> {
-        assert!(col0 + cols <= 512, "physical strike leaves the row");
-        let mut flips = Vec::new();
-        for dr in 0..rows {
-            for dc in 0..cols {
-                let c = col0 + dc;
-                let row = 8 * (row0 + dr) + (c % 8) as usize;
-                if row < self.layout.num_rows() {
-                    flips.push(BitFlip { row, col: c / 8 });
-                }
-            }
-        }
-        flips
-    }
-
     /// Applies a *physical* spatial fault on the 8-way interleaved
     /// array: an NxM strike at physical `(row0, col0)` decomposes into
     /// ≤1 flip per word for M ≤ 8 — the mechanism that makes interleaved
-    /// SECDED spatial-MBE tolerant. Returns the number of bits flipped.
+    /// SECDED spatial-MBE tolerant. Physical row `r` holds logical rows
+    /// `8r..8r+7` bit-interleaved, so physical column `c` maps to
+    /// logical row `8r + c % 8`, bit `c / 8`; rows past the array are
+    /// dropped. Returns the number of bits flipped.
     ///
     /// # Panics
     ///
     /// Panics if the footprint leaves the 512-column physical row.
     pub fn inject_spatial(&mut self, row0: usize, col0: u32, rows: usize, cols: u32) -> usize {
-        let flips = self.interleaved_flips(row0, col0, rows, cols);
-        apply_flips(&mut self.inner, &self.layout, &flips)
+        assert!(col0 + cols <= 512, "physical strike leaves the row");
+        self.flips.clear();
+        for dr in 0..rows {
+            for dc in 0..cols {
+                let c = col0 + dc;
+                let row = 8 * (row0 + dr) + (c % 8) as usize;
+                if row < self.layout.num_rows() {
+                    self.flips.push(BitFlip { row, col: c / 8 });
+                }
+            }
+        }
+        apply_flips(&mut self.inner, &self.layout, &self.flips)
     }
 }
 
@@ -554,11 +548,14 @@ pub struct TwoDimParityCache {
     read_before_writes: u64,
     corrected: u64,
     dues: u64,
+    /// `(set, way, word, row)` of each row [`Self::recover_all`] found
+    /// faulty, reused so a warm trial's recovery allocates nothing.
+    faulty: Vec<(usize, usize, usize, usize)>,
 }
 
 cppc_cache_sim::clone_in_place! {
     TwoDimParityCache {
-        inner, horizontal, vertical, code, layout, read_before_writes, corrected, dues,
+        inner, horizontal, vertical, code, layout, read_before_writes, corrected, dues, faulty,
     }
 }
 
@@ -582,6 +579,7 @@ impl TwoDimParityCache {
             read_before_writes: 0,
             corrected: 0,
             dues: 0,
+            faulty: Vec::new(),
         }
     }
 
@@ -712,25 +710,26 @@ impl TwoDimParityCache {
     /// holds two or more faulty rows.
     pub fn recover_all(&mut self) -> Result<(), UnrecoverableFault> {
         let wpb = self.inner.geometry().words_per_block();
-        let mut faulty: Vec<(usize, usize, usize, usize)> = Vec::new();
+        self.faulty.clear();
         for (set, way, block) in self.inner.iter_blocks() {
             for w in 0..wpb {
                 let row = self.layout.row_of(set, way, w);
                 if self.code.syndrome(block.word(w), self.horizontal[row]) != 0 {
-                    faulty.push((set, way, w, row));
+                    self.faulty.push((set, way, w, row));
                 }
             }
         }
         // Two faulty rows in one vertical group are unrecoverable.
-        for (i, a) in faulty.iter().enumerate() {
-            for b in &faulty[i + 1..] {
+        for (i, a) in self.faulty.iter().enumerate() {
+            for b in &self.faulty[i + 1..] {
                 if self.vgroup(a.3) == self.vgroup(b.3) {
                     self.dues += 1;
                     return Err(UnrecoverableFault::MultipleRowsInGroup);
                 }
             }
         }
-        for (set, way, w, row) in faulty {
+        for k in 0..self.faulty.len() {
+            let (set, way, w, row) = self.faulty[k];
             let g = self.vgroup(row);
             let mut acc = self.vertical[g];
             for (s2, w2, b2) in self.inner.iter_blocks() {
@@ -902,8 +901,9 @@ mod tests {
         // Physical column c of interleaved row r holds bit c / 8 of
         // logical row 8r + c % 8, so a strike up to eight columns wide
         // flips at most one bit per word; nine columns reach one word
-        // twice.
-        let c = SecdedCache::new(geo(), ReplacementPolicy::Lru);
+        // twice. (The cache is empty, so the strikes land nowhere; the
+        // logical flips stay in its strike buffer.)
+        let mut c = SecdedCache::new(geo(), ReplacementPolicy::Lru);
         let rows = c.layout().num_rows();
         let most_flips_in_one_word = |flips: &[BitFlip]| {
             let mut per_row = vec![0u32; rows];
@@ -914,18 +914,22 @@ mod tests {
         };
         for width in 1..=8u32 {
             for col0 in 0..=512 - width {
-                let flips = c.interleaved_flips(1, col0, 2, width);
-                assert_eq!(flips.len(), 2 * width as usize, "width {width} col0 {col0}");
+                assert_eq!(c.inject_spatial(1, col0, 2, width), 0);
                 assert_eq!(
-                    most_flips_in_one_word(&flips),
+                    c.flips.len(),
+                    2 * width as usize,
+                    "width {width} col0 {col0}"
+                );
+                assert_eq!(
+                    most_flips_in_one_word(&c.flips),
                     1,
                     "width {width} col0 {col0}"
                 );
             }
         }
         for col0 in 0..=512 - 9 {
-            let flips = c.interleaved_flips(1, col0, 2, 9);
-            assert_eq!(most_flips_in_one_word(&flips), 2, "col0 {col0}");
+            c.inject_spatial(1, col0, 2, 9);
+            assert_eq!(most_flips_in_one_word(&c.flips), 2, "col0 {col0}");
         }
     }
 

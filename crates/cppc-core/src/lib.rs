@@ -45,7 +45,6 @@ pub mod baselines;
 pub mod batch;
 pub mod cache;
 pub mod config;
-pub mod full;
 pub mod harp;
 pub mod icr;
 pub mod locator;
@@ -54,12 +53,10 @@ pub mod registers;
 pub mod rotate;
 pub mod scheme;
 pub mod silent;
-pub mod tags;
 
 pub use batch::{BatchOutcome, BatchScratch, BatchSim};
 pub use cache::{CppcCache, CppcStats, Due, DueReason, RecoveryReport};
 pub use config::{ConfigError, CppcConfig, ROTATION_CLASSES};
-pub use full::{FullyProtectedCache, ProtectedFault};
 pub use harp::HarpOdeccScheme;
 pub use icr::{IcrCache, IcrStats};
 pub use locator::{locate_spatial, locate_spatial_into, LocateError, Suspect};
@@ -68,4 +65,3 @@ pub use scheme::{
     ProtectionScheme, SchemeDescriptor, SchemeFault, SchemeKind, SchemeOps, WarmClone,
 };
 pub use silent::SilentWriteEccScheme;
-pub use tags::{TagCppc, TagDue};

@@ -8,9 +8,9 @@
 //! * [`interleaved`] — *k*-way interleaved parity
 //!   (`P[i] = XOR(bit[i], bit[i+k], …)`), which detects spatial multi-bit
 //!   errors of up to `k` adjacent bits inside one word (paper §3.6).
-//! * [`secded`] — Single-Error-Correction Double-Error-Detection Hamming
-//!   codes for 64-bit and 32-bit data words (the (72,64) and (39,32)
-//!   codes used by the paper's SECDED baseline).
+//! * [`secded`] — the Single-Error-Correction Double-Error-Detection
+//!   Hamming code for 64-bit data words (the (72,64) code of the
+//!   paper's SECDED baseline).
 //! * [`kernels`] — vectorized slice kernels (XOR folds, syndrome
 //!   evaluation, byte-parity gathers) behind a one-time CPU-feature
 //!   probe, with the SWAR code as the guaranteed fallback. The `simd`
@@ -49,4 +49,4 @@ pub mod secded;
 
 pub use interleaved::InterleavedParity;
 pub use parity::parity64;
-pub use secded::{DecodeOutcome, Secded32, Secded64};
+pub use secded::{DecodeOutcome, Secded64};

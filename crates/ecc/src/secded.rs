@@ -1,21 +1,21 @@
-//! SECDED Hamming codes: the paper's strong-correction baseline.
+//! The SECDED Hamming code: the paper's strong-correction baseline.
 //!
-//! Implements extended Hamming codes — a standard Hamming code plus one
-//! overall parity bit — for 64-bit data ((72,64), 12.5% overhead, the code
-//! the paper quotes) and 32-bit data ((39,32)). Single-bit errors anywhere
-//! in the codeword (data *or* check bits) are corrected; double-bit errors
-//! are detected but not correctable.
+//! Implements the extended Hamming code — a standard Hamming code plus
+//! one overall parity bit — for 64-bit data: the (72,64) code the paper
+//! quotes, at 12.5% overhead. Single-bit errors anywhere in the codeword
+//! (data *or* check bits) are corrected; double-bit errors are detected
+//! but not correctable.
 //!
 //! The codeword layout is the classic one: bit positions are numbered from
 //! 1; positions that are powers of two hold Hamming check bits; all other
 //! positions hold data bits in ascending order; position 0 holds the
 //! overall (extended) parity over every other bit.
 //!
-//! The codec never materialises that layout. Each type stores its
+//! The codec never materialises that layout. [`Secded64`] stores its
 //! data word and check bits side by side, as a cache's data and check
 //! arrays do, and works from two tables built at compile time from the
-//! layout: Hamming check bit `c` is the parity of `data & MASK[c]`,
-//! where `MASK[c]` holds the data bits whose codeword position has bit
+//! layout: Hamming check bit `c` is the parity of `data & MASKS[c]`,
+//! where `MASKS[c]` holds the data bits whose codeword position has bit
 //! `c` set, and the overall bit is `parity(data) ^ parity(h)` over the
 //! Hamming check bits `h`. The
 //! syndrome is the recomputed check bits XOR the stored ones, and a
@@ -61,190 +61,159 @@ impl DecodeOutcome {
     }
 }
 
-/// The compile-time tables of one extended Hamming code over
-/// `data_bits` data bits with `check_bits` Hamming check bits, derived
-/// from the codeword layout in the module docs.
-struct MaskTables {
-    /// `masks[c]`: the data bits whose codeword position has bit `c`
-    /// set. Hamming check bit `c` is the parity of `data & masks[c]`.
-    masks: [u64; 7],
-    /// `flip[s]`: the data bit at codeword position `s`, as a one-bit
-    /// mask (0 at check-bit positions and beyond the codeword).
-    flip: [u64; 128],
+/// Hamming check bits of the (72,64) code (the overall parity bit is
+/// the eighth check bit).
+const HAMMING_BITS: u32 = 7;
+
+/// Codeword positions `1..=TOTAL_POSITIONS` hold data and Hamming
+/// check bits; position 0 is the overall parity.
+const TOTAL_POSITIONS: u32 = 64 + HAMMING_BITS;
+
+/// `MASKS[c]`: the data bits whose codeword position has bit `c` set.
+/// Hamming check bit `c` is the parity of `data & MASKS[c]`.
+const MASKS: [u64; HAMMING_BITS as usize] = tables().0;
+
+/// `FLIP[s]`: the data bit at codeword position `s`, as a one-bit mask
+/// (0 at check-bit positions and beyond the codeword).
+const FLIP: [u64; 128] = tables().1;
+
+/// Builds [`MASKS`] and [`FLIP`] from the codeword layout in the module
+/// docs.
+const fn tables() -> ([u64; HAMMING_BITS as usize], [u64; 128]) {
+    let mut masks = [0u64; HAMMING_BITS as usize];
+    let mut flip = [0u64; 128];
+    let mut pos = 1u32;
+    let mut d = 0u32;
+    while d < 64 {
+        if !pos.is_power_of_two() {
+            let mut c = 0;
+            while c < HAMMING_BITS {
+                if pos & (1 << c) != 0 {
+                    masks[c as usize] |= 1 << d;
+                }
+                c += 1;
+            }
+            flip[pos as usize] = 1 << d;
+            d += 1;
+        }
+        pos += 1;
+    }
+    (masks, flip)
 }
 
-impl MaskTables {
-    const fn build(data_bits: u32, check_bits: u32) -> Self {
-        let mut masks = [0u64; 7];
-        let mut flip = [0u64; 128];
-        let mut pos = 1u32;
-        let mut d = 0u32;
-        while d < data_bits {
-            if !pos.is_power_of_two() {
-                let mut c = 0;
-                while c < check_bits {
-                    if pos & (1 << c) != 0 {
-                        masks[c as usize] |= 1 << d;
-                    }
-                    c += 1;
-                }
-                flip[pos as usize] = 1 << d;
-                d += 1;
-            }
-            pos += 1;
+/// The (72,64) SECDED code protecting one 64-bit word with 8 check
+/// bits — the configuration commercial L2/L3 caches use (paper §1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Secded64 {
+    /// The data word.
+    data: u64,
+    /// The check bits in the [`Self::check_bits`] layout.
+    check: u16,
+}
+
+impl Secded64 {
+    /// Number of data bits protected by one codeword.
+    pub const DATA_BITS: u32 = 64;
+    /// Number of check bits including the extended parity bit.
+    pub const CHECK_BITS: u32 = HAMMING_BITS + 1;
+
+    /// The Hamming check bits of `data` (no overall parity).
+    fn hamming(data: u64) -> u16 {
+        let mut h = 0u16;
+        for (c, mask) in MASKS.iter().enumerate() {
+            h |= (((data & mask).count_ones() & 1) as u16) << c;
         }
-        MaskTables { masks, flip }
+        h
+    }
+
+    /// Encodes `data` into a SECDED codeword.
+    #[must_use]
+    pub fn encode(data: u64) -> Self {
+        let h = Self::hamming(data);
+        let overall = (data.count_ones() ^ h.count_ones()) & 1;
+        Secded64 {
+            data,
+            check: h | ((overall as u16) << HAMMING_BITS),
+        }
+    }
+
+    /// Decodes, correcting a single-bit error or flagging a double-bit
+    /// error.
+    #[must_use]
+    pub fn decode(&self) -> DecodeOutcome {
+        // The syndrome is the XOR of the positions of every set codeword
+        // bit; the overall check covers all of them.
+        let syndrome =
+            u32::from(Self::hamming(self.data) ^ (self.check & ((1 << HAMMING_BITS) - 1)));
+        let overall_ok = (self.data.count_ones() ^ self.check.count_ones()) & 1 == 0;
+        match (syndrome, overall_ok) {
+            (0, true) => DecodeOutcome::Clean(self.data),
+            // The extended parity bit itself flipped; data is intact.
+            (0, false) => DecodeOutcome::Corrected {
+                data: self.data,
+                position: 0,
+            },
+            (s, false) if s <= TOTAL_POSITIONS => DecodeOutcome::Corrected {
+                data: self.data ^ FLIP[s as usize],
+                position: s,
+            },
+            // Non-zero syndrome with correct overall parity ⇒ even number
+            // of flips ⇒ uncorrectable. Also syndrome beyond the codeword
+            // length (certain multi-bit patterns) is uncorrectable.
+            _ => DecodeOutcome::DetectedUncorrectable,
+        }
+    }
+
+    /// Flips the codeword bit holding the `bit`-th *data* bit — used by
+    /// fault injection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit >= Self::DATA_BITS`.
+    pub fn flip_data_bit(&mut self, bit: u32) {
+        assert!(bit < Self::DATA_BITS, "data bit {bit} out of range");
+        self.data ^= 1 << bit;
+    }
+
+    /// Flips the `c`-th Hamming check bit (0-based), or the extended
+    /// parity bit when `c == Self::CHECK_BITS - 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c >= Self::CHECK_BITS`.
+    pub fn flip_check_bit(&mut self, c: u32) {
+        assert!(c < Self::CHECK_BITS, "check bit {c} out of range");
+        self.check ^= 1 << c;
+    }
+
+    /// Storage overhead: check bits / data bits (12.5%, as quoted in the
+    /// paper's introduction).
+    #[must_use]
+    pub fn overhead() -> f64 {
+        f64::from(Self::CHECK_BITS) / f64::from(Self::DATA_BITS)
+    }
+
+    /// Extracts the stored check bits: bit `c` is the `c`-th Hamming
+    /// check bit, and bit `CHECK_BITS - 1` is the extended (overall)
+    /// parity bit. Together with the data word this fully determines
+    /// the codeword — real caches store data and check bits in separate
+    /// arrays, and [`Self::from_parts`] reassembles them.
+    #[must_use]
+    pub fn check_bits(&self) -> u16 {
+        self.check
+    }
+
+    /// Reassembles a codeword from a (possibly corrupted) data word and
+    /// separately stored check bits, ready to [`Self::decode`]. Check
+    /// bits above `CHECK_BITS` are ignored.
+    #[must_use]
+    pub fn from_parts(data: u64, check: u16) -> Self {
+        Secded64 {
+            data,
+            check: check & ((1 << Self::CHECK_BITS) - 1),
+        }
     }
 }
-
-macro_rules! secded_type {
-    ($(#[$doc:meta])* $name:ident, $data_bits:expr, $check_bits:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-        pub struct $name {
-            /// The data word, masked to `DATA_BITS`.
-            data: u64,
-            /// The check bits in the [`Self::check_bits`] layout.
-            check: u16,
-        }
-
-        impl $name {
-            /// Number of data bits protected by one codeword.
-            pub const DATA_BITS: u32 = $data_bits;
-            /// Number of check bits including the extended parity bit.
-            pub const CHECK_BITS: u32 = $check_bits + 1;
-            /// Codeword positions `1..=TOTAL_POSITIONS` hold data and
-            /// Hamming check bits; position 0 is the overall parity.
-            const TOTAL_POSITIONS: u32 = $data_bits + $check_bits;
-            const TABLES: MaskTables = MaskTables::build($data_bits, $check_bits);
-
-            fn mask_data(data: u64) -> u64 {
-                if Self::DATA_BITS < 64 {
-                    data & ((1u64 << Self::DATA_BITS) - 1)
-                } else {
-                    data
-                }
-            }
-
-            /// The Hamming check bits of `data` (no overall parity).
-            fn hamming(data: u64) -> u16 {
-                let mut h = 0u16;
-                for c in 0..$check_bits {
-                    h |= (((data & Self::TABLES.masks[c]).count_ones() & 1) as u16) << c;
-                }
-                h
-            }
-
-            /// Encodes `data` into a SECDED codeword.
-            #[must_use]
-            pub fn encode(data: u64) -> Self {
-                let data = Self::mask_data(data);
-                let h = Self::hamming(data);
-                let overall = (data.count_ones() ^ h.count_ones()) & 1;
-                $name {
-                    data,
-                    check: h | ((overall as u16) << $check_bits),
-                }
-            }
-
-            /// Decodes, correcting a single-bit error or flagging a
-            /// double-bit error.
-            #[must_use]
-            pub fn decode(&self) -> DecodeOutcome {
-                // The syndrome is the XOR of the positions of every set
-                // codeword bit; the overall check covers all of them.
-                let syndrome =
-                    u32::from(Self::hamming(self.data) ^ (self.check & ((1 << $check_bits) - 1)));
-                let overall_ok = (self.data.count_ones() ^ self.check.count_ones()) & 1 == 0;
-                match (syndrome, overall_ok) {
-                    (0, true) => DecodeOutcome::Clean(self.data),
-                    // The extended parity bit itself flipped; data is intact.
-                    (0, false) => DecodeOutcome::Corrected {
-                        data: self.data,
-                        position: 0,
-                    },
-                    (s, false) if s <= Self::TOTAL_POSITIONS => DecodeOutcome::Corrected {
-                        data: self.data ^ Self::TABLES.flip[s as usize],
-                        position: s,
-                    },
-                    // Non-zero syndrome with correct overall parity ⇒ even
-                    // number of flips ⇒ uncorrectable. Also syndrome beyond
-                    // the codeword length (certain multi-bit patterns) is
-                    // uncorrectable.
-                    _ => DecodeOutcome::DetectedUncorrectable,
-                }
-            }
-
-            /// Flips the codeword bit holding the `bit`-th *data* bit —
-            /// used by fault injection.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `bit >= Self::DATA_BITS`.
-            pub fn flip_data_bit(&mut self, bit: u32) {
-                assert!(bit < Self::DATA_BITS, "data bit {bit} out of range");
-                self.data ^= 1 << bit;
-            }
-
-            /// Flips the `c`-th Hamming check bit (0-based), or the
-            /// extended parity bit when `c == Self::CHECK_BITS - 1`.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `c >= Self::CHECK_BITS`.
-            pub fn flip_check_bit(&mut self, c: u32) {
-                assert!(c < Self::CHECK_BITS, "check bit {c} out of range");
-                self.check ^= 1 << c;
-            }
-
-            /// Storage overhead: check bits / data bits (12.5% for the
-            /// (72,64) code, as quoted in the paper's introduction).
-            #[must_use]
-            pub fn overhead() -> f64 {
-                f64::from(Self::CHECK_BITS) / f64::from(Self::DATA_BITS)
-            }
-
-            /// Extracts the stored check bits: bit `c` is the `c`-th
-            /// Hamming check bit, and bit `CHECK_BITS - 1` is the
-            /// extended (overall) parity bit. Together with the data
-            /// word this fully determines the codeword — real caches
-            /// store data and check bits in separate arrays, and
-            /// [`Self::from_parts`] reassembles them.
-            #[must_use]
-            pub fn check_bits(&self) -> u16 {
-                self.check
-            }
-
-            /// Reassembles a codeword from a (possibly corrupted) data
-            /// word and separately stored check bits, ready to
-            /// [`Self::decode`]. Check bits above `CHECK_BITS` are
-            /// ignored.
-            #[must_use]
-            pub fn from_parts(data: u64, check: u16) -> Self {
-                $name {
-                    data: Self::mask_data(data),
-                    check: check & ((1 << Self::CHECK_BITS) - 1),
-                }
-            }
-        }
-    };
-}
-
-secded_type!(
-    /// The (72,64) SECDED code protecting one 64-bit word with 8 check
-    /// bits — the configuration commercial L2/L3 caches use (paper §1).
-    Secded64,
-    64,
-    7
-);
-
-secded_type!(
-    /// The (39,32) SECDED code protecting one 32-bit word with 7 check
-    /// bits.
-    Secded32,
-    32,
-    6
-);
 
 /// The bit-serial extended Hamming code the mask tables replaced:
 /// it spreads the data over the codeword positions and walks them one
@@ -375,13 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_clean_32() {
-        for d in [0u64, 1, 0xFFFF_FFFF, 0x1234_5678] {
-            assert_eq!(Secded32::encode(d).decode(), DecodeOutcome::Clean(d));
-        }
-    }
-
-    #[test]
     fn corrects_every_single_data_bit_64() {
         let data = 0xA5A5_5A5A_F00D_CAFE;
         for bit in 0..64 {
@@ -404,13 +366,13 @@ mod tests {
     }
 
     #[test]
-    fn detects_all_double_data_flips_32() {
-        // Exhaustive over the 32-bit code: every pair of data-bit flips
+    fn detects_all_double_data_flips_64() {
+        // Exhaustive over the 2,016 data-bit pairs: every double flip
         // must be flagged uncorrectable (never silently miscorrected).
-        let data = 0x5A5A_1234u64;
-        for a in 0..32 {
-            for b in (a + 1)..32 {
-                let mut cw = Secded32::encode(data);
+        let data = 0x5A5A_1234_C3C3_8765u64;
+        for a in 0..64 {
+            for b in (a + 1)..64 {
+                let mut cw = Secded64::encode(data);
                 cw.flip_data_bit(a);
                 cw.flip_data_bit(b);
                 assert_eq!(
@@ -445,13 +407,6 @@ mod tests {
             DecodeOutcome::Corrected { position, .. } => assert_eq!(position, 0),
             other => panic!("expected corrected, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn data_masked_to_width_32() {
-        // High bits beyond DATA_BITS are ignored for the 32-bit code.
-        let cw = Secded32::encode(0xFFFF_FFFF_0000_0001);
-        assert_eq!(cw.decode(), DecodeOutcome::Clean(1));
     }
 
     #[test]
@@ -539,36 +494,17 @@ mod tests {
                 reference::ExtHamming::<64, 7>::check_bits(w),
                 "{w:#x}"
             );
-            assert_eq!(
-                Secded32::encode(w).check_bits(),
-                reference::ExtHamming::<32, 6>::check_bits(w),
-                "{w:#x}"
-            );
         }
         matches_reference::<64, 7>(&words, |d, c| {
             let cw = Secded64::from_parts(d, c);
             (cw.check_bits(), cw.decode())
         });
-        matches_reference::<32, 6>(&words, |d, c| {
-            let cw = Secded32::from_parts(d, c);
-            (cw.check_bits(), cw.decode())
-        });
-        // Check bits above CHECK_BITS (and, for the 32-bit code, data
-        // bits above DATA_BITS) are not part of the codeword.
+        // Check bits above CHECK_BITS are not part of the codeword.
         for &w in &words {
             let c64 = Secded64::encode(w).check_bits();
             assert_eq!(
                 Secded64::from_parts(w, c64 | !((1 << Secded64::CHECK_BITS) - 1)),
                 Secded64::from_parts(w, c64)
-            );
-            let c32 = Secded32::encode(w).check_bits();
-            assert_eq!(
-                Secded32::from_parts(w | 0xFFFF_FFFF_0000_0000, c32 | 0xFF80),
-                Secded32::from_parts(w, c32)
-            );
-            assert_eq!(
-                Secded32::from_parts(w, c32 | 0xFF80).decode(),
-                DecodeOutcome::Clean(w & 0xFFFF_FFFF)
             );
         }
     }
@@ -612,18 +548,6 @@ mod tests {
                 DecodeOutcome::DetectedUncorrectable,
                 "bits {a},{b}"
             );
-        }
-    }
-
-    #[test]
-    fn prop_single_flip_corrected_32() {
-        let mut rng = StdRng::seed_from_u64(0x5EC0_0004);
-        for _ in 0..256 {
-            let data = u64::from(rng.random::<u64>() as u32);
-            let bit = rng.random_range(0u32..32);
-            let mut cw = Secded32::encode(data);
-            cw.flip_data_bit(bit);
-            assert_eq!(cw.decode().data(), Some(data), "bit {bit}");
         }
     }
 }

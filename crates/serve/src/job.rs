@@ -17,17 +17,6 @@ pub type JobId = u64;
 /// What kind of campaign a job runs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobKind {
-    /// Fault-injection campaign on a small L1 CPPC: the `scheme`
-    /// experiment at CPPC
-    /// ([`cppc_bench::experiments::scheme_experiment`]).
-    Inject {
-        /// CPPC configuration name (`basic`, `paper`, `two-pairs`,
-        /// `eight-pairs`).
-        config: String,
-        /// Fault model name (`single`, `2xvert`, `8xhoriz`, `4x4`,
-        /// `8x8`).
-        fault: String,
-    },
     /// Scheme-zoo fault-injection campaign behind the
     /// `ProtectionScheme` trait
     /// ([`cppc_bench::experiments::scheme_experiment`]).
@@ -89,7 +78,6 @@ impl JobKind {
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
-            JobKind::Inject { .. } => "inject",
             JobKind::Scheme { .. } => "scheme",
             JobKind::MonteCarlo { .. } => "montecarlo",
             JobKind::Mbe => "mbe",
@@ -150,9 +138,9 @@ impl JobSpec {
     }
 
     /// Checks the spec is runnable: positive sizes, at most 2^20 shards,
-    /// a `batch` of at most 4096 and, for `inject`, known config/fault
-    /// names. Submissions with a bad spec are rejected at the socket
-    /// instead of failing later in a worker.
+    /// a `batch` of at most 4096 and, for `scheme`, known
+    /// scheme/config/fault names. Submissions with a bad spec are
+    /// rejected at the socket instead of failing later in a worker.
     ///
     /// # Errors
     ///
@@ -175,10 +163,6 @@ impl JobSpec {
             return Err(format!("batch {} is larger than {MAX_BATCH}", self.batch));
         }
         match &self.kind {
-            JobKind::Inject { config, fault } => {
-                parse_config(config)?;
-                parse_fault(fault)?;
-            }
             JobKind::Scheme {
                 scheme,
                 config,
@@ -234,10 +218,6 @@ impl JobSpec {
     pub fn to_json(&self) -> Json {
         let mut pairs = vec![("kind".to_string(), Json::Str(self.kind.name().into()))];
         match &self.kind {
-            JobKind::Inject { config, fault } => {
-                pairs.push(("config".into(), Json::Str(config.clone())));
-                pairs.push(("fault".into(), Json::Str(fault.clone())));
-            }
             JobKind::Scheme {
                 scheme,
                 config,
@@ -302,7 +282,11 @@ impl JobSpec {
                 .ok_or_else(|| format!("spec missing '{name}'"))
         };
         let kind = match kind_name {
-            "inject" => JobKind::Inject {
+            // Journals and clients from before the `inject` kind folded
+            // into `scheme` still load; such a record is written back
+            // as `scheme`.
+            "inject" => JobKind::Scheme {
+                scheme: "cppc".into(),
                 config: str_field("config")?,
                 fault: str_field("fault")?,
             },
@@ -581,7 +565,8 @@ mod tests {
     fn specs() -> Vec<JobSpec> {
         vec![
             JobSpec::new(
-                JobKind::Inject {
+                JobKind::Scheme {
+                    scheme: "cppc".into(),
                     config: "paper".into(),
                     fault: "4x4".into(),
                 },
@@ -645,7 +630,8 @@ mod tests {
         bad.trials = 0;
         assert!(bad.validate().is_err());
         let bad_fault = JobSpec::new(
-            JobKind::Inject {
+            JobKind::Scheme {
+                scheme: "cppc".into(),
                 config: "paper".into(),
                 fault: "9x9".into(),
             },

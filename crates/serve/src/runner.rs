@@ -23,7 +23,6 @@ use cppc_campaign::{
     run_with, Accumulator, CampaignConfig, CampaignReport, CheckpointError, PerTrial, Persist,
     RunOpts, TrialExec,
 };
-use cppc_core::SchemeKind;
 use cppc_fault::campaign::OutcomeTally;
 use cppc_reliability::montecarlo::{simulate_trial_into, MonteCarloAccumulator, MonteCarloConfig};
 
@@ -61,18 +60,6 @@ pub enum RunEnd {
 pub fn execute(spec: &JobSpec, threads: usize, opts: RunOpts<'_>) -> RunEnd {
     let cfg = spec.campaign_config(threads);
     match &spec.kind {
-        JobKind::Inject { config, fault } => {
-            let (Ok(config), Ok(fault)) = (parse_config(config), parse_fault(fault)) else {
-                return RunEnd::Failed {
-                    error: "spec no longer parses (config/fault)".into(),
-                };
-            };
-            tally(
-                &cfg,
-                &PerTrial(scheme_experiment(SchemeKind::Cppc, config, fault)),
-                opts,
-            )
-        }
         JobKind::Scheme {
             scheme,
             config,

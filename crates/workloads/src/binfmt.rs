@@ -369,6 +369,13 @@ impl<R: Read> BinTraceReader<R> {
     }
 }
 
+/// Most operations [`read_bin_trace`] reserves up front from a header's
+/// record count (96 MiB of `MemOp`s). The count is untrusted: a flipped
+/// bit can declare 2^40 records, which must end in
+/// [`BinTraceError::CountMismatch`], not in an aborted allocation. An
+/// honest count up to this size still gets one exact reservation.
+const MAX_RESERVED_OPS: u64 = 1 << 22;
+
 /// Materialises a whole binary trace (use [`BinTraceReader`] directly
 /// when the trace may not fit in memory).
 ///
@@ -377,7 +384,8 @@ impl<R: Read> BinTraceReader<R> {
 /// Returns [`BinTraceError`] on I/O failures or malformed content.
 pub fn read_bin_trace<R: Read>(input: R) -> Result<Vec<MemOp>, BinTraceError> {
     let mut reader = BinTraceReader::new(input)?;
-    let mut ops = Vec::with_capacity(reader.declared_ops().unwrap_or(0) as usize);
+    let reserve = reader.declared_ops().unwrap_or(0).min(MAX_RESERVED_OPS);
+    let mut ops = Vec::with_capacity(reserve as usize);
     let mut batch = OpBatch::with_capacity(DEFAULT_BATCH_OPS);
     while reader.next_batch(&mut batch, DEFAULT_BATCH_OPS)? > 0 {
         ops.extend(batch.iter());
@@ -576,6 +584,18 @@ mod tests {
                 declared: 99,
                 actual: 4
             }
+        ));
+    }
+
+    #[test]
+    fn huge_declared_count_is_a_mismatch_not_an_abort() {
+        let mut buf = Vec::new();
+        write_bin_trace(&mut buf, &sample()).unwrap();
+        buf[12] ^= 0xFF; // 4 + 0xFF << 32 records declared
+        let err = read_bin_trace(Cursor::new(&buf)).unwrap_err();
+        assert!(matches!(
+            err,
+            BinTraceError::CountMismatch { declared, actual: 4 } if declared == 4 + (0xFF << 32)
         ));
     }
 

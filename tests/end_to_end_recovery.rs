@@ -1,6 +1,8 @@
 //! End-to-end integration: realistic traces running on a CPPC while
 //! faults strike mid-execution, with a golden (fault-free) memory model
-//! as the oracle. No scheme interaction may ever return wrong data.
+//! as the oracle. No scheme interaction may ever return wrong data, and
+//! a fault-free run (byte stores included) leaves the same memory image
+//! as an unprotected cache.
 
 use cppc::cache_sim::{CacheGeometry, MainMemory, ReplacementPolicy};
 use cppc::core::{CppcCache, CppcConfig};
@@ -145,4 +147,47 @@ fn flush_after_faulty_run_reaches_memory_correctly() {
     for (addr, v) in oracle {
         assert_eq!(mem.peek_word(addr), v, "addr {addr:#x}");
     }
+}
+
+#[test]
+fn byte_stores_flow_through_the_whole_stack() {
+    // A profile with byte stores runs through hierarchy + CPPC with the
+    // same final memory image as an unprotected run.
+    let profile = *spec2000_profiles()
+        .iter()
+        .find(|p| p.name == "gzip")
+        .unwrap();
+    assert!(profile.byte_store_fraction > 0.0);
+
+    let geo = CacheGeometry::new(8 * 1024, 2, 32).unwrap();
+    let mut protected =
+        CppcCache::new_l1(geo, CppcConfig::paper(), ReplacementPolicy::Lru).unwrap();
+    let mut mem_p = MainMemory::new();
+    let mut plain = cppc::cache_sim::Cache::new(geo, ReplacementPolicy::Lru);
+    let mut mem_u = MainMemory::new();
+
+    let mut byte_ops = 0;
+    for op in TraceGenerator::new(&profile, 3).take(40_000) {
+        match op {
+            MemOp::Load(a) => {
+                let x = protected.load_word(a, &mut mem_p).unwrap();
+                let y = plain.load_word(a, &mut mem_u);
+                assert_eq!(x, y);
+            }
+            MemOp::Store(a, v) => {
+                protected.store_word(a, v, &mut mem_p).unwrap();
+                plain.store_word(a, v, &mut mem_u);
+            }
+            MemOp::StoreByte(a, v) => {
+                byte_ops += 1;
+                protected.store_byte(a, v, &mut mem_p).unwrap();
+                plain.store_byte(a, v, &mut mem_u);
+            }
+        }
+    }
+    assert!(byte_ops > 100, "byte stores exercised: {byte_ops}");
+    assert!(protected.verify_invariant());
+    protected.flush(&mut mem_p).unwrap();
+    plain.flush(&mut mem_u);
+    assert_eq!(mem_p, mem_u, "identical final memory images");
 }

@@ -311,3 +311,103 @@ fn over_long_request_line_is_refused_and_the_daemon_lives_on() {
     assert!(daemon.client().list(None).unwrap().is_empty());
     daemon.stop();
 }
+
+/// Writes a 2,000-op binary trace whose header declares about 2^40
+/// records (byte 12 flipped).
+fn lying_trace(dir: &std::path::Path) -> String {
+    let profile = cppc::workloads::spec2000_profiles()[0];
+    let ops: Vec<_> = cppc::workloads::TraceGenerator::new(&profile, 7)
+        .take(2_000)
+        .collect();
+    let mut bytes = Vec::new();
+    cppc::workloads::write_bin_trace(&mut bytes, &ops).unwrap();
+    bytes[12] ^= 0xFF;
+    let path = dir.join("lying.cppct");
+    std::fs::write(&path, &bytes).unwrap();
+    path.to_str().unwrap().to_string()
+}
+
+/// A trace job over a lying record count fails cleanly instead of
+/// aborting the daemon. That holds for a freshly submitted job and for
+/// one a crashed daemon left `running` in its journal, which a restart
+/// requeues; the daemon then still completes an `mbe` job.
+#[test]
+fn lying_trace_fails_its_job_and_the_daemon_lives_on() {
+    let dir = scratch("lying_trace");
+    let trace = lying_trace(&dir);
+    let spec = JobSpec::new(JobKind::Trace { path: trace }, 4, 1);
+    let jobs = dir.join("data").join("jobs");
+    std::fs::create_dir_all(&jobs).unwrap();
+    let mut left_running = cppc::serve::JobRecord::new(1, "alice".into(), Priority::Normal, spec);
+    left_running.state = cppc::serve::JobState::Running;
+    std::fs::write(
+        jobs.join("job-000001.json"),
+        left_running.to_json().to_string_compact(),
+    )
+    .unwrap();
+
+    let daemon = Daemon::start(&dir, 8, 1);
+    let mut client = daemon.client();
+    let resubmitted = client
+        .submit("alice", Priority::Normal, left_running.spec.clone())
+        .unwrap();
+    for id in [1, resubmitted] {
+        let end = client.watch(id, |_| {}).unwrap();
+        assert_eq!(end.get("state").and_then(Json::as_str), Some("failed"));
+        let error = end.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("record count mismatch"), "{error}");
+    }
+    let mbe = client
+        .submit("bob", Priority::Normal, JobSpec::new(JobKind::Mbe, 64, 2))
+        .unwrap();
+    let end = client.watch(mbe, |_| {}).unwrap();
+    assert_eq!(end.get("state").and_then(Json::as_str), Some("done"));
+    daemon.stop();
+}
+
+/// A journal record of the retired `inject` kind, as daemons wrote it
+/// before that kind folded into `scheme --scheme cppc`, still loads,
+/// runs and serves the bytes its `scheme` spelling produces.
+#[test]
+fn journalled_inject_record_serves_its_cppc_scheme_result() {
+    use cppc::serve::runner::{execute, RunEnd};
+
+    let dir = scratch("legacy_inject");
+    let jobs = dir.join("data").join("jobs");
+    std::fs::create_dir_all(&jobs).unwrap();
+    std::fs::write(
+        jobs.join("job-000001.json"),
+        r#"{"id":1,"tenant":"alice","priority":"normal","spec":{"kind":"inject","config":"paper","fault":"4x4","trials":200,"seed":7,"threads":1,"shard_size":32,"batch":1},"state":"queued","result":null,"error":null}"#,
+    )
+    .unwrap();
+
+    let daemon = Daemon::start(&dir, 8, 1);
+    let mut client = daemon.client();
+    let end = client.watch(1, |_| {}).unwrap();
+    assert_eq!(end.get("state").and_then(Json::as_str), Some("done"));
+    let served = client.result(1).unwrap().to_string_compact();
+    daemon.stop();
+
+    let scheme = JobSpec {
+        shard_size: 32,
+        ..JobSpec::new(
+            JobKind::Scheme {
+                scheme: "cppc".into(),
+                config: "paper".into(),
+                fault: "4x4".into(),
+            },
+            200,
+            7,
+        )
+    };
+    let RunEnd::Complete { result } = execute(&scheme, 1, Default::default()) else {
+        panic!("direct scheme run did not complete");
+    };
+    assert_eq!(served, result.to_string_compact());
+    // The record is written back under the `scheme` spelling.
+    let journal = std::fs::read_to_string(jobs.join("job-000001.json")).unwrap();
+    assert!(
+        journal.contains(r#""kind":"scheme","scheme":"cppc""#),
+        "{journal}"
+    );
+}

@@ -6,15 +6,17 @@
 //! trace-driven campaign must tally identically at any thread count.
 //! Any divergence means one of the ingestion paths is simulating a
 //! different machine, which would silently invalidate every archived
-//! trace result.
+//! trace result. A binary trace whose header lies about its record
+//! count must load as an error, not abort the process.
 
 use cppc_bench::experiments::{load_trace, trace_digest, trace_experiment, trace_hierarchy};
 use cppc_cache_sim::hierarchy::{MemOp, TwoLevelHierarchy};
+use cppc_cache_sim::{CacheGeometry, ReplacementPolicy};
 use cppc_campaign::CampaignConfig;
 use cppc_fault::campaign::OutcomeTally;
 use cppc_workloads::{
-    binfmt, read_din_trace, spec2000_profiles, write_trace, BinTraceReader, OpBatch, SharedTrace,
-    TraceGenerator,
+    binfmt, read_din_trace, read_trace, spec2000_profiles, write_trace, BinTraceReader, OpBatch,
+    SharedTrace, TraceGenerator,
 };
 
 const OPS: usize = 30_000;
@@ -137,4 +139,44 @@ fn din_trace_loads_through_load_trace() {
     assert_eq!(expected.len(), OPS);
     let loaded = load_trace(din_path.to_str().unwrap()).unwrap();
     assert_eq!(loaded.ops(), &expected[..]);
+}
+
+#[test]
+fn recorded_trace_replays_identically() {
+    // Record a trace, replay it through a fresh hierarchy, and compare
+    // every statistic with a direct run — the archival path is exact.
+    let profile = spec2000_profiles()[2];
+    let ops: Vec<MemOp> = TraceGenerator::new(&profile, 99).take(30_000).collect();
+
+    let mut buf = Vec::new();
+    write_trace(&mut buf, ops.iter().copied()).unwrap();
+    let replayed = read_trace(std::io::BufReader::new(&buf[..])).unwrap();
+    assert_eq!(replayed, ops);
+
+    let run = |trace: &[MemOp]| {
+        let l1 = CacheGeometry::new(32 * 1024, 2, 32).unwrap();
+        let l2 = CacheGeometry::new(256 * 1024, 4, 32).unwrap();
+        let mut h = TwoLevelHierarchy::new(l1, l2, ReplacementPolicy::Lru);
+        h.run(trace.iter().copied());
+        h.stats()
+    };
+    let (a1, a2) = run(&ops);
+    let (b1, b2) = run(&replayed);
+    assert_eq!(a1, b1);
+    assert_eq!(a2, b2);
+}
+
+/// A `.cppct` header whose record count lies (one flipped byte declares
+/// about 2^40 records) is an `Err` from `load_trace`, the loader behind
+/// `trace info`, `campaign --kind trace` and served `trace` jobs — not
+/// an aborted up-front allocation.
+#[test]
+fn lying_record_count_is_an_error_through_load_trace() {
+    let fx = Fixture::new("lying-count");
+    let mut bytes = std::fs::read(&fx.bin_path).unwrap();
+    bytes[12] ^= 0xFF;
+    let bad = fx.dir.join("lying.cppct");
+    std::fs::write(&bad, &bytes).unwrap();
+    let err = load_trace(bad.to_str().unwrap()).unwrap_err();
+    assert!(err.contains("record count mismatch"), "{err}");
 }
