@@ -53,6 +53,10 @@ echo "== kernel + batch differential tests (release codegen)"
 # equivalences under the release profile.
 cargo test -q --release -p cppc-ecc kernels
 cargo test -q --release -p cppc-bench --test batch_differential
+# The same for the trace drive: step == run_batch, the slot Tavg stamps
+# against their keyed reference, and the LRU arena against its per-set
+# oracle.
+cargo test -q --release -p cppc-cache-sim
 
 echo "== cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

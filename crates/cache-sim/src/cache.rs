@@ -58,6 +58,21 @@ pub struct Eviction {
     pub dirty_mask: u64,
 }
 
+/// Where a block-granularity access ([`Cache::read_block_into`],
+/// [`Cache::write_block`]) landed, so the level above can keep per-slot
+/// bookkeeping without probing the cache a second time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockAccess {
+    /// Arena slot of the block, `set * associativity + way`.
+    pub slot: usize,
+    /// The block's per-word dirty mask before the access (0 on a miss:
+    /// a freshly filled block is clean).
+    pub dirty_before: u64,
+    /// `true` when the access missed and its fill wrote back a dirty
+    /// victim, which held the same slot.
+    pub evicted_dirty: bool,
+}
+
 /// A read-only view of one block in the storage arena.
 #[derive(Debug, Clone, Copy)]
 pub struct BlockRef<'a> {
@@ -427,10 +442,10 @@ impl Cache {
     /// the backing of a level above: the level above passes its own
     /// arena slot, so the transfer is a slice copy with no allocation.
     ///
-    /// Returns the block's per-word dirty mask, which the read leaves
-    /// unchanged (0 on a miss: a freshly filled block is clean), so the
-    /// level above learns whether it read dirty data without a second
-    /// probe.
+    /// Returns where the read landed: the block's slot, its per-word
+    /// dirty mask (which the read leaves unchanged), and whether a miss
+    /// evicted a dirty victim — so the level above learns whether it
+    /// read dirty data without a second probe.
     ///
     /// # Panics
     ///
@@ -440,24 +455,27 @@ impl Cache {
         addr: u64,
         backing: &mut B,
         buf: &mut [u64],
-    ) -> u64 {
+    ) -> BlockAccess {
         assert_eq!(buf.len(), self.geo.words_per_block(), "block width");
-        let (set, way) = match self.probe(addr) {
+        let (set, way, evicted_dirty) = match self.probe(addr) {
             Some((set, way)) => {
                 self.stats.load_hits += 1;
                 self.repl.touch(set, way);
-                (set, way)
+                (set, way, false)
             }
             None => {
                 self.stats.load_misses += 1;
-                let (set, way, _) = self.fill(addr, backing);
-                (set, way)
+                self.fill_reporting(addr, backing)
             }
         };
         let idx = self.index(set, way);
         buf.copy_from_slice(self.block_words(idx));
         self.scratch_fetches += 1;
-        self.dirty[idx]
+        BlockAccess {
+            slot: idx,
+            dirty_before: self.dirty[idx],
+            evicted_dirty,
+        }
     }
 
     /// Allocating convenience wrapper around [`Cache::read_block_into`].
@@ -469,8 +487,9 @@ impl Cache {
 
     /// Accepts a block-granularity write (e.g. a write-back from the
     /// level above): words selected by `mask` are stored and marked
-    /// dirty. Returns whether any targeted word was already dirty — the
-    /// L2 CPPC read-before-write trigger.
+    /// dirty. Returns where the write landed; `dirty_before & mask != 0`
+    /// says whether any targeted word was already dirty — the L2 CPPC
+    /// read-before-write trigger.
     ///
     /// # Panics
     ///
@@ -481,21 +500,21 @@ impl Cache {
         data: &[u64],
         mask: u64,
         backing: &mut B,
-    ) -> bool {
+    ) -> BlockAccess {
         assert_eq!(data.len(), self.geo.words_per_block(), "block width");
-        let (set, way) = match self.probe(addr) {
-            Some(hit) => {
+        let (set, way, evicted_dirty) = match self.probe(addr) {
+            Some((set, way)) => {
                 self.stats.store_hits += 1;
-                hit
+                (set, way, false)
             }
             None => {
                 self.stats.store_misses += 1;
-                let (set, way, _) = self.fill(addr, backing);
-                (set, way)
+                self.fill_reporting(addr, backing)
             }
         };
         self.repl.touch(set, way);
         let idx = self.index(set, way);
+        let dirty_before = self.dirty[idx];
         let mut any_dirty = false;
         for (w, &value) in data.iter().enumerate() {
             if mask >> w & 1 == 1 {
@@ -510,7 +529,18 @@ impl Cache {
         if any_dirty {
             self.stats.stores_to_dirty += 1;
         }
-        any_dirty
+        BlockAccess {
+            slot: idx,
+            dirty_before,
+            evicted_dirty,
+        }
+    }
+
+    /// [`Cache::fill`] for the block paths: `(set, way, evicted_dirty)`.
+    fn fill_reporting<B: Backing>(&mut self, addr: u64, backing: &mut B) -> (usize, usize, bool) {
+        let (set, way, eviction) = self.fill(addr, backing);
+        let evicted_dirty = eviction.is_some_and(|e| e.dirty_mask != 0);
+        (set, way, evicted_dirty)
     }
 
     /// Chooses the way a fill for `addr`'s set would land in: the first
@@ -938,15 +968,41 @@ mod tests {
     #[test]
     fn write_block_marks_masked_words() {
         let (mut c, mut m) = small();
-        let any_dirty = c.write_block(0x40, &[1, 2, 3, 4], 0b0110, &mut m);
-        assert!(!any_dirty);
+        let first = c.write_block(0x40, &[1, 2, 3, 4], 0b0110, &mut m);
+        assert_eq!(first.dirty_before, 0);
         assert_eq!(c.peek_word(0x48), Some(2));
         assert_eq!(c.peek_word(0x40), Some(0), "unmasked word keeps fill data");
         assert_eq!(c.dirty_word_count(), 2);
         // Second write over the same words reports dirtiness.
-        let any_dirty = c.write_block(0x40, &[9, 9, 9, 9], 0b0010, &mut m);
-        assert!(any_dirty);
+        let second = c.write_block(0x40, &[9, 9, 9, 9], 0b0010, &mut m);
+        assert_eq!(second.dirty_before, 0b0110);
+        assert_eq!(second.slot, first.slot);
         assert_eq!(c.stats().stores_to_dirty, 1);
+    }
+
+    #[test]
+    fn block_accesses_report_slot_and_dirty_victim() {
+        // 256 B, 2-way, 32 B blocks: 4 sets, so 0x40, 0x140 and 0x240
+        // share set 2.
+        let (mut c, mut m) = small();
+        let mut buf = [0u64; 4];
+        let dirty = c.write_block(0x40, &[1; 4], 0b0001, &mut m);
+        let (set, way) = c.probe(0x40).unwrap();
+        assert_eq!(dirty.slot, set * 2 + way);
+        assert!(!dirty.evicted_dirty);
+        let clean = c.read_block_into(0x140, &mut m, &mut buf);
+        assert_eq!((clean.dirty_before, clean.evicted_dirty), (0, false));
+        // LRU victim is the dirty 0x40 block: its slot is reused.
+        let refill = c.read_block_into(0x240, &mut m, &mut buf);
+        assert!(refill.evicted_dirty);
+        assert_eq!(refill.slot, dirty.slot);
+        assert_eq!(refill.dirty_before, 0);
+        // The clean 0x140 block goes next: no dirty victim.
+        let next = c.write_block(0x40, &[2; 4], 0b0010, &mut m);
+        assert_eq!(next.slot, clean.slot);
+        assert!(!next.evicted_dirty);
+        let hit = c.read_block_into(0x40, &mut m, &mut buf);
+        assert_eq!((hit.slot, hit.dirty_before), (next.slot, 0b0010));
     }
 
     #[test]

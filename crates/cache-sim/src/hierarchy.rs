@@ -7,14 +7,31 @@
 //! * **dirty residency** — periodic samples of how many words are dirty;
 //! * **Tavg** — the mean interval between consecutive accesses to the
 //!   same dirty word (L1) or dirty block (L2).
+//!
+//! # Tavg
+//!
+//! An interval runs from one access to a dirty word (L1) or dirty block
+//! (L2) to the next access to it. That next access is a load, a store,
+//! or the writeback that evicts it: the writeback reads the data, and
+//! CPPC parity-checks an evicted dirty word before XORing it into R2, so
+//! the last access → writeback stretch is exposed to faults like any
+//! other. A store to a clean word or block starts a new interval, so no
+//! interval spans an eviction, the stay in the level below and the
+//! refill.
+//!
+//! Each level keeps one stamp per slot of its cache — per word for L1,
+//! per block for L2 — holding the cycle of the last access. A stamp is
+//! live exactly while its slot's dirty bit (L1) or dirty mask (L2) is
+//! set, so the cache's own dirty state says which stamps count and an
+//! eviction retires the victim's stamps in place: the block filling the
+//! slot starts clean.
 
 use crate::batch::{self, OpBatch};
-use crate::cache::{Backing, Cache};
+use crate::cache::{Backing, BlockAccess, Cache};
 use crate::geometry::CacheGeometry;
 use crate::memory::MainMemory;
 use crate::replacement::ReplacementPolicy;
 use crate::stats::CacheStats;
-use crate::wordmap::WordMap;
 
 /// One memory operation of a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,34 +63,56 @@ impl MemOp {
     }
 }
 
-/// Tracks intervals between consecutive accesses to currently-dirty
-/// entities (words or blocks), producing the paper's `Tavg`.
-#[derive(Debug, Clone, Default)]
-struct DirtyIntervalTracker {
-    last_touch: WordMap<u64>,
+/// The Tavg intervals of one level: a last-access stamp per cache slot
+/// (L1 word or L2 block) and the running interval sum. A slot's stamp
+/// means something only while the slot is dirty; the caller passes that
+/// dirtiness in, read from the cache it already probed.
+#[derive(Debug, Clone)]
+struct SlotStamps {
+    stamp: Vec<u64>,
     interval_sum: u128,
     interval_count: u64,
 }
 
-impl DirtyIntervalTracker {
-    /// Records an access at `now` to `key`, which is dirty *after* the
-    /// access if `dirty_after` (stores make words dirty; loads leave
-    /// state unchanged).
-    fn touch(&mut self, key: u64, now: u64, dirty_after: bool) {
-        // One hash lookup per touch: a tracked key always refreshes its
-        // stamp (dirty stays dirty on a load), an untracked one starts
-        // being tracked only once a store dirties it.
-        match self.last_touch.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                self.interval_sum += u128::from(now - *e.get());
-                self.interval_count += 1;
-                e.insert(now);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                if dirty_after {
-                    e.insert(now);
-                }
-            }
+impl SlotStamps {
+    fn new(slots: usize) -> Self {
+        SlotStamps {
+            stamp: vec![0; slots],
+            interval_sum: 0,
+            interval_count: 0,
+        }
+    }
+
+    /// Records an access at `now` to `slot` that leaves it dirty: closes
+    /// the running interval if the slot was already dirty and opens the
+    /// next one.
+    #[inline]
+    fn touch(&mut self, slot: usize, now: u64, was_dirty: bool) {
+        if was_dirty {
+            self.retire(slot, now);
+        }
+        self.stamp[slot] = now;
+    }
+
+    /// Closes the interval of a dirty `slot` at `now` without opening
+    /// another — the writeback that evicts it.
+    #[inline]
+    fn retire(&mut self, slot: usize, now: u64) {
+        self.interval_sum += u128::from(now - self.stamp[slot]);
+        self.interval_count += 1;
+    }
+
+    /// The L2 side of one block access: the dirty victim the access
+    /// evicted from `access.slot`, then the access itself if it found
+    /// the block dirty or leaves it dirty.
+    #[inline]
+    fn block_access(&mut self, access: BlockAccess, now: u64, dirty_after: bool) {
+        if access.evicted_dirty {
+            self.retire(access.slot, now);
+        }
+        let was_dirty = access.dirty_before != 0;
+        if was_dirty || dirty_after {
+            self.touch(access.slot, now, was_dirty);
         }
     }
 
@@ -113,14 +152,16 @@ pub struct TwoLevelHierarchy {
     cycles_per_op: u64,
     sample_interval: u64,
     ops_since_sample: u64,
-    l1_intervals: DirtyIntervalTracker,
-    l2_intervals: DirtyIntervalTracker,
+    /// One stamp per L1 word slot, `(set·ways + way)·words_per_block + w`.
+    l1_intervals: SlotStamps,
+    /// One stamp per L2 block slot, `set·ways + way`.
+    l2_intervals: SlotStamps,
 }
 
 struct L2Backing<'a> {
     l2: &'a mut Cache,
     mem: &'a mut MainMemory,
-    intervals: &'a mut DirtyIntervalTracker,
+    intervals: &'a mut SlotStamps,
     cycle: u64,
 }
 
@@ -128,15 +169,14 @@ impl Backing for L2Backing<'_> {
     fn fetch_block_into(&mut self, base: u64, buf: &mut [u64]) {
         debug_assert_eq!(buf.len(), self.l2.geometry().words_per_block());
         // An L1 miss that hits a dirty L2 block is an access to dirty L2
-        // data for Tavg purposes.
-        if self.l2.read_block_into(base, self.mem, buf) != 0 {
-            self.intervals.touch(base, self.cycle, true);
-        }
+        // data for Tavg purposes; a read leaves a clean block clean.
+        let access = self.l2.read_block_into(base, self.mem, buf);
+        self.intervals.block_access(access, self.cycle, false);
     }
 
     fn write_back(&mut self, base: u64, data: &[u64], dirty_mask: u64) {
-        let _ = self.l2.write_block(base, data, dirty_mask, self.mem);
-        self.intervals.touch(base, self.cycle, true);
+        let access = self.l2.write_block(base, data, dirty_mask, self.mem);
+        self.intervals.block_access(access, self.cycle, true);
     }
 }
 
@@ -161,8 +201,8 @@ impl TwoLevelHierarchy {
             cycles_per_op: 1,
             sample_interval: 1024,
             ops_since_sample: 0,
-            l1_intervals: DirtyIntervalTracker::default(),
-            l2_intervals: DirtyIntervalTracker::default(),
+            l1_intervals: SlotStamps::new(l1_geo.total_words()),
+            l2_intervals: SlotStamps::new(l2_geo.num_sets() * l2_geo.associativity()),
         }
     }
 
@@ -190,27 +230,26 @@ impl TwoLevelHierarchy {
     /// [`TwoLevelHierarchy::run_batch`]: one operation in lane form
     /// (`kind` is a [`batch`] lane tag).
     ///
-    /// A single L1 probe classifies the access and, on a load hit,
-    /// answers the Tavg dirty-before question (a miss is never dirty
-    /// before the access). A miss fills straight away and the access
+    /// A single L1 probe classifies the access and answers the Tavg
+    /// dirty-before question (a miss is never dirty before the access).
+    /// A miss fills straight away, retiring the stamps of the victim's
+    /// dirty words (the victim held the same slot), and the access
     /// completes through the in-place primitives, so no path probes L1
     /// twice.
     #[inline]
     fn access(&mut self, addr: u64, kind: u8, value: u64) -> u64 {
         self.cycle += self.cycles_per_op;
         let cycle = self.cycle;
-        let word_key = addr & !7;
         let is_load = kind == batch::KIND_LOAD;
         let w = self.l1.geometry().word_index(addr);
-        let (set, way) = if let Some((set, way)) = self.l1.probe(addr) {
+        let wpb = self.l1.geometry().words_per_block();
+        let ways = self.l1.geometry().associativity();
+        let (set, way, was_dirty) = if let Some((set, way)) = self.l1.probe(addr) {
             self.l1.record_access(!is_load, true);
             if is_load {
                 self.l1.touch(set, way);
-                if self.l1.dirty_mask_at(set, way) >> w & 1 == 1 {
-                    self.l1_intervals.touch(word_key, cycle, true);
-                }
             }
-            (set, way)
+            (set, way, self.l1.dirty_mask_at(set, way) >> w & 1 == 1)
         } else {
             self.l1.record_access(!is_load, false);
             let mut backing = L2Backing {
@@ -219,8 +258,17 @@ impl TwoLevelHierarchy {
                 intervals: &mut self.l2_intervals,
                 cycle,
             };
-            let (set, way, _) = self.l1.fill(addr, &mut backing);
-            (set, way)
+            let (set, way, eviction) = self.l1.fill(addr, &mut backing);
+            if let Some(eviction) = eviction {
+                let base = (set * ways + way) * wpb;
+                let mut mask = eviction.dirty_mask;
+                while mask != 0 {
+                    self.l1_intervals
+                        .retire(base + mask.trailing_zeros() as usize, cycle);
+                    mask &= mask - 1;
+                }
+            }
+            (set, way, false)
         };
         let loaded = match kind {
             batch::KIND_LOAD => self.l1.word_at(set, way, w),
@@ -235,8 +283,9 @@ impl TwoLevelHierarchy {
             }
             k => unreachable!("invalid op kind {k}"),
         };
-        if !is_load {
-            self.l1_intervals.touch(word_key, cycle, true);
+        if was_dirty || !is_load {
+            self.l1_intervals
+                .touch((set * ways + way) * wpb + w, cycle, was_dirty);
         }
 
         self.ops_since_sample += 1;
@@ -332,14 +381,17 @@ impl TwoLevelHierarchy {
     }
 
     /// Mean interval (cycles) between consecutive accesses to the same
-    /// dirty L1 word, if any dirty word was ever re-accessed.
+    /// dirty L1 word, counting the writeback that evicts it as its last
+    /// access (see the [module docs](self)); `None` until an interval
+    /// closes.
     #[must_use]
     pub fn l1_tavg(&self) -> Option<f64> {
         self.l1_intervals.tavg()
     }
 
     /// Mean interval (cycles) between consecutive accesses to the same
-    /// dirty L2 block.
+    /// dirty L2 block, counting its writeback to memory as its last
+    /// access.
     #[must_use]
     pub fn l2_tavg(&self) -> Option<f64> {
         self.l2_intervals.tavg()
@@ -427,6 +479,50 @@ mod tests {
         h.step(MemOp::Store(0x40, 2)); // cycle 30 → interval 20
         let tavg = h.l1_tavg().unwrap();
         assert!((tavg - 20.0).abs() < 1e-9, "tavg = {tavg}");
+    }
+
+    /// Blocks `0x40 + k·0x200` share L1 set 2 and L2 set 2 of `tiny()`
+    /// (4 L1 sets and 16 L2 sets of 32-byte blocks, both 2-way).
+    const SET2: [u64; 4] = [0x40, 0x240, 0x440, 0x640];
+
+    #[test]
+    fn l1_tavg_ends_at_the_writeback_not_at_the_next_residency() {
+        let mut h = tiny();
+        h.set_cycles_per_op(10);
+        h.step(MemOp::Store(SET2[0], 1)); // cycle 10: dirty, interval opens
+        h.step(MemOp::Load(SET2[1])); // cycle 20
+        h.step(MemOp::Load(SET2[2])); // cycle 30: evicts SET2[0], closes 30 - 10
+        assert_eq!(h.l1().stats().writebacks, 1);
+        h.step(MemOp::Load(SET2[0])); // cycle 40: refilled clean
+        h.step(MemOp::Store(SET2[0], 2)); // cycle 50: a new interval opens
+        assert_eq!(h.l1_tavg(), Some(20.0), "store → writeback only");
+    }
+
+    #[test]
+    fn l2_tavg_ends_at_the_writeback_to_memory() {
+        let mut h = tiny();
+        h.set_cycles_per_op(10);
+        h.step(MemOp::Store(SET2[0], 1)); // cycle 10
+        h.step(MemOp::Load(SET2[1])); // cycle 20
+        h.step(MemOp::Load(SET2[2])); // cycle 30: L1 writeback dirties the L2 block
+        h.step(MemOp::Load(SET2[3])); // cycle 40: L2 writes that block to memory
+        assert_eq!(h.l2().stats().writebacks, 1);
+        assert_eq!(h.memory().peek_word(SET2[0]), 1);
+        // Refill it, dirty it again and write it back to the L2 (cycle
+        // 80), which opens a new L2 interval rather than closing one
+        // that spans the trip to memory.
+        h.step(MemOp::Load(SET2[0])); // cycle 50
+        h.step(MemOp::Store(SET2[0], 2)); // cycle 60
+        h.step(MemOp::Load(SET2[1])); // cycle 70
+        h.step(MemOp::Load(SET2[2])); // cycle 80
+        assert_eq!(h.l1().stats().writebacks, 2);
+        assert_eq!(h.l2().stats().writebacks, 1);
+        assert_eq!(
+            h.l2_tavg(),
+            Some(10.0),
+            "L1 writeback → memory writeback only"
+        );
+        assert_eq!(h.l1_tavg(), Some(20.0));
     }
 
     #[test]
@@ -564,6 +660,69 @@ mod tests {
         }
     }
 
+    /// Drives `ops` through a fresh hierarchy and through the
+    /// reference, one op at a time and in uneven batches, and demands
+    /// bit-identical Tavg at both levels.
+    fn assert_matches_reference(l1: CacheGeometry, l2: CacheGeometry, ops: &[MemOp]) {
+        let mut stepped = TwoLevelHierarchy::new(l1, l2, ReplacementPolicy::Lru);
+        stepped.set_cycles_per_op(3);
+        let mut batched = stepped.clone();
+        let mut oracle = super::reference::Reference::new(l1, l2, 3);
+        for &op in ops {
+            assert_eq!(stepped.step(op), oracle.step(op), "{op:?}");
+        }
+        let mut batch = crate::batch::OpBatch::new();
+        for chunk in ops.chunks(777) {
+            batch.clear();
+            batch.extend_from_ops(chunk);
+            batched.run_batch(&batch);
+        }
+        let unsampled = |s: &CacheStats| CacheStats {
+            dirty_word_samples: 0,
+            dirty_word_samples_sum: 0,
+            ..*s
+        };
+        assert_eq!(
+            unsampled(stepped.l1().stats()),
+            unsampled(oracle.l1.stats())
+        );
+        assert_eq!(
+            unsampled(stepped.l2().stats()),
+            unsampled(oracle.l2.stats())
+        );
+        assert!(
+            stepped.l2().stats().writebacks > 0,
+            "L2 writebacks exercised"
+        );
+        let (l1_tavg, l2_tavg) = oracle.tavg();
+        for h in [&stepped, &batched] {
+            assert_eq!(h.l1_tavg().map(f64::to_bits), l1_tavg.map(f64::to_bits));
+            assert_eq!(h.l2_tavg().map(f64::to_bits), l2_tavg.map(f64::to_bits));
+        }
+        assert!(l1_tavg.is_some() && l2_tavg.is_some());
+    }
+
+    #[test]
+    fn slot_stamps_match_keyed_reference_on_tiny() {
+        let t = tiny();
+        for seed in [0x7A6, 0x7A7, 0x7A8] {
+            assert_matches_reference(
+                *t.l1().geometry(),
+                *t.l2().geometry(),
+                &random_ops(seed, 30_000),
+            );
+        }
+    }
+
+    #[test]
+    fn slot_stamps_match_keyed_reference_on_four_way_l1() {
+        let l1 = CacheGeometry::new(512, 4, 32).unwrap();
+        let l2 = CacheGeometry::new(2048, 4, 32).unwrap();
+        for seed in [0x4A1, 0x4A2, 0x4A3] {
+            assert_matches_reference(l1, l2, &random_ops(seed, 30_000));
+        }
+    }
+
     #[test]
     fn run_batch_matches_run() {
         let ops = random_ops(0x5EED, 10_000);
@@ -580,5 +739,156 @@ mod tests {
         assert_eq!(MemOp::Load(8).addr(), 8);
         assert!(MemOp::Store(8, 1).is_store());
         assert!(!MemOp::Load(8).is_store());
+    }
+}
+
+/// A word- and block-keyed Tavg reference for the slot stamps: plain
+/// `HashMap`s of last-access cycles, driven by the caches' own
+/// `load_word` / `store_word` paths and told of every writeback through
+/// the [`Backing`] calls. A key is in its map exactly while that word
+/// (L1) or block (L2) is dirty; a writeback removes it after closing its
+/// last interval.
+#[cfg(test)]
+mod reference {
+    use std::collections::HashMap;
+
+    use super::{Backing, Cache, CacheGeometry, MainMemory, MemOp, ReplacementPolicy};
+
+    #[derive(Default)]
+    struct KeyedIntervals {
+        last: HashMap<u64, u64>,
+        sum: u128,
+        count: u64,
+    }
+
+    impl KeyedIntervals {
+        fn touch(&mut self, key: u64, now: u64, dirty_after: bool) {
+            if let Some(last) = self.last.get_mut(&key) {
+                self.sum += u128::from(now - *last);
+                self.count += 1;
+                *last = now;
+            } else if dirty_after {
+                self.last.insert(key, now);
+            }
+        }
+
+        fn retire(&mut self, key: u64, now: u64) {
+            let last = self.last.remove(&key).expect("a written-back key is dirty");
+            self.sum += u128::from(now - last);
+            self.count += 1;
+        }
+
+        fn tavg(&self) -> Option<f64> {
+            (self.count > 0).then(|| self.sum as f64 / self.count as f64)
+        }
+    }
+
+    /// Memory below the L2: a writeback retires the L2 block's key.
+    struct Memory<'a> {
+        mem: &'a mut MainMemory,
+        l2_blocks: &'a mut KeyedIntervals,
+        now: u64,
+    }
+
+    impl Backing for Memory<'_> {
+        fn fetch_block_into(&mut self, base: u64, buf: &mut [u64]) {
+            self.mem.read_block_into(base, buf);
+        }
+
+        fn write_back(&mut self, base: u64, data: &[u64], dirty_mask: u64) {
+            self.l2_blocks.retire(base, self.now);
+            self.mem.write_back_dirty(base, data, dirty_mask);
+        }
+    }
+
+    /// The L2 below the L1: a writeback retires each dirty L1 word's key
+    /// and touches the L2 block; a fetch touches the block if dirty.
+    struct Level2<'a> {
+        l2: &'a mut Cache,
+        mem: &'a mut MainMemory,
+        l1_words: &'a mut KeyedIntervals,
+        l2_blocks: &'a mut KeyedIntervals,
+        now: u64,
+    }
+
+    impl Backing for Level2<'_> {
+        fn fetch_block_into(&mut self, base: u64, buf: &mut [u64]) {
+            self.l2_blocks.touch(base, self.now, false);
+            let mut below = Memory {
+                mem: self.mem,
+                l2_blocks: self.l2_blocks,
+                now: self.now,
+            };
+            self.l2.read_block_into(base, &mut below, buf);
+        }
+
+        fn write_back(&mut self, base: u64, data: &[u64], dirty_mask: u64) {
+            let mut mask = dirty_mask;
+            while mask != 0 {
+                let w = u64::from(mask.trailing_zeros());
+                self.l1_words.retire(base + 8 * w, self.now);
+                mask &= mask - 1;
+            }
+            let mut below = Memory {
+                mem: self.mem,
+                l2_blocks: self.l2_blocks,
+                now: self.now,
+            };
+            self.l2.write_block(base, data, dirty_mask, &mut below);
+            self.l2_blocks.touch(base, self.now, true);
+        }
+    }
+
+    pub(super) struct Reference {
+        pub(super) l1: Cache,
+        pub(super) l2: Cache,
+        mem: MainMemory,
+        cycle: u64,
+        cycles_per_op: u64,
+        l1_words: KeyedIntervals,
+        l2_blocks: KeyedIntervals,
+    }
+
+    impl Reference {
+        pub(super) fn new(l1: CacheGeometry, l2: CacheGeometry, cycles_per_op: u64) -> Self {
+            Reference {
+                l1: Cache::new(l1, ReplacementPolicy::Lru),
+                l2: Cache::new(l2, ReplacementPolicy::Lru),
+                mem: MainMemory::new(),
+                cycle: 0,
+                cycles_per_op,
+                l1_words: KeyedIntervals::default(),
+                l2_blocks: KeyedIntervals::default(),
+            }
+        }
+
+        pub(super) fn step(&mut self, op: MemOp) -> u64 {
+            self.cycle += self.cycles_per_op;
+            let now = self.cycle;
+            // The op's own word: a fill only evicts other blocks' words.
+            self.l1_words.touch(op.addr() & !7, now, op.is_store());
+            let mut below = Level2 {
+                l2: &mut self.l2,
+                mem: &mut self.mem,
+                l1_words: &mut self.l1_words,
+                l2_blocks: &mut self.l2_blocks,
+                now,
+            };
+            match op {
+                MemOp::Load(a) => self.l1.load_word(a, &mut below),
+                MemOp::Store(a, v) => {
+                    self.l1.store_word(a, v, &mut below);
+                    0
+                }
+                MemOp::StoreByte(a, v) => {
+                    self.l1.store_byte(a, v, &mut below);
+                    0
+                }
+            }
+        }
+
+        pub(super) fn tavg(&self) -> (Option<f64>, Option<f64>) {
+            (self.l1_words.tavg(), self.l2_blocks.tavg())
+        }
     }
 }

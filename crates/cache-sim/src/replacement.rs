@@ -2,8 +2,9 @@
 //!
 //! A cache keeps the replacement state of all its sets in one flat
 //! arena (`ReplacementArena`): a `sets × ways` order array, where
-//! promoting a way rotates a prefix of its set's slice, plus a per-set
-//! xorshift state under Random. The cache calls `touch` on every access
+//! promoting a way shifts the entries ahead of it in its set's slice
+//! back by one and puts it first, plus a per-set xorshift state under
+//! Random. The cache calls `touch` on every access
 //! and `victim` when it must evict. Random replacement is deterministic
 //! (an xorshift stream seeded per set) so every experiment in the
 //! workspace is reproducible.
@@ -81,12 +82,29 @@ impl ReplacementArena {
         }
     }
 
+    /// Moves `way` to the front of its set's order, shifting the entries
+    /// ahead of it back by one — `rotate_right(1)` of the prefix that
+    /// ends at `way`, done as one pass that carries the displaced entry
+    /// forward until it meets `way`.
     #[inline]
     fn promote(&mut self, set: usize, way: usize) {
+        debug_assert!(way < self.ways, "way {way} out of range");
+        let way = way as u32;
         let order = &mut self.order[set * self.ways..(set + 1) * self.ways];
-        if let Some(pos) = order.iter().position(|&w| w as usize == way) {
-            order[..=pos].rotate_right(1);
+        let mut carried = order[0];
+        if carried == way {
+            return;
         }
+        // The order is a permutation of the set's ways, so `way` is met
+        // before the slice ends.
+        for slot in &mut order[1..] {
+            let here = std::mem::replace(slot, carried);
+            if here == way {
+                break;
+            }
+            carried = here;
+        }
+        order[0] = way;
     }
 
     /// Chooses the way of `set` to evict. Invalid ways should be

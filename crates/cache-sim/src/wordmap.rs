@@ -1,14 +1,14 @@
 //! Hash maps and sets keyed by word, block or page addresses.
 //!
-//! The drive's hot maps — the Tavg interval trackers and the backing
-//! memory's page table — and the HARP scheme's set of written addresses
-//! are keyed by the word, block and page addresses of simulated
-//! traffic, hashed once or more per simulated access, so SipHash's cost
-//! shows on every op. [`WordKeyHasher`]
-//! replaces it with a single multiply + xor-shift. A trace crafted to
-//! make its addresses collide can only slow a simulation down: only the
-//! maps' bucketing depends on the hasher, so swapping it cannot change
-//! any statistic.
+//! Two users remain: the backing memory's page table, keyed by page
+//! number and hashed once per block transfer, and the HARP scheme's set
+//! of written word addresses. (Tavg needs no map: it keeps one stamp
+//! per cache slot, see [`hierarchy`](crate::hierarchy).) Both hash the
+//! addresses of simulated traffic, where SipHash's cost would show on
+//! every transfer; [`WordKeyHasher`] replaces it with a single
+//! multiply + xor-shift. A trace crafted to make its addresses collide
+//! can only slow a simulation down: only the maps' bucketing depends on
+//! the hasher, so swapping it cannot change any statistic.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

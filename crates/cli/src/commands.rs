@@ -502,37 +502,62 @@ pub fn trace_convert(args: &ParsedArgs) -> CliResult {
 /// `trace info` — format, declared and actual op counts, and the
 /// load/store mix of a trace file.
 pub fn trace_info(args: &ParsedArgs) -> CliResult {
-    use cppc_cache_sim::hierarchy::MemOp;
     let path = args.get("in").ok_or("missing --in <path>")?;
+    print!("{}", trace_info_report(path)?);
+    Ok(())
+}
+
+/// The text `trace info` prints for the trace at `path`. A binary trace
+/// streams through one `BinTraceReader`: the header gives the declared
+/// count and each batch's kind lane is tallied, so memory stays one
+/// decode chunk however long the trace is. Text and din traces are read
+/// whole.
+fn trace_info_report(path: &str) -> Result<String, Box<dyn Error>> {
+    use cppc_cache_sim::batch::{self, OpBatch};
+    use cppc_cache_sim::hierarchy::MemOp;
+    use cppc_workloads::binfmt::DEFAULT_BATCH_OPS;
+    use cppc_workloads::BinTraceReader;
+    use std::fmt::Write as _;
     let format = TraceFormat::sniff(path)?;
     let file_bytes = std::fs::metadata(path)?.len();
-    let declared: Option<u64> = if format == TraceFormat::Bin {
-        cppc_workloads::BinTraceReader::open(path)?.declared_ops()
+    // Ops per kind, indexed by lane tag.
+    let mut kinds = [0u64; 3];
+    let declared = if format == TraceFormat::Bin {
+        let mut reader = BinTraceReader::open(path)?;
+        let mut batch = OpBatch::with_capacity(DEFAULT_BATCH_OPS);
+        while reader
+            .next_batch(&mut batch, DEFAULT_BATCH_OPS)
+            .map_err(|e| format!("bad {format} trace '{path}': {e}"))?
+            > 0
+        {
+            for &kind in batch.kinds() {
+                kinds[usize::from(kind)] += 1;
+            }
+        }
+        Some(reader.declared_ops())
     } else {
+        for op in read_trace_file(path, Some(format))? {
+            let kind = match op {
+                MemOp::Load(_) => batch::KIND_LOAD,
+                MemOp::Store(..) => batch::KIND_STORE,
+                MemOp::StoreByte(..) => batch::KIND_STORE_BYTE,
+            };
+            kinds[usize::from(kind)] += 1;
+        }
         None
     };
-    let ops = read_trace_file(path, Some(format))?;
-    let (mut loads, mut stores, mut byte_stores) = (0u64, 0u64, 0u64);
-    for op in &ops {
-        match op {
-            MemOp::Load(_) => loads += 1,
-            MemOp::Store(..) => stores += 1,
-            MemOp::StoreByte(..) => byte_stores += 1,
-        }
-    }
-    println!("{path}: {format} trace, {file_bytes} bytes");
+    let [loads, stores, byte_stores] = kinds;
+    let mut out = format!("{path}: {format} trace, {file_bytes} bytes\n");
     match declared {
-        Some(n) => println!("  declared ops: {n}"),
-        None if format == TraceFormat::Bin => {
-            println!("  declared ops: unknown (unfinished writer)")
-        }
+        Some(Some(n)) => writeln!(out, "  declared ops: {n}")?,
+        Some(None) => writeln!(out, "  declared ops: unknown (unfinished writer)")?,
         None => {}
     }
-    println!("  ops:          {}", ops.len());
-    println!("  loads:        {loads}");
-    println!("  stores:       {stores}");
-    println!("  byte stores:  {byte_stores}");
-    Ok(())
+    writeln!(out, "  ops:          {}", loads + stores + byte_stores)?;
+    writeln!(out, "  loads:        {loads}")?;
+    writeln!(out, "  stores:       {stores}")?;
+    writeln!(out, "  byte stores:  {byte_stores}")?;
+    Ok(out)
 }
 
 /// `trace bench` — quick ops/sec probe of a trace file: the
@@ -889,6 +914,53 @@ mod tests {
     #[test]
     fn benchmarks_command_runs() {
         benchmarks().unwrap();
+    }
+
+    /// `trace info` on a recorded `.cppct` prints what it printed when it
+    /// materialised the whole trace: the counts below are tallied from
+    /// `read_trace_file`'s `Vec<MemOp>`, the way it used to count them.
+    #[test]
+    fn trace_info_on_a_recorded_binary_trace_is_unchanged() {
+        use cppc_cache_sim::hierarchy::MemOp;
+        let dir = std::env::temp_dir().join(format!("cppc-trace-info-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("mcf.cppct").to_str().unwrap().to_string();
+        let record = ParsedArgs::parse(
+            [
+                "trace", "--bench", "mcf", "--ops", "10000", "--seed", "7", "--format", "bin",
+                "--out", &path,
+            ]
+            .map(String::from),
+        )
+        .unwrap();
+        trace(&record).unwrap();
+
+        let ops = read_trace_file(&path, None).unwrap();
+        let count = |f: fn(&MemOp) -> bool| ops.iter().filter(|op| f(op)).count();
+        let loads = count(|op| matches!(op, MemOp::Load(_)));
+        let stores = count(|op| matches!(op, MemOp::Store(..)));
+        let byte_stores = count(|op| matches!(op, MemOp::StoreByte(..)));
+        assert_eq!(ops.len(), 10_000);
+        assert!(loads > 0 && stores > 0);
+        let bytes = std::fs::metadata(&path).unwrap().len();
+        let expected = format!(
+            "{path}: bin trace, {bytes} bytes\n  declared ops: 10000\n  ops:          10000\n  \
+             loads:        {loads}\n  stores:       {stores}\n  byte stores:  {byte_stores}\n"
+        );
+        assert_eq!(trace_info_report(&path).unwrap(), expected);
+
+        // A record count that lies is still the reader's error, named
+        // with the file as before.
+        let mut lying = std::fs::read(&path).unwrap();
+        lying[12] ^= 0xFF;
+        let lying_path = dir.join("lying.cppct").to_str().unwrap().to_string();
+        std::fs::write(&lying_path, &lying).unwrap();
+        let err = trace_info_report(&lying_path).unwrap_err().to_string();
+        assert!(
+            err.starts_with(&format!("bad bin trace '{lying_path}': ")) && err.contains("mismatch"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

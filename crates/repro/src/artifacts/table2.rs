@@ -31,12 +31,13 @@ pub fn artifact() -> Artifact {
                   consecutive accesses to the same dirty L1 word or L2 block) of the Table 1 \
                   hierarchy over the 15 synthetic benchmarks. The second table feeds the \
                   measured L1 averages into Table 3's closed form in place of the paper's \
-                  inputs. Expected shape: dirty residency of the paper's order (16% L1, 35% \
-                  L2) with L2 above L1 on Tavg. The synthetic traces reuse dirty L1 words far \
-                  less often than SPEC2000 (measured L1 Tavg ~26x the paper's 1828 cycles), \
-                  and a 300,000-op window biases the L2 Tavg low against the paper's \
-                  378,997 cycles, so the double-fault MTTFs at measured inputs fall well \
-                  below Table 3's.",
+                  inputs. An interval ends at the next load or store to the dirty word or \
+                  block, or at the writeback that evicts it. Expected shape: dirty residency \
+                  of the paper's order (16% L1, 35% L2) with L2 above L1 on Tavg. The \
+                  measured L1 Tavg is ~3.1x the paper's 1828 cycles and the L1 dirty share \
+                  is above its 16%, while a 300,000-op window biases the L2 Tavg low against \
+                  the paper's 378,997 cycles, so the double-fault MTTFs at measured inputs \
+                  fall below Table 3's.",
         config: |cfg| {
             vec![
                 ("l1", "32KB 2-way 32B (Table 1 L1D)".into()),

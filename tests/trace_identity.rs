@@ -168,8 +168,8 @@ fn recorded_trace_replays_identically() {
 
 /// A `.cppct` header whose record count lies (one flipped byte declares
 /// about 2^40 records) is an `Err` from `load_trace`, the loader behind
-/// `trace info`, `campaign --kind trace` and served `trace` jobs — not
-/// an aborted up-front allocation.
+/// `campaign --kind trace` and served `trace` jobs — not an aborted
+/// up-front allocation.
 #[test]
 fn lying_record_count_is_an_error_through_load_trace() {
     let fx = Fixture::new("lying-count");
