@@ -53,6 +53,11 @@ echo "== kernel + batch differential tests (release codegen)"
 # equivalences under the release profile.
 cargo test -q --release -p cppc-ecc kernels
 cargo test -q --release -p cppc-bench --test batch_differential
+# The row-mask sampler against its per-bit reference (same masks, same
+# RNG state after), and the packed classifier against its seven-table
+# reference.
+cargo test -q --release -p cppc-fault
+cargo test -q --release -p cppc-core --lib batch
 # The same for the trace drive: step == run_batch, the slot Tavg stamps
 # against their keyed reference, and the LRU arena against its per-set
 # oracle.

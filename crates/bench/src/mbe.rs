@@ -233,7 +233,7 @@ fn warm_context() -> (TrialContext, u64) {
     let ctx = TrialContext {
         trial,
         batch_sim: None,
-        batch: TrialBatch::new(),
+        batch: TrialBatch::default(),
     };
     (ctx, bytes)
 }
@@ -270,33 +270,18 @@ pub struct TrialBatch {
     rows: Vec<u32>,
     errs: Vec<u64>,
     syns: Vec<u64>,
-    lanes: Vec<BatchLane>,
+    /// Per lane, where its slice of the arenas ends; it starts where the
+    /// previous lane's ends.
+    ends: Vec<usize>,
     scratch: BatchScratch,
 }
 
-/// One lane of a [`TrialBatch`]: a trial plus its slice of the arenas.
-#[derive(Debug, Clone, Copy)]
-struct BatchLane {
-    trial: u64,
-    lo: usize,
-    hi: usize,
-    applied: u32,
-}
-
 impl TrialBatch {
-    /// An empty batch. Its arenas grow on first use; they are reused
-    /// only for as long as the caller keeps this value (each
-    /// [`simulate_batch_into`] call clears them before every batch).
-    #[must_use]
-    pub fn new() -> Self {
-        TrialBatch::default()
-    }
-
     fn clear(&mut self) {
         self.rows.clear();
         self.errs.clear();
         self.syns.clear();
-        self.lanes.clear();
+        self.ends.clear();
     }
 }
 
@@ -304,42 +289,46 @@ impl TrialBatch {
 /// `acc`, bit-identically to running [`experiment_model`] per trial.
 ///
 /// Per batch: every lane's fault pattern is sampled from its own
-/// [`trial_rng`]-derived stream and gathered into the [`TrialBatch`]
-/// arenas, all lanes' syndromes are computed in one vectorized pass,
-/// and each lane is classified by error-delta propagation
-/// ([`BatchSim::classify`]). Lanes the fast path cannot own — shared
-/// parity-group syndromes inside one protection domain, i.e. locator
-/// or DUE territory — fall back to the full per-trial simulator with a
-/// freshly re-derived trial RNG, so their outcome is *the* reference
-/// outcome. If the warm state cannot be certified fault-free
+/// [`trial_rng`]-derived stream and gathered into the context's
+/// [`TrialBatch`] arenas, all lanes' syndromes are computed in one
+/// vectorized pass, and each lane is classified by error-delta
+/// propagation ([`BatchSim::classify`]). Lanes the fast path cannot
+/// own — shared parity-group syndromes inside one protection domain,
+/// i.e. locator or DUE territory — fall back to the full per-trial
+/// simulator with a freshly re-derived trial RNG, so their outcome is
+/// *the* reference outcome. If the warm state cannot be certified fault-free
 /// ([`CppcCache::batch_sim`] returns `None`) every trial of the range
 /// falls back wholesale.
 pub fn simulate_batch_into<A: Accumulator<Item = Outcome>>(
     ctx: &mut TrialContext,
-    batch_buf: &mut TrialBatch,
     model: FaultModel,
     batch: usize,
     seed: u64,
     trials: std::ops::Range<u64>,
     acc: &mut A,
 ) {
+    let TrialContext {
+        trial: warm_trial,
+        batch_sim,
+        batch: batch_buf,
+    } = ctx;
     let (lo, hi) = (trials.start, trials.end);
     let batch = batch.max(1) as u64;
-    if ctx.batch_sim.is_none() {
+    if batch_sim.is_none() {
         // Certify the warm copy, never the live scheme a trial struck.
-        let warm: &dyn Any = ctx.trial.warm();
-        ctx.batch_sim = warm
+        let warm: &dyn Any = warm_trial.warm();
+        *batch_sim = warm
             .downcast_ref::<CppcCache>()
             .expect("a CPPC")
             .batch_sim();
-        if ctx.batch_sim.is_none() {
+        if batch_sim.is_none() {
             crate::obs::BATCH_WHOLESALE_FALLBACKS.inc();
         }
     }
-    let Some(sim) = ctx.batch_sim.take() else {
+    let Some(sim) = batch_sim.as_ref() else {
         for trial in lo..hi {
             let mut rng = trial_rng(seed, trial);
-            acc.record(trial, ctx.trial.run(model, &mut rng));
+            acc.record(trial, warm_trial.run(model, &mut rng));
         }
         return;
     };
@@ -354,47 +343,42 @@ pub fn simulate_batch_into<A: Accumulator<Item = Outcome>>(
             // trial_rng seeds the generator, which samples the pattern.
             let mut rng = trial_rng(seed, trial);
             let mut generator = FaultGenerator::new(sample_rows, rng.random());
-            generator.sample_into(model, &mut ctx.trial.pattern);
-            let arena_lo = batch_buf.rows.len();
-            let applied = sim.gather(&ctx.trial.pattern, &mut batch_buf.rows, &mut batch_buf.errs);
-            batch_buf.lanes.push(BatchLane {
-                trial,
-                lo: arena_lo,
-                hi: batch_buf.rows.len(),
-                applied,
-            });
+            generator.sample_into(model, &mut warm_trial.pattern);
+            sim.gather(
+                &warm_trial.pattern,
+                &mut batch_buf.rows,
+                &mut batch_buf.errs,
+            );
+            batch_buf.ends.push(batch_buf.rows.len());
         }
         // One instruction stream over every lane's error words.
         batch_buf.syns.resize(batch_buf.errs.len(), 0);
         sim.syndromes(&batch_buf.errs, &mut batch_buf.syns);
 
         crate::obs::BATCH_BATCHES.inc();
-        crate::obs::BATCH_LANES_FILLED.add(batch_buf.lanes.len() as u64);
-        for li in 0..batch_buf.lanes.len() {
-            let lane = batch_buf.lanes[li];
-            let outcome = if lane.applied == 0 {
-                Outcome::Masked
-            } else {
-                match sim.classify(
-                    &batch_buf.rows[lane.lo..lane.hi],
-                    &mut batch_buf.errs[lane.lo..lane.hi],
-                    &batch_buf.syns[lane.lo..lane.hi],
-                    &mut batch_buf.scratch,
-                ) {
-                    BatchOutcome::Masked => Outcome::Masked,
-                    BatchOutcome::Recovered { residual: false } => Outcome::Corrected,
-                    BatchOutcome::Recovered { residual: true } => Outcome::SilentCorruption,
-                    BatchOutcome::NeedsFull => {
-                        crate::obs::BATCH_TAIL_FALLBACKS.inc();
-                        ctx.trial.run(model, &mut trial_rng(seed, lane.trial))
-                    }
+        crate::obs::BATCH_LANES_FILLED.add(batch_buf.ends.len() as u64);
+        let mut lo = 0;
+        for (trial, &hi) in (chunk_lo..chunk_hi).zip(&batch_buf.ends) {
+            // An empty lane classifies as masked.
+            let outcome = match sim.classify(
+                &batch_buf.rows[lo..hi],
+                &mut batch_buf.errs[lo..hi],
+                &batch_buf.syns[lo..hi],
+                &mut batch_buf.scratch,
+            ) {
+                BatchOutcome::Masked => Outcome::Masked,
+                BatchOutcome::Recovered { residual: false } => Outcome::Corrected,
+                BatchOutcome::Recovered { residual: true } => Outcome::SilentCorruption,
+                BatchOutcome::NeedsFull => {
+                    crate::obs::BATCH_TAIL_FALLBACKS.inc();
+                    warm_trial.run(model, &mut trial_rng(seed, trial))
                 }
             };
-            acc.record(lane.trial, outcome);
+            acc.record(trial, outcome);
+            lo = hi;
         }
         chunk_lo = chunk_hi;
     }
-    ctx.batch_sim = Some(sim);
 }
 
 /// A [`TrialExec`] running the warm-pool mbe campaign through the
@@ -432,20 +416,7 @@ impl MbeBatchExec {
 impl<A: Accumulator<Item = Outcome>> TrialExec<A> for MbeBatchExec {
     fn run_range(&self, seed: u64, lo: u64, hi: u64, acc: &mut A) {
         POOL.with(warm_identity(), warm_context, |ctx| {
-            // Lend the worker's arenas to the batch loop, which also
-            // needs the rest of the context mutably; taking them leaves
-            // an empty, unallocated batch behind.
-            let mut batch_buf = std::mem::take(&mut ctx.batch);
-            simulate_batch_into(
-                ctx,
-                &mut batch_buf,
-                self.model,
-                self.batch,
-                seed,
-                lo..hi,
-                acc,
-            );
-            ctx.batch = batch_buf;
+            simulate_batch_into(ctx, self.model, self.batch, seed, lo..hi, acc);
         });
     }
 }

@@ -161,16 +161,15 @@ impl BlockMut<'_> {
         self.words[w] = value;
     }
 
-    /// Flips bit `bit` of word `w` — fault injection's entry point into
-    /// the data array.
+    /// Flips every bit of word `w` set in `mask` — fault injection's
+    /// entry point into the data array, one struck row at a time.
     ///
     /// # Panics
     ///
-    /// Panics if `w` or `bit` is out of range.
-    pub fn flip_bit(&mut self, w: usize, bit: u32) {
-        assert!(bit < 64, "bit {bit} out of range");
+    /// Panics if `w` is out of range.
+    pub fn xor_word(&mut self, w: usize, mask: u64) {
         assert!(w < self.words.len(), "word {w} out of range");
-        self.words[w] ^= 1u64 << bit;
+        self.words[w] ^= mask;
     }
 }
 

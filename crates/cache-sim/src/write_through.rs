@@ -202,7 +202,7 @@ mod tests {
         c.store_word(0x40, 0xAB, &mut m);
         // corrupt the cached copy
         let (set, way) = c.inner.probe(0x40).unwrap();
-        c.inner.block_mut(set, way).flip_bit(0, 3);
+        c.inner.block_mut(set, way).xor_word(0, 1 << 3);
         assert_eq!(c.refetch_word(0x40, &mut m), Some(0xAB));
         assert_eq!(c.load_word(0x40, &mut m), 0xAB);
     }

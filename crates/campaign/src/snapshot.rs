@@ -17,6 +17,9 @@
 //! Presenting a different identity invalidates the pool: stale contexts
 //! are dropped and the warmup is re-simulated, so a config change can
 //! never leak a mismatched snapshot into a campaign.
+//! The `snapshot.*` metrics are process-wide: `snapshot.bytes` sums
+//! [`WarmPool::bytes`] over the live pools, and `snapshot.hit_rate` is
+//! taken from the process-wide restore and capture counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -25,7 +28,7 @@ cppc_obs::metrics! {
     group SNAPSHOT_METRICS: "snapshot", "Warm-state snapshot reuse across campaign trials.";
     counter SNAPSHOT_CAPTURES: "snapshot.captures", "captures", "Warmup prefixes simulated from cold and captured into a pooled context.";
     counter SNAPSHOT_RESTORES: "snapshot.restores", "restores", "Trials served by restoring a pooled warm context instead of replaying the warmup.";
-    gauge SNAPSHOT_BYTES: "snapshot.bytes", "bytes", "Approximate heap bytes held by pooled warm snapshots (current identity).";
+    gauge SNAPSHOT_BYTES: "snapshot.bytes", "bytes", "Approximate heap bytes held by pooled warm snapshots (current identity), summed over live pools.";
     gauge SNAPSHOT_HIT_RATE: "snapshot.hit_rate", "percent", "Restores as a percentage of pool checkouts (restores + captures).";
 }
 
@@ -98,7 +101,7 @@ impl<T> WarmPool<T> {
             if st.identity != identity {
                 st.identity = identity;
                 st.entries.clear();
-                self.bytes.store(0, Ordering::Relaxed);
+                SNAPSHOT_BYTES.add(-gauge_delta(self.bytes.swap(0, Ordering::Relaxed)));
             }
             st.entries.pop()
         };
@@ -111,9 +114,9 @@ impl<T> WarmPool<T> {
             None => {
                 let (ctx, bytes) = capture();
                 self.captures.fetch_add(1, Ordering::Relaxed);
-                let total = self.bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
+                self.bytes.fetch_add(bytes, Ordering::Relaxed);
                 SNAPSHOT_CAPTURES.inc();
-                SNAPSHOT_BYTES.set(i64::try_from(total).unwrap_or(i64::MAX));
+                SNAPSHOT_BYTES.add(gauge_delta(bytes));
                 ctx
             }
         };
@@ -124,7 +127,8 @@ impl<T> WarmPool<T> {
                 st.entries.push(ctx);
             }
         }
-        SNAPSHOT_HIT_RATE.set(self.hit_rate_percent());
+        let process_wide = hit_rate(SNAPSHOT_RESTORES.get(), SNAPSHOT_CAPTURES.get());
+        SNAPSHOT_HIT_RATE.set((process_wide * 100.0).round() as i64);
         out
     }
 
@@ -150,17 +154,29 @@ impl<T> WarmPool<T> {
     /// the pool has never been used).
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
-        let restores = self.restores();
-        let total = restores + self.captures();
-        if total == 0 {
-            0.0
-        } else {
-            restores as f64 / total as f64
-        }
+        hit_rate(self.restores(), self.captures())
     }
+}
 
-    fn hit_rate_percent(&self) -> i64 {
-        (self.hit_rate() * 100.0).round() as i64
+impl<T> Drop for WarmPool<T> {
+    /// Takes the pool's bytes out of the process-wide gauge.
+    fn drop(&mut self) {
+        SNAPSHOT_BYTES.add(-gauge_delta(*self.bytes.get_mut()));
+    }
+}
+
+/// `bytes` as a gauge delta (saturating: a pool never holds 2^63 bytes).
+fn gauge_delta(bytes: u64) -> i64 {
+    i64::try_from(bytes).unwrap_or(i64::MAX)
+}
+
+/// Restores over checkouts, in `[0, 1]` (0 before any checkout).
+fn hit_rate(restores: u64, captures: u64) -> f64 {
+    let total = restores + captures;
+    if total == 0 {
+        0.0
+    } else {
+        restores as f64 / total as f64
     }
 }
 
@@ -178,8 +194,53 @@ impl<T> std::fmt::Debug for WarmPool<T> {
 mod tests {
     use super::*;
 
+    /// Serialises the tests that move the process-wide snapshot metrics,
+    /// so each one sees only its own pools' deltas.
+    static METRICS: Mutex<()> = Mutex::new(());
+
+    fn metrics_lock() -> std::sync::MutexGuard<'static, ()> {
+        METRICS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    #[test]
+    fn gauges_cover_every_live_pool() {
+        let _guard = metrics_lock();
+        register_metrics();
+        let (captures0, restores0) = (SNAPSHOT_CAPTURES.get(), SNAPSHOT_RESTORES.get());
+        let bytes0 = SNAPSHOT_BYTES.get();
+        let a: WarmPool<u64> = WarmPool::new();
+        let b: WarmPool<u64> = WarmPool::new();
+        // Pool `a` is all restores after its capture, pool `b` runs
+        // last and is half captures: neither pool's own ratio is the
+        // process-wide one.
+        for _ in 0..4 {
+            a.with(1, || (0, 8), |_| ());
+        }
+        b.with(2, || (0, 100), |_| ());
+        b.with(2, || (0, 100), |_| ());
+        assert_eq!(SNAPSHOT_CAPTURES.get() - captures0, 2);
+        assert_eq!(SNAPSHOT_RESTORES.get() - restores0, 4);
+        let (captures, restores) = (SNAPSHOT_CAPTURES.get(), SNAPSHOT_RESTORES.get());
+        assert_eq!(
+            SNAPSHOT_HIT_RATE.get(),
+            (restores as f64 * 100.0 / (restores + captures) as f64).round() as i64
+        );
+        assert_eq!(SNAPSHOT_BYTES.get() - bytes0, 108, "sum over both pools");
+        // An identity change drops `b`'s stale bytes; dropping `a`
+        // takes its bytes out too.
+        b.with(3, || (0, 30), |_| ());
+        assert_eq!(SNAPSHOT_BYTES.get() - bytes0, 38);
+        drop(a);
+        assert_eq!(SNAPSHOT_BYTES.get() - bytes0, 30);
+        drop(b);
+        assert_eq!(SNAPSHOT_BYTES.get(), bytes0);
+    }
+
     #[test]
     fn first_use_captures_then_restores() {
+        let _guard = metrics_lock();
         let pool: WarmPool<Vec<u64>> = WarmPool::new();
         for i in 0..5u64 {
             let seen = pool.with(
@@ -200,6 +261,7 @@ mod tests {
 
     #[test]
     fn identity_change_invalidates_pool() {
+        let _guard = metrics_lock();
         let pool: WarmPool<Vec<u64>> = WarmPool::new();
         pool.with(1, || (vec![1], 8), |_| ());
         pool.with(1, || (vec![1], 8), |_| ());
@@ -213,6 +275,7 @@ mod tests {
 
     #[test]
     fn concurrent_checkouts_get_distinct_contexts() {
+        let _guard = metrics_lock();
         use std::sync::atomic::AtomicUsize;
         static LIVE: AtomicUsize = AtomicUsize::new(0);
         let pool: WarmPool<u64> = WarmPool::new();

@@ -35,10 +35,10 @@ use cppc_ecc::interleaved::InterleavedParity;
 use cppc_ecc::secded::{DecodeOutcome, Secded64};
 use cppc_fault::campaign::Outcome;
 use cppc_fault::layout::PhysicalLayout;
-use cppc_fault::model::{BitFlip, FaultModel, FaultPattern};
+use cppc_fault::model::{FaultModel, FaultPattern};
 
 use crate::scheme::{
-    apply_flips, grade_loads, grade_recovered, ProtectionScheme, SchemeFault, SchemeOps,
+    apply_masks, grade_loads, grade_recovered, ProtectionScheme, SchemeFault, SchemeOps,
 };
 
 use std::fmt;
@@ -248,7 +248,7 @@ impl ProtectionScheme for OneDimParityCache {
     }
 
     fn inject(&mut self, pattern: &FaultPattern) -> usize {
-        apply_flips(&mut self.inner, &self.layout, pattern.flips())
+        apply_masks(&mut self.inner, &self.layout, pattern.row_masks())
     }
 
     fn classify(&mut self, truth: &[(u64, u64)], mem: &mut MainMemory) -> Outcome {
@@ -288,13 +288,13 @@ pub struct SecdedCache {
     corrected: u64,
     dues: u64,
     rmw_reads: u64,
-    /// The logical flips of the last physical strike, reused so a
+    /// The logical-row masks of the last physical strike, reused so a
     /// warm trial's injection allocates nothing.
-    flips: Vec<BitFlip>,
+    masks: Vec<(usize, u64)>,
 }
 
 cppc_cache_sim::clone_in_place! {
-    SecdedCache { inner, check, layout, corrected, dues, rmw_reads, flips }
+    SecdedCache { inner, check, layout, corrected, dues, rmw_reads, masks }
 }
 
 impl SecdedCache {
@@ -310,7 +310,7 @@ impl SecdedCache {
             corrected: 0,
             dues: 0,
             rmw_reads: 0,
-            flips: Vec::new(),
+            masks: Vec::new(),
         }
     }
 
@@ -444,17 +444,20 @@ impl SecdedCache {
     /// Panics if the footprint leaves the 512-column physical row.
     pub fn inject_spatial(&mut self, row0: usize, col0: u32, rows: usize, cols: u32) -> usize {
         assert!(col0 + cols <= 512, "physical strike leaves the row");
-        self.flips.clear();
-        for dr in 0..rows {
-            for dc in 0..cols {
-                let c = col0 + dc;
-                let row = 8 * (row0 + dr) + (c % 8) as usize;
-                if row < self.layout.num_rows() {
-                    self.flips.push(BitFlip { row, col: c / 8 });
-                }
-            }
+        // Every struck physical row lands the same bits on its logical
+        // row `8r + k`: one mask per interleave lane `k`.
+        let mut lane = [0u64; 8];
+        for c in col0..col0 + cols {
+            lane[(c % 8) as usize] |= 1u64 << (c / 8);
         }
-        apply_flips(&mut self.inner, &self.layout, &self.flips)
+        let logical = (8 * row0..8 * (row0 + rows)).filter(|&row| row < self.layout.num_rows());
+        self.masks.clear();
+        self.masks.extend(
+            logical
+                .map(|row| (row, lane[row % 8]))
+                .filter(|&(_, m)| m != 0),
+        );
+        apply_masks(&mut self.inner, &self.layout, &self.masks)
     }
 }
 
@@ -484,7 +487,7 @@ impl ProtectionScheme for SecdedCache {
     /// Applies a pattern in *logical* row coordinates (no interleaving
     /// translation).
     fn inject(&mut self, pattern: &FaultPattern) -> usize {
-        apply_flips(&mut self.inner, &self.layout, pattern.flips())
+        apply_masks(&mut self.inner, &self.layout, pattern.row_masks())
     }
 
     fn inject_model(&mut self, model: FaultModel, rng: &mut StdRng, _: &mut FaultPattern) -> usize {
@@ -772,7 +775,7 @@ impl ProtectionScheme for TwoDimParityCache {
     }
 
     fn inject(&mut self, pattern: &FaultPattern) -> usize {
-        apply_flips(&mut self.inner, &self.layout, pattern.flips())
+        apply_masks(&mut self.inner, &self.layout, pattern.row_masks())
     }
 
     fn classify(&mut self, truth: &[(u64, u64)], _mem: &mut MainMemory) -> Outcome {
@@ -799,6 +802,7 @@ impl ProtectionScheme for TwoDimParityCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cppc_fault::model::BitFlip;
 
     fn geo() -> CacheGeometry {
         CacheGeometry::new(1024, 2, 32).unwrap()
@@ -902,26 +906,27 @@ mod tests {
         // logical row 8r + c % 8, so a strike up to eight columns wide
         // flips at most one bit per word; nine columns reach one word
         // twice. (The cache is empty, so the strikes land nowhere; the
-        // logical flips stay in its strike buffer.)
+        // logical-row masks stay in its strike buffer.)
         let mut c = SecdedCache::new(geo(), ReplacementPolicy::Lru);
-        let rows = c.layout().num_rows();
-        let most_flips_in_one_word = |flips: &[BitFlip]| {
-            let mut per_row = vec![0u32; rows];
-            for f in flips {
-                per_row[f.row] += 1;
-            }
-            per_row.into_iter().max().unwrap_or(0)
+        let most_flips_in_one_word = |masks: &[(usize, u64)]| {
+            masks
+                .iter()
+                .map(|&(_, m)| m.count_ones())
+                .max()
+                .unwrap_or(0)
         };
+        let total_flips =
+            |masks: &[(usize, u64)]| -> u32 { masks.iter().map(|&(_, m)| m.count_ones()).sum() };
         for width in 1..=8u32 {
             for col0 in 0..=512 - width {
                 assert_eq!(c.inject_spatial(1, col0, 2, width), 0);
                 assert_eq!(
-                    c.flips.len(),
-                    2 * width as usize,
+                    total_flips(&c.masks),
+                    2 * width,
                     "width {width} col0 {col0}"
                 );
                 assert_eq!(
-                    most_flips_in_one_word(&c.flips),
+                    most_flips_in_one_word(&c.masks),
                     1,
                     "width {width} col0 {col0}"
                 );
@@ -929,7 +934,7 @@ mod tests {
         }
         for col0 in 0..=512 - 9 {
             c.inject_spatial(1, col0, 2, 9);
-            assert_eq!(most_flips_in_one_word(&c.flips), 2, "col0 {col0}");
+            assert_eq!(most_flips_in_one_word(&c.masks), 2, "col0 {col0}");
         }
     }
 

@@ -36,6 +36,12 @@
 //!   runs that lane through the ordinary per-trial simulator (the
 //!   "recovery tail" fallback).
 //!
+//! A lane's inputs are the fault pattern's own `(row, mask)` pairs
+//! ([`FaultPattern::row_masks`]): [`BatchSim::gather`] is a filtered
+//! copy of the pairs on valid rows, and each lane entry's warm-state
+//! facts (valid, dirty, domain, rotation, class, scan rank) come from
+//! one packed record per row, loaded once per classify.
+//!
 //! After recovery the trial is a silent corruption iff any residual
 //! error mask is non-zero on a valid row; the §4.4 post-condition scan
 //! cannot fire for data-array faults (every patched word's parity is
@@ -76,8 +82,12 @@ pub enum BatchOutcome {
 /// Reusable per-thread buffers of [`BatchSim::classify`].
 #[derive(Debug, Default)]
 pub struct BatchScratch {
+    /// Each lane entry's row record, loaded once per classify.
+    info: Vec<RowInfo>,
     /// Indices into the lane's entries, sorted by scan rank.
     order: Vec<usize>,
+    /// Indices of the detected dirty entries, in scan order.
+    detected: Vec<usize>,
     /// Indices of the current domain's detected dirty members.
     group: Vec<usize>,
     /// Locator inputs of the current shared-syndrome group.
@@ -86,25 +96,30 @@ pub struct BatchScratch {
     masks: Vec<u64>,
 }
 
+/// The warm state's fault geometry of one physical row, packed so that
+/// classifying a lane entry costs one table load.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RowInfo {
+    /// Position in `recover_all`'s set-major scan order.
+    pub(crate) scan_rank: u32,
+    /// Protection domain: `register pair << 16 | register lane`.
+    pub(crate) domain: u32,
+    /// Byte rotation applied before XOR into the registers.
+    pub(crate) rot: u8,
+    /// CPPC rotation class (the locator's `Suspect::class`).
+    pub(crate) class: u8,
+    /// Lands a flip on resident data?
+    pub(crate) valid: bool,
+    /// Dirty word (register-protected)?
+    pub(crate) dirty: bool,
+}
+
 /// Precomputed warm-state fault-geometry tables (one per warm state;
 /// see the module docs).
 #[derive(Debug, Clone)]
 pub struct BatchSim {
-    pub(crate) rows: usize,
-    /// Per row: lands a flip on resident data?
-    pub(crate) valid: Vec<bool>,
-    /// Per row: dirty word (register-protected)?
-    pub(crate) dirty: Vec<bool>,
-    /// Per row: register pair of the row's protection domain.
-    pub(crate) pair: Vec<u16>,
-    /// Per row: register lane of the row's protection domain.
-    pub(crate) lane: Vec<u16>,
-    /// Per row: byte rotation applied before XOR into the registers.
-    pub(crate) rot: Vec<u8>,
-    /// Per row: CPPC rotation class (the locator's `Suspect::class`).
-    pub(crate) class: Vec<u8>,
-    /// Per row: position in `recover_all`'s set-major scan order.
-    pub(crate) scan_rank: Vec<u32>,
+    /// One record per physical data row.
+    pub(crate) info: Vec<RowInfo>,
     pub(crate) code: InterleavedParity,
     /// Whether the §4.5 spatial locator applies (8-way parity + byte
     /// shifting); without it shared-syndrome groups are DUEs.
@@ -115,26 +130,24 @@ impl BatchSim {
     /// Number of physical data rows of the warm cache.
     #[must_use]
     pub fn num_rows(&self) -> usize {
-        self.rows
+        self.info.len()
     }
 
-    /// Appends one `(row, error-mask)` entry per *valid* faulty row of
+    /// Appends one `(row, error-mask)` entry per *valid* struck row of
     /// `pattern` to the parallel arenas and returns the number of
     /// applied bit flips (the batch form of
     /// [`inject`](crate::CppcCache::inject)'s return value).
     ///
-    /// Flips on invalid rows are dropped exactly like `inject` drops
-    /// them; flips sharing a row merge into one mask.
+    /// Rows that hold no valid block are dropped exactly like `inject`
+    /// drops them.
     pub fn gather(&self, pattern: &FaultPattern, rows: &mut Vec<u32>, errs: &mut Vec<u64>) -> u32 {
         let mut applied = 0u32;
-        for (row, mask) in pattern.row_masks() {
-            assert!(row < self.rows, "row {row} out of range");
-            if !self.valid[row] {
-                continue;
+        for &(row, mask) in pattern.row_masks() {
+            if self.info[row].valid {
+                applied += mask.count_ones();
+                rows.push(row as u32);
+                errs.push(mask);
             }
-            applied += mask.count_ones();
-            rows.push(row as u32);
-            errs.push(mask);
         }
         applied
     }
@@ -173,64 +186,64 @@ impl BatchSim {
         if errs.iter().all(|&e| e == 0) {
             return BatchOutcome::Masked;
         }
+        let BatchScratch {
+            info,
+            order,
+            detected,
+            group,
+            suspects,
+            masks,
+        } = scratch;
+        info.clear();
+        info.extend(rows.iter().map(|&row| self.info[row as usize]));
 
         // Entries in recover_all's scan order (set-major), so domain
         // first-encounter order and within-group order match the full
         // walk. Insertion sort: a lane holds a handful of rows.
-        scratch.order.clear();
-        scratch.order.extend(0..rows.len());
-        let rank = |i: usize| self.scan_rank[rows[i] as usize];
-        for i in 1..scratch.order.len() {
+        order.clear();
+        order.extend(0..rows.len());
+        for i in 1..order.len() {
             let mut j = i;
-            while j > 0 && rank(scratch.order[j - 1]) > rank(scratch.order[j]) {
-                scratch.order.swap(j - 1, j);
+            while j > 0 && info[order[j - 1]].scan_rank > info[order[j]].scan_rank {
+                order.swap(j - 1, j);
                 j -= 1;
             }
         }
 
         // Detected clean words: the re-fetch restores the warm (==
-        // backing) value, clearing the error.
-        for &i in &scratch.order {
-            let row = rows[i] as usize;
-            if syns[i] != 0 && !self.dirty[row] {
+        // backing) value, clearing the error. Detected dirty words go
+        // to the register reconstruction below.
+        detected.clear();
+        for &i in order.iter() {
+            if syns[i] == 0 {
+                continue;
+            }
+            if info[i].dirty {
+                detected.push(i);
+            } else {
                 errs[i] = 0;
             }
         }
 
         // Detected dirty words, grouped by protection domain in
         // first-encounter order.
-        for gi in 0..scratch.order.len() {
-            let i = scratch.order[gi];
-            let row = rows[i] as usize;
-            if syns[i] == 0 || !self.dirty[row] {
+        for gi in 0..detected.len() {
+            let domain = info[detected[gi]].domain;
+            if detected[..gi].iter().any(|&p| info[p].domain == domain) {
                 continue;
             }
-            let key = (self.pair[row], self.lane[row]);
-            let seen = scratch.order[..gi].iter().any(|&p| {
-                let r = rows[p] as usize;
-                syns[p] != 0 && self.dirty[r] && (self.pair[r], self.lane[r]) == key
-            });
-            if seen {
-                continue;
-            }
-            scratch.group.clear();
-            for &j in &scratch.order[gi..] {
-                let r = rows[j] as usize;
-                if syns[j] != 0 && self.dirty[r] && (self.pair[r], self.lane[r]) == key {
-                    scratch.group.push(j);
-                }
-            }
+            group.clear();
+            group.extend(detected[gi..].iter().filter(|&&j| info[j].domain == domain));
 
-            if scratch.group.len() == 1 {
-                let f = scratch.group[0];
-                errs[f] = self.residual_of(rows, errs, f, key);
+            if group.len() == 1 {
+                let f = group[0];
+                errs[f] = residual_of(info, errs, f, domain);
                 continue;
             }
-            let disjoint = scratch.group.iter().enumerate().all(|(i, &a)| {
-                scratch.group[i + 1..]
-                    .iter()
-                    .all(|&b| syns[a] & syns[b] == 0)
-            });
+            let disjoint = group
+                .iter()
+                .enumerate()
+                .all(|(i, &a)| group[i + 1..].iter().all(|&b| syns[a] & syns[b] == 0));
             if !disjoint {
                 // Shared syndromes: the §4.5 locator, on error-derived
                 // inputs. R3 is the XOR of the rotated errors of every
@@ -239,29 +252,20 @@ impl BatchSim {
                 if !self.locator_ok {
                     return BatchOutcome::NeedsFull;
                 }
-                let mut r3 = 0u64;
-                for (&row, &err) in rows.iter().zip(errs.iter()) {
-                    let r = row as usize;
-                    if err != 0 && self.dirty[r] && (self.pair[r], self.lane[r]) == key {
-                        r3 ^= rotate_left_bytes(err, u32::from(self.rot[r]));
-                    }
-                }
-                scratch.suspects.clear();
-                for &f in &scratch.group {
-                    let r = rows[f] as usize;
-                    scratch.suspects.push(Suspect {
-                        row: r,
-                        class: usize::from(self.class[r]),
-                        syndrome: syns[f] as u8,
-                    });
-                }
-                if locate_spatial_into(r3, &scratch.suspects, &mut scratch.masks).is_err() {
+                let r3 = domain_xor(info, errs, usize::MAX, domain);
+                suspects.clear();
+                suspects.extend(group.iter().map(|&f| Suspect {
+                    row: rows[f] as usize,
+                    class: usize::from(info[f].class),
+                    syndrome: syns[f] as u8,
+                }));
+                if locate_spatial_into(r3, suspects, masks).is_err() {
                     // The locator refused — the full path's DUE. The
                     // caller's per-trial fallback owns this lane.
                     return BatchOutcome::NeedsFull;
                 }
-                for (k, &f) in scratch.group.iter().enumerate() {
-                    errs[f] ^= scratch.masks[k];
+                for (&f, &mask) in group.iter().zip(masks.iter()) {
+                    errs[f] ^= mask;
                 }
                 continue;
             }
@@ -269,9 +273,8 @@ impl BatchSim {
             // member takes the reconstruction only in its own fired
             // parity-group columns, and later members see the updated
             // errors of earlier ones.
-            for k in 0..scratch.group.len() {
-                let f = scratch.group[k];
-                let residual = self.residual_of(rows, errs, f, key);
+            for &f in group.iter() {
+                let residual = residual_of(info, errs, f, domain);
                 let mask = self.group_mask(syns[f]);
                 errs[f] = (errs[f] & !mask) | (residual & mask);
             }
@@ -280,21 +283,6 @@ impl BatchSim {
         BatchOutcome::Recovered {
             residual: errs.iter().any(|&e| e != 0),
         }
-    }
-
-    /// Residual error the §4.4 reconstruction of entry `f` leaves
-    /// behind: `rot_f⁻¹(XOR over the domain's other erroneous dirty
-    /// words w of rot_w(err_w))`. The warm values cancel against the
-    /// registers (module docs), so only error masks appear.
-    fn residual_of(&self, rows: &[u32], errs: &[u64], f: usize, key: (u16, u16)) -> u64 {
-        let mut acc = 0u64;
-        for (j, (&row, &err)) in rows.iter().zip(errs.iter()).enumerate() {
-            let r = row as usize;
-            if j != f && err != 0 && self.dirty[r] && (self.pair[r], self.lane[r]) == key {
-                acc ^= rotate_left_bytes(err, u32::from(self.rot[r]));
-            }
-        }
-        rotate_right_bytes(acc, u32::from(self.rot[rows[f] as usize]))
     }
 
     /// Column mask of the fired parity groups of `syndrome` (the mask
@@ -315,6 +303,27 @@ impl BatchSim {
     }
 }
 
+/// XOR of the rotated errors of `domain`'s erroneous dirty entries other
+/// than entry `skip`: the R3 of the §4.5 locator, or (with `skip` the
+/// word being rebuilt) the register side of its §4.4 reconstruction.
+fn domain_xor(info: &[RowInfo], errs: &[u64], skip: usize, domain: u32) -> u64 {
+    let mut acc = 0u64;
+    for (j, (r, &err)) in info.iter().zip(errs.iter()).enumerate() {
+        if j != skip && err != 0 && r.dirty && r.domain == domain {
+            acc ^= rotate_left_bytes(err, u32::from(r.rot));
+        }
+    }
+    acc
+}
+
+/// Residual error the §4.4 reconstruction of entry `f` leaves behind:
+/// `rot_f⁻¹(XOR over the domain's other erroneous dirty words w of
+/// rot_w(err_w))`. The warm values cancel against the registers (module
+/// docs), so only error masks appear.
+fn residual_of(info: &[RowInfo], errs: &[u64], f: usize, domain: u32) -> u64 {
+    rotate_right_bytes(domain_xor(info, errs, f, domain), u32::from(info[f].rot))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,6 +334,262 @@ mod tests {
     use cppc_campaign::rng::rngs::StdRng;
     use cppc_campaign::rng::{RngExt, SeedableRng};
     use cppc_fault::model::{FaultGenerator, FaultModel};
+
+    /// The classifier as it was before its per-row tables were packed
+    /// into one record: seven parallel per-row tables, looked up afresh
+    /// at every use. Kept as the oracle the packed classifier is checked
+    /// against.
+    mod reference {
+        use super::super::{BatchOutcome, BatchSim};
+        use crate::locator::{locate_spatial_into, Suspect};
+        use crate::rotate::{rotate_left_bytes, rotate_right_bytes};
+
+        #[derive(Default)]
+        pub(super) struct Scratch {
+            order: Vec<usize>,
+            group: Vec<usize>,
+            suspects: Vec<Suspect>,
+            masks: Vec<u64>,
+        }
+
+        pub(super) struct Legacy {
+            valid: Vec<bool>,
+            dirty: Vec<bool>,
+            pair: Vec<u16>,
+            lane: Vec<u16>,
+            rot: Vec<u8>,
+            class: Vec<u8>,
+            scan_rank: Vec<u32>,
+            ways: u32,
+            locator_ok: bool,
+        }
+
+        impl Legacy {
+            /// Unpacks `sim`'s row records into the seven tables.
+            pub(super) fn of(sim: &BatchSim) -> Self {
+                let info = &sim.info;
+                Legacy {
+                    valid: info.iter().map(|r| r.valid).collect(),
+                    dirty: info.iter().map(|r| r.dirty).collect(),
+                    pair: info.iter().map(|r| (r.domain >> 16) as u16).collect(),
+                    lane: info.iter().map(|r| r.domain as u16).collect(),
+                    rot: info.iter().map(|r| r.rot).collect(),
+                    class: info.iter().map(|r| r.class).collect(),
+                    scan_rank: info.iter().map(|r| r.scan_rank).collect(),
+                    ways: sim.code.ways(),
+                    locator_ok: sim.locator_ok,
+                }
+            }
+
+            pub(super) fn valid(&self, row: usize) -> bool {
+                self.valid[row]
+            }
+
+            pub(super) fn classify(
+                &self,
+                rows: &[u32],
+                errs: &mut [u64],
+                syns: &[u64],
+                scratch: &mut Scratch,
+            ) -> BatchOutcome {
+                if errs.iter().all(|&e| e == 0) {
+                    return BatchOutcome::Masked;
+                }
+                scratch.order.clear();
+                scratch.order.extend(0..rows.len());
+                let rank = |i: usize| self.scan_rank[rows[i] as usize];
+                for i in 1..scratch.order.len() {
+                    let mut j = i;
+                    while j > 0 && rank(scratch.order[j - 1]) > rank(scratch.order[j]) {
+                        scratch.order.swap(j - 1, j);
+                        j -= 1;
+                    }
+                }
+                for &i in &scratch.order {
+                    let row = rows[i] as usize;
+                    if syns[i] != 0 && !self.dirty[row] {
+                        errs[i] = 0;
+                    }
+                }
+                for gi in 0..scratch.order.len() {
+                    let i = scratch.order[gi];
+                    let row = rows[i] as usize;
+                    if syns[i] == 0 || !self.dirty[row] {
+                        continue;
+                    }
+                    let key = (self.pair[row], self.lane[row]);
+                    let seen = scratch.order[..gi].iter().any(|&p| {
+                        let r = rows[p] as usize;
+                        syns[p] != 0 && self.dirty[r] && (self.pair[r], self.lane[r]) == key
+                    });
+                    if seen {
+                        continue;
+                    }
+                    scratch.group.clear();
+                    for &j in &scratch.order[gi..] {
+                        let r = rows[j] as usize;
+                        if syns[j] != 0 && self.dirty[r] && (self.pair[r], self.lane[r]) == key {
+                            scratch.group.push(j);
+                        }
+                    }
+                    if scratch.group.len() == 1 {
+                        let f = scratch.group[0];
+                        errs[f] = self.residual_of(rows, errs, f, key);
+                        continue;
+                    }
+                    let disjoint = scratch.group.iter().enumerate().all(|(i, &a)| {
+                        scratch.group[i + 1..]
+                            .iter()
+                            .all(|&b| syns[a] & syns[b] == 0)
+                    });
+                    if !disjoint {
+                        if !self.locator_ok {
+                            return BatchOutcome::NeedsFull;
+                        }
+                        let mut r3 = 0u64;
+                        for (&row, &err) in rows.iter().zip(errs.iter()) {
+                            let r = row as usize;
+                            if err != 0 && self.dirty[r] && (self.pair[r], self.lane[r]) == key {
+                                r3 ^= rotate_left_bytes(err, u32::from(self.rot[r]));
+                            }
+                        }
+                        scratch.suspects.clear();
+                        for &f in &scratch.group {
+                            let r = rows[f] as usize;
+                            scratch.suspects.push(Suspect {
+                                row: r,
+                                class: usize::from(self.class[r]),
+                                syndrome: syns[f] as u8,
+                            });
+                        }
+                        if locate_spatial_into(r3, &scratch.suspects, &mut scratch.masks).is_err() {
+                            return BatchOutcome::NeedsFull;
+                        }
+                        for (k, &f) in scratch.group.iter().enumerate() {
+                            errs[f] ^= scratch.masks[k];
+                        }
+                        continue;
+                    }
+                    for k in 0..scratch.group.len() {
+                        let f = scratch.group[k];
+                        let residual = self.residual_of(rows, errs, f, key);
+                        let mask = self.group_mask(syns[f]);
+                        errs[f] = (errs[f] & !mask) | (residual & mask);
+                    }
+                }
+                BatchOutcome::Recovered {
+                    residual: errs.iter().any(|&e| e != 0),
+                }
+            }
+
+            fn residual_of(&self, rows: &[u32], errs: &[u64], f: usize, key: (u16, u16)) -> u64 {
+                let mut acc = 0u64;
+                for (j, (&row, &err)) in rows.iter().zip(errs.iter()).enumerate() {
+                    let r = row as usize;
+                    if j != f && err != 0 && self.dirty[r] && (self.pair[r], self.lane[r]) == key {
+                        acc ^= rotate_left_bytes(err, u32::from(self.rot[r]));
+                    }
+                }
+                rotate_right_bytes(acc, u32::from(self.rot[rows[f] as usize]))
+            }
+
+            fn group_mask(&self, syndrome: u64) -> u64 {
+                let mut mask = 0u64;
+                for g in 0..self.ways {
+                    if syndrome >> g & 1 == 1 {
+                        let mut col = g;
+                        while col < 64 {
+                            mask |= 1u64 << col;
+                            col += self.ways;
+                        }
+                    }
+                }
+                mask
+            }
+        }
+    }
+
+    /// The packed classifier against the seven-table reference, lane by
+    /// lane: the same outcome and, when it recovers, the same residual
+    /// errors. Every fault model, the paper and two-pair configurations,
+    /// L1 (one register lane) and L2 (a lane per block word).
+    #[test]
+    fn packed_classify_matches_seven_table_reference() {
+        let models = [
+            FaultModel::TemporalSingleBit,
+            FaultModel::TemporalMultiBit { count: 3 },
+            FaultModel::SpatialSquare {
+                rows: 4,
+                cols: 4,
+                density: 1.0,
+            },
+            FaultModel::SpatialSquare {
+                rows: 8,
+                cols: 8,
+                density: 1.0,
+            },
+            FaultModel::SpatialSquare {
+                rows: 8,
+                cols: 8,
+                density: 0.4,
+            },
+            FaultModel::HorizontalBurst { cols: 6 },
+            FaultModel::VerticalStripe { rows: 5 },
+        ];
+        // Corrected, silent-corruption and fallback lanes.
+        let mut counts = [0u32; 3];
+        for config in [CppcConfig::paper(), CppcConfig::two_pairs()] {
+            for l2 in [false, true] {
+                let seed = 0x9AC4 + u64::from(l2) + 2 * config.register_pairs as u64;
+                let (cache, _mem, _probes) = warm_with(l2, config, seed);
+                let sim = cache.batch_sim().expect("warm state certifies");
+                let legacy = reference::Legacy::of(&sim);
+                let mut generator = FaultGenerator::new(sim.num_rows(), seed);
+                let (mut scratch, mut legacy_scratch) =
+                    (BatchScratch::default(), reference::Scratch::default());
+                let (mut rows, mut errs, mut syns) = (Vec::new(), Vec::new(), Vec::new());
+                for i in 0..4_000 {
+                    let model = models[i % models.len()];
+                    let pattern = generator.sample(model);
+                    rows.clear();
+                    errs.clear();
+                    let applied = sim.gather(&pattern, &mut rows, &mut errs);
+                    let want: Vec<(u32, u64)> = pattern
+                        .row_masks()
+                        .iter()
+                        .filter(|&&(row, _)| legacy.valid(row))
+                        .map(|&(row, mask)| (row as u32, mask))
+                        .collect();
+                    let got: Vec<(u32, u64)> =
+                        rows.iter().copied().zip(errs.iter().copied()).collect();
+                    assert_eq!(got, want, "gather, trial {i}");
+                    assert_eq!(
+                        applied,
+                        want.iter().map(|&(_, m)| m.count_ones()).sum::<u32>()
+                    );
+                    syns.resize(errs.len(), 0);
+                    sim.syndromes(&errs, &mut syns);
+                    let mut legacy_errs = errs.clone();
+                    let packed = sim.classify(&rows, &mut errs, &syns, &mut scratch);
+                    let oracle =
+                        legacy.classify(&rows, &mut legacy_errs, &syns, &mut legacy_scratch);
+                    assert_eq!(packed, oracle, "{model:?} trial {i}");
+                    match packed {
+                        BatchOutcome::Masked => {}
+                        BatchOutcome::Recovered { residual } => {
+                            counts[usize::from(residual)] += 1;
+                            assert_eq!(errs, legacy_errs, "{model:?} trial {i}: residual errors");
+                        }
+                        BatchOutcome::NeedsFull => counts[2] += 1,
+                    }
+                }
+            }
+        }
+        assert!(
+            counts.iter().all(|&n| n > 0),
+            "every outcome exercised: {counts:?}"
+        );
+    }
 
     /// The reference outcome of one injected pattern, from the full
     /// simulator: `None` = masked, `Ok(true)` = corrected, `Ok(false)`
@@ -351,12 +616,20 @@ mod tests {
     /// returns the warm pair plus the probe list of every word of
     /// every resident block with its expected value.
     fn warm(l2: bool, seed: u64) -> (CppcCache, MainMemory, Vec<(u64, u64)>) {
+        warm_with(l2, CppcConfig::paper(), seed)
+    }
+
+    fn warm_with(
+        l2: bool,
+        config: CppcConfig,
+        seed: u64,
+    ) -> (CppcCache, MainMemory, Vec<(u64, u64)>) {
         let geo = CacheGeometry::new(1024, 2, 32).unwrap(); // 16 sets, 4 words
         let mut mem = MainMemory::new();
         let mut cache = if l2 {
-            CppcCache::new_l2(geo, CppcConfig::paper(), ReplacementPolicy::Lru).unwrap()
+            CppcCache::new_l2(geo, config, ReplacementPolicy::Lru).unwrap()
         } else {
-            CppcCache::new_l1(geo, CppcConfig::paper(), ReplacementPolicy::Lru).unwrap()
+            CppcCache::new_l1(geo, config, ReplacementPolicy::Lru).unwrap()
         };
         let mut rng = StdRng::seed_from_u64(seed);
         let mut oracle = std::collections::HashMap::new();

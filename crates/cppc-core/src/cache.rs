@@ -755,13 +755,14 @@ impl CppcCache {
     /// invalid ways are dropped (nothing is stored there). Returns the
     /// number of bits actually flipped.
     pub fn inject(&mut self, pattern: &FaultPattern) -> usize {
-        let applied = crate::scheme::apply_flips(&mut self.inner, &self.layout, pattern.flips());
+        let applied =
+            crate::scheme::apply_masks(&mut self.inner, &self.layout, pattern.row_masks());
         crate::obs::register_metrics();
         crate::obs::FAULTS_INJECTED.add(applied as u64);
         cppc_obs::record_event("cppc.inject", || {
             format!(
                 "{applied} of {} flips landed on valid blocks",
-                pattern.flips().len()
+                pattern.len()
             )
         });
         applied
@@ -775,7 +776,8 @@ impl CppcCache {
     pub fn flip_data_bit_at(&mut self, addr: u64, bit: u32) {
         let (set, way) = self.inner.probe(addr).expect("address must be resident");
         let w = self.inner.geometry().word_index(addr);
-        self.inner.block_mut(set, way).flip_bit(w, bit);
+        assert!(bit < 64, "bit {bit} out of range");
+        self.inner.block_mut(set, way).xor_word(w, 1u64 << bit);
     }
 
     /// Flips one stored parity bit (code-array fault injection).
@@ -1222,19 +1224,7 @@ impl CppcCache {
         }
         let geo = self.inner.geometry();
         let (sets, assoc, wpb) = (geo.num_sets(), geo.associativity(), geo.words_per_block());
-        let rows = self.layout.num_rows();
-        let mut sim = crate::batch::BatchSim {
-            rows,
-            valid: vec![false; rows],
-            dirty: vec![false; rows],
-            pair: vec![0; rows],
-            lane: vec![0; rows],
-            rot: vec![0; rows],
-            class: vec![0; rows],
-            scan_rank: vec![0; rows],
-            code: self.code,
-            locator_ok: self.config.parity_ways == 8 && self.config.byte_shifting,
-        };
+        let mut info = vec![crate::batch::RowInfo::default(); self.layout.num_rows()];
         let mut rank = 0u32;
         for set in 0..sets {
             for way in 0..assoc {
@@ -1246,18 +1236,25 @@ impl CppcCache {
                         return None; // latent fault: not a warm baseline
                     }
                     let (pair, lane, rot) = self.domain_of_row(row, w);
-                    sim.valid[row] = valid;
-                    sim.dirty[row] = valid && dirty_mask >> w & 1 == 1;
-                    sim.pair[row] = u16::try_from(pair).expect("pair fits u16");
-                    sim.lane[row] = u16::try_from(lane).expect("lane fits u16");
-                    sim.rot[row] = u8::try_from(rot).expect("rotation fits u8");
-                    sim.class[row] = u8::try_from(self.class_of_row(row)).expect("class fits u8");
-                    sim.scan_rank[row] = rank;
+                    let pair = u16::try_from(pair).expect("pair fits u16");
+                    let lane = u16::try_from(lane).expect("lane fits u16");
+                    info[row] = crate::batch::RowInfo {
+                        scan_rank: rank,
+                        domain: u32::from(pair) << 16 | u32::from(lane),
+                        rot: u8::try_from(rot).expect("rotation fits u8"),
+                        class: u8::try_from(self.class_of_row(row)).expect("class fits u8"),
+                        valid,
+                        dirty: valid && dirty_mask >> w & 1 == 1,
+                    };
                     rank += 1;
                 }
             }
         }
-        Some(sim)
+        Some(crate::batch::BatchSim {
+            info,
+            code: self.code,
+            locator_ok: self.config.parity_ways == 8 && self.config.byte_shifting,
+        })
     }
 
     /// A clone of the whole cache: the warm copy a fault campaign

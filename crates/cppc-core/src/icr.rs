@@ -223,7 +223,7 @@ impl IcrCache {
 
     /// Applies a fault pattern to the data side; returns bits flipped.
     pub fn inject(&mut self, pattern: &FaultPattern) -> usize {
-        crate::scheme::apply_flips(&mut self.inner, &self.layout, pattern.flips())
+        crate::scheme::apply_masks(&mut self.inner, &self.layout, pattern.row_masks())
     }
 
     /// Reads a resident word without side effects.

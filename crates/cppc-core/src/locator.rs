@@ -139,32 +139,31 @@ pub fn locate_spatial_into(
 ) -> Result<(), LocateError> {
     out.clear();
     assert!(!suspects.is_empty(), "locator needs at least one suspect");
-    assert!(
-        suspects.iter().all(|s| s.syndrome != 0),
-        "suspects must have fired parity"
-    );
-    assert!(
-        suspects.iter().all(|s| s.class < 8),
-        "rotation classes are row mod 8"
-    );
-
-    let min_row = suspects.iter().map(|s| s.row).min().expect("non-empty");
-    let max_row = suspects.iter().map(|s| s.row).max().expect("non-empty");
+    // One pass gathers every per-suspect fact: the row span, one bit
+    // per rotation class present, each syndrome by class, and `placed`
+    // (each syndrome at its class byte, for the single-byte test below).
+    let (mut min_row, mut max_row) = (usize::MAX, 0);
+    let (mut classes, mut placed) = (0u8, 0u64);
+    let mut syndromes = [0u8; 8];
+    for s in suspects {
+        assert!(s.syndrome != 0, "suspects must have fired parity");
+        assert!(s.class < 8, "rotation classes are row mod 8");
+        min_row = min_row.min(s.row);
+        max_row = max_row.max(s.row);
+        classes |= 1 << s.class;
+        placed |= u64::from(s.syndrome) << (8 * s.class);
+        syndromes[s.class] = s.syndrome;
+    }
     if max_row - min_row > 7 {
         return Err(LocateError::DistanceExceeded);
     }
-    // One bit per rotation class present: fewer bits than suspects means
-    // two suspects share a class.
-    let classes = suspects.iter().fold(0u8, |m, s| m | 1 << s.class);
+    // Fewer class bits than suspects means two suspects share a class.
     if classes.count_ones() as usize != suspects.len() {
         return Err(LocateError::ClassAliased);
     }
     // Distinct classes in 0..8 ⇒ at most 8 suspects from here on, and
-    // each suspect is named by its class.
-    let mut syndromes = [0u8; 8];
-    for s in suspects {
-        syndromes[s.class] = s.syndrome;
-    }
+    // each suspect is named by its class (so `syndromes` and `placed`
+    // hold every suspect's syndrome once).
 
     // Step 3, first half: a single common byte `j`. Byte `j` of a word
     // of class `c` lands in R3 byte `j + c`, and distinct classes land
@@ -174,9 +173,6 @@ pub fn locate_spatial_into(
     // word's error byte *is* its syndrome). Two such `j` give different
     // masks: already irreducibly ambiguous (e.g. the §4.6 distance-4
     // alias), no matter what the bands yield.
-    let placed = suspects
-        .iter()
-        .fold(0u64, |acc, s| acc | u64::from(s.syndrome) << (8 * s.class));
     let mut single = (0..8u32).filter(|&j| rotate_left_bytes(placed, j) == r3);
     if let Some(j) = single.next() {
         if single.next().is_some() {

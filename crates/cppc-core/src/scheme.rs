@@ -59,7 +59,7 @@ use cppc_campaign::rng::RngExt;
 use cppc_energy::ProtectionKind;
 use cppc_fault::campaign::Outcome;
 use cppc_fault::layout::PhysicalLayout;
-use cppc_fault::model::{BitFlip, FaultGenerator, FaultModel, FaultPattern};
+use cppc_fault::model::{FaultGenerator, FaultModel, FaultPattern};
 
 use crate::baselines::{OneDimParityCache, SecdedCache, TwoDimParityCache};
 use crate::cache::{CppcCache, Due};
@@ -274,17 +274,22 @@ pub trait ProtectionScheme: WarmClone + Any + Send {
     fn cache_stats(&self) -> &CacheStats;
 }
 
-/// Applies each flip of `flips` that lands on a valid block of `cache`
-/// (rows map to blocks through `layout`) and drops the rest: nothing is
-/// stored in an invalid way. Returns how many landed. Every protected
-/// cache's fault injection ends here.
-pub(crate) fn apply_flips(cache: &mut Cache, layout: &PhysicalLayout, flips: &[BitFlip]) -> usize {
+/// Applies each `(row, mask)` pair of `masks` that lands on a valid
+/// block of `cache` (rows map to blocks through `layout`) by XORing the
+/// mask into its word, and drops the rest: nothing is stored in an
+/// invalid way. Returns how many bits landed. Every protected cache's
+/// fault injection ends here.
+pub(crate) fn apply_masks(
+    cache: &mut Cache,
+    layout: &PhysicalLayout,
+    masks: &[(usize, u64)],
+) -> usize {
     let mut applied = 0;
-    for flip in flips {
-        let (set, way, word) = layout.location_of(flip.row);
+    for &(row, mask) in masks {
+        let (set, way, word) = layout.location_of(row);
         if cache.block(set, way).is_valid() {
-            cache.block_mut(set, way).flip_bit(word, flip.col);
-            applied += 1;
+            cache.block_mut(set, way).xor_word(word, mask);
+            applied += mask.count_ones() as usize;
         }
     }
     applied
