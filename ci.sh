@@ -146,6 +146,19 @@ echo "== repro golden gates (fast tier)"
 TIMEFORMAT='repro --check wall time: %R s'
 time "$CLI" repro --check
 
+echo "== repro byte identity (fast tier regenerated into a copy of docs/)"
+# The golden gate above allows each metric its tolerance band; this one
+# allows nothing. It rewrites every fast-tier document and the four
+# generated books into a copy of docs/ and fails unless the copy is
+# byte-identical to the committed tree.
+REPRO_TMP="$(mktemp -d)"
+cp -r docs "$REPRO_TMP"/docs
+"$CLI" repro --root "$REPRO_TMP" > /dev/null
+diff -r docs "$REPRO_TMP"/docs || {
+    echo "repro output differs from the committed docs/" >&2; exit 1
+}
+rm -rf "$REPRO_TMP"
+
 echo "== explore quick-tier gate (committed frontier matches the code)"
 # Re-runs the quick-tier design-space sweep and fails if the committed
 # docs/results/explore_quick.json differs byte-for-byte from what the

@@ -14,7 +14,7 @@
 use std::time::Instant;
 
 use cppc_bench::gate::BenchArgs;
-use cppc_bench::mbe::{experiment, pool, SEED};
+use cppc_bench::mbe::{experiment_model, pool, SEED, SOLID_MODEL};
 use cppc_campaign::json::Json;
 use cppc_campaign::CampaignConfig;
 use cppc_fault::campaign::OutcomeTally;
@@ -30,7 +30,7 @@ fn timed_run(trials: u64, threads: usize) -> (OutcomeTally, f64, PoolDelta) {
     let (captures0, restores0) = (pool().captures(), pool().restores());
     let start = Instant::now();
     let cfg = CampaignConfig::new(SEED, trials).threads(threads);
-    let tally = cppc_campaign::run(&cfg, experiment).result;
+    let tally = cppc_campaign::run(&cfg, |rng, _| experiment_model(SOLID_MODEL, rng)).result;
     let secs = start.elapsed().as_secs_f64();
     let delta = PoolDelta {
         captures: pool().captures() - captures0,

@@ -45,7 +45,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use cppc_bench::gate::{self, BenchArgs, GATE_FLOOR};
-use cppc_bench::mbe::{experiment, pool, MbeBatchExec, SEED};
+use cppc_bench::mbe::{experiment_model, pool, MbeBatchExec, SEED, SOLID_MODEL};
 use cppc_campaign::json::Json;
 use cppc_campaign::rng::rngs::StdRng;
 use cppc_campaign::rng::{RngExt, SeedableRng};
@@ -72,7 +72,8 @@ const DEFAULT_BATCH: usize = 64;
 
 fn timed_run(trials: u64) -> (OutcomeTally, f64) {
     let start = Instant::now();
-    let tally = cppc_campaign::run(&CampaignConfig::new(SEED, trials), experiment).result;
+    let cfg = CampaignConfig::new(SEED, trials);
+    let tally = cppc_campaign::run(&cfg, |rng, _| experiment_model(SOLID_MODEL, rng)).result;
     (tally, start.elapsed().as_secs_f64())
 }
 

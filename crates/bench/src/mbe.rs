@@ -245,12 +245,6 @@ pub fn experiment_model(model: FaultModel, rng: &mut StdRng) -> Outcome {
     })
 }
 
-/// One fault-injection trial: restore the warm way-0 fill, strike a 4x4
-/// solid square, recover, classify.
-pub fn experiment(rng: &mut StdRng, _trial: u64) -> Outcome {
-    experiment_model(SOLID_MODEL, rng)
-}
-
 // ---------------------------------------------------------------------
 // Cross-trial batched execution
 // ---------------------------------------------------------------------

@@ -45,6 +45,45 @@ impl Backing for MainMemory {
     }
 }
 
+/// A cache standing below the level above it: fetches read through
+/// `cache`, writebacks land in it, and its own misses and dirty
+/// evictions go on to `below` — main memory, or another `CacheBacking`
+/// for a deeper chain. `on_access` sees every block access the adapter
+/// serves, with `true` for a writeback (which leaves the block dirty);
+/// [`CacheBacking::new`] builds one that sees nothing.
+pub struct CacheBacking<'a, B, F> {
+    /// The level this adapter stands for.
+    pub(crate) cache: &'a mut Cache,
+    /// What lies below `cache`.
+    pub(crate) below: &'a mut B,
+    /// Called after each block access with the access and whether it
+    /// was a writeback.
+    pub(crate) on_access: F,
+}
+
+impl<'a, B: Backing> CacheBacking<'a, B, fn(BlockAccess, bool)> {
+    /// `cache` over `below`, observing nothing.
+    pub fn new(cache: &'a mut Cache, below: &'a mut B) -> Self {
+        CacheBacking {
+            cache,
+            below,
+            on_access: |_, _| {},
+        }
+    }
+}
+
+impl<B: Backing, F: FnMut(BlockAccess, bool)> Backing for CacheBacking<'_, B, F> {
+    fn fetch_block_into(&mut self, base: u64, buf: &mut [u64]) {
+        let access = self.cache.read_block_into(base, self.below, buf);
+        (self.on_access)(access, false);
+    }
+
+    fn write_back(&mut self, base: u64, data: &[u64], dirty_mask: u64) {
+        let access = self.cache.write_block(base, data, dirty_mask, self.below);
+        (self.on_access)(access, true);
+    }
+}
+
 /// A block evicted by a fill, handed back so protected caches can update
 /// their bookkeeping. The data words are not carried: protected caches
 /// (e.g. CPPC, which XORs evicted dirty words into R2) process the

@@ -1,12 +1,20 @@
-//! Two-level (L1 + L2 + memory) functional hierarchy.
+//! The functional cache hierarchy: an L1 backed by an L2, optionally an
+//! L3 below that, and main memory.
 //!
-//! Runs memory operations through an L1 backed by an L2 backed by main
-//! memory, collecting per-level statistics plus the two measurements the
-//! paper's reliability model needs (Table 2):
+//! Runs memory operations through the chain, collecting per-level
+//! statistics plus the two measurements the paper's reliability model
+//! needs (Table 2):
 //!
-//! * **dirty residency** — periodic samples of how many words are dirty;
+//! * **dirty residency** — periodic samples of how many words are dirty
+//!   (every level, the L3 included);
 //! * **Tavg** — the mean interval between consecutive accesses to the
 //!   same dirty word (L1) or dirty block (L2).
+//!
+//! One per-op drive body serves both depths. An L1 miss picks its
+//! backing once, the L2 over memory or the L2 over the L3 over memory,
+//! both built from the one [`CacheBacking`] adapter, so the two-level
+//! chain compiles to the code it had before the L3 existed. The §7 L3
+//! experiment (`section7`'s `l3_chain`) runs the three-level chain.
 //!
 //! # Tavg
 //!
@@ -27,7 +35,7 @@
 //! slot starts clean.
 
 use crate::batch::{self, OpBatch};
-use crate::cache::{Backing, BlockAccess, Cache};
+use crate::cache::{BlockAccess, Cache, CacheBacking};
 use crate::geometry::CacheGeometry;
 use crate::memory::MainMemory;
 use crate::replacement::ReplacementPolicy;
@@ -125,10 +133,10 @@ impl SlotStamps {
     }
 }
 
-/// An L1 + L2 + memory functional simulator.
+/// An L1 + L2 (+ L3) + memory functional simulator.
 ///
-/// Both levels must share the same block size (as in the paper's Table 1
-/// configuration, 32-byte lines at both levels).
+/// Every level must share the same block size (as in the paper's Table
+/// 1 configuration, 32-byte lines at both levels).
 ///
 /// # Example
 ///
@@ -147,6 +155,8 @@ impl SlotStamps {
 pub struct TwoLevelHierarchy {
     l1: Cache,
     l2: Cache,
+    /// The level between the L2 and memory, when there is one.
+    l3: Option<Cache>,
     mem: MainMemory,
     cycle: u64,
     cycles_per_op: u64,
@@ -156,28 +166,6 @@ pub struct TwoLevelHierarchy {
     l1_intervals: SlotStamps,
     /// One stamp per L2 block slot, `set·ways + way`.
     l2_intervals: SlotStamps,
-}
-
-struct L2Backing<'a> {
-    l2: &'a mut Cache,
-    mem: &'a mut MainMemory,
-    intervals: &'a mut SlotStamps,
-    cycle: u64,
-}
-
-impl Backing for L2Backing<'_> {
-    fn fetch_block_into(&mut self, base: u64, buf: &mut [u64]) {
-        debug_assert_eq!(buf.len(), self.l2.geometry().words_per_block());
-        // An L1 miss that hits a dirty L2 block is an access to dirty L2
-        // data for Tavg purposes; a read leaves a clean block clean.
-        let access = self.l2.read_block_into(base, self.mem, buf);
-        self.intervals.block_access(access, self.cycle, false);
-    }
-
-    fn write_back(&mut self, base: u64, data: &[u64], dirty_mask: u64) {
-        let access = self.l2.write_block(base, data, dirty_mask, self.mem);
-        self.intervals.block_access(access, self.cycle, true);
-    }
 }
 
 impl TwoLevelHierarchy {
@@ -196,6 +184,7 @@ impl TwoLevelHierarchy {
         TwoLevelHierarchy {
             l1: Cache::new(l1_geo, policy),
             l2: Cache::new(l2_geo, policy),
+            l3: None,
             mem: MainMemory::new(),
             cycle: 0,
             cycles_per_op: 1,
@@ -203,6 +192,32 @@ impl TwoLevelHierarchy {
             ops_since_sample: 0,
             l1_intervals: SlotStamps::new(l1_geo.total_words()),
             l2_intervals: SlotStamps::new(l2_geo.num_sets() * l2_geo.associativity()),
+        }
+    }
+
+    /// Builds an L1 + L2 + L3 + memory chain: the L3 serves the L2's
+    /// misses and absorbs its writebacks, and is sampled, reset and
+    /// published with the other levels. Tavg stays an L1/L2
+    /// measurement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the levels have different block sizes.
+    #[must_use]
+    pub fn with_l3(
+        l1_geo: CacheGeometry,
+        l2_geo: CacheGeometry,
+        l3_geo: CacheGeometry,
+        policy: ReplacementPolicy,
+    ) -> Self {
+        assert_eq!(
+            l2_geo.block_bytes(),
+            l3_geo.block_bytes(),
+            "L2 and L3 must share a block size"
+        );
+        TwoLevelHierarchy {
+            l3: Some(Cache::new(l3_geo, policy)),
+            ..Self::new(l1_geo, l2_geo, policy)
         }
     }
 
@@ -252,13 +267,33 @@ impl TwoLevelHierarchy {
             (set, way, self.l1.dirty_mask_at(set, way) >> w & 1 == 1)
         } else {
             self.l1.record_access(!is_load, false);
-            let mut backing = L2Backing {
-                l2: &mut self.l2,
-                mem: &mut self.mem,
-                intervals: &mut self.l2_intervals,
-                cycle,
+            // An L1 miss that hits a dirty L2 block is an access to dirty
+            // L2 data for Tavg purposes; a read leaves a clean block
+            // clean, a writeback leaves it dirty.
+            let l2_intervals = &mut self.l2_intervals;
+            let stamp = move |access, writeback| {
+                l2_intervals.block_access(access, cycle, writeback);
             };
-            let (set, way, eviction) = self.l1.fill(addr, &mut backing);
+            // The backing type is chosen here, once per miss, so the
+            // fill below is monomorphized for each depth.
+            let (set, way, eviction) = match &mut self.l3 {
+                None => self.l1.fill(
+                    addr,
+                    &mut CacheBacking {
+                        cache: &mut self.l2,
+                        below: &mut self.mem,
+                        on_access: stamp,
+                    },
+                ),
+                Some(l3) => self.l1.fill(
+                    addr,
+                    &mut CacheBacking {
+                        cache: &mut self.l2,
+                        below: &mut CacheBacking::new(l3, &mut self.mem),
+                        on_access: stamp,
+                    },
+                ),
+            };
             if let Some(eviction) = eviction {
                 let base = (set * ways + way) * wpb;
                 let mut mask = eviction.dirty_mask;
@@ -291,10 +326,10 @@ impl TwoLevelHierarchy {
         self.ops_since_sample += 1;
         if self.ops_since_sample >= self.sample_interval {
             self.ops_since_sample = 0;
-            let d1 = self.l1.dirty_word_count();
-            let d2 = self.l2.dirty_word_count();
-            self.l1.stats_mut().sample_dirty(d1);
-            self.l2.stats_mut().sample_dirty(d2);
+            for level in self.levels_mut() {
+                let dirty = level.dirty_word_count();
+                level.stats_mut().sample_dirty(dirty);
+            }
         }
         loaded
     }
@@ -328,31 +363,48 @@ impl TwoLevelHierarchy {
         self.publish_since(before);
     }
 
-    /// The counters [`TwoLevelHierarchy::publish_since`] diffs against.
-    fn publish_mark(&self) -> (CacheStats, CacheStats, u64) {
-        let (l1, l2) = self.stats();
-        (l1, l2, self.l1.scratch_reuse() + self.l2.scratch_reuse())
+    /// The levels top down: L1, L2 and the L3 when present.
+    fn levels(&self) -> impl Iterator<Item = &Cache> {
+        [&self.l1, &self.l2].into_iter().chain(self.l3.as_ref())
+    }
+
+    /// [`TwoLevelHierarchy::levels`], mutably.
+    fn levels_mut(&mut self) -> impl Iterator<Item = &mut Cache> {
+        [&mut self.l1, &mut self.l2]
+            .into_iter()
+            .chain(self.l3.as_mut())
+    }
+
+    /// The counters [`TwoLevelHierarchy::publish_since`] diffs against:
+    /// each level's statistics (a missing L3's stay zero) and the
+    /// levels' summed scratch reuse.
+    fn publish_mark(&self) -> ([CacheStats; 3], u64) {
+        let mut stats = [CacheStats::default(); 3];
+        let mut scratch = 0;
+        for (slot, level) in stats.iter_mut().zip(self.levels()) {
+            *slot = *level.stats();
+            scratch += level.scratch_reuse();
+        }
+        (stats, scratch)
     }
 
     /// Publishes the per-level stat deltas since `before` to the global
-    /// [`obs`](crate::obs) registry.
-    fn publish_since(&self, before: (CacheStats, CacheStats, u64)) {
-        let (l1_before, l2_before, scratch_before) = before;
-        let (l1_after, l2_after) = self.stats();
-        crate::obs::publish_level_delta(1, &l1_before, &l1_after);
-        crate::obs::publish_level_delta(2, &l2_before, &l2_after);
-        crate::obs::publish_scratch_delta(
-            scratch_before,
-            self.l1.scratch_reuse() + self.l2.scratch_reuse(),
-        );
+    /// [`obs`](crate::obs) registry, level 3 only when present.
+    fn publish_since(&self, before: ([CacheStats; 3], u64)) {
+        let ((before, scratch_before), (after, scratch_after)) = (before, self.publish_mark());
+        for level in 1..=self.levels().count() {
+            crate::obs::publish_level_delta(level, &before[level - 1], &after[level - 1]);
+        }
+        crate::obs::publish_scratch_delta(scratch_before, scratch_after);
     }
 
-    /// Zeroes both levels' statistics (cache contents and the clock are
-    /// untouched) — call after a warm-up phase so measurements reflect
-    /// steady state rather than compulsory misses.
+    /// Zeroes every level's statistics (cache contents and the clock
+    /// are untouched) — call after a warm-up phase so measurements
+    /// reflect steady state rather than compulsory misses.
     pub fn reset_stats(&mut self) {
-        self.l1.reset_stats();
-        self.l2.reset_stats();
+        for level in self.levels_mut() {
+            level.reset_stats();
+        }
         self.ops_since_sample = 0;
     }
 
@@ -366,6 +418,12 @@ impl TwoLevelHierarchy {
     #[must_use]
     pub fn l2(&self) -> &Cache {
         &self.l2
+    }
+
+    /// The L3 cache, when the chain has one.
+    #[must_use]
+    pub fn l3(&self) -> Option<&Cache> {
+        self.l3.as_ref()
     }
 
     /// The backing memory.
@@ -390,8 +448,8 @@ impl TwoLevelHierarchy {
     }
 
     /// Mean interval (cycles) between consecutive accesses to the same
-    /// dirty L2 block, counting its writeback to memory as its last
-    /// access.
+    /// dirty L2 block, counting its writeback to the level below as its
+    /// last access.
     #[must_use]
     pub fn l2_tavg(&self) -> Option<f64> {
         self.l2_intervals.tavg()
@@ -410,7 +468,8 @@ impl TwoLevelHierarchy {
         self.l2.stats().mean_dirty_words() / self.l2.geometry().total_words() as f64
     }
 
-    /// Convenience: `(l1_stats, l2_stats)` snapshot.
+    /// Convenience: `(l1_stats, l2_stats)` snapshot (the L3's are on
+    /// [`TwoLevelHierarchy::l3`]).
     #[must_use]
     pub fn stats(&self) -> (CacheStats, CacheStats) {
         (*self.l1.stats(), *self.l2.stats())
@@ -734,6 +793,151 @@ mod tests {
         assert_eq!(iterated.cycle(), batched.cycle());
     }
 
+    /// `tiny()` with a 4 KiB, 4-way L3 below its L2.
+    fn three_level() -> TwoLevelHierarchy {
+        TwoLevelHierarchy::with_l3(
+            CacheGeometry::new(256, 2, 32).unwrap(),
+            CacheGeometry::new(1024, 2, 32).unwrap(),
+            CacheGeometry::new(4096, 4, 32).unwrap(),
+            ReplacementPolicy::Lru,
+        )
+    }
+
+    #[test]
+    fn roundtrip_through_three_levels() {
+        let mut h = three_level();
+        h.step(MemOp::Store(0x100, 77));
+        assert_eq!(h.step(MemOp::Load(0x100)), 77);
+    }
+
+    #[test]
+    fn miss_cascades_down_three_levels() {
+        let mut h = three_level();
+        h.step(MemOp::Load(0x100));
+        let l3 = h.l3().expect("three levels");
+        assert_eq!(h.l1().stats().load_misses, 1);
+        assert_eq!(h.l2().stats().load_misses, 1);
+        assert_eq!(l3.stats().load_misses, 1);
+        // Second word in the same L1 line: the lower levels stay idle.
+        h.step(MemOp::Load(0x108));
+        assert_eq!(h.l1().stats().load_hits, 1);
+        assert_eq!(h.l2().stats().loads(), 1);
+        assert!(tiny().l3().is_none());
+    }
+
+    #[test]
+    fn writeback_cascade_reaches_l3_not_memory() {
+        let mut h = three_level();
+        h.step(MemOp::Store(0x40, 5));
+        // Push it out of L1 (4 sets x 32B = 256B stride) and out of L2
+        // (16 sets x 32B = 512B stride).
+        for i in 1..=8u64 {
+            h.step(MemOp::Load(0x40 + i * 256));
+        }
+        assert!(h.l1().stats().writebacks >= 1);
+        assert!(h.l2().stats().writebacks >= 1);
+        assert_eq!(h.l3().unwrap().peek_word(0x40), Some(5));
+        assert_eq!(h.memory().peek_word(0x40), 0, "the L3 absorbed it");
+        assert_eq!(h.step(MemOp::Load(0x40)), 5);
+    }
+
+    #[test]
+    fn randomised_transparency_through_three_levels() {
+        let mut rng = StdRng::seed_from_u64(0x3133);
+        let mut h = three_level();
+        let mut oracle = std::collections::HashMap::new();
+        for _ in 0..30_000 {
+            let addr = (rng.random_range(0..16384u64)) & !7;
+            if rng.random_bool(0.4) {
+                let v: u64 = rng.random();
+                h.step(MemOp::Store(addr, v));
+                oracle.insert(addr, v);
+            } else {
+                assert_eq!(h.step(MemOp::Load(addr)), *oracle.get(&addr).unwrap_or(&0));
+            }
+        }
+    }
+
+    #[test]
+    fn store_filtering_attenuates_down_the_hierarchy() {
+        // The §7 intuition: when the write working set fits the upper
+        // level, the L1 absorbs the re-store traffic and the lower
+        // levels see almost no read-before-write events.
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut h = three_level();
+        for _ in 0..50_000 {
+            if rng.random_bool(0.4) {
+                // Hot store region: 2 blocks mapping to L1 sets 0-1,
+                // which the loads below never touch — so the dirty
+                // blocks are never evicted from L1.
+                let addr = (rng.random_range(0..64u64)) & !7;
+                h.step(MemOp::Store(addr, rng.random()));
+            } else {
+                // Loads confined to L1 sets 2-3 (offsets 0x40..0x7F of
+                // each 256-byte stride).
+                let stride = rng.random_range(0..32u64);
+                let offset = 0x40 + (rng.random_range(0..0x40u64) & !7);
+                h.step(MemOp::Load(stride * 256 + offset));
+            }
+        }
+        let (l1, l2) = h.stats();
+        assert!(l1.stores_to_dirty > 1_000, "L1 absorbs the re-store stream");
+        assert_eq!(l2.stores_to_dirty, 0, "nothing dirty ever reaches L2");
+        assert_eq!(h.l3().unwrap().stats().stores_to_dirty, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "L2 and L3 must share a block size")]
+    fn mismatched_l3_block_size_panics() {
+        let _ = TwoLevelHierarchy::with_l3(
+            CacheGeometry::new(256, 2, 32).unwrap(),
+            CacheGeometry::new(1024, 2, 32).unwrap(),
+            CacheGeometry::new(4096, 4, 64).unwrap(),
+            ReplacementPolicy::Lru,
+        );
+    }
+
+    /// Nothing above the L2 can tell whether an L3 sits below it: the
+    /// loaded values, both upper levels' counters, their dirty
+    /// residency and their Tavg are the same bits with and without one;
+    /// only memory sees less traffic.
+    #[test]
+    fn an_l3_is_invisible_above_the_l2() {
+        let ops = random_ops(0x13, 40_000);
+        let mut two = tiny();
+        two.set_cycles_per_op(3);
+        two.set_sample_interval(7);
+        let mut three = three_level();
+        three.set_cycles_per_op(3);
+        three.set_sample_interval(7);
+        for &op in &ops {
+            assert_eq!(two.step(op), three.step(op), "{op:?}");
+        }
+        assert_eq!(two.stats(), three.stats());
+        assert_eq!(two.cycle(), three.cycle());
+        assert_eq!(
+            two.l1_dirty_fraction().to_bits(),
+            three.l1_dirty_fraction().to_bits()
+        );
+        assert_eq!(
+            two.l2_dirty_fraction().to_bits(),
+            three.l2_dirty_fraction().to_bits()
+        );
+        assert_eq!(
+            two.l1_tavg().map(f64::to_bits),
+            three.l1_tavg().map(f64::to_bits)
+        );
+        assert_eq!(
+            two.l2_tavg().map(f64::to_bits),
+            three.l2_tavg().map(f64::to_bits)
+        );
+        assert!(two.l2_tavg().is_some());
+        let l3 = three.l3().unwrap().stats();
+        assert!(l3.load_hits > 0 && l3.writebacks > 0 && l3.dirty_word_samples > 0);
+        assert!(three.memory().reads() < two.memory().reads());
+        assert!(three.memory().writes() < two.memory().writes());
+    }
+
     #[test]
     fn memop_accessors() {
         assert_eq!(MemOp::Load(8).addr(), 8);
@@ -752,7 +956,8 @@ mod tests {
 mod reference {
     use std::collections::HashMap;
 
-    use super::{Backing, Cache, CacheGeometry, MainMemory, MemOp, ReplacementPolicy};
+    use super::{CacheGeometry, MainMemory, MemOp, ReplacementPolicy};
+    use crate::cache::{Backing, Cache};
 
     #[derive(Default)]
     struct KeyedIntervals {

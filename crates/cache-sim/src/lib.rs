@@ -12,10 +12,10 @@
 //!   arena, viewed through [`cache::BlockRef`] / [`cache::BlockMut`].
 //! * [`memory`] — a sparse backing store, the authoritative copy that
 //!   clean-data recovery re-fetches from.
-//! * [`hierarchy`] — a two-level (L1 + L2 + memory) functional simulator
-//!   producing the operation counts that drive the paper's energy and
-//!   performance models (read hits, write hits, stores-to-dirty,
-//!   misses, write-backs at both levels).
+//! * [`hierarchy`] — the L1 + L2 (+ optional L3) + memory functional
+//!   simulator producing the operation counts that drive the paper's
+//!   energy and performance models (read hits, write hits,
+//!   stores-to-dirty, misses, write-backs at every level).
 //! * [`clone_in_place!`] — `Clone` with a buffer-reusing `clone_from`,
 //!   so a fault-injection campaign restores a warm clone per trial
 //!   without allocating.
@@ -69,7 +69,6 @@ pub mod batch;
 pub mod cache;
 pub mod geometry;
 pub mod hierarchy;
-pub mod hierarchy3;
 pub mod memory;
 pub mod obs;
 pub mod replacement;
@@ -81,7 +80,6 @@ pub use batch::OpBatch;
 pub use cache::Cache;
 pub use geometry::{CacheGeometry, GeometryError};
 pub use hierarchy::TwoLevelHierarchy;
-pub use hierarchy3::ThreeLevelHierarchy;
 pub use memory::MainMemory;
 pub use replacement::ReplacementPolicy;
 pub use stats::CacheStats;

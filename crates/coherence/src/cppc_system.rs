@@ -7,7 +7,7 @@
 //! faults in dirty data are corrected even when it is a *remote* core's
 //! access that forces the data out.
 
-use cppc_cache_sim::cache::{Backing, Cache};
+use cppc_cache_sim::cache::{Cache, CacheBacking};
 use cppc_cache_sim::geometry::CacheGeometry;
 use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
@@ -15,22 +15,6 @@ use cppc_cache_sim::stats::CacheStats;
 use cppc_core::{CppcCache, CppcConfig, Due};
 
 use crate::system::{CoherenceStats, CoreOp};
-
-struct L2Backing<'a> {
-    l2: &'a mut Cache,
-    mem: &'a mut MainMemory,
-}
-
-impl Backing for L2Backing<'_> {
-    fn fetch_block_into(&mut self, base: u64, buf: &mut [u64]) {
-        debug_assert_eq!(buf.len(), self.l2.geometry().words_per_block());
-        self.l2.read_block_into(base, self.mem, buf);
-    }
-
-    fn write_back(&mut self, base: u64, data: &[u64], dirty_mask: u64) {
-        let _ = self.l2.write_block(base, data, dirty_mask, self.mem);
-    }
-}
 
 /// An `n`-core system whose private L1s are CPPC-protected.
 ///
@@ -147,10 +131,7 @@ impl CppcCoherentSystem {
                     .tag_state_of(set, way)
                     .is_some_and(|(_, mask)| mask != 0)
             };
-            let mut backing = L2Backing {
-                l2: &mut self.l2,
-                mem: &mut self.mem,
-            };
+            let mut backing = CacheBacking::new(&mut self.l2, &mut self.mem);
             if for_store {
                 self.cores[c].invalidate_block(addr, &mut backing)?;
                 self.stats.invalidations += 1;
@@ -180,18 +161,12 @@ impl CppcCoherentSystem {
         match op {
             CoreOp::Load { core, addr } => {
                 self.snoop(core, addr, false)?;
-                let mut backing = L2Backing {
-                    l2: &mut self.l2,
-                    mem: &mut self.mem,
-                };
+                let mut backing = CacheBacking::new(&mut self.l2, &mut self.mem);
                 self.cores[core].load_word(addr, &mut backing)
             }
             CoreOp::Store { core, addr, value } => {
                 self.snoop(core, addr, true)?;
-                let mut backing = L2Backing {
-                    l2: &mut self.l2,
-                    mem: &mut self.mem,
-                };
+                let mut backing = CacheBacking::new(&mut self.l2, &mut self.mem);
                 self.cores[core].store_word(addr, value, &mut backing)?;
                 Ok(0)
             }
@@ -281,10 +256,7 @@ mod reference {
                 };
                 let dirty = self.cores[c].block(set, way).is_dirty();
                 if dirty {
-                    let mut backing = L2Backing {
-                        l2: &mut self.l2,
-                        mem: &mut self.mem,
-                    };
+                    let mut backing = CacheBacking::new(&mut self.l2, &mut self.mem);
                     self.cores[c].writeback_block(set, way, &mut backing);
                 }
                 if for_store {
@@ -310,18 +282,12 @@ mod reference {
             match op {
                 CoreOp::Load { core, addr } => {
                     self.snoop(core, addr, false);
-                    let mut backing = L2Backing {
-                        l2: &mut self.l2,
-                        mem: &mut self.mem,
-                    };
+                    let mut backing = CacheBacking::new(&mut self.l2, &mut self.mem);
                     self.cores[core].load_word(addr, &mut backing)
                 }
                 CoreOp::Store { core, addr, value } => {
                     self.snoop(core, addr, true);
-                    let mut backing = L2Backing {
-                        l2: &mut self.l2,
-                        mem: &mut self.mem,
-                    };
+                    let mut backing = CacheBacking::new(&mut self.l2, &mut self.mem);
                     self.cores[core].store_word(addr, value, &mut backing);
                     0
                 }

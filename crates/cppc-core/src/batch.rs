@@ -24,8 +24,10 @@
 //!   reconstruction leaves residual error
 //!   `rot_f⁻¹(XOR over other domain words w of rot_w(err_w))`;
 //! * disjoint-syndrome groups (§4.4 step 4): the masked reconstruction
-//!   updates `err_f = (err_f & !mask) | (residual_f & mask)`, applied
-//!   sequentially in scan order exactly like the full path;
+//!   updates `err_f = (err_f & !mask) | (residual_f & mask)` member by
+//!   member. The members' fired parity groups are disjoint and byte
+//!   rotation keeps a column in its group, so a member's update never
+//!   reaches another member's columns and the order is free;
 //! * shared-syndrome groups (§4.5): `R3 = (R1^R2) ^ XOR of rotated
 //!   domain values` collapses to the XOR of rotated error masks, so
 //!   the *same* [`locate_spatial_into`] the full engine calls runs on
@@ -39,8 +41,11 @@
 //! A lane's inputs are the fault pattern's own `(row, mask)` pairs
 //! ([`FaultPattern::row_masks`]): [`BatchSim::gather`] is a filtered
 //! copy of the pairs on valid rows, and each lane entry's warm-state
-//! facts (valid, dirty, domain, rotation, class, scan rank) come from
-//! one packed record per row, loaded once per classify.
+//! facts (valid, dirty, domain, rotation, class) come from one packed
+//! record per row, loaded once per classify. [`BatchSim::classify`]
+//! walks the entries in gather order: no outcome or residual depends
+//! on the order (see the disjoint-group point above; domains touch
+//! disjoint entries, and the locator keys each suspect by its class).
 //!
 //! After recovery the trial is a silent corruption iff any residual
 //! error mask is non-zero on a valid row; the §4.4 post-condition scan
@@ -84,9 +89,7 @@ pub enum BatchOutcome {
 pub struct BatchScratch {
     /// Each lane entry's row record, loaded once per classify.
     info: Vec<RowInfo>,
-    /// Indices into the lane's entries, sorted by scan rank.
-    order: Vec<usize>,
-    /// Indices of the detected dirty entries, in scan order.
+    /// Indices of the detected dirty entries, in gather order.
     detected: Vec<usize>,
     /// Indices of the current domain's detected dirty members.
     group: Vec<usize>,
@@ -100,8 +103,6 @@ pub struct BatchScratch {
 /// classifying a lane entry costs one table load.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct RowInfo {
-    /// Position in `recover_all`'s set-major scan order.
-    pub(crate) scan_rank: u32,
     /// Protection domain: `register pair << 16 | register lane`.
     pub(crate) domain: u32,
     /// Byte rotation applied before XOR into the registers.
@@ -188,7 +189,6 @@ impl BatchSim {
         }
         let BatchScratch {
             info,
-            order,
             detected,
             group,
             suspects,
@@ -197,28 +197,15 @@ impl BatchSim {
         info.clear();
         info.extend(rows.iter().map(|&row| self.info[row as usize]));
 
-        // Entries in recover_all's scan order (set-major), so domain
-        // first-encounter order and within-group order match the full
-        // walk. Insertion sort: a lane holds a handful of rows.
-        order.clear();
-        order.extend(0..rows.len());
-        for i in 1..order.len() {
-            let mut j = i;
-            while j > 0 && info[order[j - 1]].scan_rank > info[order[j]].scan_rank {
-                order.swap(j - 1, j);
-                j -= 1;
-            }
-        }
-
         // Detected clean words: the re-fetch restores the warm (==
         // backing) value, clearing the error. Detected dirty words go
         // to the register reconstruction below.
         detected.clear();
-        for &i in order.iter() {
-            if syns[i] == 0 {
+        for (i, (&syn, row)) in syns.iter().zip(info.iter()).enumerate() {
+            if syn == 0 {
                 continue;
             }
-            if info[i].dirty {
+            if row.dirty {
                 detected.push(i);
             } else {
                 errs[i] = 0;
@@ -269,10 +256,9 @@ impl BatchSim {
                 }
                 continue;
             }
-            // Masked reconstruction, sequential in scan order: each
-            // member takes the reconstruction only in its own fired
-            // parity-group columns, and later members see the updated
-            // errors of earlier ones.
+            // Masked reconstruction: each member takes the
+            // reconstruction only in its own fired parity-group
+            // columns, which no other member's update reaches.
             for &f in group.iter() {
                 let residual = residual_of(info, errs, f, domain);
                 let mask = self.group_mask(syns[f]);
@@ -337,12 +323,14 @@ mod tests {
 
     /// The classifier as it was before its per-row tables were packed
     /// into one record: seven parallel per-row tables, looked up afresh
-    /// at every use. Kept as the oracle the packed classifier is checked
-    /// against.
+    /// at every use, and entries walked in `recover_all`'s set-major
+    /// scan order. Kept as the oracle the packed classifier, which walks
+    /// gather order, is checked against.
     mod reference {
         use super::super::{BatchOutcome, BatchSim};
         use crate::locator::{locate_spatial_into, Suspect};
         use crate::rotate::{rotate_left_bytes, rotate_right_bytes};
+        use crate::CppcCache;
 
         #[derive(Default)]
         pub(super) struct Scratch {
@@ -365,9 +353,17 @@ mod tests {
         }
 
         impl Legacy {
-            /// Unpacks `sim`'s row records into the seven tables.
-            pub(super) fn of(sim: &BatchSim) -> Self {
+            /// Unpacks `sim`'s row records into six tables and ranks
+            /// `cache`'s rows in its scan order for the seventh.
+            pub(super) fn of(sim: &BatchSim, cache: &CppcCache) -> Self {
                 let info = &sim.info;
+                let geo = cache.geometry();
+                let scan_rank = (0..info.len())
+                    .map(|row| {
+                        let (set, way, w) = cache.layout().location_of(row);
+                        ((set * geo.associativity() + way) * geo.words_per_block() + w) as u32
+                    })
+                    .collect();
                 Legacy {
                     valid: info.iter().map(|r| r.valid).collect(),
                     dirty: info.iter().map(|r| r.dirty).collect(),
@@ -375,7 +371,7 @@ mod tests {
                     lane: info.iter().map(|r| r.domain as u16).collect(),
                     rot: info.iter().map(|r| r.rot).collect(),
                     class: info.iter().map(|r| r.class).collect(),
-                    scan_rank: info.iter().map(|r| r.scan_rank).collect(),
+                    scan_rank,
                     ways: sim.code.ways(),
                     locator_ok: sim.locator_ok,
                 }
@@ -512,7 +508,9 @@ mod tests {
     /// The packed classifier against the seven-table reference, lane by
     /// lane: the same outcome and, when it recovers, the same residual
     /// errors. Every fault model, the paper and two-pair configurations,
-    /// L1 (one register lane) and L2 (a lane per block word).
+    /// L1 (one register lane) and L2 (a lane per block word). Each lane
+    /// is classified once more with its entries permuted, which must
+    /// change neither the outcome nor any entry's residual.
     #[test]
     fn packed_classify_matches_seven_table_reference() {
         let models = [
@@ -543,7 +541,8 @@ mod tests {
                 let seed = 0x9AC4 + u64::from(l2) + 2 * config.register_pairs as u64;
                 let (cache, _mem, _probes) = warm_with(l2, config, seed);
                 let sim = cache.batch_sim().expect("warm state certifies");
-                let legacy = reference::Legacy::of(&sim);
+                let legacy = reference::Legacy::of(&sim, &cache);
+                let mut shuffle = StdRng::seed_from_u64(seed);
                 let mut generator = FaultGenerator::new(sim.num_rows(), seed);
                 let (mut scratch, mut legacy_scratch) =
                     (BatchScratch::default(), reference::Scratch::default());
@@ -570,15 +569,32 @@ mod tests {
                     syns.resize(errs.len(), 0);
                     sim.syndromes(&errs, &mut syns);
                     let mut legacy_errs = errs.clone();
+                    let mut perm: Vec<usize> = (0..rows.len()).collect();
+                    for k in (1..perm.len()).rev() {
+                        perm.swap(k, shuffle.random_range(0..=k));
+                    }
+                    let permuted_rows: Vec<u32> = perm.iter().map(|&k| rows[k]).collect();
+                    let permuted_syns: Vec<u64> = perm.iter().map(|&k| syns[k]).collect();
+                    let mut permuted_errs: Vec<u64> = perm.iter().map(|&k| errs[k]).collect();
+                    let permuted = sim.classify(
+                        &permuted_rows,
+                        &mut permuted_errs,
+                        &permuted_syns,
+                        &mut scratch,
+                    );
                     let packed = sim.classify(&rows, &mut errs, &syns, &mut scratch);
                     let oracle =
                         legacy.classify(&rows, &mut legacy_errs, &syns, &mut legacy_scratch);
                     assert_eq!(packed, oracle, "{model:?} trial {i}");
+                    assert_eq!(permuted, packed, "{model:?} trial {i}: permuted entries");
                     match packed {
                         BatchOutcome::Masked => {}
                         BatchOutcome::Recovered { residual } => {
                             counts[usize::from(residual)] += 1;
                             assert_eq!(errs, legacy_errs, "{model:?} trial {i}: residual errors");
+                            for (&k, &err) in perm.iter().zip(&permuted_errs) {
+                                assert_eq!(err, errs[k], "{model:?} trial {i}: permuted residual");
+                            }
                         }
                         BatchOutcome::NeedsFull => counts[2] += 1,
                     }

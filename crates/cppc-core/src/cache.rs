@@ -1225,7 +1225,6 @@ impl CppcCache {
         let geo = self.inner.geometry();
         let (sets, assoc, wpb) = (geo.num_sets(), geo.associativity(), geo.words_per_block());
         let mut info = vec![crate::batch::RowInfo::default(); self.layout.num_rows()];
-        let mut rank = 0u32;
         for set in 0..sets {
             for way in 0..assoc {
                 let block = self.inner.block(set, way);
@@ -1239,14 +1238,12 @@ impl CppcCache {
                     let pair = u16::try_from(pair).expect("pair fits u16");
                     let lane = u16::try_from(lane).expect("lane fits u16");
                     info[row] = crate::batch::RowInfo {
-                        scan_rank: rank,
                         domain: u32::from(pair) << 16 | u32::from(lane),
                         rot: u8::try_from(rot).expect("rotation fits u8"),
                         class: u8::try_from(self.class_of_row(row)).expect("class fits u8"),
                         valid,
                         dirty: valid && dirty_mask >> w & 1 == 1,
                     };
-                    rank += 1;
                 }
             }
         }

@@ -4,7 +4,7 @@
 
 use cppc_bench::{mean, EVAL_SEED};
 use cppc_cache_sim::geometry::CacheGeometry;
-use cppc_cache_sim::hierarchy3::ThreeLevelHierarchy;
+use cppc_cache_sim::hierarchy::TwoLevelHierarchy;
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_coherence::{CoreOp, CppcCoherentSystem, SharedTraceGenerator};
 use cppc_core::{CppcConfig, SchemeKind};
@@ -79,12 +79,13 @@ fn l3_chain(ops: usize) -> (Vec<Vec<String>>, [f64; 3]) {
     let mut ratios: [Vec<f64>; 3] = Default::default();
     for profile in spec2000_profiles() {
         let [g1, g2, g3] = geometry;
-        let mut h = ThreeLevelHierarchy::new(g1, g2, g3, ReplacementPolicy::Lru);
+        let mut h = TwoLevelHierarchy::with_l3(g1, g2, g3, ReplacementPolicy::Lru);
         let mut generator = TraceGenerator::new(&profile, EVAL_SEED);
         h.run(generator.by_ref().take(ops / 2));
         h.reset_stats();
         h.run(generator.take(ops));
-        let (s1, s2, s3) = h.stats();
+        let (s1, s2) = h.stats();
+        let s3 = *h.l3().expect("three levels").stats();
         let mut row = vec![profile.name.to_string()];
         for (level, stats) in [s1, s2, s3].iter().enumerate() {
             let counts = counts_from_stats(stats, 4);

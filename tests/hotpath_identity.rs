@@ -11,7 +11,6 @@
 
 use cppc::cache_sim::geometry::CacheGeometry;
 use cppc::cache_sim::hierarchy::TwoLevelHierarchy;
-use cppc::cache_sim::hierarchy3::ThreeLevelHierarchy;
 use cppc::cache_sim::memory::MainMemory;
 use cppc::cache_sim::replacement::ReplacementPolicy;
 use cppc::cache_sim::stats::CacheStats;
@@ -197,14 +196,15 @@ fn two_level_stats_match_golden_mcf() {
 #[test]
 fn three_level_stats_match_golden() {
     let p = &spec2000_profiles()[0];
-    let mut h = ThreeLevelHierarchy::new(
+    let mut h = TwoLevelHierarchy::with_l3(
         CacheGeometry::new(8 * 1024, 2, 32).unwrap(),
         CacheGeometry::new(64 * 1024, 4, 32).unwrap(),
         CacheGeometry::new(256 * 1024, 8, 32).unwrap(),
         ReplacementPolicy::Lru,
     );
     h.run(TraceGenerator::new(p, 0xA5).take(50_000));
-    let (l1, l2, l3) = h.stats();
+    let (l1, l2) = h.stats();
+    let l3 = *h.l3().expect("three levels").stats();
     let golden_l1 = CacheStats {
         load_hits: 23493,
         load_misses: 9203,

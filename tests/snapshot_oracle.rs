@@ -5,9 +5,10 @@
 //! that the substitution is invisible: trial by trial, for every member
 //! of the scheme zoo and every fault class, and tally by tally and
 //! checkpoint byte by checkpoint byte for the CPPC campaign
-//! ([`cppc_bench::mbe::experiment`]), the warm path must be
-//! indistinguishable from the refill-from-cold reference body defined
-//! here — including across an interrupt/resume cycle.
+//! ([`cppc_bench::mbe::experiment_model`] on the solid strike), the
+//! warm path must be indistinguishable from the refill-from-cold
+//! reference body defined here — including across an interrupt/resume
+//! cycle.
 
 use cppc::cache_sim::memory::MainMemory;
 use cppc::cache_sim::replacement::ReplacementPolicy;
@@ -15,9 +16,7 @@ use cppc::core::baselines::TwoDimParityCache;
 use cppc::core::{CppcCache, CppcConfig, ProtectionScheme, SchemeKind};
 use cppc::fault::campaign::{Outcome, OutcomeTally};
 use cppc_bench::experiments::{built_experiment, parse_fault};
-use cppc_bench::mbe::{
-    experiment, experiment_model, geometry, oracle, SEED, SOLID_MODEL, SPARSE_MODEL,
-};
+use cppc_bench::mbe::{experiment_model, geometry, oracle, SEED, SOLID_MODEL, SPARSE_MODEL};
 use cppc_campaign::rng::rngs::StdRng;
 use cppc_campaign::{
     run, run_with, trial_rng, CampaignConfig, CheckpointPolicy, PerTrial, RunOpts,
@@ -55,7 +54,12 @@ fn experiment_model_cold(model: FaultModel, rng: &mut StdRng, trial: u64) -> Out
     cold_trial(paper_cppc(), model, rng, trial)
 }
 
-/// The replay-from-cold form of [`experiment`].
+/// The CPPC campaign's trial on the solid strike, through the warm pool.
+fn experiment_warm(rng: &mut StdRng, _trial: u64) -> Outcome {
+    experiment_model(SOLID_MODEL, rng)
+}
+
+/// The replay-from-cold form of [`experiment_warm`].
 fn experiment_cold(rng: &mut StdRng, trial: u64) -> Outcome {
     experiment_model_cold(SOLID_MODEL, rng, trial)
 }
@@ -151,7 +155,7 @@ fn warm_and_cold_paths_agree_trial_by_trial() {
 fn warm_campaign_tallies_match_cold_goldens() {
     for threads in [1usize, 2, 8] {
         let cfg = |trials| CampaignConfig::new(SEED, trials).threads(threads);
-        let t: OutcomeTally = run(&cfg(2000), experiment).result;
+        let t: OutcomeTally = run(&cfg(2000), experiment_warm).result;
         assert_eq!(
             (t.masked, t.corrected, t.due, t.sdc),
             (0, 2000, 0, 0),
@@ -183,9 +187,12 @@ fn warm_checkpoint_bytes_match_cold_checkpoint_bytes() {
     let cfg = CampaignConfig::new(SEED, 500).threads(2);
     let mut policy = CheckpointPolicy::new(checkpoint_path("warm.ckpt"));
     policy.every = std::time::Duration::ZERO;
-    let report =
-        run_with::<OutcomeTally, _>(&cfg, &PerTrial(experiment), RunOpts::checkpointed(&policy))
-            .unwrap();
+    let report = run_with::<OutcomeTally, _>(
+        &cfg,
+        &PerTrial(experiment_warm),
+        RunOpts::checkpointed(&policy),
+    )
+    .unwrap();
     assert!(report.is_complete());
     let warm_bytes = std::fs::read(&policy.path).unwrap();
 
@@ -232,7 +239,7 @@ fn interrupted_warm_campaign_resumes_to_cold_result() {
     policy.every = std::time::Duration::ZERO;
     let partial = run_with::<OutcomeTally, _>(
         &cfg.clone().stop_after_shards(3),
-        &PerTrial(experiment),
+        &PerTrial(experiment_warm),
         RunOpts::checkpointed(&policy),
     )
     .unwrap();
@@ -242,9 +249,12 @@ fn interrupted_warm_campaign_resumes_to_cold_result() {
     );
 
     // ...then resumed to completion (policy.resume defaults to true).
-    let resumed =
-        run_with::<OutcomeTally, _>(&cfg, &PerTrial(experiment), RunOpts::checkpointed(&policy))
-            .unwrap();
+    let resumed = run_with::<OutcomeTally, _>(
+        &cfg,
+        &PerTrial(experiment_warm),
+        RunOpts::checkpointed(&policy),
+    )
+    .unwrap();
     assert!(resumed.is_complete());
     let warm_bytes = std::fs::read(&policy.path).unwrap();
 
