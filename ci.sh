@@ -62,6 +62,9 @@ cargo test -q --release -p cppc-core --lib batch
 # against their keyed reference, and the LRU arena against its per-set
 # oracle.
 cargo test -q --release -p cppc-cache-sim
+# Again on one CPU: a hierarchy then runs with no helper threads, so the
+# caller claims and drives every shard of every chunk itself.
+taskset -c 0 cargo test -q --release -p cppc-cache-sim
 
 echo "== cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -141,6 +141,14 @@ impl OpBatch {
         self.values.push(value);
     }
 
+    /// Replaces the batch's operations with those of `src` in `range`.
+    pub(crate) fn copy_range(&mut self, src: &OpBatch, range: std::ops::Range<usize>) {
+        self.clear();
+        self.addrs.extend_from_slice(&src.addrs[range.clone()]);
+        self.kinds.extend_from_slice(&src.kinds[range.clone()]);
+        self.values.extend_from_slice(&src.values[range]);
+    }
+
     /// Appends every operation of `ops`.
     pub fn extend_from_ops(&mut self, ops: &[MemOp]) {
         self.reserve(ops.len());

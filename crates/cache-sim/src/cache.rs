@@ -254,6 +254,20 @@ impl Cache {
     /// Random replacement is seeded deterministically per set.
     #[must_use]
     pub fn new(geo: CacheGeometry, policy: ReplacementPolicy) -> Self {
+        Self::interleaved(geo, policy, 0, 1)
+    }
+
+    /// An empty cache of geometry `geo` that stands for sets `first`,
+    /// `first + stride`, `first + 2·stride`, … of a cache `stride` times
+    /// its size: Random replacement seeds each set from the set it
+    /// stands for, so the slices of a split cache evict as the whole
+    /// cache would.
+    pub(crate) fn interleaved(
+        geo: CacheGeometry,
+        policy: ReplacementPolicy,
+        first: usize,
+        stride: usize,
+    ) -> Self {
         let blocks = geo.num_sets() * geo.associativity();
         Cache {
             geo,
@@ -261,7 +275,13 @@ impl Cache {
             valid: vec![false; blocks],
             dirty: vec![0; blocks],
             words: vec![0; blocks * geo.words_per_block()],
-            repl: ReplacementArena::new(policy, geo.num_sets(), geo.associativity()),
+            repl: ReplacementArena::interleaved(
+                policy,
+                geo.num_sets(),
+                geo.associativity(),
+                first,
+                stride,
+            ),
             stats: CacheStats::default(),
             dirty_words: 0,
             scrub_cursor: 0,

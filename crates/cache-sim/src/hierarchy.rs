@@ -33,6 +33,52 @@
 //! set, so the cache's own dirty state says which stamps count and an
 //! eviction retires the victim's stamps in place: the block filling the
 //! slot starts clean.
+//!
+//! # Shards
+//!
+//! The hierarchy is split into P shards that run in parallel and still
+//! produce the bits of one unsplit drive. Every level has the same block
+//! size and takes its set index from the low bits of the block number,
+//! so the L1 set, every lower set and the memory page that can hold a
+//! block, and all traffic between them (the fill, the L1 victim's
+//! writeback, the L2 victim's writeback), stay inside one residue class
+//! `block number mod P`. No operation of one class touches the state of
+//! another. P is the largest power of two no larger than 8 and than the
+//! set count of every level: it depends on the geometry alone, never on
+//! the host.
+//!
+//! Shard `s` holds sets `s, s + P, s + 2P, …` of every level and its own
+//! slice of memory, and sees compacted addresses: the log2 P partition
+//! bits are taken out above the block offset. Each slice is then an
+//! ordinary [`Cache`] of 1/P the size with unchanged tags, and the
+//! 256-byte pages of a shard's memory stay dense. Random replacement
+//! seeds each slice set from its global set index.
+//!
+//! [`TwoLevelHierarchy::step`] routes one operation to its shard.
+//! [`TwoLevelHierarchy::run_batch`] deals each chunk of operations out to
+//! the shards, stamped with their global cycle (the cycle at the chunk's
+//! start plus `(i + 1)·cycles_per_op` for its op `i`), so Tavg does not
+//! see the split. The shards then run on min(P, available cores)
+//! threads, the caller among them. Each thread claims shards from a
+//! shared counter, so the caller never waits on a helper the OS has not
+//! scheduled: with one core, it drives every shard itself. Helper
+//! threads start on a hierarchy's first chunk, poll and then sleep
+//! between chunks, and are joined when it drops; a clone starts its
+//! own.
+//!
+//! Level counters, Tavg sums and counts and memory counters are sums over
+//! the shards. Dirty residency is still sampled at the global sample
+//! points: each shard records its dirty word counts at the points that
+//! fall inside its part of a chunk, and the hierarchy adds them up into
+//! one sample per point.
+
+use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use crate::batch::{self, OpBatch};
 use crate::cache::{BlockAccess, Cache, CacheBacking};
@@ -70,6 +116,30 @@ impl MemOp {
         matches!(self, MemOp::Store(..) | MemOp::StoreByte(..))
     }
 }
+
+/// A level of the hierarchy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Level {
+    /// The L1, which the operations address.
+    L1,
+    /// The L2 below it.
+    L2,
+    /// The L3 below the L2, when the chain has one.
+    L3,
+}
+
+impl Level {
+    /// The levels top down.
+    const ALL: [Level; 3] = [Level::L1, Level::L2, Level::L3];
+}
+
+/// The most shards a hierarchy splits into.
+const MAX_SHARDS: usize = 8;
+
+/// Operations [`TwoLevelHierarchy::run_batch`] deals out to the shards
+/// at a time; a shard's ops are listed by their `u16` index in it.
+const CHUNK_OPS: usize = 4096;
+const _: () = assert!(CHUNK_OPS <= 1 << 16);
 
 /// The Tavg intervals of one level: a last-access stamp per cache slot
 /// (L1 word or L2 block) and the running interval sum. A slot's stamp
@@ -123,127 +193,100 @@ impl SlotStamps {
             self.touch(access.slot, now, was_dirty);
         }
     }
+}
 
-    fn tavg(&self) -> Option<f64> {
-        if self.interval_count == 0 {
-            None
-        } else {
-            Some(self.interval_sum as f64 / self.interval_count as f64)
-        }
+/// How addresses split over the shards: the shard of a block is the low
+/// `shard_bits` bits of its number, and a shard sees the address with
+/// those bits taken out above the block offset.
+#[derive(Debug, Clone, Copy, Default)]
+struct Split {
+    block_shift: u32,
+    shard_bits: u32,
+}
+
+impl Split {
+    /// The shard that holds `addr`'s block.
+    #[inline]
+    fn shard(self, addr: u64) -> usize {
+        (addr >> self.block_shift & ((1 << self.shard_bits) - 1)) as usize
+    }
+
+    /// `addr` compacted for its shard.
+    #[inline]
+    fn compact(self, addr: u64) -> u64 {
+        let offset = addr & ((1 << self.block_shift) - 1);
+        (addr >> self.block_shift >> self.shard_bits) << self.block_shift | offset
     }
 }
 
-/// An L1 + L2 (+ L3) + memory functional simulator.
-///
-/// Every level must share the same block size (as in the paper's Table
-/// 1 configuration, 32-byte lines at both levels).
-///
-/// # Example
-///
-/// ```
-/// use cppc_cache_sim::hierarchy::{MemOp, TwoLevelHierarchy};
-/// use cppc_cache_sim::{CacheGeometry, ReplacementPolicy};
-///
-/// let l1 = CacheGeometry::new(32 * 1024, 2, 32)?;
-/// let l2 = CacheGeometry::new(1024 * 1024, 4, 32)?;
-/// let mut h = TwoLevelHierarchy::new(l1, l2, ReplacementPolicy::Lru);
-/// h.run([MemOp::Store(0x100, 42), MemOp::Load(0x100)]);
-/// assert_eq!(h.l1().stats().load_hits, 1);
-/// # Ok::<(), cppc_cache_sim::GeometryError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct TwoLevelHierarchy {
-    l1: Cache,
-    l2: Cache,
-    /// The level between the L2 and memory, when there is one.
-    l3: Option<Cache>,
-    mem: MainMemory,
+/// The chunk a shard's ops belong to.
+#[derive(Debug, Clone, Copy, Default)]
+struct Chunk {
+    /// The clock before the chunk's first operation.
     cycle: u64,
     cycles_per_op: u64,
-    sample_interval: u64,
-    ops_since_sample: u64,
+    /// Operations in the chunk, over all shards.
+    len: usize,
+    /// The index of the first operation after which dirty residency is
+    /// sampled, and the distance to each next one.
+    first_sample: usize,
+    sample_interval: usize,
+    split: Split,
+}
+
+/// One residue class of block numbers: its slice of every level and of
+/// memory, all addressed by compacted addresses, and the Tavg stamps of
+/// its slots.
+#[derive(Debug, Clone)]
+struct Shard {
+    l1: Cache,
+    l2: Cache,
+    l3: Option<Cache>,
+    mem: MainMemory,
     /// One stamp per L1 word slot, `(set·ways + way)·words_per_block + w`.
     l1_intervals: SlotStamps,
     /// One stamp per L2 block slot, `set·ways + way`.
     l2_intervals: SlotStamps,
+    /// The indices of the shard's operations in the chunk being driven,
+    /// which fix their cycles and where they fall between the sample
+    /// points.
+    ops: Vec<u16>,
+    chunk: Chunk,
+    /// The dirty word count of every level (0 for a missing L3) at each
+    /// sample point of the chunk.
+    samples: Vec<[u64; 3]>,
 }
 
-impl TwoLevelHierarchy {
-    /// Builds the hierarchy with empty caches and zeroed memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two levels have different block sizes.
-    #[must_use]
-    pub fn new(l1_geo: CacheGeometry, l2_geo: CacheGeometry, policy: ReplacementPolicy) -> Self {
-        assert_eq!(
-            l1_geo.block_bytes(),
-            l2_geo.block_bytes(),
-            "L1 and L2 must share a block size"
-        );
-        TwoLevelHierarchy {
-            l1: Cache::new(l1_geo, policy),
-            l2: Cache::new(l2_geo, policy),
-            l3: None,
+impl Shard {
+    /// Shard `shard` of `shards` of a hierarchy with levels `geos` (the
+    /// L3's last, when present).
+    fn new(geos: &[CacheGeometry], policy: ReplacementPolicy, shard: usize, shards: usize) -> Self {
+        let mut slices = geos.iter().map(|g| {
+            let geo =
+                CacheGeometry::new(g.size_bytes() / shards, g.associativity(), g.block_bytes())
+                    .expect("a power-of-two slice of a valid geometry is valid");
+            Cache::interleaved(geo, policy, shard, shards)
+        });
+        let l1 = slices.next().expect("an L1");
+        let l2 = slices.next().expect("an L2");
+        let l3 = slices.next();
+        Shard {
+            l1_intervals: SlotStamps::new(l1.geometry().total_words()),
+            l2_intervals: SlotStamps::new(l2.geometry().num_sets() * l2.geometry().associativity()),
+            l1,
+            l2,
+            l3,
             mem: MainMemory::new(),
-            cycle: 0,
-            cycles_per_op: 1,
-            sample_interval: 1024,
-            ops_since_sample: 0,
-            l1_intervals: SlotStamps::new(l1_geo.total_words()),
-            l2_intervals: SlotStamps::new(l2_geo.num_sets() * l2_geo.associativity()),
+            ops: Vec::new(),
+            chunk: Chunk::default(),
+            samples: Vec::new(),
         }
-    }
-
-    /// Builds an L1 + L2 + L3 + memory chain: the L3 serves the L2's
-    /// misses and absorbs its writebacks, and is sampled, reset and
-    /// published with the other levels. Tavg stays an L1/L2
-    /// measurement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the levels have different block sizes.
-    #[must_use]
-    pub fn with_l3(
-        l1_geo: CacheGeometry,
-        l2_geo: CacheGeometry,
-        l3_geo: CacheGeometry,
-        policy: ReplacementPolicy,
-    ) -> Self {
-        assert_eq!(
-            l2_geo.block_bytes(),
-            l3_geo.block_bytes(),
-            "L2 and L3 must share a block size"
-        );
-        TwoLevelHierarchy {
-            l3: Some(Cache::new(l3_geo, policy)),
-            ..Self::new(l1_geo, l2_geo, policy)
-        }
-    }
-
-    /// Sets how many cycles each trace operation advances the clock
-    /// (use the workload's cycles-per-memory-op estimate so Tavg comes
-    /// out in cycles, as in Table 2).
-    pub fn set_cycles_per_op(&mut self, cycles: u64) {
-        assert!(cycles > 0, "cycles per op must be positive");
-        self.cycles_per_op = cycles;
-    }
-
-    /// Sets the dirty-residency sampling interval in operations.
-    pub fn set_sample_interval(&mut self, ops: u64) {
-        assert!(ops > 0, "sample interval must be positive");
-        self.sample_interval = ops;
-    }
-
-    /// Executes one operation, returning the loaded word (0 for stores).
-    pub fn step(&mut self, op: MemOp) -> u64 {
-        let (addr, kind, value) = batch::lanes(op);
-        self.access(addr, kind, value)
     }
 
     /// The per-op body behind [`TwoLevelHierarchy::step`] and
     /// [`TwoLevelHierarchy::run_batch`]: one operation in lane form
-    /// (`kind` is a [`batch`] lane tag).
+    /// (`kind` is a [`batch`] lane tag) at the compacted address `addr`
+    /// and the global clock `cycle`.
     ///
     /// A single L1 probe classifies the access and answers the Tavg
     /// dirty-before question (a miss is never dirty before the access).
@@ -252,9 +295,7 @@ impl TwoLevelHierarchy {
     /// completes through the in-place primitives, so no path probes L1
     /// twice.
     #[inline]
-    fn access(&mut self, addr: u64, kind: u8, value: u64) -> u64 {
-        self.cycle += self.cycles_per_op;
-        let cycle = self.cycle;
+    fn access(&mut self, addr: u64, kind: u8, value: u64, cycle: u64) -> u64 {
         let is_load = kind == batch::KIND_LOAD;
         let w = self.l1.geometry().word_index(addr);
         let wpb = self.l1.geometry().words_per_block();
@@ -322,16 +363,523 @@ impl TwoLevelHierarchy {
             self.l1_intervals
                 .touch((set * ways + way) * wpb + w, cycle, was_dirty);
         }
+        loaded
+    }
 
+    /// Drives the shard's operations of its chunk, whose lanes start at
+    /// op `first` of `lanes`, in order, appending its dirty word counts
+    /// at every sample point of the chunk to the (cleared) samples: the
+    /// point after op `k` is recorded before the shard's first op past
+    /// `k`, or at the end.
+    fn drive(&mut self, lanes: &OpBatch, first: usize) {
+        let chunk = self.chunk;
+        let ops = std::mem::take(&mut self.ops);
+        let mut next_sample = chunk.first_sample;
+        for index in ops.iter().map(|&i| usize::from(i)) {
+            while next_sample < index {
+                let dirty = self.dirty_words();
+                self.samples.push(dirty);
+                next_sample += chunk.sample_interval;
+            }
+            let cycle = chunk.cycle + (index as u64 + 1) * chunk.cycles_per_op;
+            let op = first + index;
+            self.access(
+                chunk.split.compact(lanes.addrs()[op]),
+                lanes.kinds()[op],
+                lanes.values()[op],
+                cycle,
+            );
+        }
+        while next_sample < chunk.len {
+            let dirty = self.dirty_words();
+            self.samples.push(dirty);
+            next_sample += chunk.sample_interval;
+        }
+        self.ops = ops;
+    }
+
+    /// The levels top down: L1, L2 and the L3 when present.
+    fn levels(&self) -> impl Iterator<Item = &Cache> {
+        [&self.l1, &self.l2].into_iter().chain(self.l3.as_ref())
+    }
+
+    /// The slice of `level`, when the chain has that level.
+    fn cache(&self, level: Level) -> Option<&Cache> {
+        match level {
+            Level::L1 => Some(&self.l1),
+            Level::L2 => Some(&self.l2),
+            Level::L3 => self.l3.as_ref(),
+        }
+    }
+
+    /// The dirty word count of every level, 0 for a missing L3.
+    fn dirty_words(&self) -> [u64; 3] {
+        let mut dirty = [0; 3];
+        for (count, level) in dirty.iter_mut().zip(self.levels()) {
+            *count = level.dirty_word_count();
+        }
+        dirty
+    }
+}
+
+/// The number of threads the host can run at once, read once per
+/// process.
+fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Locks one of a [`Pool`]'s mutexes. Only a shard's drive can panic
+/// under one, and the caller then panics before any slot is locked
+/// again.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .expect("a hierarchy pool lock is never poisoned")
+}
+
+/// How long a thread that ran out of work polls before it sleeps: the
+/// gap between two chunks of one drive (the caller decoding and dealing
+/// the next) is shorter, and a sleeping thread takes longer than that to
+/// wake.
+const POLL: Duration = Duration::from_micros(200);
+
+/// Polls `ready` (yielding the CPU in between) until it holds or
+/// [`POLL`] has passed; returns whether it held.
+fn poll(ready: impl Fn() -> bool) -> bool {
+    let start = Instant::now();
+    while !ready() {
+        if start.elapsed() > POLL {
+            return false;
+        }
+        std::thread::yield_now();
+    }
+    true
+}
+
+/// The `round` value that tells the helpers to exit.
+const SHUTDOWN: u64 = u64::MAX;
+
+/// The state the caller and the helper threads share: the chunk in
+/// progress and the shards on loan to drive it, the claim counters, and
+/// the round the helpers wait on.
+#[derive(Debug)]
+struct Pool {
+    /// A copy of the chunk's lanes for the helpers, written by the caller
+    /// between rounds.
+    lanes: RwLock<OpBatch>,
+    slots: Box<[Mutex<Option<Shard>>]>,
+    /// Slots claimed this round: the caller's, taken from the front, in
+    /// the high half; the helpers', taken from the back, in the low
+    /// half. A shard then tends to stay on one thread and in its cache.
+    /// Reset with `Release` after the slots are filled and `done` is
+    /// zeroed, so a claim's `Acquire` sees both.
+    claims: AtomicU64,
+    /// Slots driven this round, counted with `AcqRel` after each drive:
+    /// the caller's `Acquire` load of the full count sees every drive.
+    done: AtomicUsize,
+    /// Set when a shard's drive panicked.
+    panicked: AtomicBool,
+    /// Bumped once per chunk; [`SHUTDOWN`] when the pool drops. Helpers
+    /// poll it, and then read it again under `sleep`.
+    round: AtomicU64,
+    /// Who is asleep; every change of `round` happens under it.
+    sleep: Mutex<Sleepers>,
+    /// Wakes the helpers for a new round or for shutdown.
+    wake: Condvar,
+    /// Wakes the caller once every slot of the round is driven.
+    finished: Condvar,
+}
+
+/// The threads asleep on a [`Pool`]'s condition variables.
+#[derive(Debug, Default)]
+struct Sleepers {
+    helpers: usize,
+    caller: bool,
+}
+
+impl Pool {
+    /// A helper thread's loop: wait for a new round, then claim shards
+    /// from the back until none is left.
+    fn serve(&self) {
+        let mut seen = 0;
+        loop {
+            if !poll(|| self.round.load(Ordering::Acquire) != seen) {
+                let mut sleep = lock(&self.sleep);
+                while self.round.load(Ordering::Acquire) == seen {
+                    sleep.helpers += 1;
+                    sleep = self
+                        .wake
+                        .wait(sleep)
+                        .expect("the sleep lock is never poisoned");
+                    sleep.helpers -= 1;
+                }
+            }
+            seen = self.round.load(Ordering::Acquire);
+            if seen == SHUTDOWN {
+                return;
+            }
+            self.claim(true, None);
+        }
+    }
+
+    /// Starts a round: the helpers may claim every slot again.
+    fn start_round(&self) {
+        self.done.store(0, Ordering::Relaxed);
+        self.claims.store(0, Ordering::Release);
+        let sleep = lock(&self.sleep);
+        self.round.fetch_add(1, Ordering::AcqRel);
+        if sleep.helpers > 0 {
+            self.wake.notify_all();
+        }
+    }
+
+    /// The next unclaimed slot, from the back or the front.
+    fn take(&self, from_back: bool) -> Option<usize> {
+        let shards = self.slots.len() as u64;
+        let mut claims = self.claims.load(Ordering::Acquire);
+        loop {
+            let (front, back) = (claims >> 32, claims & u64::from(u32::MAX));
+            if front + back >= shards {
+                return None;
+            }
+            let (next, slot) = if from_back {
+                (claims + 1, shards - 1 - back)
+            } else {
+                (claims + (1 << 32), front)
+            };
+            match self.claims.compare_exchange_weak(
+                claims,
+                next,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => return Some(slot as usize),
+                Err(now) => claims = now,
+            }
+        }
+    }
+
+    /// Claims slots one at a time and drives their shards until every
+    /// slot of the round is taken, reading the chunk from `chunk` (a
+    /// batch and the chunk's first op in it) or else from the pool's
+    /// copy. A panicking drive is recorded, not propagated, so the round
+    /// still completes.
+    fn claim(&self, from_back: bool, chunk: Option<(&OpBatch, usize)>) {
+        while let Some(slot) = self.take(from_back) {
+            let driven = panic::catch_unwind(AssertUnwindSafe(|| {
+                let Some(shard) = &mut *lock(&self.slots[slot]) else {
+                    return;
+                };
+                match chunk {
+                    Some((batch, first)) => shard.drive(batch, first),
+                    None => shard.drive(&self.lanes.read().expect("lanes are written whole"), 0),
+                }
+            }));
+            if driven.is_err() {
+                self.panicked.store(true, Ordering::Release);
+            }
+            if self.done.fetch_add(1, Ordering::AcqRel) + 1 == self.slots.len()
+                && lock(&self.sleep).caller
+            {
+                self.finished.notify_one();
+            }
+        }
+    }
+
+    /// Waits until every slot of the round is driven.
+    fn wait_done(&self) {
+        let done = || self.done.load(Ordering::Acquire) == self.slots.len();
+        if poll(done) {
+            return;
+        }
+        let mut sleep = lock(&self.sleep);
+        while !done() {
+            sleep.caller = true;
+            sleep = self
+                .finished
+                .wait(sleep)
+                .expect("the sleep lock is never poisoned");
+            sleep.caller = false;
+        }
+    }
+}
+
+/// The threads that drive shards beside the caller.
+#[derive(Debug)]
+struct Helpers {
+    pool: Arc<Pool>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Helpers {
+    /// A pool for `shards` shards with min(`shards`, host threads) − 1
+    /// helper threads (fewer if the OS refuses some).
+    fn start(shards: usize) -> Self {
+        let pool = Arc::new(Pool {
+            lanes: RwLock::new(OpBatch::new()),
+            slots: (0..shards).map(|_| Mutex::new(None)).collect(),
+            claims: AtomicU64::new(u64::from(u32::MAX)),
+            done: AtomicUsize::new(0),
+            panicked: AtomicBool::new(false),
+            round: AtomicU64::new(0),
+            sleep: Mutex::new(Sleepers::default()),
+            wake: Condvar::new(),
+            finished: Condvar::new(),
+        });
+        let threads = (1..shards.min(host_threads()))
+            .filter_map(|_| {
+                let pool = Arc::clone(&pool);
+                std::thread::Builder::new()
+                    .name("cppc-shard".into())
+                    .spawn(move || pool.serve())
+                    .ok()
+            })
+            .collect();
+        Helpers { pool, threads }
+    }
+
+    /// Drives every shard's ops of the chunk `range` of `batch`, the
+    /// caller claiming shards from the front while the helpers claim
+    /// from the back, and hands the shards back in order.
+    fn drive(&self, shards: &mut Vec<Shard>, batch: &OpBatch, range: Range<usize>) {
+        let pool = &*self.pool;
+        if !self.threads.is_empty() {
+            pool.lanes
+                .write()
+                .expect("lanes are written whole")
+                .copy_range(batch, range.clone());
+        }
+        for (slot, shard) in pool.slots.iter().zip(shards.drain(..)) {
+            *lock(slot) = Some(shard);
+        }
+        pool.start_round();
+        pool.claim(false, Some((batch, range.start)));
+        pool.wait_done();
+        assert!(
+            !pool.panicked.load(Ordering::Acquire),
+            "a hierarchy shard panicked during its drive"
+        );
+        shards.extend(pool.slots.iter().map(|slot| {
+            lock(slot)
+                .take()
+                .expect("a driven shard is back in its slot")
+        }));
+    }
+}
+
+impl Drop for Helpers {
+    fn drop(&mut self) {
+        let sleep = self
+            .pool
+            .sleep
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        self.pool.round.store(SHUTDOWN, Ordering::Release);
+        self.pool.wake.notify_all();
+        drop(sleep);
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// An L1 + L2 (+ L3) + memory functional simulator.
+///
+/// Every level must share the same block size (as in the paper's Table
+/// 1 configuration, 32-byte lines at both levels).
+///
+/// # Example
+///
+/// ```
+/// use cppc_cache_sim::hierarchy::{MemOp, TwoLevelHierarchy};
+/// use cppc_cache_sim::{CacheGeometry, ReplacementPolicy};
+///
+/// let l1 = CacheGeometry::new(32 * 1024, 2, 32)?;
+/// let l2 = CacheGeometry::new(1024 * 1024, 4, 32)?;
+/// let mut h = TwoLevelHierarchy::new(l1, l2, ReplacementPolicy::Lru);
+/// h.run([MemOp::Store(0x100, 42), MemOp::Load(0x100)]);
+/// assert_eq!(h.stats().0.load_hits, 1);
+/// # Ok::<(), cppc_cache_sim::GeometryError>(())
+/// ```
+#[derive(Debug)]
+pub struct TwoLevelHierarchy {
+    l1_geo: CacheGeometry,
+    l2_geo: CacheGeometry,
+    /// The level between the L2 and memory, when there is one.
+    l3_geo: Option<CacheGeometry>,
+    /// Shard `s` holds the blocks whose number is `s` mod the shard
+    /// count (a power of two).
+    shards: Vec<Shard>,
+    split: Split,
+    cycle: u64,
+    cycles_per_op: u64,
+    sample_interval: u64,
+    ops_since_sample: u64,
+    /// Dirty-residency samples taken, and each level's dirty words
+    /// summed over them.
+    dirty_samples: u64,
+    dirty_sums: [u64; 3],
+    /// Started on the first chunk of [`TwoLevelHierarchy::run_batch`].
+    helpers: Option<Helpers>,
+}
+
+impl Clone for TwoLevelHierarchy {
+    /// A deep copy of the shards and counters; the copy starts its own
+    /// helper threads when it first needs them.
+    fn clone(&self) -> Self {
+        TwoLevelHierarchy {
+            l1_geo: self.l1_geo,
+            l2_geo: self.l2_geo,
+            l3_geo: self.l3_geo,
+            shards: self.shards.clone(),
+            split: self.split,
+            cycle: self.cycle,
+            cycles_per_op: self.cycles_per_op,
+            sample_interval: self.sample_interval,
+            ops_since_sample: self.ops_since_sample,
+            dirty_samples: self.dirty_samples,
+            dirty_sums: self.dirty_sums,
+            helpers: None,
+        }
+    }
+}
+
+impl TwoLevelHierarchy {
+    /// Builds the hierarchy with empty caches and zeroed memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two levels have different block sizes.
+    #[must_use]
+    pub fn new(l1_geo: CacheGeometry, l2_geo: CacheGeometry, policy: ReplacementPolicy) -> Self {
+        assert_eq!(
+            l1_geo.block_bytes(),
+            l2_geo.block_bytes(),
+            "L1 and L2 must share a block size"
+        );
+        Self::sharded(&[l1_geo, l2_geo], policy)
+    }
+
+    /// Builds an L1 + L2 + L3 + memory chain: the L3 serves the L2's
+    /// misses and absorbs its writebacks, and is sampled, reset and
+    /// published with the other levels. Tavg stays an L1/L2
+    /// measurement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the levels have different block sizes.
+    #[must_use]
+    pub fn with_l3(
+        l1_geo: CacheGeometry,
+        l2_geo: CacheGeometry,
+        l3_geo: CacheGeometry,
+        policy: ReplacementPolicy,
+    ) -> Self {
+        assert_eq!(
+            l2_geo.block_bytes(),
+            l3_geo.block_bytes(),
+            "L2 and L3 must share a block size"
+        );
+        assert_eq!(
+            l1_geo.block_bytes(),
+            l2_geo.block_bytes(),
+            "L1 and L2 must share a block size"
+        );
+        Self::sharded(&[l1_geo, l2_geo, l3_geo], policy)
+    }
+
+    /// The chain of levels `geos` (L1 first) in the shard count the
+    /// geometry allows: the largest power of two no larger than
+    /// [`MAX_SHARDS`] and than any level's set count.
+    fn sharded(geos: &[CacheGeometry], policy: ReplacementPolicy) -> Self {
+        let sets = geos.iter().map(CacheGeometry::num_sets).min();
+        Self::with_shards(geos, policy, sets.map_or(1, |s| s.min(MAX_SHARDS)))
+    }
+
+    /// The chain of levels `geos` (L1 first, block sizes already
+    /// checked) split into `shards` shards.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `shards` is a power of two no larger than any
+    /// level's set count.
+    pub(crate) fn with_shards(
+        geos: &[CacheGeometry],
+        policy: ReplacementPolicy,
+        shards: usize,
+    ) -> Self {
+        assert!(
+            shards.is_power_of_two() && geos.iter().all(|g| g.num_sets() >= shards),
+            "{shards} shards do not divide every level's sets"
+        );
+        TwoLevelHierarchy {
+            l1_geo: geos[0],
+            l2_geo: geos[1],
+            l3_geo: geos.get(2).copied(),
+            shards: (0..shards)
+                .map(|s| Shard::new(geos, policy, s, shards))
+                .collect(),
+            split: Split {
+                block_shift: geos[0].block_bytes().trailing_zeros(),
+                shard_bits: shards.trailing_zeros(),
+            },
+            cycle: 0,
+            cycles_per_op: 1,
+            sample_interval: 1024,
+            ops_since_sample: 0,
+            dirty_samples: 0,
+            dirty_sums: [0; 3],
+            helpers: None,
+        }
+    }
+
+    /// Sets how many cycles each trace operation advances the clock
+    /// (use the workload's cycles-per-memory-op estimate so Tavg comes
+    /// out in cycles, as in Table 2).
+    pub fn set_cycles_per_op(&mut self, cycles: u64) {
+        assert!(cycles > 0, "cycles per op must be positive");
+        self.cycles_per_op = cycles;
+    }
+
+    /// Sets the dirty-residency sampling interval in operations.
+    pub fn set_sample_interval(&mut self, ops: u64) {
+        assert!(ops > 0, "sample interval must be positive");
+        self.sample_interval = ops;
+    }
+
+    /// The shard that holds `addr`'s block, and `addr` compacted for it.
+    #[inline]
+    fn route(&self, addr: u64) -> (usize, u64) {
+        (self.split.shard(addr), self.split.compact(addr))
+    }
+
+    /// Executes one operation, returning the loaded word (0 for stores).
+    pub fn step(&mut self, op: MemOp) -> u64 {
+        let (addr, kind, value) = batch::lanes(op);
+        self.cycle += self.cycles_per_op;
+        let (shard, local) = self.route(addr);
+        let loaded = self.shards[shard].access(local, kind, value, self.cycle);
         self.ops_since_sample += 1;
         if self.ops_since_sample >= self.sample_interval {
             self.ops_since_sample = 0;
-            for level in self.levels_mut() {
-                let dirty = level.dirty_word_count();
-                level.stats_mut().sample_dirty(dirty);
+            let mut dirty = [0; 3];
+            for shard in &self.shards {
+                for (sum, count) in dirty.iter_mut().zip(shard.dirty_words()) {
+                    *sum += count;
+                }
             }
+            self.record_sample(dirty);
         }
         loaded
+    }
+
+    /// Adds one dirty-residency sample of every level's dirty words.
+    fn record_sample(&mut self, dirty: [u64; 3]) {
+        self.dirty_samples += 1;
+        for (sum, count) in self.dirty_sums.iter_mut().zip(dirty) {
+            *sum += count;
+        }
     }
 
     /// Runs a whole trace, publishing per-level stat deltas to the
@@ -351,28 +899,69 @@ impl TwoLevelHierarchy {
     /// [`TwoLevelHierarchy::step`], so state and statistics are
     /// bit-identical to stepping one at a time (pinned by differential
     /// tests); the batch walks flat lanes instead of decoding
-    /// [`MemOp`]s, and obs deltas publish once per batch instead of
-    /// never (`step`) or once per iterator drain
+    /// [`MemOp`]s, the shards run in parallel (see the
+    /// [module docs](self)), and obs deltas publish once per batch
+    /// instead of never (`step`) or once per iterator drain
     /// ([`TwoLevelHierarchy::run`]).
     pub fn run_batch(&mut self, batch: &OpBatch) {
         let before = self.publish_mark();
-        for ((&addr, &kind), &value) in batch.addrs().iter().zip(batch.kinds()).zip(batch.values())
-        {
-            self.access(addr, kind, value);
+        for start in (0..batch.len()).step_by(CHUNK_OPS) {
+            self.drive_chunk(batch, start..batch.len().min(start + CHUNK_OPS));
         }
         self.publish_since(before);
     }
 
-    /// The levels top down: L1, L2 and the L3 when present.
-    fn levels(&self) -> impl Iterator<Item = &Cache> {
-        [&self.l1, &self.l2].into_iter().chain(self.l3.as_ref())
+    /// Deals the chunk `range` of `batch` out to the shards, drives them
+    /// and adds their dirty counts up into one sample per sample point.
+    fn drive_chunk(&mut self, batch: &OpBatch, range: Range<usize>) {
+        let len = range.len();
+        let interval = self.sample_interval as usize;
+        let first_sample = interval.saturating_sub(self.ops_since_sample as usize + 1);
+        let points = if first_sample < len {
+            (len - 1 - first_sample) / interval + 1
+        } else {
+            0
+        };
+        let chunk = Chunk {
+            cycle: self.cycle,
+            cycles_per_op: self.cycles_per_op,
+            len,
+            first_sample,
+            sample_interval: interval,
+            split: self.split,
+        };
+        // The buffers grow to their high-water mark and stay there.
+        for shard in &mut self.shards {
+            shard.ops.clear();
+            shard.samples.clear();
+            shard.chunk = chunk;
+        }
+        for (index, &addr) in (0..).zip(&batch.addrs()[range.clone()]) {
+            self.shards[self.split.shard(addr)].ops.push(index);
+        }
+        let shard_count = self.shards.len();
+        self.helpers
+            .get_or_insert_with(|| Helpers::start(shard_count))
+            .drive(&mut self.shards, batch, range);
+        for point in 0..points {
+            let mut dirty = [0; 3];
+            for shard in &self.shards {
+                for (sum, count) in dirty.iter_mut().zip(shard.samples[point]) {
+                    *sum += count;
+                }
+            }
+            self.record_sample(dirty);
+        }
+        self.cycle += len as u64 * self.cycles_per_op;
+        self.ops_since_sample = match points.checked_sub(1) {
+            None => self.ops_since_sample + len as u64,
+            Some(last) => (len - 1 - (first_sample + last * interval)) as u64,
+        };
     }
 
-    /// [`TwoLevelHierarchy::levels`], mutably.
-    fn levels_mut(&mut self) -> impl Iterator<Item = &mut Cache> {
-        [&mut self.l1, &mut self.l2]
-            .into_iter()
-            .chain(self.l3.as_mut())
+    /// The number of levels: 2, or 3 with an L3.
+    fn depth(&self) -> usize {
+        2 + usize::from(self.l3_geo.is_some())
     }
 
     /// The counters [`TwoLevelHierarchy::publish_since`] diffs against:
@@ -380,11 +969,15 @@ impl TwoLevelHierarchy {
     /// levels' summed scratch reuse.
     fn publish_mark(&self) -> ([CacheStats; 3], u64) {
         let mut stats = [CacheStats::default(); 3];
-        let mut scratch = 0;
-        for (slot, level) in stats.iter_mut().zip(self.levels()) {
-            *slot = *level.stats();
-            scratch += level.scratch_reuse();
+        for (slot, level) in stats.iter_mut().zip(Level::ALL) {
+            *slot = self.level_stats(level).unwrap_or_default();
         }
+        let scratch = self
+            .shards
+            .iter()
+            .flat_map(|shard| shard.levels())
+            .map(Cache::scratch_reuse)
+            .sum();
         (stats, scratch)
     }
 
@@ -392,7 +985,7 @@ impl TwoLevelHierarchy {
     /// [`obs`](crate::obs) registry, level 3 only when present.
     fn publish_since(&self, before: ([CacheStats; 3], u64)) {
         let ((before, scratch_before), (after, scratch_after)) = (before, self.publish_mark());
-        for level in 1..=self.levels().count() {
+        for level in 1..=self.depth() {
             crate::obs::publish_level_delta(level, &before[level - 1], &after[level - 1]);
         }
         crate::obs::publish_scratch_delta(scratch_before, scratch_after);
@@ -402,34 +995,101 @@ impl TwoLevelHierarchy {
     /// are untouched) — call after a warm-up phase so measurements
     /// reflect steady state rather than compulsory misses.
     pub fn reset_stats(&mut self) {
-        for level in self.levels_mut() {
-            level.reset_stats();
+        for shard in &mut self.shards {
+            shard.l1.reset_stats();
+            shard.l2.reset_stats();
+            if let Some(l3) = &mut shard.l3 {
+                l3.reset_stats();
+            }
         }
+        self.dirty_samples = 0;
+        self.dirty_sums = [0; 3];
         self.ops_since_sample = 0;
     }
 
-    /// The L1 cache.
+    /// The statistics of `level` over the whole hierarchy; `None` for
+    /// an L3 the chain does not have.
     #[must_use]
-    pub fn l1(&self) -> &Cache {
-        &self.l1
+    pub fn level_stats(&self, level: Level) -> Option<CacheStats> {
+        let mut stats = CacheStats::default();
+        for shard in &self.shards {
+            stats.merge(shard.cache(level)?.stats());
+        }
+        stats.dirty_word_samples = self.dirty_samples;
+        stats.dirty_word_samples_sum = self.dirty_sums[level as usize];
+        Some(stats)
     }
 
-    /// The L2 cache.
+    /// The geometry of `level` as a whole; `None` for an L3 the chain
+    /// does not have.
     #[must_use]
-    pub fn l2(&self) -> &Cache {
-        &self.l2
+    pub fn geometry(&self, level: Level) -> Option<CacheGeometry> {
+        match level {
+            Level::L1 => Some(self.l1_geo),
+            Level::L2 => Some(self.l2_geo),
+            Level::L3 => self.l3_geo,
+        }
     }
 
-    /// The L3 cache, when the chain has one.
-    #[must_use]
-    pub fn l3(&self) -> Option<&Cache> {
-        self.l3.as_ref()
+    /// The slice of `level` that holds `addr`, and `addr` compacted for
+    /// it.
+    fn slice(&self, level: Level, addr: u64) -> Option<(&Cache, u64)> {
+        let (shard, local) = self.route(addr);
+        Some((self.shards[shard].cache(level)?, local))
     }
 
-    /// The backing memory.
+    /// Whether `level` holds the block of `addr`.
     #[must_use]
-    pub fn memory(&self) -> &MainMemory {
-        &self.mem
+    pub fn holds(&self, level: Level, addr: u64) -> bool {
+        self.slice(level, addr)
+            .is_some_and(|(cache, local)| cache.probe(local).is_some())
+    }
+
+    /// Whether `level` holds the word of `addr` dirty.
+    #[must_use]
+    pub fn is_word_dirty(&self, level: Level, addr: u64) -> bool {
+        self.slice(level, addr).is_some_and(|(cache, local)| {
+            cache.probe(local).is_some_and(|(set, way)| {
+                cache.dirty_mask_at(set, way) >> cache.geometry().word_index(local) & 1 == 1
+            })
+        })
+    }
+
+    /// The word of `addr` as `level` holds it, without counting an
+    /// access; `None` when the level does not hold it.
+    #[must_use]
+    pub fn peek_word(&self, level: Level, addr: u64) -> Option<u64> {
+        let (cache, local) = self.slice(level, addr)?;
+        cache.peek_word(local)
+    }
+
+    /// The word of `addr` as main memory holds it, without counting an
+    /// access.
+    #[must_use]
+    pub fn peek_memory_word(&self, addr: u64) -> u64 {
+        let (shard, local) = self.route(addr);
+        self.shards[shard].mem.peek_word(local)
+    }
+
+    /// Total word reads main memory served.
+    #[must_use]
+    pub fn memory_reads(&self) -> u64 {
+        self.shards.iter().map(|shard| shard.mem.reads()).sum()
+    }
+
+    /// Total word writes main memory served.
+    #[must_use]
+    pub fn memory_writes(&self) -> u64 {
+        self.shards.iter().map(|shard| shard.mem.writes()).sum()
+    }
+
+    /// Non-zero words resident in main memory (its footprint proxy).
+    #[must_use]
+    pub fn memory_footprint_words(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|shard| shard.mem.footprint_words())
+            .sum()
     }
 
     /// Current cycle count.
@@ -438,13 +1098,25 @@ impl TwoLevelHierarchy {
         self.cycle
     }
 
+    /// The mean of the intervals `level` picks out of each shard.
+    fn tavg(&self, level: impl Fn(&Shard) -> &SlotStamps) -> Option<f64> {
+        let (sum, count) = self
+            .shards
+            .iter()
+            .map(level)
+            .fold((0u128, 0u64), |(sum, count), stamps| {
+                (sum + stamps.interval_sum, count + stamps.interval_count)
+            });
+        (count > 0).then(|| sum as f64 / count as f64)
+    }
+
     /// Mean interval (cycles) between consecutive accesses to the same
     /// dirty L1 word, counting the writeback that evicts it as its last
     /// access (see the [module docs](self)); `None` until an interval
     /// closes.
     #[must_use]
     pub fn l1_tavg(&self) -> Option<f64> {
-        self.l1_intervals.tavg()
+        self.tavg(|shard| &shard.l1_intervals)
     }
 
     /// Mean interval (cycles) between consecutive accesses to the same
@@ -452,27 +1124,37 @@ impl TwoLevelHierarchy {
     /// last access.
     #[must_use]
     pub fn l2_tavg(&self) -> Option<f64> {
-        self.l2_intervals.tavg()
+        self.tavg(|shard| &shard.l2_intervals)
     }
 
     /// Mean fraction of L1 words dirty across samples (Table 2's
     /// "percentage of dirty data", as a 0..1 fraction).
     #[must_use]
     pub fn l1_dirty_fraction(&self) -> f64 {
-        self.l1.stats().mean_dirty_words() / self.l1.geometry().total_words() as f64
+        self.stats().0.mean_dirty_words() / self.l1_geo.total_words() as f64
     }
 
     /// Mean fraction of L2 words dirty across samples.
     #[must_use]
     pub fn l2_dirty_fraction(&self) -> f64 {
-        self.l2.stats().mean_dirty_words() / self.l2.geometry().total_words() as f64
+        self.stats().1.mean_dirty_words() / self.l2_geo.total_words() as f64
     }
 
-    /// Convenience: `(l1_stats, l2_stats)` snapshot (the L3's are on
-    /// [`TwoLevelHierarchy::l3`]).
+    /// Convenience: `(l1_stats, l2_stats)` snapshot (the L3's come from
+    /// [`TwoLevelHierarchy::level_stats`]).
     #[must_use]
     pub fn stats(&self) -> (CacheStats, CacheStats) {
-        (*self.l1.stats(), *self.l2.stats())
+        let level = |level| {
+            self.level_stats(level)
+                .expect("L1 and L2 are always present")
+        };
+        (level(Level::L1), level(Level::L2))
+    }
+
+    /// The number of shards the hierarchy is split into.
+    #[cfg(test)]
+    fn shard_count(&self) -> usize {
+        self.shards.len()
     }
 }
 
@@ -499,11 +1181,11 @@ mod tests {
     fn l1_miss_fills_l2_first() {
         let mut h = tiny();
         h.step(MemOp::Load(0x100));
-        assert_eq!(h.l1().stats().load_misses, 1);
-        assert_eq!(h.l2().stats().load_misses, 1);
+        assert_eq!(h.stats().0.load_misses, 1);
+        assert_eq!(h.stats().1.load_misses, 1);
         h.step(MemOp::Load(0x108)); // same block: L1 hit
-        assert_eq!(h.l1().stats().load_hits, 1);
-        assert_eq!(h.l2().stats().loads(), 1, "no extra L2 access");
+        assert_eq!(h.stats().0.load_hits, 1);
+        assert_eq!(h.stats().1.loads(), 1, "no extra L2 access");
     }
 
     #[test]
@@ -513,9 +1195,9 @@ mod tests {
         // Force the L1 set to turn over (set count = 4 blocks apart 256B):
         h.step(MemOp::Load(0x40 + 256));
         h.step(MemOp::Load(0x40 + 512));
-        assert_eq!(h.l1().stats().writebacks, 1);
-        assert_eq!(h.memory().peek_word(0x40), 0, "L2 absorbed the write-back");
-        assert_eq!(h.l2().peek_word(0x40), Some(5));
+        assert_eq!(h.stats().0.writebacks, 1);
+        assert_eq!(h.peek_memory_word(0x40), 0, "L2 absorbed the write-back");
+        assert_eq!(h.peek_word(Level::L2, 0x40), Some(5));
     }
 
     #[test]
@@ -551,7 +1233,7 @@ mod tests {
         h.step(MemOp::Store(SET2[0], 1)); // cycle 10: dirty, interval opens
         h.step(MemOp::Load(SET2[1])); // cycle 20
         h.step(MemOp::Load(SET2[2])); // cycle 30: evicts SET2[0], closes 30 - 10
-        assert_eq!(h.l1().stats().writebacks, 1);
+        assert_eq!(h.stats().0.writebacks, 1);
         h.step(MemOp::Load(SET2[0])); // cycle 40: refilled clean
         h.step(MemOp::Store(SET2[0], 2)); // cycle 50: a new interval opens
         assert_eq!(h.l1_tavg(), Some(20.0), "store → writeback only");
@@ -565,8 +1247,8 @@ mod tests {
         h.step(MemOp::Load(SET2[1])); // cycle 20
         h.step(MemOp::Load(SET2[2])); // cycle 30: L1 writeback dirties the L2 block
         h.step(MemOp::Load(SET2[3])); // cycle 40: L2 writes that block to memory
-        assert_eq!(h.l2().stats().writebacks, 1);
-        assert_eq!(h.memory().peek_word(SET2[0]), 1);
+        assert_eq!(h.stats().1.writebacks, 1);
+        assert_eq!(h.peek_memory_word(SET2[0]), 1);
         // Refill it, dirty it again and write it back to the L2 (cycle
         // 80), which opens a new L2 interval rather than closing one
         // that spans the trip to memory.
@@ -574,8 +1256,8 @@ mod tests {
         h.step(MemOp::Store(SET2[0], 2)); // cycle 60
         h.step(MemOp::Load(SET2[1])); // cycle 70
         h.step(MemOp::Load(SET2[2])); // cycle 80
-        assert_eq!(h.l1().stats().writebacks, 2);
-        assert_eq!(h.l2().stats().writebacks, 1);
+        assert_eq!(h.stats().0.writebacks, 2);
+        assert_eq!(h.stats().1.writebacks, 1);
         assert_eq!(
             h.l2_tavg(),
             Some(10.0),
@@ -667,18 +1349,18 @@ mod tests {
         assert_eq!(stepped.l2_dirty_fraction(), batched.l2_dirty_fraction());
         for addr in (0..16384u64).step_by(8) {
             assert_eq!(
-                stepped.l1().peek_word(addr),
-                batched.l1().peek_word(addr),
+                stepped.peek_word(Level::L1, addr),
+                batched.peek_word(Level::L1, addr),
                 "L1 word {addr:#x}"
             );
             assert_eq!(
-                stepped.l2().peek_word(addr),
-                batched.l2().peek_word(addr),
+                stepped.peek_word(Level::L2, addr),
+                batched.peek_word(Level::L2, addr),
                 "L2 word {addr:#x}"
             );
             assert_eq!(
-                stepped.memory().peek_word(addr),
-                batched.memory().peek_word(addr),
+                stepped.peek_memory_word(addr),
+                batched.peek_memory_word(addr),
                 "memory word {addr:#x}"
             );
         }
@@ -741,18 +1423,9 @@ mod tests {
             dirty_word_samples_sum: 0,
             ..*s
         };
-        assert_eq!(
-            unsampled(stepped.l1().stats()),
-            unsampled(oracle.l1.stats())
-        );
-        assert_eq!(
-            unsampled(stepped.l2().stats()),
-            unsampled(oracle.l2.stats())
-        );
-        assert!(
-            stepped.l2().stats().writebacks > 0,
-            "L2 writebacks exercised"
-        );
+        assert_eq!(unsampled(&stepped.stats().0), unsampled(oracle.l1.stats()));
+        assert_eq!(unsampled(&stepped.stats().1), unsampled(oracle.l2.stats()));
+        assert!(stepped.stats().1.writebacks > 0, "L2 writebacks exercised");
         let (l1_tavg, l2_tavg) = oracle.tavg();
         for h in [&stepped, &batched] {
             assert_eq!(h.l1_tavg().map(f64::to_bits), l1_tavg.map(f64::to_bits));
@@ -766,8 +1439,8 @@ mod tests {
         let t = tiny();
         for seed in [0x7A6, 0x7A7, 0x7A8] {
             assert_matches_reference(
-                *t.l1().geometry(),
-                *t.l2().geometry(),
+                t.geometry(Level::L1).unwrap(),
+                t.geometry(Level::L2).unwrap(),
                 &random_ops(seed, 30_000),
             );
         }
@@ -814,15 +1487,15 @@ mod tests {
     fn miss_cascades_down_three_levels() {
         let mut h = three_level();
         h.step(MemOp::Load(0x100));
-        let l3 = h.l3().expect("three levels");
-        assert_eq!(h.l1().stats().load_misses, 1);
-        assert_eq!(h.l2().stats().load_misses, 1);
-        assert_eq!(l3.stats().load_misses, 1);
+        let l3 = h.level_stats(Level::L3).expect("three levels");
+        assert_eq!(h.stats().0.load_misses, 1);
+        assert_eq!(h.stats().1.load_misses, 1);
+        assert_eq!(l3.load_misses, 1);
         // Second word in the same L1 line: the lower levels stay idle.
         h.step(MemOp::Load(0x108));
-        assert_eq!(h.l1().stats().load_hits, 1);
-        assert_eq!(h.l2().stats().loads(), 1);
-        assert!(tiny().l3().is_none());
+        assert_eq!(h.stats().0.load_hits, 1);
+        assert_eq!(h.stats().1.loads(), 1);
+        assert!(tiny().level_stats(Level::L3).is_none());
     }
 
     #[test]
@@ -834,10 +1507,10 @@ mod tests {
         for i in 1..=8u64 {
             h.step(MemOp::Load(0x40 + i * 256));
         }
-        assert!(h.l1().stats().writebacks >= 1);
-        assert!(h.l2().stats().writebacks >= 1);
-        assert_eq!(h.l3().unwrap().peek_word(0x40), Some(5));
-        assert_eq!(h.memory().peek_word(0x40), 0, "the L3 absorbed it");
+        assert!(h.stats().0.writebacks >= 1);
+        assert!(h.stats().1.writebacks >= 1);
+        assert_eq!(h.peek_word(Level::L3, 0x40), Some(5));
+        assert_eq!(h.peek_memory_word(0x40), 0, "the L3 absorbed it");
         assert_eq!(h.step(MemOp::Load(0x40)), 5);
     }
 
@@ -883,7 +1556,7 @@ mod tests {
         let (l1, l2) = h.stats();
         assert!(l1.stores_to_dirty > 1_000, "L1 absorbs the re-store stream");
         assert_eq!(l2.stores_to_dirty, 0, "nothing dirty ever reaches L2");
-        assert_eq!(h.l3().unwrap().stats().stores_to_dirty, 0);
+        assert_eq!(h.level_stats(Level::L3).unwrap().stores_to_dirty, 0);
     }
 
     #[test]
@@ -932,10 +1605,174 @@ mod tests {
             three.l2_tavg().map(f64::to_bits)
         );
         assert!(two.l2_tavg().is_some());
-        let l3 = three.l3().unwrap().stats();
+        let l3 = three.level_stats(Level::L3).unwrap();
         assert!(l3.load_hits > 0 && l3.writebacks > 0 && l3.dirty_word_samples > 0);
-        assert!(three.memory().reads() < two.memory().reads());
-        assert!(three.memory().writes() < two.memory().writes());
+        assert!(three.memory_reads() < two.memory_reads());
+        assert!(three.memory_writes() < two.memory_writes());
+    }
+
+    /// Everything a drive leaves that a caller can observe, as bits.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        levels: [Option<CacheStats>; 3],
+        tavg_bits: [Option<u64>; 2],
+        dirty_fraction_bits: [u64; 2],
+        cycle: u64,
+        memory: (u64, u64, usize),
+        loaded: Vec<u64>,
+        words: Vec<([Option<u64>; 3], u64)>,
+    }
+
+    fn observe(h: &TwoLevelHierarchy, loaded: Vec<u64>) -> Observed {
+        Observed {
+            levels: Level::ALL.map(|level| h.level_stats(level)),
+            tavg_bits: [h.l1_tavg(), h.l2_tavg()].map(|t| t.map(f64::to_bits)),
+            dirty_fraction_bits: [h.l1_dirty_fraction(), h.l2_dirty_fraction()].map(f64::to_bits),
+            cycle: h.cycle(),
+            memory: (
+                h.memory_reads(),
+                h.memory_writes(),
+                h.memory_footprint_words(),
+            ),
+            loaded,
+            words: (0..16384u64)
+                .step_by(8)
+                .map(|a| (Level::ALL.map(|l| h.peek_word(l, a)), h.peek_memory_word(a)))
+                .collect(),
+        }
+    }
+
+    /// Drives `ops` in rounds of single steps and of batches: batches
+    /// of 1 to 700 ops that start mid sample interval and straddle
+    /// sample points, and batches longer than a chunk. Between rounds
+    /// the sample interval shrinks below the ops already counted, grows
+    /// again, and the stats reset. With `batched` false the batch rounds
+    /// are stepped too. Returns the words the step rounds loaded.
+    fn drive_mixed(h: &mut TwoLevelHierarchy, ops: &[MemOp], batched: bool) -> Vec<u64> {
+        h.set_cycles_per_op(3);
+        h.set_sample_interval(7);
+        let mut rng = StdRng::seed_from_u64(0x5A4D);
+        let (mut loaded, mut batch, mut rest) = (Vec::new(), OpBatch::new(), ops);
+        for round in 0.. {
+            if rest.is_empty() {
+                break;
+            }
+            let n = match round % 4 {
+                0 => rng.random_range(1..20usize),
+                1 | 2 => rng.random_range(1..700usize),
+                _ => CHUNK_OPS + rng.random_range(1..1000usize),
+            };
+            let (now, later) = rest.split_at(n.min(rest.len()));
+            if round % 4 == 0 {
+                loaded.extend(now.iter().map(|&op| h.step(op)));
+            } else if batched {
+                batch.clear();
+                batch.extend_from_ops(now);
+                h.run_batch(&batch);
+            } else {
+                for &op in now {
+                    h.step(op);
+                }
+            }
+            match round {
+                5 => h.set_sample_interval(1),
+                6 => h.set_sample_interval(5),
+                9 => h.reset_stats(),
+                _ => {}
+            }
+            rest = later;
+        }
+        loaded
+    }
+
+    /// Levels of at least 8 sets each, so every shard count divides them.
+    fn eight_set_levels(l3: bool) -> Vec<CacheGeometry> {
+        let mut geos = vec![
+            CacheGeometry::new(512, 2, 32).unwrap(),
+            CacheGeometry::new(2048, 2, 32).unwrap(),
+        ];
+        if l3 {
+            geos.push(CacheGeometry::new(8192, 4, 32).unwrap());
+        }
+        geos
+    }
+
+    /// Every shard count, stepped or batched, leaves the bits a stepped
+    /// single-shard drive leaves: per-level counters, dirty residency,
+    /// Tavg, clock, memory and every resident word, under each policy
+    /// at both depths.
+    #[test]
+    fn every_shard_count_drives_the_bits_of_one_shard() {
+        let ops = random_ops(0x5_4A2D, 30_000);
+        for policy in [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::Fifo,
+            ReplacementPolicy::Random,
+        ] {
+            for l3 in [false, true] {
+                let geos = eight_set_levels(l3);
+                let drive = |shards, batched| {
+                    let mut h = TwoLevelHierarchy::with_shards(&geos, policy, shards);
+                    let loaded = drive_mixed(&mut h, &ops, batched);
+                    observe(&h, loaded)
+                };
+                let stepped = drive(1, false);
+                let l2 = stepped.levels[1].unwrap();
+                assert!(l2.writebacks > 0 && l2.dirty_word_samples > 0);
+                assert!(stepped.tavg_bits.iter().all(Option::is_some));
+                assert!(stepped.memory.2 > 0, "memory written");
+                assert!(!l3 || stepped.levels[2].unwrap().writebacks > 0);
+                for shards in [1, 2, 4, 8] {
+                    for batched in [false, true] {
+                        assert_eq!(
+                            drive(shards, batched),
+                            stepped,
+                            "{policy:?}, L3 {l3}, {shards} shards, batched {batched}"
+                        );
+                    }
+                }
+                assert_eq!(TwoLevelHierarchy::sharded(&geos, policy).shard_count(), 8);
+            }
+        }
+    }
+
+    /// A level with fewer than 8 sets caps the shard count at its own
+    /// set count, and the capped split still drives the unsplit bits.
+    #[test]
+    fn fewer_than_eight_sets_clamp_the_shard_count() {
+        let ops = random_ops(0xC1A9, 20_000);
+        let l2 = CacheGeometry::new(1024, 2, 32).unwrap();
+        for (l1, shards) in [
+            (CacheGeometry::new(256, 2, 32).unwrap(), 4),
+            (CacheGeometry::new(256, 8, 32).unwrap(), 1),
+        ] {
+            let mut clamped = TwoLevelHierarchy::new(l1, l2, ReplacementPolicy::Random);
+            assert_eq!(clamped.shard_count(), shards);
+            let mut one = TwoLevelHierarchy::with_shards(&[l1, l2], ReplacementPolicy::Random, 1);
+            let clamped_loads = drive_mixed(&mut clamped, &ops, true);
+            let one_loads = drive_mixed(&mut one, &ops, false);
+            assert_eq!(observe(&clamped, clamped_loads), observe(&one, one_loads));
+        }
+    }
+
+    /// A clone taken after a parallel drive copies the shards, not the
+    /// helper threads, and drives on like the original.
+    #[test]
+    fn a_clone_drives_on_like_its_original() {
+        let ops = random_ops(0xC70E, 20_000);
+        let (first, second) = ops.split_at(9_000);
+        let mut original = three_level_eight_sets();
+        original.run_batch(&OpBatch::from_ops(first));
+        let mut copy = original.clone();
+        assert!(original.helpers.is_some() && copy.helpers.is_none());
+        let second = OpBatch::from_ops(second);
+        original.run_batch(&second);
+        copy.run_batch(&second);
+        assert_eq!(observe(&copy, Vec::new()), observe(&original, Vec::new()));
+    }
+
+    fn three_level_eight_sets() -> TwoLevelHierarchy {
+        TwoLevelHierarchy::with_shards(&eight_set_levels(true), ReplacementPolicy::Random, 8)
     }
 
     #[test]

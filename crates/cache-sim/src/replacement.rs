@@ -43,18 +43,29 @@ pub(crate) struct ReplacementArena {
 crate::clone_in_place! { ReplacementArena { policy, ways, order, rng } }
 
 impl ReplacementArena {
-    /// Creates state for `sets` sets of `ways` ways. Set `s`'s Random
-    /// stream is seeded with `s ^ 0x9E37_79B9`.
+    /// State for `sets` sets of `ways` ways standing for sets `first`,
+    /// `first + stride`, `first + 2·stride`, … of a cache: local set `s`
+    /// takes the Random stream of set `first + s·stride`, seeded with
+    /// that index `^ 0x9E37_79B9`, so a cache split by set-index residue
+    /// draws the victims the whole cache would.
     ///
     /// # Panics
     ///
     /// Panics if `ways` is zero or does not fit a `u32`.
-    pub(crate) fn new(policy: ReplacementPolicy, sets: usize, ways: usize) -> Self {
+    pub(crate) fn interleaved(
+        policy: ReplacementPolicy,
+        sets: usize,
+        ways: usize,
+        first: usize,
+        stride: usize,
+    ) -> Self {
         assert!(ways > 0, "a set needs at least one way");
         let ways32 = u32::try_from(ways).expect("way count fits a u32");
         let rng = if policy == ReplacementPolicy::Random {
             // xorshift must never be seeded with zero.
-            (0..sets as u64).map(|s| (s ^ 0x9E37_79B9) | 1).collect()
+            (0..sets)
+                .map(|s| ((first + s * stride) as u64 ^ 0x9E37_79B9) | 1)
+                .collect()
         } else {
             Vec::new()
         };
@@ -135,6 +146,14 @@ struct SetReplacementState {
     policy: ReplacementPolicy,
     order: Vec<usize>,
     rng_state: u64,
+}
+
+#[cfg(test)]
+impl ReplacementArena {
+    /// State for a whole cache of `sets` sets of `ways` ways.
+    fn new(policy: ReplacementPolicy, sets: usize, ways: usize) -> Self {
+        Self::interleaved(policy, sets, ways, 0, 1)
+    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 
 use cppc_bench::{mean, EVAL_SEED};
 use cppc_cache_sim::geometry::CacheGeometry;
-use cppc_cache_sim::hierarchy::TwoLevelHierarchy;
+use cppc_cache_sim::hierarchy::{Level, TwoLevelHierarchy};
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_coherence::{CoreOp, CppcCoherentSystem, SharedTraceGenerator};
 use cppc_core::{CppcConfig, SchemeKind};
@@ -85,7 +85,7 @@ fn l3_chain(ops: usize) -> (Vec<Vec<String>>, [f64; 3]) {
         h.reset_stats();
         h.run(generator.take(ops));
         let (s1, s2) = h.stats();
-        let s3 = *h.l3().expect("three levels").stats();
+        let s3 = h.level_stats(Level::L3).expect("three levels");
         let mut row = vec![profile.name.to_string()];
         for (level, stats) in [s1, s2, s3].iter().enumerate() {
             let counts = counts_from_stats(stats, 4);

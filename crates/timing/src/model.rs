@@ -1,12 +1,30 @@
 //! The CPI model and per-scheme port-contention terms.
 
-use cppc_cache_sim::hierarchy::TwoLevelHierarchy;
+use cppc_cache_sim::batch::OpBatch;
+use cppc_cache_sim::hierarchy::{MemOp, TwoLevelHierarchy};
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_cache_sim::stats::CacheStats;
 use cppc_energy::ProtectionKind;
 use cppc_workloads::{BenchmarkProfile, TraceGenerator};
 
 use crate::config::MachineConfig;
+
+/// Operations [`TimingModel::drive`] hands the hierarchy per batch.
+const DRIVE_BATCH_OPS: usize = 4096;
+
+/// Runs `ops` through `h` in batches of [`DRIVE_BATCH_OPS`], so the
+/// hierarchy's shards run in parallel; the result is the bits of
+/// stepping them one at a time.
+fn drive_batched(h: &mut TwoLevelHierarchy, ops: impl Iterator<Item = MemOp>, batch: &mut OpBatch) {
+    let mut ops = ops.peekable();
+    while ops.peek().is_some() {
+        batch.clear();
+        for op in ops.by_ref().take(DRIVE_BATCH_OPS) {
+            batch.push(op);
+        }
+        h.run_batch(batch);
+    }
+}
 
 /// Fraction of read-port conflicts a store can dodge because the store
 /// buffer drains opportunistically (applies to every scheme's
@@ -151,9 +169,10 @@ impl TimingModel {
         // paper's 100M-instruction Simpoints amortise compulsory misses
         // that would otherwise dominate a short synthetic trace.
         let mut generator = TraceGenerator::new(profile, seed);
-        h.run(generator.by_ref().take(memops / 2));
+        let mut batch = OpBatch::with_capacity(DRIVE_BATCH_OPS);
+        drive_batched(&mut h, generator.by_ref().take(memops / 2), &mut batch);
         h.reset_stats();
-        h.run(generator.take(memops));
+        drive_batched(&mut h, generator.take(memops), &mut batch);
         let (l1, l2) = h.stats();
         RunResult {
             l1,

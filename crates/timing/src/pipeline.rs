@@ -12,7 +12,7 @@
 //! flip — so results are exactly reproducible.
 
 use cppc_cache_sim::geometry::CacheGeometry;
-use cppc_cache_sim::hierarchy::{MemOp, TwoLevelHierarchy};
+use cppc_cache_sim::hierarchy::{Level, MemOp, TwoLevelHierarchy};
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_workloads::{BenchmarkProfile, TraceGenerator};
 
@@ -133,18 +133,9 @@ impl PipelineModel {
 
             // Classify the access functionally *before* timing it.
             let addr = op.addr();
-            let l1_hit = hierarchy.l1().probe(addr).is_some();
-            let was_dirty = hierarchy
-                .l1()
-                .probe(addr)
-                .map(|(s, w)| {
-                    hierarchy
-                        .l1()
-                        .block(s, w)
-                        .is_word_dirty(hierarchy.l1().geometry().word_index(addr))
-                })
-                .unwrap_or(false);
-            let l2_hit = l1_hit || hierarchy.l2().probe(addr).is_some();
+            let l1_hit = hierarchy.holds(Level::L1, addr);
+            let was_dirty = hierarchy.is_word_dirty(Level::L1, addr);
+            let l2_hit = l1_hit || hierarchy.holds(Level::L2, addr);
             hierarchy.step(op);
 
             // Scheme-specific read-before-write demand. CPPC's drains

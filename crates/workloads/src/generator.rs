@@ -229,7 +229,7 @@ mod tests {
         let mcf = profiles.iter().find(|p| p.name == "mcf").unwrap();
         let mut h = hierarchy();
         h.run(TraceGenerator::new(mcf, 7).take(200_000));
-        let miss_rate = h.l2().stats().miss_rate();
+        let miss_rate = h.stats().1.miss_rate();
         assert!(miss_rate > 0.5, "mcf L2 miss rate {miss_rate}");
     }
 
@@ -240,7 +240,7 @@ mod tests {
             let p = profiles.iter().find(|p| p.name == name).unwrap();
             let mut h = hierarchy();
             h.run(TraceGenerator::new(p, 7).take(100_000));
-            h.l1().stats().miss_rate()
+            h.stats().0.miss_rate()
         };
         for name in ["gzip", "eon", "crafty"] {
             let miss_rate = l1_miss(name);
@@ -259,7 +259,7 @@ mod tests {
         for p in &profiles {
             let mut h = hierarchy();
             h.run(TraceGenerator::new(p, 11).take(100_000));
-            let s = h.l1().stats();
+            let s = h.stats().0;
             let ratio = s.stores_to_dirty as f64 / s.stores() as f64;
             assert!(ratio > 0.02, "{}: stores-to-dirty ratio {ratio}", p.name);
             total_ratio += ratio;

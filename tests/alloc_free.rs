@@ -126,7 +126,7 @@ fn steady_state_hierarchy_run_allocates_nothing() {
 
     let ((), during) = counting_allocations(|| h.run(trace.replay()));
 
-    let accesses = h.l1().stats().accesses();
+    let accesses = h.stats().0.accesses();
     assert!(accesses >= 400_000, "warmup + measured runs recorded");
     assert_eq!(
         during, 0,

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use cppc_cache_sim::geometry::CacheGeometry;
-use cppc_cache_sim::hierarchy::{MemOp, TwoLevelHierarchy};
+use cppc_cache_sim::hierarchy::{Level, MemOp, TwoLevelHierarchy};
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_campaign::rng::rngs::StdRng;
 use cppc_campaign::rng::{RngExt, SeedableRng};
@@ -57,8 +57,8 @@ fn three_level_hierarchy_matches_oracle() {
     }
     // The working set must actually have thrashed every level.
     assert!(
-        h.l3().unwrap().stats().writebacks > 0,
+        h.level_stats(Level::L3).unwrap().writebacks > 0,
         "L3 never evicted dirty data"
     );
-    assert!(h.memory().reads() > 0);
+    assert!(h.memory_reads() > 0);
 }

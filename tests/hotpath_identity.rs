@@ -10,7 +10,7 @@
 //! writeback that evicts a dirty word or block.
 
 use cppc::cache_sim::geometry::CacheGeometry;
-use cppc::cache_sim::hierarchy::TwoLevelHierarchy;
+use cppc::cache_sim::hierarchy::{Level, TwoLevelHierarchy};
 use cppc::cache_sim::memory::MainMemory;
 use cppc::cache_sim::replacement::ReplacementPolicy;
 use cppc::cache_sim::stats::CacheStats;
@@ -204,7 +204,7 @@ fn three_level_stats_match_golden() {
     );
     h.run(TraceGenerator::new(p, 0xA5).take(50_000));
     let (l1, l2) = h.stats();
-    let l3 = *h.l3().expect("three levels").stats();
+    let l3 = h.level_stats(Level::L3).expect("three levels");
     let golden_l1 = CacheStats {
         load_hits: 23493,
         load_misses: 9203,
@@ -247,9 +247,9 @@ fn three_level_stats_match_golden() {
     assert_eq!(l1, golden_l1);
     assert_eq!(l2, golden_l2);
     assert_eq!(l3, golden_l3);
-    assert_eq!(h.memory().reads(), 10224);
-    assert_eq!(h.memory().writes(), 0);
-    assert_eq!(h.memory().footprint_words(), 0);
+    assert_eq!(h.memory_reads(), 10224);
+    assert_eq!(h.memory_writes(), 0);
+    assert_eq!(h.memory_footprint_words(), 0);
 }
 
 #[test]
