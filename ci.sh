@@ -65,6 +65,10 @@ cargo test -q --release -p cppc-cache-sim
 # Again on one CPU: a hierarchy then runs with no helper threads, so the
 # caller claims and drives every shard of every chunk itself.
 taskset -c 0 cargo test -q --release -p cppc-cache-sim
+# The campaign engine's workers on one CPU too: more threads than CPUs,
+# all taking shards from the one cursor.
+taskset -c 0 cargo test -q --release -p cppc-campaign
+taskset -c 0 cargo test -q --release -p cppc --test campaign_engine
 
 echo "== cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

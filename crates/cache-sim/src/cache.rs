@@ -301,11 +301,6 @@ impl Cache {
         &self.stats
     }
 
-    /// Mutable statistics (for dirty-residency sampling by drivers).
-    pub fn stats_mut(&mut self) -> &mut CacheStats {
-        &mut self.stats
-    }
-
     /// Zeroes the statistics (cache contents untouched) — used to
     /// exclude warm-up from measurements.
     pub fn reset_stats(&mut self) {

@@ -62,9 +62,10 @@
 //! threads, the caller among them. Each thread claims shards from a
 //! shared counter, so the caller never waits on a helper the OS has not
 //! scheduled: with one core, it drives every shard itself. Helper
-//! threads start on a hierarchy's first chunk, poll and then sleep
-//! between chunks, and are joined when it drops; a clone starts its
-//! own.
+//! threads start on a hierarchy's first chunk and are joined when it
+//! drops. A thread out of work polls for 200 µs and then parks: the
+//! caller unparks every helper when it starts a chunk, and the helper
+//! that drives a chunk's last shard unparks the caller.
 //!
 //! Level counters, Tavg sums and counts and memory counters are sums over
 //! the shards. Dirty residency is still sampled at the global sample
@@ -76,8 +77,8 @@ use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use crate::batch::{self, OpBatch};
@@ -145,7 +146,7 @@ const _: () = assert!(CHUNK_OPS <= 1 << 16);
 /// (L1 word or L2 block) and the running interval sum. A slot's stamp
 /// means something only while the slot is dirty; the caller passes that
 /// dirtiness in, read from the cache it already probed.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct SlotStamps {
     stamp: Vec<u64>,
     interval_sum: u128,
@@ -237,7 +238,7 @@ struct Chunk {
 /// One residue class of block numbers: its slice of every level and of
 /// memory, all addressed by compacted addresses, and the Tavg stamps of
 /// its slots.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Shard {
     l1: Cache,
     l2: Cache,
@@ -429,32 +430,24 @@ fn host_threads() -> usize {
     *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
-/// Locks one of a [`Pool`]'s mutexes. Only a shard's drive can panic
-/// under one, and the caller then panics before any slot is locked
-/// again.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .expect("a hierarchy pool lock is never poisoned")
-}
-
-/// How long a thread that ran out of work polls before it sleeps: the
+/// How long a thread that ran out of work polls before it parks: the
 /// gap between two chunks of one drive (the caller decoding and dealing
-/// the next) is shorter, and a sleeping thread takes longer than that to
+/// the next) is shorter, and a parked thread takes longer than that to
 /// wake.
 const POLL: Duration = Duration::from_micros(200);
 
-/// Polls `ready` (yielding the CPU in between) until it holds or
-/// [`POLL`] has passed; returns whether it held.
-fn poll(ready: impl Fn() -> bool) -> bool {
+/// Waits until `ready` holds: polls it (yielding the CPU in between) for
+/// [`POLL`], then parks between checks. A park can end without an
+/// unpark, so each wake checks again.
+fn wait_until(ready: impl Fn() -> bool) {
     let start = Instant::now();
     while !ready() {
         if start.elapsed() > POLL {
-            return false;
+            std::thread::park();
+        } else {
+            std::thread::yield_now();
         }
-        std::thread::yield_now();
     }
-    true
 }
 
 /// The `round` value that tells the helpers to exit.
@@ -480,22 +473,14 @@ struct Pool {
     done: AtomicUsize,
     /// Set when a shard's drive panicked.
     panicked: AtomicBool,
-    /// Bumped once per chunk; [`SHUTDOWN`] when the pool drops. Helpers
-    /// poll it, and then read it again under `sleep`.
+    /// Bumped once per chunk with `Release`, after the lanes, the slots,
+    /// `caller`, `done` and `claims` are written, so a helper's `Acquire`
+    /// load of the new round sees them; the caller then unparks every
+    /// helper. [`SHUTDOWN`] when the pool drops.
     round: AtomicU64,
-    /// Who is asleep; every change of `round` happens under it.
-    sleep: Mutex<Sleepers>,
-    /// Wakes the helpers for a new round or for shutdown.
-    wake: Condvar,
-    /// Wakes the caller once every slot of the round is driven.
-    finished: Condvar,
-}
-
-/// The threads asleep on a [`Pool`]'s condition variables.
-#[derive(Debug, Default)]
-struct Sleepers {
-    helpers: usize,
-    caller: bool,
+    /// The thread driving the round, stored before `round` moves; the
+    /// helper that drives the round's last slot unparks it.
+    caller: Mutex<Thread>,
 }
 
 impl Pool {
@@ -504,33 +489,12 @@ impl Pool {
     fn serve(&self) {
         let mut seen = 0;
         loop {
-            if !poll(|| self.round.load(Ordering::Acquire) != seen) {
-                let mut sleep = lock(&self.sleep);
-                while self.round.load(Ordering::Acquire) == seen {
-                    sleep.helpers += 1;
-                    sleep = self
-                        .wake
-                        .wait(sleep)
-                        .expect("the sleep lock is never poisoned");
-                    sleep.helpers -= 1;
-                }
-            }
+            wait_until(|| self.round.load(Ordering::Acquire) != seen);
             seen = self.round.load(Ordering::Acquire);
             if seen == SHUTDOWN {
                 return;
             }
             self.claim(true, None);
-        }
-    }
-
-    /// Starts a round: the helpers may claim every slot again.
-    fn start_round(&self) {
-        self.done.store(0, Ordering::Relaxed);
-        self.claims.store(0, Ordering::Release);
-        let sleep = lock(&self.sleep);
-        self.round.fetch_add(1, Ordering::AcqRel);
-        if sleep.helpers > 0 {
-            self.wake.notify_all();
         }
     }
 
@@ -564,43 +528,29 @@ impl Pool {
     /// slot of the round is taken, reading the chunk from `chunk` (a
     /// batch and the chunk's first op in it) or else from the pool's
     /// copy. A panicking drive is recorded, not propagated, so the round
-    /// still completes.
+    /// still completes; the slot's lock is held outside the unwind, so
+    /// it is never poisoned.
     fn claim(&self, from_back: bool, chunk: Option<(&OpBatch, usize)>) {
         while let Some(slot) = self.take(from_back) {
-            let driven = panic::catch_unwind(AssertUnwindSafe(|| {
-                let Some(shard) = &mut *lock(&self.slots[slot]) else {
-                    return;
-                };
-                match chunk {
-                    Some((batch, first)) => shard.drive(batch, first),
-                    None => shard.drive(&self.lanes.read().expect("lanes are written whole"), 0),
-                }
+            let mut shard = self.slots[slot]
+                .lock()
+                .expect("a slot lock is never poisoned");
+            let shard = shard
+                .as_mut()
+                .expect("every slot holds a shard during a round");
+            let driven = panic::catch_unwind(AssertUnwindSafe(|| match chunk {
+                Some((batch, first)) => shard.drive(batch, first),
+                None => shard.drive(&self.lanes.read().expect("lanes are written whole"), 0),
             }));
             if driven.is_err() {
                 self.panicked.store(true, Ordering::Release);
             }
-            if self.done.fetch_add(1, Ordering::AcqRel) + 1 == self.slots.len()
-                && lock(&self.sleep).caller
-            {
-                self.finished.notify_one();
+            if self.done.fetch_add(1, Ordering::AcqRel) + 1 == self.slots.len() && from_back {
+                self.caller
+                    .lock()
+                    .expect("the caller lock is never poisoned")
+                    .unpark();
             }
-        }
-    }
-
-    /// Waits until every slot of the round is driven.
-    fn wait_done(&self) {
-        let done = || self.done.load(Ordering::Acquire) == self.slots.len();
-        if poll(done) {
-            return;
-        }
-        let mut sleep = lock(&self.sleep);
-        while !done() {
-            sleep.caller = true;
-            sleep = self
-                .finished
-                .wait(sleep)
-                .expect("the sleep lock is never poisoned");
-            sleep.caller = false;
         }
     }
 }
@@ -623,9 +573,7 @@ impl Helpers {
             done: AtomicUsize::new(0),
             panicked: AtomicBool::new(false),
             round: AtomicU64::new(0),
-            sleep: Mutex::new(Sleepers::default()),
-            wake: Condvar::new(),
-            finished: Condvar::new(),
+            caller: Mutex::new(std::thread::current()),
         });
         let threads = (1..shards.min(host_threads()))
             .filter_map(|_| {
@@ -649,19 +597,29 @@ impl Helpers {
                 .write()
                 .expect("lanes are written whole")
                 .copy_range(batch, range.clone());
+            *pool
+                .caller
+                .lock()
+                .expect("the caller lock is never poisoned") = std::thread::current();
         }
         for (slot, shard) in pool.slots.iter().zip(shards.drain(..)) {
-            *lock(slot) = Some(shard);
+            *slot.lock().expect("a slot lock is never poisoned") = Some(shard);
         }
-        pool.start_round();
+        pool.done.store(0, Ordering::Relaxed);
+        pool.claims.store(0, Ordering::Release);
+        pool.round.fetch_add(1, Ordering::Release);
+        for thread in &self.threads {
+            thread.thread().unpark();
+        }
         pool.claim(false, Some((batch, range.start)));
-        pool.wait_done();
+        wait_until(|| pool.done.load(Ordering::Acquire) == pool.slots.len());
         assert!(
             !pool.panicked.load(Ordering::Acquire),
             "a hierarchy shard panicked during its drive"
         );
         shards.extend(pool.slots.iter().map(|slot| {
-            lock(slot)
+            slot.lock()
+                .expect("a slot lock is never poisoned")
                 .take()
                 .expect("a driven shard is back in its slot")
         }));
@@ -670,15 +628,9 @@ impl Helpers {
 
 impl Drop for Helpers {
     fn drop(&mut self) {
-        let sleep = self
-            .pool
-            .sleep
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
         self.pool.round.store(SHUTDOWN, Ordering::Release);
-        self.pool.wake.notify_all();
-        drop(sleep);
         for thread in self.threads.drain(..) {
+            thread.thread().unpark();
             let _ = thread.join();
         }
     }
@@ -722,27 +674,6 @@ pub struct TwoLevelHierarchy {
     dirty_sums: [u64; 3],
     /// Started on the first chunk of [`TwoLevelHierarchy::run_batch`].
     helpers: Option<Helpers>,
-}
-
-impl Clone for TwoLevelHierarchy {
-    /// A deep copy of the shards and counters; the copy starts its own
-    /// helper threads when it first needs them.
-    fn clone(&self) -> Self {
-        TwoLevelHierarchy {
-            l1_geo: self.l1_geo,
-            l2_geo: self.l2_geo,
-            l3_geo: self.l3_geo,
-            shards: self.shards.clone(),
-            split: self.split,
-            cycle: self.cycle,
-            cycles_per_op: self.cycles_per_op,
-            sample_interval: self.sample_interval,
-            ops_since_sample: self.ops_since_sample,
-            dirty_samples: self.dirty_samples,
-            dirty_sums: self.dirty_sums,
-            helpers: None,
-        }
-    }
 }
 
 impl TwoLevelHierarchy {
@@ -1326,10 +1257,11 @@ mod tests {
     #[test]
     fn run_batch_matches_step_bit_for_bit() {
         let ops = random_ops(0xBA7C4, 40_000);
-        let mut stepped = tiny();
-        stepped.set_cycles_per_op(3);
-        stepped.set_sample_interval(7);
-        let mut batched = stepped.clone();
+        let (mut stepped, mut batched) = (tiny(), tiny());
+        for h in [&mut stepped, &mut batched] {
+            h.set_cycles_per_op(3);
+            h.set_sample_interval(7);
+        }
         for &op in &ops {
             stepped.step(op);
         }
@@ -1406,8 +1338,9 @@ mod tests {
     /// bit-identical Tavg at both levels.
     fn assert_matches_reference(l1: CacheGeometry, l2: CacheGeometry, ops: &[MemOp]) {
         let mut stepped = TwoLevelHierarchy::new(l1, l2, ReplacementPolicy::Lru);
+        let mut batched = TwoLevelHierarchy::new(l1, l2, ReplacementPolicy::Lru);
         stepped.set_cycles_per_op(3);
-        let mut batched = stepped.clone();
+        batched.set_cycles_per_op(3);
         let mut oracle = super::reference::Reference::new(l1, l2, 3);
         for &op in ops {
             assert_eq!(stepped.step(op), oracle.step(op), "{op:?}");
@@ -1755,24 +1688,36 @@ mod tests {
         }
     }
 
-    /// A clone taken after a parallel drive copies the shards, not the
-    /// helper threads, and drives on like the original.
+    /// Chunks that arrive further apart than [`POLL`] find the helpers
+    /// parked: the caller's unpark still brings them in, the drive leaves
+    /// the stepped bits, and dropping the hierarchy joins the helpers.
     #[test]
-    fn a_clone_drives_on_like_its_original() {
-        let ops = random_ops(0xC70E, 20_000);
-        let (first, second) = ops.split_at(9_000);
-        let mut original = three_level_eight_sets();
-        original.run_batch(&OpBatch::from_ops(first));
-        let mut copy = original.clone();
-        assert!(original.helpers.is_some() && copy.helpers.is_none());
-        let second = OpBatch::from_ops(second);
-        original.run_batch(&second);
-        copy.run_batch(&second);
-        assert_eq!(observe(&copy, Vec::new()), observe(&original, Vec::new()));
-    }
-
-    fn three_level_eight_sets() -> TwoLevelHierarchy {
-        TwoLevelHierarchy::with_shards(&eight_set_levels(true), ReplacementPolicy::Random, 8)
+    fn parked_helpers_wake_for_late_chunks_and_join_on_drop() {
+        let ops = random_ops(0x9A2C, 30_000);
+        let geos = eight_set_levels(true);
+        let mut stepped = TwoLevelHierarchy::with_shards(&geos, ReplacementPolicy::Random, 1);
+        let mut batched = TwoLevelHierarchy::with_shards(&geos, ReplacementPolicy::Random, 8);
+        for (i, part) in ops.chunks(2_000).enumerate() {
+            for &op in part {
+                stepped.step(op);
+            }
+            batched.run_batch(&OpBatch::from_ops(part));
+            if i % 2 == 0 {
+                std::thread::sleep(POLL * 10);
+            }
+        }
+        assert_eq!(observe(&batched, Vec::new()), observe(&stepped, Vec::new()));
+        let pool = Arc::clone(&batched.helpers.as_ref().expect("started").pool);
+        std::thread::sleep(POLL * 10);
+        let (dropped, joined) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            drop(batched);
+            dropped.send(()).expect("the test waits");
+        });
+        joined
+            .recv_timeout(Duration::from_secs(30))
+            .expect("dropping the hierarchy joins its parked helpers");
+        assert_eq!(Arc::strong_count(&pool), 1, "every helper has exited");
     }
 
     #[test]

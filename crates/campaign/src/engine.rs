@@ -1,9 +1,10 @@
 //! The parallel deterministic campaign engine.
 //!
 //! A campaign is `trials` independent deterministic experiments. The
-//! engine splits them into fixed-size *shards*, deals the shards to
-//! worker threads through a work-stealing queue, and merges per-shard
-//! results in shard order. Three properties fall out of the design:
+//! engine splits them into fixed-size *shards*, hands the shards out to
+//! worker threads in ascending order from one atomic cursor, and
+//! merges per-shard results in shard order. Three properties fall out
+//! of the design:
 //!
 //! * **Determinism at any thread count.** Every trial's RNG stream is
 //!   derived from `(campaign seed, trial index)` alone
@@ -20,12 +21,10 @@
 //!   shard: the worker records the shard's trial range, derived seed
 //!   and panic message in the report and moves on.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::checkpoint::{
@@ -283,51 +282,6 @@ impl<A> CampaignReport<A> {
     }
 }
 
-/// Work-stealing shard scheduler: each worker owns a deque dealt
-/// round-robin; a worker whose deque runs dry steals from the back of
-/// another's, so stragglers (expensive shards) never serialize the
-/// tail of a campaign. An optional dispatch budget bounds how many
-/// shards hand out in total, which is what makes graceful interruption
-/// exact rather than racy.
-struct ShardQueue {
-    locals: Vec<Mutex<VecDeque<u64>>>,
-    budget: Option<AtomicU64>,
-}
-
-impl ShardQueue {
-    fn new(shards: impl Iterator<Item = u64>, workers: usize, budget: Option<u64>) -> Self {
-        let mut locals: Vec<VecDeque<u64>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (i, shard) in shards.enumerate() {
-            locals[i % workers].push_back(shard);
-        }
-        ShardQueue {
-            locals: locals.into_iter().map(Mutex::new).collect(),
-            budget: budget.map(AtomicU64::new),
-        }
-    }
-
-    fn next(&self, worker: usize) -> Option<u64> {
-        if let Some(budget) = &self.budget {
-            if budget
-                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |b| b.checked_sub(1))
-                .is_err()
-            {
-                return None;
-            }
-        }
-        if let Some(shard) = self.locals[worker].lock().expect("queue lock").pop_front() {
-            return Some(shard);
-        }
-        // Steal from the victim with the most work left, back first,
-        // to take the shard its owner would reach last.
-        let n = self.locals.len();
-        let victim = (0..n)
-            .filter(|&v| v != worker)
-            .max_by_key(|&v| self.locals[v].lock().expect("queue lock").len())?;
-        self.locals[victim].lock().expect("queue lock").pop_back()
-    }
-}
-
 enum WorkerMsg<A> {
     Done { shard: u64, acc: A },
     Failed { shard: u64, message: String },
@@ -491,29 +445,32 @@ where
         }
     }
 
-    let pending: Vec<u64> = (0..total_shards)
+    // Workers take pending shards in ascending order from one cursor.
+    // The stop budget caps how many hand out in total, which is what
+    // makes graceful interruption exact rather than racy. The cursor
+    // publishes nothing (`pending` is fixed before any worker starts),
+    // so `Relaxed` suffices.
+    let mut pending: Vec<u64> = (0..total_shards)
         .filter(|&s| slots[s as usize].is_none())
         .collect();
+    if let Some(budget) = cfg.stop_after_shards {
+        pending.truncate(usize::try_from(budget.saturating_sub(resumed)).unwrap_or(usize::MAX));
+    }
+    let cursor = AtomicUsize::new(0);
     let workers = cfg.resolved_threads();
-    let dispatch_budget = cfg
-        .stop_after_shards
-        .map(|budget| budget.saturating_sub(resumed));
-    let queue = ShardQueue::new(pending.iter().copied(), workers, dispatch_budget);
     let mut completed = resumed;
     let mut failed: Vec<FailedShard> = Vec::new();
 
     std::thread::scope(|scope| {
         let (tx, rx) = mpsc::channel::<WorkerMsg<A>>();
-        let queue = &queue;
-        let exec = &exec;
-        // Runs `worker`'s next shard; `None` once no shard is left for it
-        // (its own deque and every deque it may steal from are dry) or
-        // the run is interrupted.
-        let run_next = move |worker: usize| -> Option<WorkerMsg<A>> {
+        let (pending, cursor, exec) = (&pending, &cursor, &exec);
+        // Runs the next pending shard; `None` once every one has been
+        // handed out or the run is interrupted.
+        let run_next = move || -> Option<WorkerMsg<A>> {
             if interrupt.is_some_and(|f| f.load(Ordering::Acquire)) {
                 return None;
             }
-            let shard = queue.next(worker)?;
+            let &shard = pending.get(cursor.fetch_add(1, Ordering::Relaxed))?;
             let (lo, hi) = cfg.shard_bounds(shard);
             let _shard_span = crate::obs::SHARD_LATENCY.start();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -529,10 +486,10 @@ where
                 },
             })
         };
-        for worker in 1..workers {
+        for _ in 1..workers {
             let tx = tx.clone();
             scope.spawn(move || {
-                while let Some(msg) = run_next(worker) {
+                while let Some(msg) = run_next() {
                     if tx.send(msg).is_err() {
                         break;
                     }
@@ -580,7 +537,7 @@ where
         };
         // The calling thread is worker 0: between its own shards it folds
         // in whatever the other workers finished meanwhile.
-        while let Some(msg) = run_next(0) {
+        while let Some(msg) = run_next() {
             handle(msg);
             while let Ok(msg) = rx.try_recv() {
                 handle(msg);
@@ -854,6 +811,40 @@ mod tests {
             resumed.result,
             run::<XorDigest, _>(&cfg, digest_experiment).result
         );
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    /// A stop budget of k at two threads hands out exactly the first k
+    /// shards: the partial tally is that of a k-shard campaign, and a
+    /// resumed run restores those k shards.
+    #[test]
+    fn stop_budget_dispatches_the_first_shards_in_order() {
+        let path = cadence_path("budget");
+        let cfg = CampaignConfig::new(0xB0D6, 1000).shard_size(10).threads(2);
+        let policy = CheckpointPolicy {
+            path: path.clone(),
+            every: Duration::ZERO,
+            resume: true,
+        };
+        let exec = PerTrial(digest_experiment);
+        for k in [1, 3, 7, 20] {
+            let _ = std::fs::remove_file(&path);
+            let partial: CampaignReport<XorDigest> = run_with(
+                &cfg.clone().stop_after_shards(k),
+                &exec,
+                RunOpts::checkpointed(&policy),
+            )
+            .unwrap();
+            let first_k = run::<XorDigest, _>(
+                &CampaignConfig::new(0xB0D6, k * 10).shard_size(10),
+                digest_experiment,
+            );
+            assert_eq!(partial.result, first_k.result, "budget {k}");
+            let resumed: CampaignReport<XorDigest> =
+                run_with(&cfg, &exec, RunOpts::checkpointed(&policy)).unwrap();
+            assert_eq!(resumed.resumed_shards, k, "budget {k}");
+            assert!(resumed.is_complete());
+        }
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 

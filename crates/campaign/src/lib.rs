@@ -7,8 +7,9 @@
 //! worker threads while keeping the merged result **bit-identical at
 //! any thread count**, and carries the supporting infrastructure:
 //!
-//! * [`engine`] — sharded work-stealing execution, order-independent
-//!   merging, worker-panic containment;
+//! * [`engine`] — sharded execution, workers taking shards in order
+//!   from one atomic cursor, order-independent merging, worker-panic
+//!   containment;
 //! * [`checkpoint`] — periodic JSON checkpoints and resume;
 //! * [`metrics`] — live trials/sec, per-outcome counters and ETA;
 //! * [`snapshot`] — per-process pool of warm trial contexts, so each
